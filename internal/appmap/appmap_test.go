@@ -304,20 +304,23 @@ func TestEngineRejectsMismatchedMesh(t *testing.T) {
 	}
 }
 
-// TestCheckOfEdge property: binary search agrees with a linear scan.
-func TestCheckOfEdge(t *testing.T) {
+// TestEdgeCheckPE property: the edge-to-check-PE table agrees with a
+// linear scan of the check-major edge layout.
+func TestEdgeCheckPE(t *testing.T) {
 	code := mustCode(t, 120, 60, 3, 16)
-	prefix := make([]int, code.M+1)
+	part := Interleaved(code, 16)
+	eng := newEngine(t, code, part, 4)
+	eng.prepareDecode()
+	id := 0
 	for c := 0; c < code.M; c++ {
-		prefix[c+1] = prefix[c] + len(code.CheckNbrs[c])
+		for range code.CheckNbrs[c] {
+			if got := eng.edgeCheckPE[id]; got != part.CheckPE[c] {
+				t.Fatalf("edgeCheckPE[%d] = %d, want PE %d of check %d", id, got, part.CheckPE[c], c)
+			}
+			id++
+		}
 	}
-	for id := 0; id < code.Edges(); id++ {
-		want := 0
-		for prefix[want+1] <= id {
-			want++
-		}
-		if got := checkOfEdge(prefix, id); got != want {
-			t.Fatalf("checkOfEdge(%d) = %d, want %d", id, got, want)
-		}
+	if id != len(eng.edgeCheckPE) {
+		t.Fatalf("table covers %d edges, code has %d", len(eng.edgeCheckPE), id)
 	}
 }

@@ -1,6 +1,7 @@
 package appmap
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -66,6 +67,9 @@ type Engine struct {
 	// checkEdge[c] is the first check-major edge index of check c.
 	checkEdge []int
 	varEdges  [][]int
+	// edgeCheckPE[id] is the logical PE owning the check of edge id
+	// (built by prepareDecode).
+	edgeCheckPE []int
 	// expectCheck[p] / expectVar[p] count the remote messages PE p receives
 	// in the check / variable phase of every iteration.
 	expectCheck []int
@@ -76,6 +80,15 @@ type Engine struct {
 	totals   []int32
 
 	pendingRemote int
+
+	// Per-phase scratch (built by prepareDecode), reused across phases:
+	// batches and packets are indexed src*NPE+dst, in/out hold one node's
+	// edge messages. A phase ends only after every batch it sent is
+	// delivered, so the next phase may overwrite them.
+	batches []MsgBatch
+	packets []noc.Packet
+	sends   []pendingPkt
+	in, out []ldpc.LLR
 }
 
 // NewEngine wires a code, partition and network together. The partition's
@@ -141,6 +154,31 @@ func NewEngine(code *ldpc.Code, part *Partition, net *noc.Network) (*Engine, err
 	return e, nil
 }
 
+// prepareDecode builds, on an engine's first decode, the edge-to-check-PE
+// table and the per-phase scratch, so engines that never decode (clones
+// evaluating a cached characterization) do not pay for them.
+func (e *Engine) prepareDecode() {
+	if e.batches != nil {
+		return
+	}
+	e.edgeCheckPE = make([]int, e.Code.Edges())
+	maxDeg := 0
+	for c, nbrs := range e.Code.CheckNbrs {
+		for i := range nbrs {
+			e.edgeCheckPE[e.checkEdge[c]+i] = e.Part.CheckPE[c]
+		}
+		maxDeg = max(maxDeg, len(nbrs))
+	}
+	for _, ids := range e.varEdges {
+		maxDeg = max(maxDeg, len(ids))
+	}
+	e.in = make([]ldpc.LLR, maxDeg)
+	e.out = make([]ldpc.LLR, maxDeg)
+	npe := e.Part.NPE
+	e.batches = make([]MsgBatch, npe*npe)
+	e.packets = make([]noc.Packet, npe*npe)
+}
+
 // SetPlacement installs a new logical-to-physical mapping (a migration).
 // It returns an error unless place is a bijection onto the mesh.
 func (e *Engine) SetPlacement(place []int) error {
@@ -188,6 +226,7 @@ func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
 	if len(chLLR) != code.N {
 		return BlockResult{}, fmt.Errorf("appmap: block has %d LLRs, code N=%d", len(chLLR), code.N)
 	}
+	e.prepareDecode()
 	start := e.Net.Cycle
 
 	prevDeliver := e.Net.Deliver
@@ -237,20 +276,22 @@ func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
 // runPhase executes one half-iteration: phase 0 updates check nodes, phase
 // 1 variable nodes.
 func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
+	npe := e.Part.NPE
 	phaseStart := e.Net.Cycle
-	var sends []pendingPkt
-	expected := 0
+	e.sends = e.sends[:0]
 	maxReady := phaseStart
 
-	for p := 0; p < e.Part.NPE; p++ {
-		batches := map[int]*MsgBatch{} // dst logical PE -> batch
+	for p := 0; p < npe; p++ {
+		batches := e.batches[p*npe : (p+1)*npe] // by destination logical PE
+		for d := range batches {
+			batches[d] = MsgBatch{Phase: phase, Vals: batches[d].Vals[:0]}
+		}
 		ops := 0
 		if phase == 0 {
 			for _, c := range e.checksOwned[p] {
 				lo, hi := e.checkEdge[c], e.checkEdge[c+1]
-				in := e.v2c[lo:hi]
-				out := make([]ldpc.LLR, hi-lo)
-				ldpc.CheckNodeUpdate(in, out, e.NormNum, e.NormDen)
+				out := e.out[:hi-lo]
+				ldpc.CheckNodeUpdate(e.v2c[lo:hi], out, e.NormNum, e.NormDen)
 				ops += hi - lo
 				for i, v := range e.Code.CheckNbrs[c] {
 					dst := e.Part.VarPE[v]
@@ -258,35 +299,26 @@ func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
 						e.c2v[lo+i] = out[i]
 						continue
 					}
-					b := batches[dst]
-					if b == nil {
-						b = &MsgBatch{Phase: phase}
-						batches[dst] = b
-					}
+					b := &batches[dst]
 					b.Vals = append(b.Vals, EdgeVal{Edge: int32(lo + i), Val: out[i]})
 				}
 			}
 		} else {
 			for _, v := range e.varsOwned[p] {
 				ids := e.varEdges[v]
-				in := make([]ldpc.LLR, len(ids))
-				out := make([]ldpc.LLR, len(ids))
+				in, out := e.in[:len(ids)], e.out[:len(ids)]
 				for i, id := range ids {
 					in[i] = e.c2v[id]
 				}
 				e.totals[v] = ldpc.VarNodeUpdate(chLLR[v], in, out)
 				ops += len(ids)
 				for i, id := range ids {
-					c := e.Part.CheckPE[checkOfEdge(e.checkEdge, id)]
-					if c == p {
+					dst := e.edgeCheckPE[id]
+					if dst == p {
 						e.v2c[id] = out[i]
 						continue
 					}
-					b := batches[c]
-					if b == nil {
-						b = &MsgBatch{Phase: phase}
-						batches[c] = b
-					}
+					b := &batches[dst]
 					b.Vals = append(b.Vals, EdgeVal{Edge: int32(id), Val: out[i]})
 				}
 			}
@@ -299,44 +331,65 @@ func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
 		}
 
 		// Deterministic send order by destination PE.
-		dsts := make([]int, 0, len(batches))
 		for d := range batches {
-			dsts = append(dsts, d)
-		}
-		sort.Ints(dsts)
-		for _, d := range dsts {
-			b := batches[d]
-			nflits := 1 + (len(b.Vals)+e.MsgsPerFlit-1)/e.MsgsPerFlit
-			pkt := &noc.Packet{
+			b := &batches[d]
+			if len(b.Vals) == 0 {
+				continue
+			}
+			pkt := &e.packets[p*npe+d]
+			*pkt = noc.Packet{
 				ID:      e.Net.NextID(),
 				Src:     e.Net.Grid.Coord(e.place[p]),
 				Dst:     e.Net.Grid.Coord(e.place[d]),
-				NFlits:  nflits,
+				NFlits:  1 + (len(b.Vals)+e.MsgsPerFlit-1)/e.MsgsPerFlit,
 				Payload: b,
 			}
-			sends = append(sends, pendingPkt{at: ready, pkt: pkt})
-			expected++
+			e.sends = append(e.sends, pendingPkt{at: ready, pkt: pkt})
 		}
 	}
 
-	sort.Slice(sends, func(i, j int) bool { return sends[i].at < sends[j].at })
-	e.pendingRemote = expected
+	e.pendingRemote = len(e.sends)
+	if err := drive(e.Net, e.sends, maxReady, &e.pendingRemote); err != nil {
+		return fmt.Errorf("appmap: phase %d %w", phase, err)
+	}
+	return nil
+}
 
-	// Event loop: inject packets as their PEs finish computing; run until
-	// every remote batch has been delivered and all compute time has
-	// elapsed.
+// drive runs one bulk-synchronous step on the network: it injects each
+// send once the network clock reaches its ready cycle and steps until
+// every send is injected, *pending (decremented by the caller's delivery
+// sink) reaches zero and the clock has passed maxReady. Spans with an
+// idle fabric are fast-forwarded to the next ready cycle or maxReady,
+// which changes nothing but the host time spent. It fails after 10M
+// cycles.
+//
+// Equal-ready sends are injected in the order sort.Slice leaves them;
+// callers build sends in a fixed order, so runs are deterministic.
+func drive(net *noc.Network, sends []pendingPkt, maxReady int64, pending *int) error {
+	sort.Slice(sends, func(i, j int) bool { return sends[i].at < sends[j].at })
 	idx := 0
-	guard := phaseStart + 10_000_000
-	for e.pendingRemote > 0 || idx < len(sends) || e.Net.Cycle < maxReady {
-		for idx < len(sends) && sends[idx].at <= e.Net.Cycle {
-			if err := e.Net.Send(sends[idx].pkt); err != nil {
-				return fmt.Errorf("appmap: phase %d injection failed: %w", phase, err)
+	guard := net.Cycle + 10_000_000
+	for *pending > 0 || idx < len(sends) || net.Cycle < maxReady {
+		for idx < len(sends) && sends[idx].at <= net.Cycle {
+			if err := net.Send(sends[idx].pkt); err != nil {
+				return fmt.Errorf("injection failed: %w", err)
 			}
 			idx++
 		}
-		e.Net.Step()
-		if e.Net.Cycle > guard {
-			return fmt.Errorf("appmap: phase %d did not complete within guard window", phase)
+		if net.Busy() {
+			net.Step()
+		} else {
+			next := guard + 1
+			if idx < len(sends) {
+				next = min(next, sends[idx].at)
+			}
+			if maxReady > net.Cycle {
+				next = min(next, maxReady)
+			}
+			net.Run(next - net.Cycle)
+		}
+		if net.Cycle > guard {
+			return errors.New("did not complete within guard window")
 		}
 	}
 	return nil
@@ -356,19 +409,4 @@ func (e *Engine) onDeliver(pkt *noc.Packet) {
 		}
 	}
 	e.pendingRemote--
-}
-
-// checkOfEdge locates the check owning a check-major edge index by binary
-// search over the prefix array.
-func checkOfEdge(checkEdge []int, id int) int {
-	lo, hi := 0, len(checkEdge)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if checkEdge[mid+1] <= id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

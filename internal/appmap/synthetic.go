@@ -2,7 +2,6 @@ package appmap
 
 import (
 	"fmt"
-	"sort"
 
 	"hotnoc/internal/noc"
 )
@@ -157,11 +156,7 @@ func (e *SyntheticEngine) RunRound() (int64, error) {
 		}
 	}
 
-	type send struct {
-		at  int64
-		pkt *noc.Packet
-	}
-	var sends []send
+	var sends []pendingPkt
 	maxReady := start
 	for p := range w.Ops {
 		net.Act.PEOps[e.place[p]] += uint64(w.Ops[p])
@@ -169,15 +164,10 @@ func (e *SyntheticEngine) RunRound() (int64, error) {
 		if ready > maxReady {
 			maxReady = ready
 		}
-		dsts := make([]int, 0, len(w.Ops))
-		for d, v := range w.Traffic[p] {
-			if v > 0 && d != p {
-				dsts = append(dsts, d)
+		for d, msgs := range w.Traffic[p] {
+			if msgs <= 0 || d == p {
+				continue
 			}
-		}
-		sort.Ints(dsts)
-		for _, d := range dsts {
-			msgs := w.Traffic[p][d]
 			nflits := 1 + int((msgs+int64(w.MsgsPerFlit)-1)/int64(w.MsgsPerFlit))
 			pkt := &noc.Packet{
 				ID:      net.NextID(),
@@ -186,24 +176,11 @@ func (e *SyntheticEngine) RunRound() (int64, error) {
 				NFlits:  nflits,
 				Payload: &syntheticBatch{SrcPE: p, DstPE: d, Msgs: msgs},
 			}
-			sends = append(sends, send{at: ready, pkt: pkt})
+			sends = append(sends, pendingPkt{at: ready, pkt: pkt})
 		}
 	}
-	sort.Slice(sends, func(i, j int) bool { return sends[i].at < sends[j].at })
-
-	idx := 0
-	guard := start + 10_000_000
-	for e.pending > 0 || idx < len(sends) || net.Cycle < maxReady {
-		for idx < len(sends) && sends[idx].at <= net.Cycle {
-			if err := net.Send(sends[idx].pkt); err != nil {
-				return 0, fmt.Errorf("appmap: synthetic round injection: %w", err)
-			}
-			idx++
-		}
-		net.Step()
-		if net.Cycle > guard {
-			return 0, fmt.Errorf("appmap: synthetic round did not complete within guard window")
-		}
+	if err := drive(net, sends, maxReady, &e.pending); err != nil {
+		return 0, fmt.Errorf("appmap: synthetic round %w", err)
 	}
 	return net.Cycle - start, nil
 }

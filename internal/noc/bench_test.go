@@ -6,8 +6,32 @@ import (
 	"hotnoc/internal/geom"
 )
 
+// TestStepAllocationFree pins the cycle kernel at zero allocations on a
+// loaded network: the static noalloc annotations on Step say the same,
+// this checks the compiled code.
+func TestStepAllocationFree(t *testing.T) {
+	n, err := New(geom.NewGrid(5, 5), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(n, UniformRandom, 0.5, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 200; c++ {
+		gen.Tick()
+		n.Step()
+	}
+	if got := testing.AllocsPerRun(100, n.Step); got != 0 {
+		t.Fatalf("Step allocates %.1f times per cycle, want 0", got)
+	}
+	if !n.Busy() {
+		t.Fatal("network drained during the measurement; load it harder")
+	}
+}
+
 // BenchmarkStepIdle measures the cycle kernel with an empty network — the
-// floor cost every simulated cycle pays.
+// floor cost a stepped cycle pays (Run fast-forwards idle spans instead).
 func BenchmarkStepIdle(b *testing.B) {
 	n, err := New(geom.NewGrid(5, 5), Config{})
 	if err != nil {

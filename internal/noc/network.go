@@ -15,7 +15,11 @@ type Stats struct {
 	FlitsDelivered   int64
 	LatencySum       int64
 	LatencyMax       int64
-	Cycles           int64
+	// Cycles counts every simulated cycle, stepped or fast-forwarded.
+	Cycles int64
+	// SkippedCycles counts the cycles among Cycles that Run advanced over
+	// an idle fabric without stepping; Cycles-SkippedCycles were stepped.
+	SkippedCycles int64
 }
 
 // AvgLatency returns the mean packet latency in cycles.
@@ -34,11 +38,46 @@ func (s Stats) Throughput() float64 {
 	return float64(s.FlitsDelivered) / float64(s.Cycles)
 }
 
-// ni is the network interface of one PE: an injection queue of flits and
-// the reassembly state of the worm currently being ejected.
+// ni is the network interface of one PE: an injection queue of whole
+// worms, cut into flits one per cycle as the Local input buffer accepts
+// them, and the reassembly state of the worm currently being ejected.
 type ni struct {
-	queue      []Flit
+	pkts  []*Packet // queued worms; pkts[head] is being injected
+	head  int
+	seq   int // next flit of pkts[head]
+	flits int // flits queued and not yet injected
+
 	reassembly *Packet
+}
+
+// push queues a worm, reclaiming the consumed prefix of the queue before
+// growing it.
+func (q *ni) push(p *Packet) {
+	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
+		k := copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[k:])
+		q.pkts, q.head = q.pkts[:k], 0
+	}
+	q.pkts = append(q.pkts, p)
+	q.flits += p.NFlits
+}
+
+// next cuts the next flit off the front worm.
+//
+//hotnoc:noalloc
+func (q *ni) next() Flit {
+	p := q.pkts[q.head]
+	f := Flit{Pkt: p, Seq: q.seq}
+	q.flits--
+	if q.seq++; q.seq == p.NFlits {
+		q.pkts[q.head] = nil
+		q.head++
+		q.seq = 0
+		if q.head == len(q.pkts) {
+			q.pkts, q.head = q.pkts[:0], 0
+		}
+	}
+	return f
 }
 
 // Network is the cycle-accurate mesh simulator.
@@ -80,10 +119,13 @@ func New(g geom.Grid, cfg Config) (*Network, error) {
 	for i := range n.routers {
 		r := &n.routers[i]
 		r.pos = i
-		c := g.Coord(i)
-		r.coord.x, r.coord.y = c.X, c.Y
+		r.coord = g.Coord(i)
 		for d := Dir(0); d < numDirs; d++ {
 			r.in[d].buf = newFifo(cfg.BufDepth)
+			r.nb[d] = -1
+			if c := r.coord.Add(d.offset()); g.Contains(c) {
+				r.nb[d] = g.Index(c)
+			}
 		}
 	}
 	return n, nil
@@ -108,13 +150,11 @@ func (n *Network) Send(pkt *Packet) error {
 		return fmt.Errorf("noc: packet %d has %d flits", pkt.ID, pkt.NFlits)
 	}
 	q := &n.nis[n.Grid.Index(pkt.Src)]
-	if n.Cfg.InjectCap > 0 && len(q.queue)+pkt.NFlits > n.Cfg.InjectCap {
+	if n.Cfg.InjectCap > 0 && q.flits+pkt.NFlits > n.Cfg.InjectCap {
 		return fmt.Errorf("noc: injection queue full at %v", pkt.Src)
 	}
 	pkt.InjectCycle = n.Cycle
-	for s := 0; s < pkt.NFlits; s++ {
-		q.queue = append(q.queue, Flit{Pkt: pkt, Seq: s})
-	}
+	q.push(pkt)
 	n.Stats.PacketsSent++
 	n.Stats.FlitsInjected += int64(pkt.NFlits)
 	n.inflight += int64(pkt.NFlits)
@@ -127,6 +167,9 @@ func (n *Network) Busy() bool { return n.inflight > 0 }
 // Step advances the network by one clock cycle. Phases run in a fixed
 // order — ejection, link traversal, switch allocation/traversal,
 // injection — over routers in row-major order, so runs are deterministic.
+// Each phase skips routers with nothing to move.
+//
+//hotnoc:noalloc
 func (n *Network) Step() {
 	n.eject()
 	n.linkTraversal()
@@ -136,9 +179,19 @@ func (n *Network) Step() {
 	n.Stats.Cycles++
 }
 
-// Run steps the network for the given number of cycles.
+// Run advances the network by the given number of cycles. Once the
+// fabric is idle the rest of the span is fast-forwarded: an idle cycle
+// changes nothing but the clock, so the result is identical to stepping.
+//
+//hotnoc:noalloc
 func (n *Network) Run(cycles int64) {
-	for i := int64(0); i < cycles; i++ {
+	for ; cycles > 0; cycles-- {
+		if n.inflight == 0 {
+			n.Cycle += cycles
+			n.Stats.Cycles += cycles
+			n.Stats.SkippedCycles += cycles
+			return
+		}
 		n.Step()
 	}
 }
@@ -161,6 +214,8 @@ func (n *Network) Drain(maxCycles int64) (int64, error) {
 // eject delivers flits sitting in Local output latches to their NIs.
 // Ejection is always accepted: the NI is an infinite sink, which rules out
 // protocol deadlock.
+//
+//hotnoc:noalloc
 func (n *Network) eject() {
 	for i := range n.routers {
 		r := &n.routers[i]
@@ -170,6 +225,7 @@ func (n *Network) eject() {
 		}
 		f := op.flit
 		op.valid = false
+		r.latched--
 		n.inflight--
 		sink := &n.nis[i]
 		if f.IsHead() {
@@ -191,7 +247,7 @@ func (n *Network) eject() {
 			}
 			n.Stats.LatencySum += pkt.Latency()
 			if n.Deliver != nil {
-				n.Deliver(pkt)
+				n.Deliver(pkt) //hotnoc:allow noalloc the sink is the caller's; the decode and migration sinks only update counters
 			}
 		}
 	}
@@ -199,22 +255,28 @@ func (n *Network) eject() {
 
 // linkTraversal moves flits from output latches into the downstream input
 // buffers, subject to buffer space (credit backpressure).
+//
+//hotnoc:noalloc
 func (n *Network) linkTraversal() {
 	for i := range n.routers {
 		r := &n.routers[i]
+		if r.latched == 0 {
+			continue
+		}
 		for d := North; d < numDirs; d++ {
 			op := &r.out[d]
 			if !op.valid {
 				continue
 			}
-			nbCoord := n.Grid.Coord(i).Add(d.offset())
-			nb := &n.routers[n.Grid.Index(nbCoord)]
+			nb := &n.routers[r.nb[d]]
 			in := &nb.in[d.Opposite()]
 			if in.buf.full() {
 				continue // stall; retry next cycle
 			}
 			in.buf.push(op.flit)
 			op.valid = false
+			r.latched--
+			nb.buffered++
 			n.Act.Link[i]++
 			n.Act.BufWrites[nb.pos]++
 		}
@@ -222,39 +284,38 @@ func (n *Network) linkTraversal() {
 }
 
 // switchAllocTraversal arbitrates each free output port among requesting
-// inputs and moves the winners' front flits across the crossbar.
+// inputs and moves the winners' front flits across the crossbar. Each
+// input's requested output is computed once per cycle and recomputed only
+// for a winner, whose new front flit may still win a later output in the
+// same cycle (a tail followed by the next worm's head).
+//
+//hotnoc:noalloc
 func (n *Network) switchAllocTraversal() {
 	for i := range n.routers {
 		r := &n.routers[i]
-		cur := n.Grid.Coord(i)
+		if r.buffered == 0 {
+			continue
+		}
+		var req [numDirs]Dir
+		wanted := 0 // bit o set when some input requests output o
+		for in := Dir(0); in < numDirs; in++ {
+			req[in] = r.request(in)
+			wanted |= requestBit(req[in])
+		}
 		for o := Dir(0); o < numDirs; o++ {
 			op := &r.out[o]
-			if op.valid {
-				continue // latch occupied; downstream stalled
+			if wanted&(1<<o) == 0 || op.valid {
+				continue // nobody asks, or latch occupied (downstream stalled)
 			}
-			req := func(in Dir) bool {
-				ip := &r.in[in]
-				if ip.buf.empty() {
-					return false
-				}
-				f := ip.buf.front()
-				if ip.holding {
-					return ip.route == o
-				}
-				if !f.IsHead() {
-					// A body flit with no route state means the head was
-					// mis-sequenced; impossible by construction.
-					panic("noc: body flit at port head without route state")
-				}
-				return routeXY(cur, f.Pkt.Dst) == o
-			}
-			winner, ok := r.arbitrate(o, req)
+			winner, ok := op.arbitrate(o, &req)
 			if !ok {
 				continue
 			}
 			n.Act.Arb[i]++
 			ip := &r.in[winner]
 			f := ip.buf.pop()
+			r.buffered--
+			r.latched++
 			n.Act.BufReads[i]++
 			n.Act.Xbar[i]++
 			op.flit = f
@@ -269,25 +330,38 @@ func (n *Network) switchAllocTraversal() {
 				op.owned = false
 				ip.holding = false
 			}
+			req[winner] = r.request(winner)
+			wanted |= requestBit(req[winner])
 		}
 	}
 }
 
-// inject moves flits from NI queues into the Local input buffers.
+// requestBit is the output mask bit of a request (none for noRequest).
+func requestBit(o Dir) int {
+	if o == noRequest {
+		return 0
+	}
+	return 1 << o
+}
+
+// inject moves flits from NI queues into the Local input buffers, one
+// flit per cycle across each NI-router interface.
+//
+//hotnoc:noalloc
 func (n *Network) inject() {
-	for i := range n.routers {
+	for i := range n.nis {
 		q := &n.nis[i]
-		if len(q.queue) == 0 {
-			q.queue = nil
+		if q.flits == 0 {
 			continue
 		}
-		buf := &n.routers[i].in[Local].buf
-		// One flit per cycle across the NI-router interface.
-		if !buf.full() {
-			buf.push(q.queue[0])
-			n.Act.BufWrites[i]++
-			q.queue = q.queue[1:]
+		r := &n.routers[i]
+		buf := &r.in[Local].buf
+		if buf.full() {
+			continue
 		}
+		buf.push(q.next())
+		r.buffered++
+		n.Act.BufWrites[i]++
 	}
 }
 
@@ -297,14 +371,4 @@ func (n *Network) inject() {
 func (n *Network) ResetStats() {
 	n.Stats = Stats{}
 	n.Act.Reset()
-}
-
-// QueuedFlits returns the number of flits waiting in NI injection queues,
-// a congestion diagnostic for the migration planner tests.
-func (n *Network) QueuedFlits() int {
-	total := 0
-	for i := range n.nis {
-		total += len(n.nis[i].queue)
-	}
-	return total
 }

@@ -17,6 +17,12 @@
 // formulation of credit-based flow control. XY routing makes the channel
 // dependency graph acyclic, so the network is deadlock-free; ejection is
 // always accepted, preventing protocol deadlock at the NIs.
+//
+// Host cost follows activity, not mesh size: each Step phase skips routers
+// with nothing buffered or latched, and Network.Run fast-forwards spans in
+// which nothing is in flight (counted in Stats.SkippedCycles). An idle
+// cycle changes nothing but the clock, so every cycle count, statistic and
+// activity counter is identical to stepping each cycle.
 package noc
 
 import (

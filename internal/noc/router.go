@@ -1,5 +1,7 @@
 package noc
 
+import "hotnoc/internal/geom"
+
 // fifo is a fixed-capacity flit FIFO implemented as a ring buffer; input
 // buffers are the only queues inside a router.
 type fifo struct {
@@ -12,27 +14,33 @@ func newFifo(capacity int) fifo {
 	return fifo{slots: make([]Flit, capacity)}
 }
 
-func (q *fifo) len() int    { return q.n }
 func (q *fifo) full() bool  { return q.n == len(q.slots) }
 func (q *fifo) empty() bool { return q.n == 0 }
 func (q *fifo) front() Flit { return q.slots[q.head] }
-func (q *fifo) space() int  { return len(q.slots) - q.n }
 
+//hotnoc:noalloc
 func (q *fifo) push(f Flit) {
 	if q.full() {
 		panic("noc: push to full fifo (flow control broken)")
 	}
-	q.slots[(q.head+q.n)%len(q.slots)] = f
+	i := q.head + q.n
+	if i >= len(q.slots) {
+		i -= len(q.slots)
+	}
+	q.slots[i] = f
 	q.n++
 }
 
+//hotnoc:noalloc
 func (q *fifo) pop() Flit {
 	if q.empty() {
 		panic("noc: pop from empty fifo")
 	}
 	f := q.slots[q.head]
 	q.slots[q.head] = Flit{}
-	q.head = (q.head + 1) % len(q.slots)
+	if q.head++; q.head == len(q.slots) {
+		q.head = 0
+	}
 	q.n--
 	return f
 }
@@ -60,32 +68,66 @@ type outPort struct {
 	rr Dir
 }
 
+// noRequest marks an input port that requests no output this cycle.
+const noRequest Dir = -1
+
 // router is one mesh node. All state transitions happen inside
 // Network.Step in a fixed phase order, so routers need no goroutines and
 // the simulation is bit-reproducible.
 type router struct {
 	pos   int // row-major block index
-	coord struct{ x, y int }
-	in    [numDirs]inPort
-	out   [numDirs]outPort
+	coord geom.Coord
+	// nb[d] is the index of the neighbouring router in direction d, or -1
+	// off the mesh edge (XY routing never sends a flit there).
+	nb  [numDirs]int
+	in  [numDirs]inPort
+	out [numDirs]outPort
+	// buffered counts flits in the input buffers and latched the valid
+	// output latches, so phases skip routers with nothing to move.
+	buffered int
+	latched  int
 }
 
-// arbitrate runs one round of switch allocation for output port o,
-// returning the winning input port and whether anyone won. Round-robin
-// starts after the previous winner, giving each input fair access — the
-// same policy for every router keeps migration timing deterministic.
-func (r *router) arbitrate(o Dir, request func(in Dir) bool) (Dir, bool) {
-	op := &r.out[o]
+// request returns the output port the front flit of input in asks for,
+// or noRequest when its buffer is empty. A worm in progress follows its
+// allocated route; a head flit computes its XY route.
+//
+//hotnoc:noalloc
+func (r *router) request(in Dir) Dir {
+	ip := &r.in[in]
+	if ip.buf.empty() {
+		return noRequest
+	}
+	if ip.holding {
+		return ip.route
+	}
+	f := ip.buf.front()
+	if !f.IsHead() {
+		// A body flit with no route state means the head was
+		// mis-sequenced; impossible by construction.
+		panic("noc: body flit at port head without route state")
+	}
+	return routeXY(r.coord, f.Pkt.Dst)
+}
+
+// arbitrate runs one round of switch allocation for output port o given
+// every input's requested output, returning the winning input port and
+// whether anyone won. Round-robin starts after the previous winner,
+// giving each input fair access — the same policy for every router keeps
+// migration timing deterministic.
+//
+//hotnoc:noalloc
+func (op *outPort) arbitrate(o Dir, req *[numDirs]Dir) (Dir, bool) {
 	if op.owned {
 		// Wormhole continuity: only the owner may use the port.
-		if request(op.owner) {
-			return op.owner, true
-		}
-		return 0, false
+		return op.owner, req[op.owner] == o
 	}
-	for k := 1; k <= int(numDirs); k++ {
-		cand := Dir((int(op.rr) + k) % int(numDirs))
-		if request(cand) {
+	cand := op.rr
+	for k := 0; k < int(numDirs); k++ {
+		if cand++; cand == numDirs {
+			cand = 0
+		}
+		if req[cand] == o {
 			op.rr = cand
 			return cand, true
 		}

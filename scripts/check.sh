@@ -35,7 +35,7 @@ go test -run '^$' -bench=. -benchtime=1x ./internal/... ./obs
 echo "== bench smoke (warm build reconstitution, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkBuildWarm' -benchtime=1x .
 
-echo "== bench trajectory + alloc guard (scripts/bench.sh, thermal only)"
+echo "== bench trajectory + alloc guard (scripts/bench.sh, kernels only)"
 BENCHTIME=100x SKIP_PAPER=1 BENCH_OUT=/tmp/bench_smoke.json sh scripts/bench.sh
 
 echo "ok"
