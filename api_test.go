@@ -1,6 +1,7 @@
 package hotnoc
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func TestSchemesRoster(t *testing.T) {
 // reduced configurations: every scheme on A and E, X-Y shift positive on
 // both, base temperatures calibrated to the paper.
 func TestFigure1Scaled(t *testing.T) {
-	res, err := RunFigure1(testScale, []string{"A", "E"})
+	res, err := NewLab(WithScale(testScale)).Figure1(context.Background(), []string{"A", "E"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFigure1Scaled(t *testing.T) {
 // TestPeriodSweepScaled: the penalty falls roughly in proportion to the
 // period while the peak rises only marginally.
 func TestPeriodSweepScaled(t *testing.T) {
-	pts, err := RunPeriodSweep("A", XYShift(), []int{1, 4, 8}, testScale)
+	pts, err := NewLab(WithScale(testScale)).PeriodSweep(context.Background(), "A", XYShift(), []int{1, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +112,35 @@ func TestPeriodSweepScaled(t *testing.T) {
 	}
 }
 
+// TestPeriodSweepUnsortedBlocks: the period study does not depend on the
+// order blocks are given in; every rise is measured against the shortest
+// period, wherever it sits in the list.
+func TestPeriodSweepUnsortedBlocks(t *testing.T) {
+	ctx := context.Background()
+	lab := NewLab(WithScale(testScale))
+	sorted, err := lab.PeriodSweep(ctx, "A", XYShift(), []int{1, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted, err := lab.PeriodSweep(ctx, "A", XYShift(), []int{8, 1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byBlocks := map[int]PeriodPoint{}
+	for _, p := range sorted {
+		byBlocks[p.Blocks] = p
+	}
+	for _, p := range unsorted {
+		if want := byBlocks[p.Blocks]; p != want {
+			t.Errorf("%d blocks: unsorted sweep gives %+v, sorted gives %+v", p.Blocks, p, want)
+		}
+	}
+}
+
 // TestMigrationEnergyScaled: every scheme's migration energy raises the
 // average chip temperature, and rotation has the longest migrations.
 func TestMigrationEnergyScaled(t *testing.T) {
-	studies, err := RunMigrationEnergy("E", testScale)
+	studies, err := NewLab(WithScale(testScale)).MigrationEnergy(context.Background(), "E")
 	if err != nil {
 		t.Fatal(err)
 	}

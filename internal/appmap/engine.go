@@ -196,9 +196,6 @@ func (e *Engine) SetPlacement(place []int) error {
 	return nil
 }
 
-// Placement returns a copy of the current logical-to-physical mapping.
-func (e *Engine) Placement() []int { return append([]int(nil), e.place...) }
-
 // BlockResult summarises one decoded block.
 type BlockResult struct {
 	Decisions []uint8

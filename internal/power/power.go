@@ -226,18 +226,11 @@ func Total(m []float64) float64 {
 	return s
 }
 
-// Permute returns the power map re-indexed so that entry dst[i] receives
-// m[i] — the power map seen by the chip after the workload at block i
-// migrates to block dst[i].
-func Permute(m []float64, dst []int) []float64 {
-	out := make([]float64, len(m))
-	PermuteInto(out, m, dst)
-	return out
-}
-
-// PermuteInto is Permute without the allocation: out[dst[i]] = m[i]. dst
-// must be a bijection onto out's indices (it always is for a placement),
-// so every entry of out is written.
+// PermuteInto writes the power map re-indexed so that entry out[dst[i]]
+// receives m[i] — the power map seen by the chip after the workload at
+// block i migrates to block dst[i]. dst must be a bijection onto out's
+// indices (it always is for a placement), so every entry of out is
+// written.
 //
 //hotnoc:noalloc
 func PermuteInto(out, m []float64, dst []int) {

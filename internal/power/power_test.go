@@ -155,7 +155,8 @@ func TestPermute(t *testing.T) {
 			m[i] = r.Float64()
 		}
 		dst := r.Perm(n)
-		out := Permute(m, dst)
+		out := make([]float64, n)
+		PermuteInto(out, m, dst)
 		if math.Abs(Total(out)-Total(m)) > 1e-9 {
 			return false
 		}
@@ -177,5 +178,5 @@ func TestPermuteSizeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on size mismatch")
 		}
 	}()
-	Permute([]float64{1, 2}, []int{0})
+	PermuteInto(make([]float64, 2), []float64{1, 2}, []int{0})
 }

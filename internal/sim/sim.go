@@ -361,11 +361,7 @@ type charSeen struct {
 }
 
 // first reports whether key has not been accounted for yet, marking it.
-// A nil receiver (callers outside a sweep) always reports true.
 func (s *charSeen) first(key CharKey) bool {
-	if s == nil {
-		return true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.keys[key] {
@@ -378,10 +374,10 @@ func (s *charSeen) first(key CharKey) bool {
 // charFor resolves one (configuration, scheme) characterization through
 // the cross-run cache, simulating the orbit on the cycle-accurate NoC
 // only on a miss. The hit/miss counters and the StageCharacterizeDone
-// event fire once per key per sweep (seen dedups them; nil means no
-// dedup), regardless of how many tasks the sweep split the key's cells
-// into. The accounting claim is taken before the cache lookup, so the
-// sweep's first requester — the one that observed whether the key was
+// event fire once per key per sweep (seen dedups them), regardless of
+// how many tasks the sweep split the key's cells into. The accounting
+// claim is taken before the cache lookup, so the sweep's first
+// requester — the one that observed whether the key was
 // already resolved — is the one that classifies it; a later chunk task
 // served from the freshly resolved entry cannot relabel the sweep's
 // compute as a hit.
@@ -432,26 +428,6 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 // runner's scale, constructing it on first use.
 func (r *Runner) Built(config string) (*chipcfg.Built, error) {
 	return r.builtFor(config, r.emitter(nil))
-}
-
-// Characterization returns the (configuration, scheme) orbit
-// characterization and its calibrated build, serving from the cross-run
-// cache when possible. Callers evaluate the result on their own System
-// clone; a Characterization must not be shared across goroutines, but
-// each call returns an independent view of the shared immutable data.
-func (r *Runner) Characterization(config string, scheme core.Scheme) (*core.Characterization, *chipcfg.Built, error) {
-	if scheme.StepFn == nil {
-		return nil, nil, fmt.Errorf("sim: scheme %q has no step function", scheme.Name)
-	}
-	data, built, err := r.charFor(config, scheme, r.emitter(nil), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	ch, err := core.FromData(scheme, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ch, built, nil
 }
 
 // ValidatePoints fails fast on malformed grids — unknown configuration

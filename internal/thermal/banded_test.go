@@ -147,36 +147,6 @@ func TestBandedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSteadySolveBatchMatchesSolve: the chunked steady-state API returns
-// bitwise the same die temperatures as one Solve per map.
-func TestSteadySolveBatchMatchesSolve(t *testing.T) {
-	nw := testNetwork(t, 5)
-	ss, err := NewSteadySolver(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(3))
-	maps := make([][]float64, 9)
-	for k := range maps {
-		maps[k] = make([]float64, nw.NDie)
-		for i := range maps[k] {
-			maps[k][i] = r.Float64() * 2
-		}
-	}
-	batch := ss.SolveBatch(maps)
-	for k, m := range maps {
-		single := ss.Solve(m)
-		for i := range single {
-			if batch[k][i] != single[i] {
-				t.Fatalf("map %d block %d: batch %v != single %v", k, i, batch[k][i], single[i])
-			}
-		}
-	}
-	if ss.SolveBatch(nil) != nil {
-		t.Error("empty batch should return nil")
-	}
-}
-
 // TestBandedSingularNoPathToAmbient: a network whose ambient coupling is
 // removed is singular; both the dense reference and the banded kernel must
 // refuse it with the physical diagnosis.

@@ -27,7 +27,7 @@ func benchPower(n int) []float64 {
 }
 
 // BenchmarkFactor measures one dense pivoted LU factorisation of the 5x5
-// chip's 51-node conductance matrix — the retained reference path.
+// chip's 51-node conductance matrix — the test-oracle reference path.
 func BenchmarkFactor(b *testing.B) {
 	nw := benchNetwork(b, 5)
 	b.ReportAllocs()
@@ -94,25 +94,6 @@ func BenchmarkSteadySolveDense(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadySolveBatch measures a 25-map chunk through the batched
-// multi-RHS path; the reported time is per chunk, not per map.
-func BenchmarkSteadySolveBatch(b *testing.B) {
-	nw := benchNetwork(b, 5)
-	s, err := NewSteadySolver(nw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	maps := make([][]float64, 25)
-	for k := range maps {
-		maps[k] = benchPower(nw.NDie)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SolveBatch(maps)
-	}
-}
-
 // BenchmarkInfluenceBuild measures the full influence-matrix construction,
 // one batched multi-RHS solve over the identity block (was n sequential
 // solves).
@@ -157,7 +138,7 @@ func BenchmarkTransientStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleLoopStep measures one iteration of runCycle's inner loop
+// BenchmarkCycleLoopStep measures one iteration of RunCycle's inner loop
 // with the leakage closure engaged — die extraction, leakage map, power
 // assembly, banded step; 0 allocs/op is pinned by the alloc guard.
 func BenchmarkCycleLoopStep(b *testing.B) {
@@ -187,7 +168,7 @@ func BenchmarkCycleLoopStep(b *testing.B) {
 
 // BenchmarkRunCycle measures a full quasi-steady cycle evaluation of a
 // four-entry schedule, the thermal cost of one scheme evaluation,
-// including the per-call factorisations.
+// including the factorisations of a fresh Evaluator per call.
 func BenchmarkRunCycle(b *testing.B) {
 	nw := benchNetwork(b, 5)
 	entries := make([]ScheduleEntry, 4)
@@ -198,7 +179,11 @@ func BenchmarkRunCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunCycle(nw, entries, CycleOptions{}); err != nil {
+		ev, err := NewEvaluator(nw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ev.RunCycle(entries, CycleOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ type Evaluator struct {
 	sc    *cycleScratch
 }
 
-// cycleScratch holds the per-evaluator buffers that make runCycle
+// cycleScratch holds the per-evaluator buffers that make RunCycle
 // allocation-free: die-sized power/leak/average maps and node-sized
 // ping-pong state vectors. Lazily built on the first cycle evaluation.
 type cycleScratch struct {
@@ -61,9 +61,6 @@ func (ev *Evaluator) scratch() *cycleScratch {
 	return ev.sc
 }
 
-// Network returns the network the evaluator was built over.
-func (ev *Evaluator) Network() *Network { return ev.nw }
-
 // Steady returns the cached steady-state solver.
 func (ev *Evaluator) Steady() *SteadySolver { return ev.ss }
 
@@ -82,10 +79,4 @@ func (ev *Evaluator) Transient(dt float64) (*Transient, error) {
 	tr := newTransient(ev.nw, dt, lu)
 	ev.trans[dt] = tr
 	return tr, nil
-}
-
-// RunCycle behaves exactly like the package-level RunCycle but reuses the
-// evaluator's cached factorisations.
-func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
-	return ev.runCycle(entries, opts)
 }

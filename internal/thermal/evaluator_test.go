@@ -17,9 +17,9 @@ func evalTestNetwork(t *testing.T) *Network {
 	return nw
 }
 
-// TestEvaluatorMatchesRunCycle: the cached path is bitwise identical to
-// the one-shot RunCycle, with and without the leakage loop, across
-// repeated evaluations and step sizes.
+// TestEvaluatorMatchesRunCycle: a reused evaluator is bitwise identical to
+// a fresh one (which factorises everything anew), with and without the
+// leakage loop, across repeated evaluations and step sizes.
 func TestEvaluatorMatchesRunCycle(t *testing.T) {
 	nw := evalTestNetwork(t)
 	hot := make([]float64, nw.NDie)
@@ -48,7 +48,7 @@ func TestEvaluatorMatchesRunCycle(t *testing.T) {
 		{Dt: 10e-6, Leak: leak},
 		{}, // repeat: the cached integrator state must not leak between runs
 	} {
-		want, err := RunCycle(nw, entries, opts)
+		want, err := mustEvaluator(t, nw).RunCycle(entries, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestEvaluatorMatchesRunCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("dt=%g leak=%v: evaluator result differs from RunCycle",
+			t.Errorf("dt=%g leak=%v: reused evaluator differs from a fresh one",
 				opts.Dt, opts.Leak != nil)
 		}
 	}
@@ -92,7 +92,7 @@ func TestEvaluatorCachesFactorizations(t *testing.T) {
 	if _, err := ev.Transient(0); err == nil {
 		t.Error("non-positive dt accepted")
 	}
-	if ev.Steady() == nil || ev.Network() != nw {
-		t.Error("accessors broken")
+	if ev.Steady() == nil {
+		t.Error("no steady solver")
 	}
 }

@@ -5,17 +5,15 @@ import "fmt"
 // SteadySolver solves the steady-state thermal problem G·T = P + B for a
 // fixed network, reusing one banded factorisation across any number of
 // power maps. This is the hot path of thermally-aware placement, which
-// evaluates thousands of candidate mappings. The dense LU in linalg.go is
-// kept as the reference implementation; the differential tests pin the two
-// paths together.
+// evaluates thousands of candidate mappings. The dense pivoted LU in
+// linalg_test.go is the reference implementation; the differential tests
+// pin the two paths together.
 type SteadySolver struct {
 	nw *Network
 	f  *BandedLU
 	// scratch buffers to keep the Into variants allocation-free.
 	p []float64
 	t []float64
-	// batch scratch, grown on demand by SolveBatch.
-	bp []float64
 }
 
 // NewSteadySolver factorises the network's conductance matrix once using
@@ -81,50 +79,6 @@ func (s *SteadySolver) solveNodes(blockPower []float64) {
 		s.p[i] += s.nw.B[i]
 	}
 	s.f.Solve(s.t, s.p)
-}
-
-// SolveBatch solves a whole chunk of power maps against the one cached
-// factorisation with a single batched sweep, returning one die-temperature
-// slice per map. Each result is bitwise identical to a Solve of the same
-// map, so batching is a pure throughput lever for chunked steady-state
-// work (influence-matrix assembly, warm-start chunks, sweep pre-passes).
-func (s *SteadySolver) SolveBatch(blockPowers [][]float64) [][]float64 {
-	m := len(blockPowers)
-	if m == 0 {
-		return nil
-	}
-	n := s.nw.NDie
-	nn := s.nw.NNodes
-	if cap(s.bp) < nn*m {
-		s.bp = make([]float64, nn*m)
-	}
-	rhs := s.bp[:nn*m]
-	for i := 0; i < nn; i++ {
-		bi := s.nw.B[i]
-		row := rhs[i*m : (i+1)*m]
-		for c, p := range blockPowers {
-			if len(p) != n {
-				panic(fmt.Sprintf("thermal: power map %d has %d entries for %d blocks", c, len(p), n))
-			}
-			if i < n {
-				row[c] = p[i] + bi
-			} else {
-				row[c] = bi
-			}
-		}
-	}
-	s.f.SolveBatch(rhs, rhs, m)
-	out := make([][]float64, m)
-	for c := range out {
-		out[c] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		row := rhs[i*m : (i+1)*m]
-		for c := range out {
-			out[c][i] = row[c]
-		}
-	}
-	return out
 }
 
 // Influence is the precomputed linear thermal operator of a network:

@@ -90,9 +90,6 @@ func (tr *Transient) SetState(full []float64, time float64) {
 // State returns a copy of the full node temperature vector.
 func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) }
 
-// Dt returns the integrator step size.
-func (tr *Transient) Dt() float64 { return tr.dt }
-
 // Step advances one dt with the given per-block die power map (watts).
 //
 //hotnoc:noalloc
@@ -188,21 +185,10 @@ func (o *CycleOptions) setDefaults() {
 // RunCycle integrates the repeating schedule until the temperature state at
 // the start of consecutive repetitions converges (the quasi-steady thermal
 // cycle of a periodic migration), then records peak and mean statistics
-// over one further repetition.
-//
-// RunCycle factorises the thermal system on every call; evaluation loops
-// should hold an Evaluator instead, which caches the factorisations.
-func RunCycle(nw *Network, entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
-	ev, err := NewEvaluator(nw)
-	if err != nil {
-		return CycleResult{}, err
-	}
-	return ev.RunCycle(entries, opts)
-}
-
-// runCycle is the shared implementation behind RunCycle and
-// Evaluator.RunCycle.
-func (ev *Evaluator) runCycle(entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
+// over one further repetition. It reuses the evaluator's cached
+// factorisations and scratch, so repeated evaluations on one network
+// factorise nothing.
+func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
 	nw := ev.nw
 	opts.setDefaults()
 	if len(entries) == 0 {

@@ -100,16 +100,28 @@ func TestTransientRejectsBadStep(t *testing.T) {
 	}
 }
 
+// mustEvaluator builds the cycle evaluator the RunCycle tests integrate
+// with.
+func mustEvaluator(t *testing.T, nw *Network) *Evaluator {
+	t.Helper()
+	ev, err := NewEvaluator(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 // TestRunCycleConstantScheduleMatchesSteady: a one-entry schedule is just a
 // constant power map, so the cycle peak must equal the steady-state peak.
 func TestRunCycleConstantScheduleMatchesSteady(t *testing.T) {
 	nw := testNetwork(t, 4)
+	ev := mustEvaluator(t, nw)
 	s, _ := NewSteadySolver(nw)
 	power := make([]float64, nw.NDie)
 	power[0], power[5], power[10] = 2, 1.5, 1
 	steadyPeak, steadyBlock := Peak(s.Solve(power))
 
-	res, err := RunCycle(nw, []ScheduleEntry{{Power: power, Duration: 500e-6}},
+	res, err := ev.RunCycle([]ScheduleEntry{{Power: power, Duration: 500e-6}},
 		CycleOptions{Dt: 10e-6, TolC: 1e-4})
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +141,7 @@ func TestRunCycleConstantScheduleMatchesSteady(t *testing.T) {
 // shrinks.
 func TestRunCycleAlternationReducesPeak(t *testing.T) {
 	nw := testNetwork(t, 4)
+	ev := mustEvaluator(t, nw)
 	s, _ := NewSteadySolver(nw)
 
 	pa := make([]float64, nw.NDie)
@@ -143,7 +156,7 @@ func TestRunCycleAlternationReducesPeak(t *testing.T) {
 	}
 	avgPeak, _ := Peak(s.Solve(avg))
 
-	res, err := RunCycle(nw, []ScheduleEntry{
+	res, err := ev.RunCycle([]ScheduleEntry{
 		{Power: pa, Duration: 109.3e-6},
 		{Power: pb, Duration: 109.3e-6},
 	}, CycleOptions{Dt: 5e-6})
@@ -167,13 +180,14 @@ func TestRunCycleAlternationReducesPeak(t *testing.T) {
 // (or leaves equal) the cycle peak — the paper's period/peak trade-off.
 func TestRunCycleLongerPeriodHotter(t *testing.T) {
 	nw := testNetwork(t, 4)
+	ev := mustEvaluator(t, nw)
 	pa := make([]float64, nw.NDie)
 	pb := make([]float64, nw.NDie)
 	pa[5] = 4.0
 	pb[10] = 4.0
 	peaks := make([]float64, 0, 3)
 	for _, period := range []float64{109.3e-6, 437.2e-6, 874.4e-6} {
-		res, err := RunCycle(nw, []ScheduleEntry{
+		res, err := ev.RunCycle([]ScheduleEntry{
 			{Power: pa, Duration: period},
 			{Power: pb, Duration: period},
 		}, CycleOptions{Dt: period / 20})
@@ -198,10 +212,11 @@ func TestRunCycleLongerPeriodHotter(t *testing.T) {
 // raise the cycle peak relative to the same schedule without it.
 func TestRunCycleLeakageCoupling(t *testing.T) {
 	nw := testNetwork(t, 4)
+	ev := mustEvaluator(t, nw)
 	power := make([]float64, nw.NDie)
 	power[5] = 2.0
 	entries := []ScheduleEntry{{Power: power, Duration: 200e-6}}
-	noLeak, err := RunCycle(nw, entries, CycleOptions{Dt: 10e-6})
+	noLeak, err := ev.RunCycle(entries, CycleOptions{Dt: 10e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +225,7 @@ func TestRunCycleLeakageCoupling(t *testing.T) {
 			dst[i] = 0.02 * math.Exp(0.02*(temp-40))
 		}
 	}
-	withLeak, err := RunCycle(nw, entries, CycleOptions{Dt: 10e-6, Leak: leak})
+	withLeak, err := ev.RunCycle(entries, CycleOptions{Dt: 10e-6, Leak: leak})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +237,15 @@ func TestRunCycleLeakageCoupling(t *testing.T) {
 // TestRunCycleErrorPaths covers schedule validation.
 func TestRunCycleErrorPaths(t *testing.T) {
 	nw := testNetwork(t, 2)
-	if _, err := RunCycle(nw, nil, CycleOptions{}); err == nil {
+	ev := mustEvaluator(t, nw)
+	if _, err := ev.RunCycle(nil, CycleOptions{}); err == nil {
 		t.Fatal("accepted empty schedule")
 	}
-	if _, err := RunCycle(nw, []ScheduleEntry{{Power: []float64{1}, Duration: 1e-3}},
+	if _, err := ev.RunCycle([]ScheduleEntry{{Power: []float64{1}, Duration: 1e-3}},
 		CycleOptions{}); err == nil {
 		t.Fatal("accepted wrong-size power map")
 	}
-	if _, err := RunCycle(nw, []ScheduleEntry{{Power: make([]float64, nw.NDie), Duration: 0}},
+	if _, err := ev.RunCycle([]ScheduleEntry{{Power: make([]float64, nw.NDie), Duration: 0}},
 		CycleOptions{}); err == nil {
 		t.Fatal("accepted zero duration")
 	}

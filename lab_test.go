@@ -392,38 +392,6 @@ func TestLabMixedSweep(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersShareDefaultLab: the deprecated free functions
-// route repeated calls through one shared Lab per (scale, workers), so
-// the second call performs zero NoC decodes.
-func TestDeprecatedWrappersShareDefaultLab(t *testing.T) {
-	if defaultLab(testScale, 0, "") != defaultLab(testScale, 0, "") {
-		t.Fatal("defaultLab does not share instances")
-	}
-	shared := defaultLab(testScale, 0, "")
-	if _, err := RunPeriodSweep("E", XMirror(), []int{1, 2}, testScale); err != nil {
-		t.Fatal(err)
-	}
-	decodes := shared.Decodes()
-	if decodes == 0 {
-		t.Fatal("wrapper did not route through the shared default Lab")
-	}
-	if _, err := RunPeriodSweep("E", XMirror(), []int{1, 2, 4}, testScale); err != nil {
-		t.Fatal(err)
-	}
-	if got := shared.Decodes(); got != decodes {
-		t.Fatalf("second wrapper call performed %d extra decodes, want 0", got-decodes)
-	}
-	// The deprecated Sweep free function shares the same Lab.
-	if _, err := Sweep(context.Background(),
-		[]SweepPoint{{Config: "E", Scheme: XMirror(), Blocks: 8}},
-		SweepOptions{Scale: testScale}); err != nil {
-		t.Fatal(err)
-	}
-	if got := shared.Decodes(); got != decodes {
-		t.Fatalf("deprecated Sweep performed %d extra decodes, want 0", got-decodes)
-	}
-}
-
 // TestLabStats: the stats snapshot exposes decode and cache counters
 // consistent with a sweep's actual work.
 func TestLabStats(t *testing.T) {

@@ -1,22 +1,28 @@
 #!/usr/bin/env sh
 # bench.sh records the benchmark trajectory for a PR: it runs the pinned
 # thermal-kernel and NoC benchmarks (with -benchmem) plus a one-iteration
-# paper-scale pass, writes BENCH_<pr>.json at the repo root with ns/op,
+# paper-scale pass, writes BENCH_<pr>.json at the repo root (or
+# bench-trajectory.json for a run not tied to a PR) with ns/op,
 # B/op and allocs/op per benchmark, and fails if any of the hot loops
 # pinned at zero allocations (SteadySolve, TransientStep, CycleLoopStep,
 # the NoC kernel's StepIdle, plus the obs recording paths
 # HistogramObserve and CounterInc) reports a nonzero allocs/op.
 #
-# Usage: bench.sh [pr-number]        (default 9)
+# Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
 #        SKIP_PAPER=1                skip the paper-scale benchmarks
-#        BENCH_OUT=path              output path (default BENCH_<pr>.json)
+#        BENCH_OUT=path              output path (default BENCH_<pr>.json,
+#                                    or bench-trajectory.json without a PR)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-PR="${1:-9}"
-OUT="${BENCH_OUT:-BENCH_${PR}.json}"
+PR="${1:-null}"
+if [ "$PR" = null ]; then
+    OUT="${BENCH_OUT:-bench-trajectory.json}"
+else
+    OUT="${BENCH_OUT:-BENCH_${PR}.json}"
+fi
 BENCHTIME="${BENCHTIME:-1s}"
 SKIP_PAPER="${SKIP_PAPER:-0}"
 
@@ -25,7 +31,7 @@ trap 'rm -f "$TMP"' EXIT
 
 echo "== thermal kernel benchmarks (benchtime $BENCHTIME)"
 go test -run '^$' \
-    -bench '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkSteadySolveBatch|BenchmarkInfluenceBuild|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle)$' \
+    -bench '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkInfluenceBuild|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/thermal | tee -a "$TMP"
 
 echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME)"

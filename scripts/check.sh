@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # check.sh mirrors CI locally: build, vet, tests, the full-tree race
-# detector, the hotnoclint invariant analyzers, the hotnocd service
+# detector, the bench module's vet and short tests, the hotnoclint
+# invariant analyzers, the hotnocd service
 # smoke, staticcheck/govulncheck when installed, and a one-iteration
 # bench smoke over the scaled-down packages so bench code cannot rot.
 set -eu
@@ -10,8 +11,10 @@ cd "$(dirname "$0")/.."
 echo "== go build" && go build ./...
 echo "== go vet" && go vet ./...
 echo "== go test" && go test ./...
+echo "== bench module (vet + short tests against the library API)" \
+    && go -C bench vet ./... && go -C bench test -short ./...
 echo "== thermal differential (banded vs dense reference, batched, singular)" \
-    && go test -count=1 -run 'TestBanded|TestSteadySolveBatch|TestHotLoopsAllocationFree' ./internal/thermal
+    && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree' ./internal/thermal
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
     && go run ./cmd/hotnoclint ./...
