@@ -203,6 +203,21 @@ func BenchmarkBuildWarm(b *testing.B) {
 	b.ReportMetric(float64(place.AnnealCount()-start)/float64(b.N), "anneals/op")
 }
 
+// BenchmarkBuildCold measures a cold paper-scale build of configuration C
+// in a fresh Lab without a cache directory: code construction, partition,
+// thermally-aware annealing and base-temperature calibration. The
+// anneals/op metric must be 1.
+func BenchmarkBuildCold(b *testing.B) {
+	start := place.AnnealCount()
+	for i := 0; i < b.N; i++ {
+		lab := NewLab()
+		if _, err := lab.Build("C"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(place.AnnealCount()-start)/float64(b.N), "anneals/op")
+}
+
 // BenchmarkMigrationEnergy regenerates the §3 rotation-energy observation
 // on configuration E: migration energy raises the average chip temperature
 // (paper: +0.3 °C) and pushes rotation's peak reduction negative.

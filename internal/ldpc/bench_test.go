@@ -64,3 +64,14 @@ func BenchmarkConstruction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConstructionPaper measures construction of paper configuration
+// C's code (4000 variables, 2000 checks, column weight 3, seed 1003), the
+// size every cold build and every warm reconstitution pays for.
+func BenchmarkConstructionPaper(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRegular(4000, 2000, 3, 1003); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,8 +10,8 @@ package ldpc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // Code is a binary LDPC code defined by its parity-check matrix H
@@ -62,6 +62,14 @@ func (c *Code) Edges() int {
 // checks with the lowest current degree (random tie-break), which keeps row
 // weights within one of each other and avoids duplicate edges. The
 // construction is deterministic for a given seed.
+//
+// Each variable draws a fresh random permutation of the checks and takes
+// the first colWeight entries of that permutation stably sorted by current
+// degree. A stable sort by degree is a stable partition, so those entries
+// are the permutation's checks of the lowest degree in permutation order,
+// then those of the next degree, and so on; buildRegular selects them with
+// one scan of the permutation per degree level instead of sorting, which
+// yields the same checks in the same order from the same random draws.
 func NewRegular(n, m, colWeight int, seed int64) (*Code, error) {
 	if n <= 0 || m <= 0 || m >= n {
 		return nil, fmt.Errorf("ldpc: invalid code size n=%d m=%d", n, m)
@@ -87,14 +95,51 @@ func buildRegular(n, m, colWeight int, rng *rand.Rand) (*Code, error) {
 		VarNbrs:   make([][]int, n),
 	}
 	deg := make([]int, m)
+	// perDeg[d] counts the checks of degree d; minDeg is the lowest
+	// degree present, where every selection scan starts.
+	perDeg := []int{m}
+	minDeg := 0
+	order := make([]int, m)
+	picks := make([]int, 0, colWeight)
 	for v := 0; v < n; v++ {
-		// Select colWeight distinct checks of minimal degree.
-		order := rng.Perm(m)
-		sort.SliceStable(order, func(i, j int) bool { return deg[order[i]] < deg[order[j]] })
-		for _, ch := range order[:colWeight] {
+		// The same draws as rng.Perm(m), into a reused buffer.
+		for i := range order {
+			j := rng.Intn(i + 1)
+			order[i] = order[j]
+			order[j] = i
+		}
+		// Select colWeight distinct checks of minimal degree: the prefix
+		// of order stably sorted by degree. Every degree is picked before
+		// any is incremented, as the sort saw them.
+		picks = picks[:0]
+		for d := minDeg; len(picks) < colWeight; d++ {
+			if d >= len(perDeg) || perDeg[d] == 0 {
+				continue
+			}
+			left := perDeg[d]
+			for _, ch := range order {
+				if deg[ch] != d {
+					continue
+				}
+				picks = append(picks, ch)
+				left--
+				if len(picks) == colWeight || left == 0 {
+					break
+				}
+			}
+		}
+		for _, ch := range picks {
 			c.CheckNbrs[ch] = append(c.CheckNbrs[ch], v)
 			c.VarNbrs[v] = append(c.VarNbrs[v], ch)
+			perDeg[deg[ch]]--
 			deg[ch]++
+			if deg[ch] == len(perDeg) {
+				perDeg = append(perDeg, 0)
+			}
+			perDeg[deg[ch]]++
+		}
+		for perDeg[minDeg] == 0 {
+			minDeg++
 		}
 	}
 	if err := c.deriveEncoder(); err != nil {
@@ -112,22 +157,23 @@ func (c *Code) deriveEncoder() error {
 	// Dense bit matrix, one row per check, packed into uint64 words.
 	words := (n + 63) / 64
 	h := make([][]uint64, m)
+	cells := make([]uint64, m*words)
 	for ch := 0; ch < m; ch++ {
-		h[ch] = make([]uint64, words)
+		h[ch] = cells[ch*words : (ch+1)*words : (ch+1)*words]
 		for _, v := range c.CheckNbrs[ch] {
 			h[ch][v/64] |= 1 << (uint(v) % 64)
 		}
 	}
-	get := func(row []uint64, col int) bool { return row[col/64]>>(uint(col)%64)&1 == 1 }
 
 	pivotCol := make([]int, 0, m) // pivot column of each eliminated row
 	usedCol := make([]bool, n)
 	row := 0
 	for col := 0; col < n && row < m; col++ {
+		w0, bit := col/64, uint64(1)<<(uint(col)%64)
 		// Find a row at or below 'row' with a 1 in this column.
 		sel := -1
 		for r := row; r < m; r++ {
-			if get(h[r], col) {
+			if h[r][w0]&bit != 0 {
 				sel = r
 				break
 			}
@@ -136,10 +182,15 @@ func (c *Code) deriveEncoder() error {
 			continue
 		}
 		h[row], h[sel] = h[sel], h[row]
+		// The pivot row is zero left of col: earlier pivot columns were
+		// eliminated from it, and a skipped column was zero in every row
+		// at or below row. So the XOR can start at col's word.
+		piv := h[row][w0:]
 		for r := 0; r < m; r++ {
-			if r != row && get(h[r], col) {
-				for w := 0; w < words; w++ {
-					h[r][w] ^= h[row][w]
+			if r != row && h[r][w0]&bit != 0 {
+				dst := h[r][w0:]
+				for w, x := range piv {
+					dst[w] ^= x
 				}
 			}
 		}
@@ -161,20 +212,29 @@ func (c *Code) deriveEncoder() error {
 	c.parityCols = append([]int(nil), pivotCol...)
 	c.infoCols = c.infoCols[:0]
 	infoIdx := make([]int, n)
+	infoMask := make([]uint64, words)
 	for col := 0; col < n; col++ {
 		if !usedCol[col] {
 			infoIdx[col] = len(c.infoCols)
 			c.infoCols = append(c.infoCols, col)
+			infoMask[col/64] |= 1 << (uint(col) % 64)
 		}
 	}
 	// After full reduction, row r reads: parity(pivotCol[r]) = XOR of the
-	// information columns set in row r.
+	// information columns set in row r, collected in ascending order.
 	c.parityEq = make([][]int, rank)
 	for r := 0; r < rank; r++ {
-		var eq []int
-		for col := 0; col < n; col++ {
-			if !usedCol[col] && get(h[r], col) {
-				eq = append(eq, infoIdx[col])
+		cnt := 0
+		for w, x := range h[r] {
+			cnt += bits.OnesCount64(x & infoMask[w])
+		}
+		if cnt == 0 {
+			continue // an empty equation stays nil
+		}
+		eq := make([]int, 0, cnt)
+		for w, x := range h[r] {
+			for x &= infoMask[w]; x != 0; x &= x - 1 {
+				eq = append(eq, infoIdx[w*64+bits.TrailingZeros64(x)])
 			}
 		}
 		c.parityEq[r] = eq

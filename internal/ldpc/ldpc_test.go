@@ -44,6 +44,18 @@ func TestCodeConstruction(t *testing.T) {
 			t.Fatalf("check %d has degree %d, want 6±1", ch, len(nbrs))
 		}
 	}
+	// On the paper's shapes every row weight is within one of the others,
+	// as NewRegular promises.
+	for _, s := range paperShapes {
+		c := mustCode(t, s.n, s.m, s.w, s.seed)
+		lo, hi := c.N, 0
+		for _, nbrs := range c.CheckNbrs {
+			lo, hi = min(lo, len(nbrs)), max(hi, len(nbrs))
+		}
+		if hi-lo > 1 {
+			t.Fatalf("code %dx%d seed %d: row weights span %d..%d", s.m, s.n, s.seed, lo, hi)
+		}
+	}
 }
 
 func TestCodeConstructionRejectsBadParams(t *testing.T) {

@@ -88,6 +88,23 @@ func (p *Problem) Validate() error {
 				return fmt.Errorf("place: traffic row %d has %d entries", i, len(p.Traffic[i]))
 			}
 		}
+		// The objective reads only the upper triangle, so an asymmetric
+		// matrix would silently drop traffic and a negative entry would
+		// reward distance.
+		for i, row := range p.Traffic {
+			if row[i] != 0 {
+				return fmt.Errorf("place: traffic[%d][%d] = %d, want a zero diagonal", i, i, row[i])
+			}
+			for j, v := range row {
+				if v < 0 {
+					return fmt.Errorf("place: negative traffic[%d][%d] = %d", i, j, v)
+				}
+				if v != p.Traffic[j][i] {
+					return fmt.Errorf("place: traffic is not symmetric: [%d][%d] = %d, [%d][%d] = %d",
+						i, j, v, j, i, p.Traffic[j][i])
+				}
+			}
+		}
 	}
 	if p.CommWeight < 0 {
 		return fmt.Errorf("place: negative communication weight %g", p.CommWeight)
@@ -95,6 +112,11 @@ func (p *Problem) Validate() error {
 	if p.IOTraffic != nil {
 		if len(p.IOTraffic) != n {
 			return fmt.Errorf("place: %d I/O traffic entries for %d PEs", len(p.IOTraffic), n)
+		}
+		for i, v := range p.IOTraffic {
+			if v < 0 {
+				return fmt.Errorf("place: PE %d has negative I/O traffic %d", i, v)
+			}
 		}
 		if !p.Grid.Contains(p.IOCoord) {
 			return fmt.Errorf("place: I/O interface at %v outside the grid", p.IOCoord)
@@ -239,31 +261,8 @@ func annealOnce(p *Problem, opts Options, seed int64) Result {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	// One reusable buffer for the permuted power map: the objective is
-	// evaluated tens of thousands of times per restart and PermuteInto +
-	// PeakTemp keep the whole inner loop allocation-free.
-	placed := make([]float64, n)
-	eval := func(place []int) (float64, float64, float64) {
-		power.PermuteInto(placed, p.PEPower, place)
-		peak := p.Inf.PeakTemp(placed)
-		hops := 0.0
-		if p.Traffic != nil && p.CommWeight > 0 {
-			hops = commHops(p.Grid, p.Traffic, place)
-		}
-		cost := peak + p.CommWeight*hops
-		if p.IOTraffic != nil && p.IOWeight > 0 {
-			io := 0.0
-			for i, v := range p.IOTraffic {
-				if v != 0 {
-					io += float64(v) * float64(p.IOCoord.Manhattan(p.Grid.Coord(place[i])))
-				}
-			}
-			cost += p.IOWeight * io
-		}
-		return cost, peak, hops
-	}
-
-	curCost, bestPeak, bestHops := eval(cur)
+	obj := newObjective(p)
+	curCost, bestPeak, bestHops := obj.eval(cur)
 	best := append([]int(nil), cur...)
 	bestCost := curCost
 	accepted := 0
@@ -277,7 +276,7 @@ func annealOnce(p *Problem, opts Options, seed int64) Result {
 			continue
 		}
 		cur[i], cur[j] = cur[j], cur[i]
-		cost, peak, hops := eval(cur)
+		cost, peak, hops := obj.eval(cur)
 		if cost <= curCost || rng.Float64() < math.Exp((curCost-cost)/temp) {
 			curCost = cost
 			accepted++
@@ -300,19 +299,73 @@ func annealOnce(p *Problem, opts Options, seed int64) Result {
 	}
 }
 
-// commHops computes total message-hops of a placement: traffic volume
-// between two logical PEs times the Manhattan distance of their physical
-// blocks (each unordered pair counted once from the symmetric matrix).
-func commHops(g geom.Grid, traffic [][]int64, place []int) float64 {
-	total := 0.0
-	for i := range traffic {
-		ci := g.Coord(place[i])
-		for j := i + 1; j < len(traffic); j++ {
-			if traffic[i][j] == 0 {
-				continue
+// objective is the annealed cost of one problem. The grid distances it
+// needs are tabulated once per search, so each of the tens of thousands of
+// proposals costs the influence mat-vec plus table lookups, with no
+// allocation and no coordinate arithmetic.
+type objective struct {
+	p *Problem
+	// placed is the reusable permuted power map.
+	placed []float64
+	// hops[a*n+b] is the Manhattan distance between blocks a and b; nil
+	// when the communication term is off.
+	hops []float64
+	// ioHops[b] is block b's distance to the I/O interface; nil when the
+	// I/O term is off.
+	ioHops []float64
+}
+
+func newObjective(p *Problem) *objective {
+	n := p.Grid.N()
+	o := &objective{p: p, placed: make([]float64, n)}
+	if p.Traffic != nil && p.CommWeight > 0 {
+		o.hops = make([]float64, n*n)
+		for a := 0; a < n; a++ {
+			ca := p.Grid.Coord(a)
+			for b := 0; b < n; b++ {
+				o.hops[a*n+b] = float64(ca.Manhattan(p.Grid.Coord(b)))
 			}
-			total += float64(traffic[i][j]) * float64(ci.Manhattan(g.Coord(place[j])))
 		}
 	}
-	return total
+	if p.IOTraffic != nil && p.IOWeight > 0 {
+		o.ioHops = make([]float64, n)
+		for b := range o.ioHops {
+			o.ioHops[b] = float64(p.IOCoord.Manhattan(p.Grid.Coord(b)))
+		}
+	}
+	return o
+}
+
+// eval returns a placement's cost, its peak temperature and its
+// message-hops. Cost is peak + CommWeight*hops + IOWeight*(I/O
+// message-hops); each hop sum adds volume times distance in logical-PE
+// order, every unordered pair counted once from the symmetric matrix.
+//
+//hotnoc:noalloc
+func (o *objective) eval(place []int) (cost, peak, hops float64) {
+	p := o.p
+	power.PermuteInto(o.placed, p.PEPower, place)
+	peak = p.Inf.PeakTemp(o.placed)
+	if o.hops != nil {
+		n := len(place)
+		for i, row := range p.Traffic {
+			hi := o.hops[place[i]*n:][:n]
+			for j := i + 1; j < n; j++ {
+				if t := row[j]; t != 0 {
+					hops += float64(t) * hi[place[j]]
+				}
+			}
+		}
+	}
+	cost = peak + p.CommWeight*hops
+	if o.ioHops != nil {
+		io := 0.0
+		for i, v := range p.IOTraffic {
+			if v != 0 {
+				io += float64(v) * o.ioHops[place[i]]
+			}
+		}
+		cost += p.IOWeight * io
+	}
+	return cost, peak, hops
 }

@@ -179,7 +179,18 @@ func TestThermalCommTradeoff(t *testing.T) {
 // TestValidate covers the problem validation paths.
 func TestValidate(t *testing.T) {
 	inf, g := testInfluence(t, 4)
-	good := &Problem{Grid: g, Inf: inf, PEPower: make([]float64, 16)}
+	// traffic returns a symmetric zero-diagonal matrix edited by f.
+	traffic := func(f func([][]int64)) [][]int64 {
+		m := make([][]int64, 16)
+		for i := range m {
+			m[i] = make([]int64, 16)
+		}
+		m[0][5], m[5][0] = 7, 7
+		f(m)
+		return m
+	}
+	good := &Problem{Grid: g, Inf: inf, PEPower: make([]float64, 16),
+		Traffic: traffic(func([][]int64) {}), IOTraffic: make([]int64, 16)}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
 	}
@@ -190,6 +201,10 @@ func TestValidate(t *testing.T) {
 		{Grid: g, Inf: inf, PEPower: append(make([]float64, 15), math.NaN())},
 		{Grid: g, Inf: inf, PEPower: make([]float64, 16), Traffic: make([][]int64, 3)},
 		{Grid: g, Inf: inf, PEPower: make([]float64, 16), CommWeight: -1},
+		{Grid: g, Inf: inf, PEPower: make([]float64, 16), Traffic: traffic(func(m [][]int64) { m[1][2] = 5 })},
+		{Grid: g, Inf: inf, PEPower: make([]float64, 16), Traffic: traffic(func(m [][]int64) { m[3][3] = 1 })},
+		{Grid: g, Inf: inf, PEPower: make([]float64, 16), Traffic: traffic(func(m [][]int64) { m[0][4], m[4][0] = -2, -2 })},
+		{Grid: g, Inf: inf, PEPower: make([]float64, 16), IOTraffic: append(make([]int64, 15), -1)},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # bench.sh records the benchmark trajectory for a PR: it runs the pinned
-# thermal-kernel and NoC benchmarks (with -benchmem) plus a one-iteration
-# paper-scale pass, writes BENCH_<pr>.json at the repo root (or
+# thermal-kernel, NoC and build-path (code construction, annealing)
+# benchmarks (with -benchmem) plus a one-iteration paper-scale pass,
+# writes BENCH_<pr>.json at the repo root (or
 # bench-trajectory.json for a run not tied to a PR) with ns/op,
 # B/op and allocs/op per benchmark, and fails if any of the hot loops
 # pinned at zero allocations (SteadySolve, TransientStep, CycleLoopStep,
@@ -40,13 +41,19 @@ go test -run '^$' -bench '^(BenchmarkStepIdle|BenchmarkStepLoaded)$' \
 go test -run '^$' -bench '^BenchmarkDecodeOnNoC$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/appmap | tee -a "$TMP"
 
+echo "== build-path benchmarks: code construction and annealing (benchtime $BENCHTIME)"
+go test -run '^$' -bench '^(BenchmarkConstruction|BenchmarkConstructionPaper)$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/ldpc | tee -a "$TMP"
+go test -run '^$' -bench '^BenchmarkAnneal$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/place | tee -a "$TMP"
+
 echo "== obs recording benchmarks (benchtime $BENCHTIME)"
 go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
     -benchmem -benchtime "$BENCHTIME" ./obs | tee -a "$TMP"
 
 if [ "$SKIP_PAPER" != 1 ]; then
     echo "== paper-scale trajectory (1 iteration)"
-    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm)$' \
+    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm|BenchmarkBuildCold)$' \
         -benchmem -benchtime=1x -timeout=30m . | tee -a "$TMP"
 fi
 

@@ -15,6 +15,8 @@ echo "== bench module (vet + short tests against the library API)" \
     && go -C bench vet ./... && go -C bench test -short ./...
 echo "== thermal differential (banded vs dense reference, batched, singular)" \
     && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree' ./internal/thermal
+echo "== build-path differential (sort-based code construction, coordinate-based anneal cost)" \
+    && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
     && go run ./cmd/hotnoclint ./...

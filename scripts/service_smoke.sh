@@ -348,7 +348,7 @@ prev=-1
 advances=0
 final_done=0
 i=0
-while [ "$i" -lt 3000 ]; do
+while [ "$i" -lt 12000 ]; do
     info=$(fetch_job)
     done_n=$(printf '%s' "$info" | sed -n 's/.*"points_done":\([0-9]*\).*/\1/p')
     [ -z "$done_n" ] && done_n=0
@@ -371,7 +371,9 @@ while [ "$i" -lt 3000 ]; do
         ;;
     esac
     i=$((i + 1))
-    sleep 0.02
+    # The whole scale-8 sweep takes well under 100 ms, with points ~15 ms
+    # apart, so poll faster than that or intermediate values slip by.
+    sleep 0.005
 done
 if [ "$final_done" != 5 ]; then
     echo "service smoke: progress sweep never finished with 5 points (last: $prev)" >&2
