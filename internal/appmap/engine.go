@@ -89,6 +89,28 @@ type Engine struct {
 	packets []noc.Packet
 	sends   []pendingPkt
 	in, out []ldpc.LLR
+
+	// windows[:recorded] are the phases simulated so far in the current
+	// decode, which later phases replay; the rest are spare recordings
+	// kept from earlier decodes so the memo stops allocating.
+	windows  []*phaseWindow
+	recorded int
+	// simulateAll sends every phase through the network (a test seam for
+	// checking replay against simulation).
+	simulateAll bool
+}
+
+// phaseWindow is one simulated half-iteration of the current decode. A
+// phase replays it when its kind, send count and compute span match and
+// the network's arbitration state equals the recorded start (noc.Replay
+// checks that). Within one decode every phase of a kind sends the same
+// packets at the same relative cycles: iterations are fixed and the
+// batching follows the partition and placement, not the data.
+type phaseWindow struct {
+	phase uint8
+	sends int
+	span  int64 // maxReady - phaseStart
+	win   noc.Window
 }
 
 // NewEngine wires a code, partition and network together. The partition's
@@ -215,7 +237,10 @@ type pendingPkt struct {
 }
 
 // Decode runs one block through the distributed decoder, driving the
-// network cycle-by-cycle. Channel LLRs are assumed pre-loaded into the PEs
+// network cycle-by-cycle. A half-iteration that repeats one already
+// simulated in this block, from the same arbitration state, replays its
+// recorded network window instead; the messages are still computed and
+// delivered. Channel LLRs are assumed pre-loaded into the PEs
 // (codeword I/O is modelled as PE-local work; chip-boundary address
 // translation is exercised by the core package's I/O translator).
 func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
@@ -224,6 +249,7 @@ func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
 		return BlockResult{}, fmt.Errorf("appmap: block has %d LLRs, code N=%d", len(chLLR), code.N)
 	}
 	e.prepareDecode()
+	e.recorded = 0
 	start := e.Net.Cycle
 
 	prevDeliver := e.Net.Deliver
@@ -271,7 +297,8 @@ func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
 }
 
 // runPhase executes one half-iteration: phase 0 updates check nodes, phase
-// 1 variable nodes.
+// 1 variable nodes. The network part replays a matching window recorded
+// earlier in the block, or is simulated and recorded.
 func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
 	npe := e.Part.NPE
 	phaseStart := e.Net.Cycle
@@ -345,8 +372,30 @@ func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
 		}
 	}
 
+	span := maxReady - phaseStart
+	if !e.simulateAll {
+		for _, w := range e.windows[:e.recorded] {
+			if w.phase == phase && w.sends == len(e.sends) && w.span == span && e.Net.Replay(&w.win) {
+				for _, s := range e.sends {
+					e.apply(s.pkt.Payload.(*MsgBatch))
+				}
+				return nil
+			}
+		}
+	}
+
+	if e.recorded == len(e.windows) {
+		e.windows = append(e.windows, &phaseWindow{})
+	}
+	w := e.windows[e.recorded]
+	recording := e.Net.BeginWindow(&w.win)
 	e.pendingRemote = len(e.sends)
-	if err := drive(e.Net, e.sends, maxReady, &e.pendingRemote); err != nil {
+	err := drive(e.Net, e.sends, maxReady, &e.pendingRemote)
+	if recording && e.Net.EndWindow(&w.win) && err == nil {
+		w.phase, w.sends, w.span = phase, len(e.sends), span
+		e.recorded++
+	}
+	if err != nil {
 		return fmt.Errorf("appmap: phase %d %w", phase, err)
 	}
 	return nil
@@ -398,6 +447,13 @@ func (e *Engine) onDeliver(pkt *noc.Packet) {
 	if !ok {
 		return // foreign packet (e.g. migration traffic); not ours
 	}
+	e.apply(b)
+	e.pendingRemote--
+}
+
+// apply writes a batch's messages into the edge state. Each edge is
+// written once per phase, so batches may be applied in any order.
+func (e *Engine) apply(b *MsgBatch) {
 	for _, ev := range b.Vals {
 		if b.Phase == 0 {
 			e.c2v[ev.Edge] = ev.Val
@@ -405,5 +461,4 @@ func (e *Engine) onDeliver(pkt *noc.Packet) {
 			e.v2c[ev.Edge] = ev.Val
 		}
 	}
-	e.pendingRemote--
 }

@@ -65,13 +65,19 @@ func TestDecodeFingerprint(t *testing.T) {
 		}
 	}
 
-	// Fast-forwarding idle spans is host-side bookkeeping: it must happen
-	// in a decode, and must not change any simulated count.
+	// Fast-forwarding idle spans and replaying repeated phases are
+	// host-side bookkeeping: both must happen in a decode, and neither may
+	// change any simulated count. Three of the 32 half-iterations are
+	// simulated (check, variable, then check again from a new arbitration
+	// state); the other 29 are replayed.
+	const wantStepped = 1299
 	st := eng.Net.Stats
-	if st.SkippedCycles <= 0 || st.SkippedCycles > st.Cycles {
-		t.Errorf("skipped %d of %d cycles, want some but not all", st.SkippedCycles, st.Cycles)
+	stepped := st.Cycles - st.SkippedCycles - st.ReplayedCycles
+	if st.SkippedCycles <= 0 || st.ReplayedCycles <= 0 || stepped != wantStepped {
+		t.Errorf("skipped %d, replayed %d, stepped %d of %d cycles, want some skipped, some replayed and %d stepped",
+			st.SkippedCycles, st.ReplayedCycles, stepped, st.Cycles, wantStepped)
 	}
-	st.SkippedCycles = 0
+	st.SkippedCycles, st.ReplayedCycles = 0, 0
 	wantStats := noc.Stats{
 		PacketsSent:      7680,
 		PacketsDelivered: 7680,

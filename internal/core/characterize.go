@@ -13,7 +13,10 @@ import (
 // leg. All quantities are for a single decoded block; the evaluation stage
 // scales them to the configured migration period, which is exact because
 // traffic timing and event counts in the engine are data-independent
-// (fixed iterations, partition-determined batching).
+// (fixed iterations, partition-determined batching). The decoder itself
+// now relies on this: it simulates each distinct half-iteration of a
+// block once and replays the repeats, and appmap's
+// TestPhaseReplayMatchesSimulation pins that against simulating them all.
 type LegActivity struct {
 	// Step is the transform the migration at the end of this leg applies.
 	Step geom.Transform

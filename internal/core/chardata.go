@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hotnoc/internal/thermal"
 )
@@ -56,16 +57,37 @@ func (d *CharData) Validate(n int) error {
 		return fmt.Errorf("core: baseline energies cover %d blocks, want %d",
 			len(d.BaselineBlockJ), n)
 	}
+	if !validEnergies(d.BaselineBlockJ...) {
+		return fmt.Errorf("core: baseline has a NaN, infinite or negative energy")
+	}
 	for i, la := range d.Legs {
 		if la.DecodeCycles <= 0 || la.Migration.Cycles <= 0 {
 			return fmt.Errorf("core: leg %d has non-positive cycle counts", i)
+		}
+		if la.Migration.Transfers < 0 || la.Migration.StateFlitsMoved < 0 {
+			return fmt.Errorf("core: leg %d has negative migration counts", i)
 		}
 		if len(la.DecodeBlockJ) != n || len(la.MigBlockJ) != n {
 			return fmt.Errorf("core: leg %d energies cover %d/%d blocks, want %d",
 				i, len(la.DecodeBlockJ), len(la.MigBlockJ), n)
 		}
+		if !validEnergies(la.DecodeBlockJ...) || !validEnergies(la.MigBlockJ...) ||
+			!validEnergies(la.DecodeJ, la.MigJ) {
+			return fmt.Errorf("core: leg %d has a NaN, infinite or negative energy", i)
+		}
 	}
 	return nil
+}
+
+// validEnergies reports whether every energy is finite and non-negative;
+// anything else evaluates into NaN or meaningless temperatures.
+func validEnergies(js ...float64) bool {
+	for _, j := range js {
+		if !(j >= 0 && j <= math.MaxFloat64) { // false for NaN too
+			return false
+		}
+	}
+	return true
 }
 
 // FromData reconstructs an evaluable Characterization from a snapshot.

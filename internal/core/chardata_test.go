@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -129,5 +130,53 @@ func TestEvaluateReactiveMatchesFused(t *testing.T) {
 		Scheme: Rot(), TriggerC: 55, SimBlocks: 100,
 	}); err == nil {
 		t.Fatal("scheme/characterization mismatch accepted")
+	}
+}
+
+// TestCharDataValidateRejectsBadValues: a cached characterization whose
+// energies are NaN, infinite or negative, or whose migration counts are
+// negative, fails validation, so the cache recomputes it instead of
+// evaluating it into NaN temperatures.
+func TestCharDataValidateRejectsBadValues(t *testing.T) {
+	const n = 4
+	valid := func() *CharData {
+		return &CharData{
+			SchemeName:     "Rot",
+			BaselineCycles: 100,
+			BaselineBlockJ: []float64{1, 2, 0, 4},
+			Legs: []LegActivity{{
+				DecodeCycles: 100,
+				DecodeBlockJ: []float64{1, 2, 3, 4},
+				DecodeJ:      10,
+				Migration:    MigrationStats{Cycles: 50, Phases: 2, Transfers: 4, StateFlitsMoved: 32},
+				MigBlockJ:    []float64{0.5, 0, 0.5, 0},
+				MigJ:         1,
+			}},
+		}
+	}
+	if err := valid().Validate(n); err != nil {
+		t.Fatalf("valid data rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, corrupt := range map[string]func(d *CharData){
+		"NaN baseline":          func(d *CharData) { d.BaselineBlockJ[1] = nan },
+		"+Inf baseline":         func(d *CharData) { d.BaselineBlockJ[3] = inf },
+		"negative baseline":     func(d *CharData) { d.BaselineBlockJ[0] = -1 },
+		"NaN decode block":      func(d *CharData) { d.Legs[0].DecodeBlockJ[2] = nan },
+		"-Inf decode block":     func(d *CharData) { d.Legs[0].DecodeBlockJ[0] = -inf },
+		"negative decode block": func(d *CharData) { d.Legs[0].DecodeBlockJ[3] = -1e-12 },
+		"NaN decode total":      func(d *CharData) { d.Legs[0].DecodeJ = nan },
+		"negative decode total": func(d *CharData) { d.Legs[0].DecodeJ = -10 },
+		"NaN migration block":   func(d *CharData) { d.Legs[0].MigBlockJ[1] = nan },
+		"negative migration":    func(d *CharData) { d.Legs[0].MigBlockJ[2] = -0.5 },
+		"+Inf migration total":  func(d *CharData) { d.Legs[0].MigJ = inf },
+		"negative transfers":    func(d *CharData) { d.Legs[0].Migration.Transfers = -1 },
+		"negative state flits":  func(d *CharData) { d.Legs[0].Migration.StateFlitsMoved = -32 },
+	} {
+		d := valid()
+		corrupt(d)
+		if err := d.Validate(n); err == nil {
+			t.Errorf("%s: validated", name)
+		}
 	}
 }

@@ -15,11 +15,16 @@ type Stats struct {
 	FlitsDelivered   int64
 	LatencySum       int64
 	LatencyMax       int64
-	// Cycles counts every simulated cycle, stepped or fast-forwarded.
+	// Cycles counts every simulated cycle: stepped, fast-forwarded or
+	// replayed.
 	Cycles int64
 	// SkippedCycles counts the cycles among Cycles that Run advanced over
-	// an idle fabric without stepping; Cycles-SkippedCycles were stepped.
-	SkippedCycles int64
+	// an idle fabric without stepping, and ReplayedCycles those that
+	// Replay applied from a recorded Window;
+	// Cycles-SkippedCycles-ReplayedCycles were stepped. Both are host-side
+	// bookkeeping, not simulated quantities.
+	SkippedCycles  int64
+	ReplayedCycles int64
 }
 
 // AvgLatency returns the mean packet latency in cycles.

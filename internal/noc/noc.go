@@ -22,7 +22,12 @@
 // with nothing buffered or latched, and Network.Run fast-forwards spans in
 // which nothing is in flight (counted in Stats.SkippedCycles). An idle
 // cycle changes nothing but the clock, so every cycle count, statistic and
-// activity counter is identical to stepping each cycle.
+// activity counter is identical to stepping each cycle. A span that starts
+// and ends drained can also be recorded as a Window and replayed when the
+// same traffic repeats from the same arbitration state (counted in
+// Stats.ReplayedCycles): on a drained network the round-robin pointers
+// are the only state later cycles can observe, so a replay adds exactly
+// what stepping the repeat would.
 package noc
 
 import (

@@ -17,6 +17,9 @@ echo "== thermal differential (banded vs dense reference, batched, singular)" \
     && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree' ./internal/thermal
 echo "== build-path differential (sort-based code construction, coordinate-based anneal cost)" \
     && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place
+echo "== phase-replay differential (replayed vs simulated decode phases, Replay vs stepping)" \
+    && go test -count=1 -run 'TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs' ./internal/appmap \
+    && go test -count=1 -run 'TestReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
     && go run ./cmd/hotnoclint ./...
