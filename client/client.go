@@ -542,7 +542,8 @@ func (c *Client) CancelJob(ctx context.Context, id string) (wire.JobInfo, error)
 
 // Stats returns the daemon's job counts and per-Lab counters: decodes,
 // characterization cache hits/misses, worker utilization. Against a
-// coordinator the counters aggregate the whole fleet.
+// coordinator the lab counters aggregate the whole fleet, while the
+// tenant rows are the coordinator's own admission accounting.
 func (c *Client) Stats(ctx context.Context) (wire.Stats, error) {
 	var st wire.Stats
 	err := c.getJSON(ctx, "/v1/stats", &st)

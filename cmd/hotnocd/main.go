@@ -56,7 +56,7 @@
 // joining workers — tenant API keys never leave the coordinator.
 //
 // The daemon is observable in production. GET /metrics (on by default;
-// -metrics=false turns the subsystem off) serves Prometheus text
+// -metrics=false leaves the route off) serves Prometheus text
 // exposition: stage-latency histograms and cache counters per scale,
 // queue-wait and per-tenant job counters, scheduler depth gauges — and,
 // on a coordinator, fleet-wide aggregates with per-worker labels that
@@ -133,7 +133,7 @@ func main() {
 	fleetSecret := flag.String("fleet-secret", "", "shared secret gating worker registration; set on the coordinator, presented by joining workers")
 	workerLease := flag.Duration("worker-lease", 15*time.Second, "coordinator: how long a worker registration lives without a heartbeat")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long to drain in-flight jobs on shutdown")
-	metrics := flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics and record pipeline instruments")
+	metrics := flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics")
 	metricsLog := flag.String("metrics-log", "", "append periodic JSON metric snapshots to this file (requires -metrics)")
 	metricsFlush := flag.Duration("metrics-flush", 15*time.Second, "how often -metrics-log snapshots are written")
 	eventBuffer := flag.Int("event-buffer", 0, "GET /v1/events diagnostics ring capacity (0 = 512)")

@@ -11,14 +11,14 @@ import (
 // coordinator mutexes are held around instrument registration and hook
 // invocation (they take the obs registry lock, and hooks run with
 // coordinator state locked), so code running at scrape or hook time —
-// obs collectors, GaugeFunc callbacks, SetEventHook closures — must
-// never acquire them back. A violation is a scrape-time deadlock or a
-// hook self-deadlock waiting to be scheduled.
+// obs collectors, GaugeFunc and CounterFunc callbacks, SetEventHook
+// closures — must never acquire them back. A violation is a scrape-time
+// deadlock or a hook self-deadlock waiting to be scheduled.
 //
 // Mutex fields annotated //hotnoc:scrapelocked are the protected set.
 // Roots are found syntactically: function literals or named functions
-// passed to Registry.Collect / Registry.GaugeFunc (package obs) or to
-// any SetEventHook method, plus function literals returned from a
+// passed to Registry.Collect / GaugeFunc / CounterFunc (package obs) or
+// to any SetEventHook method, plus function literals returned from a
 // function whose result type is obs.Collector. From each root the
 // analyzer walks statically resolved calls across the whole module and
 // reports any path that calls Lock, RLock, or TryLock on an annotated
@@ -192,7 +192,7 @@ func runLockOrder(pass *Pass) error {
 				return true
 			})
 		}
-		// Arguments to Collect / GaugeFunc / SetEventHook.
+		// Arguments to Collect / GaugeFunc / CounterFunc / SetEventHook.
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -204,7 +204,7 @@ func runLockOrder(pass *Pass) error {
 			}
 			var kind string
 			switch {
-			case fn.Pkg() != nil && fn.Pkg().Name() == "obs" && (fn.Name() == "Collect" || fn.Name() == "GaugeFunc"):
+			case fn.Pkg() != nil && fn.Pkg().Name() == "obs" && (fn.Name() == "Collect" || fn.Name() == "GaugeFunc" || fn.Name() == "CounterFunc"):
 				kind = "obs collector"
 			case fn.Name() == "SetEventHook":
 				kind = "event hook"

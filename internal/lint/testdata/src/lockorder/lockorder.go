@@ -63,6 +63,13 @@ func register(reg *obs.Registry, s *server) {
 		return float64(s.countJobs()) // want `calls \(\*lockorder\.server\)\.countJobs, which acquires server\.mu`
 	})
 
+	// So is a counter view.
+	reg.CounterFunc("jobs_total", "finished jobs", nil, func() uint64 {
+		s.mu.Lock() // want `acquires server\.mu`
+		defer s.mu.Unlock()
+		return uint64(s.jobs)
+	})
+
 	// Permitted: a collector that only touches the unannotated mutex —
 	// the rule constrains the scrape-locked one, not all locking.
 	reg.Collect(func(emit func(obs.Sample)) {

@@ -1,5 +1,6 @@
 // Package obs is a fixture stub of hotnoc/obs: just enough surface for
-// the lockorder fixtures to register collectors and gauge callbacks.
+// the lockorder fixtures to register collectors and gauge and counter
+// callbacks.
 // The analyzer matches the package by name, so the stub exercises the
 // same code paths as the real registry.
 package obs
@@ -21,3 +22,6 @@ func (r *Registry) Collect(c Collector) {}
 
 // GaugeFunc registers a gauge evaluated at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn func() float64) {}
+
+// CounterFunc registers a counter evaluated at scrape time.
+func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() uint64) {}

@@ -11,83 +11,70 @@ import (
 // resolved once at construction so the recording paths are pure atomic
 // operations: a *metrics is nil when no registry was configured, and
 // every method is nil-receiver safe, which keeps call sites free of
-// conditionals.
+// conditionals. The decode and cache-request counters are not stored
+// here: they are registered as views of the runner's own counters, which
+// Lab.Stats reads too.
 type metrics struct {
 	buildSeconds *obs.Histogram
 	charSeconds  *obs.Histogram
 	evalSeconds  *obs.Histogram
 
-	charHits    *obs.Counter
-	charMisses  *obs.Counter
-	buildHits   *obs.Counter
-	buildMisses *obs.Counter
-
-	decodes *obs.Counter
-	points  *obs.Counter
+	points *obs.Counter
 }
 
-// newMetrics registers the pipeline instruments on reg, labeled with
-// the runner's scale so several Labs can share one registry. A nil
-// registry returns nil, which disables recording.
-func newMetrics(reg *obs.Registry, scale int) *metrics {
+// newMetrics registers r's pipeline instruments on reg, labeled with
+// the runner's scale so Labs of different scales can share one registry.
+// A later runner of the same scale on the same registry takes over the
+// counter views. A nil registry returns nil, which disables recording.
+func newMetrics(reg *obs.Registry, r *Runner) *metrics {
 	if reg == nil {
 		return nil
 	}
-	s := strconv.Itoa(scale)
+	s := strconv.Itoa(r.opts.Scale)
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("hotnoc_stage_seconds",
 			"Pipeline stage latency in seconds; build and characterize observe cold computes only.",
 			obs.Labels{"scale": s, "stage": name}, obs.LatencyBuckets())
 	}
-	cache := func(kind, result string) *obs.Counter {
-		return reg.Counter("hotnoc_cache_requests_total",
-			"Cross-run cache requests by artifact kind and result.",
-			obs.Labels{"scale": s, "kind": kind, "result": result})
-	}
-	return &metrics{
+	m := &metrics{
 		buildSeconds: stage("build"),
 		charSeconds:  stage("characterize"),
 		evalSeconds:  stage("evaluate"),
-		charHits:     cache("characterization", "hit"),
-		charMisses:   cache("characterization", "miss"),
-		buildHits:    cache("build", "hit"),
-		buildMisses:  cache("build", "miss"),
-		decodes: reg.Counter("hotnoc_decodes_total",
-			"Engine block decodes performed for NoC characterizations.",
-			obs.Labels{"scale": s}),
-		points: reg.Counter("hotnoc_points_evaluated_total",
-			"Grid points evaluated by the thermal stage.",
-			obs.Labels{"scale": s}),
 	}
+	cache := func(kind, result string, n func() uint64) {
+		reg.CounterFunc("hotnoc_cache_requests_total",
+			"Cross-run cache requests by artifact kind and result.",
+			obs.Labels{"scale": s, "kind": kind, "result": result}, n)
+	}
+	cache("characterization", "hit", r.charHits.Load)
+	cache("characterization", "miss", r.charMisses.Load)
+	cache("build", "hit", r.buildHits.Load)
+	cache("build", "miss", r.buildMisses.Load)
+	reg.CounterFunc("hotnoc_decodes_total",
+		"Engine block decodes performed for NoC characterizations.",
+		obs.Labels{"scale": s}, r.decodes.Load)
+	m.points = reg.Counter("hotnoc_points_evaluated_total",
+		"Grid points evaluated by the thermal stage.",
+		obs.Labels{"scale": s})
+	return m
 }
 
-// buildDone records one classified build resolution. Only cold builds
-// observe latency: a hit's disk-or-memory load says nothing about the
-// annealing cost the histogram tracks.
-func (m *metrics) buildDone(hit bool, d time.Duration) {
+// coldBuild observes one cold build's latency. Hits are not observed: a
+// disk-or-memory load says nothing about the annealing cost the
+// histogram tracks.
+func (m *metrics) coldBuild(d time.Duration) {
 	if m == nil {
 		return
 	}
-	if hit {
-		m.buildHits.Inc()
-	} else {
-		m.buildMisses.Inc()
-		m.buildSeconds.Observe(d.Seconds())
-	}
+	m.buildSeconds.Observe(d.Seconds())
 }
 
-// charDone records one classified characterization resolution; cold
-// orbits observe latency.
-func (m *metrics) charDone(hit bool, d time.Duration) {
+// coldCharacterization observes one simulated orbit's latency.
+func (m *metrics) coldCharacterization(d time.Duration) {
 	if m == nil {
 		return
 	}
-	if hit {
-		m.charHits.Inc()
-	} else {
-		m.charMisses.Inc()
-		m.charSeconds.Observe(d.Seconds())
-	}
+	m.charSeconds.Observe(d.Seconds())
 }
 
 // evaluateDone records one thermal evaluation. This runs once per grid
@@ -100,14 +87,4 @@ func (m *metrics) evaluateDone(d time.Duration) {
 	}
 	m.points.Inc()
 	m.evalSeconds.Observe(d.Seconds())
-}
-
-// addDecodes accumulates engine decodes from one characterization.
-//
-//hotnoc:noalloc
-func (m *metrics) addDecodes(n uint64) {
-	if m == nil {
-		return
-	}
-	m.decodes.Add(n)
 }

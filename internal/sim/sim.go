@@ -169,8 +169,11 @@ type Options struct {
 	// Metrics, when set, registers the runner's pipeline instruments on
 	// this registry — stage-latency histograms, cache hit/miss counters,
 	// decode and point counters, all labeled by scale — and records into
-	// them as sweeps run. Recording is allocation-free; several runners
-	// (one per scale) may share one registry.
+	// them as sweeps run. Recording is allocation-free. Runners of
+	// different scales may share one registry; keep one runner per
+	// (registry, scale): a later runner at the same scale replaces the
+	// earlier one's decode and cache-request series, while the stage
+	// histograms and the evaluated-point counter accumulate across both.
 	Metrics *obs.Registry
 }
 
@@ -196,7 +199,8 @@ type Runner struct {
 
 	// decodes counts engine block decodes performed on behalf of this
 	// runner — the unit of expensive NoC work. A fully cache-served sweep
-	// leaves it untouched.
+	// leaves it untouched. It and the four cache counters below are the
+	// only store of these counts: the registry's series are views of them.
 	decodes atomic.Uint64
 
 	// charHits / charMisses count characterization requests served from
@@ -230,14 +234,15 @@ type Runner struct {
 // NewRunner returns a runner with the given options.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
-	return &Runner{
+	r := &Runner{
 		opts:          opts,
 		builds:        NewBuildCache(opts.CacheDir, opts.CacheLimit),
 		chars:         NewCharCache(opts.CacheDir, opts.CacheLimit),
-		met:           newMetrics(opts.Metrics, opts.Scale),
 		emittedBuilds: map[BuildKey]bool{},
 		countedBuilds: map[BuildKey]bool{},
 	}
+	r.met = newMetrics(opts.Metrics, r)
+	return r
 }
 
 // Decodes returns the number of engine block decodes this runner has
@@ -341,9 +346,9 @@ func (r *Runner) builtFor(config string, prog func(Event)) (*chipcfg.Built, erro
 			r.buildHits.Add(1)
 		} else {
 			r.buildMisses.Add(1)
+			//hotnoc:allow determinism wall-clock metric timing only
+			r.met.coldBuild(time.Since(start))
 		}
-		//hotnoc:allow determinism wall-clock metric timing only
-		r.met.buildDone(hit, time.Since(start))
 		emit(prog, Event{Stage: StageBuildDone, Config: config, Scale: r.opts.Scale, Point: -1,
 			CacheHit: hit})
 	}
@@ -401,7 +406,6 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		}
 		ch, err := sys.Characterize(scheme)
 		r.decodes.Add(sys.Engine.Decodes)
-		r.met.addDecodes(sys.Engine.Decodes)
 		if err != nil {
 			return nil, err
 		}
@@ -415,9 +419,9 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 			r.charHits.Add(1)
 		} else {
 			r.charMisses.Add(1)
+			//hotnoc:allow determinism wall-clock metric timing only
+			r.met.coldCharacterization(time.Since(start))
 		}
-		//hotnoc:allow determinism wall-clock metric timing only
-		r.met.charDone(hit, time.Since(start))
 		emit(prog, Event{Stage: StageCharacterizeDone, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1, CacheHit: hit})
 	}

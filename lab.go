@@ -80,9 +80,13 @@ func WithProgress(fn func(Event)) LabOption {
 // latency histograms (build/characterize/evaluate), cache hit/miss
 // counters, decode and evaluated-point counters, all labeled with the
 // Lab's scale — and records into them as sweeps run. Recording is
-// allocation-free on the per-point evaluate path. Several Labs (one per
-// scale) may share one registry; the hotnocd daemon serves such a
-// registry on GET /metrics.
+// allocation-free on the per-point evaluate path. The decode and cache
+// counters are views of the counts Stats reports, not a second copy.
+// Labs of different scales may share one registry; the hotnocd daemon
+// serves such a registry on GET /metrics. Keep one Lab per (registry,
+// scale): a later Lab at the same scale replaces the earlier one's
+// decode and cache-request series, while the stage histograms and the
+// evaluated-point counter accumulate across both.
 func WithMetrics(reg *obs.Registry) LabOption {
 	return func(o *sim.Options) { o.Metrics = reg }
 }

@@ -209,12 +209,21 @@ type Collector func(emit func(Sample))
 
 // instrument is one registered series.
 type instrument struct {
-	labels   Labels
-	labelKey string
-	counter  *Counter
-	gauge    *Gauge
-	gaugeFn  func() float64
-	hist     *Histogram
+	labels    Labels
+	labelKey  string
+	counter   *Counter
+	counterFn func() uint64
+	gauge     *Gauge
+	gaugeFn   func() float64
+	hist      *Histogram
+}
+
+// counterValue reads a counter series, whether stored or a view.
+func (inst *instrument) counterValue() uint64 {
+	if inst.counterFn != nil {
+		return inst.counterFn()
+	}
+	return inst.counter.Value()
 }
 
 // family groups the series sharing one metric name.
@@ -291,10 +300,38 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	inst := r.lookup(name, help, TypeCounter, labels)
-	if inst.counter == nil {
+	if inst.counter == nil && inst.counterFn == nil {
 		inst.counter = &Counter{}
 	}
 	return inst.counter
+}
+
+// CounterFunc registers a counter series whose value is read from fn at
+// scrape time: a view of a count its owner already keeps, so the count
+// has one store. fn runs under the registry lock, so it must not call
+// back into the registry; it must be safe to call from any goroutine and
+// never decrease. Registering the same series again replaces fn.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lookup(name, help, TypeCounter, labels).counterFn = fn
+}
+
+// CounterValue returns the value of the counter series name+labels, or
+// zero when it is not registered. It never creates a series, so a read
+// leaves the exposition unchanged.
+func (r *Registry) CounterValue(name string, labels Labels) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fam, ok := r.families[name]
+	if !ok || fam.mtype != TypeCounter {
+		return 0
+	}
+	inst, ok := fam.byKey[labelKey(labels)]
+	if !ok {
+		return 0
+	}
+	return inst.counterValue()
 }
 
 // Gauge registers (or returns the existing) gauge series.
@@ -357,7 +394,7 @@ func (r *Registry) Gather() []Sample {
 		for _, inst := range fam.series {
 			switch fam.mtype {
 			case TypeCounter:
-				out = append(out, Sample{Name: name, Type: TypeCounter, Help: fam.help, Labels: inst.labels, Value: float64(inst.counter.Value())})
+				out = append(out, Sample{Name: name, Type: TypeCounter, Help: fam.help, Labels: inst.labels, Value: float64(inst.counterValue())})
 			case TypeGauge:
 				v := 0.0
 				if inst.gaugeFn != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -121,6 +122,58 @@ func TestRegistryIdempotent(t *testing.T) {
 		}
 	}()
 	reg.Gauge("x_total", "", nil)
+}
+
+// TestCounterFunc: a counter view renders and gathers whatever its
+// callback reads, a second registration of the series replaces the
+// callback, and CounterValue reads stored counters and views alike
+// without creating the series it is asked about.
+func TestCounterFunc(t *testing.T) {
+	reg := NewRegistry()
+	var n atomic.Uint64
+	n.Store(5)
+	reg.CounterFunc("decodes_total", "Decodes.", Labels{"scale": "8"}, n.Load)
+	reg.Counter("jobs_total", "Jobs.", Labels{"state": "done"}).Add(2)
+	n.Add(1)
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP decodes_total Decodes.
+# TYPE decodes_total counter
+decodes_total{scale="8"} 6
+# HELP jobs_total Jobs.
+# TYPE jobs_total counter
+jobs_total{state="done"} 2
+`
+	if got := buf.String(); got != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if s := reg.Gather(); len(s) != 2 || s[0].Value != 6 || s[0].Type != TypeCounter {
+		t.Errorf("gathered %+v, want the view's 6 first", s)
+	}
+
+	if v := reg.CounterValue("decodes_total", Labels{"scale": "8"}); v != 6 {
+		t.Errorf("CounterValue of the view = %d, want 6", v)
+	}
+	if v := reg.CounterValue("jobs_total", Labels{"state": "done"}); v != 2 {
+		t.Errorf("CounterValue of the stored counter = %d, want 2", v)
+	}
+	if v := reg.CounterValue("jobs_total", Labels{"state": "failed"}); v != 0 {
+		t.Errorf("CounterValue of an unregistered series = %d, want 0", v)
+	}
+	if v := reg.CounterValue("missing_total", nil); v != 0 {
+		t.Errorf("CounterValue of an unregistered family = %d, want 0", v)
+	}
+	if s := reg.Gather(); len(s) != 2 {
+		t.Errorf("CounterValue created series: gathered %+v", s)
+	}
+
+	reg.CounterFunc("decodes_total", "Decodes.", Labels{"scale": "8"}, func() uint64 { return 1 })
+	if v := reg.CounterValue("decodes_total", Labels{"scale": "8"}); v != 1 {
+		t.Errorf("after re-registration the view reads %d, want the new callback's 1", v)
+	}
 }
 
 // TestPrometheusText is the golden test for the exposition format:

@@ -84,7 +84,7 @@ func writeHeader(w io.Writer, name, help string, mtype MetricType) error {
 func writeInstrument(w io.Writer, fam *family, inst *instrument) error {
 	switch fam.mtype {
 	case TypeCounter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, renderLabels(inst.labels), formatFloat(float64(inst.counter.Value())))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, renderLabels(inst.labels), formatFloat(float64(inst.counterValue())))
 		return err
 	case TypeGauge:
 		v := 0.0

@@ -24,7 +24,8 @@
 # workers on cold, separate cache dirs — and requires the sharded
 # figure1 run to stay byte-identical to the in-process run while the
 # aggregated /v1/stats show every characterization and build computed
-# exactly once fleet-wide — and the coordinator's /metrics carries the
+# exactly once fleet-wide and count the run as one job of 10 points on
+# the coordinator's anonymous tenant row — and its /metrics carries the
 # same exactly-once counters as monotonic fleet series plus a non-empty
 # queue-wait histogram. CI runs this as the service-smoke job;
 # check.sh mirrors it locally.
@@ -462,6 +463,16 @@ if [ "$n" -ne 2 ]; then
     echo "service smoke: coordinator stats list $n workers, want 2: $stats" >&2
     exit 1
 fi
+# The coordinator's tenant rows are its own admission accounting: the
+# one figure1 job and its 10 points, not the workers' shard sub-jobs.
+anon=$(printf '%s' "$stats" | sed -n 's/.*\({"id":"anonymous"[^}]*}\).*/\1/p')
+case "$anon" in
+*'"done":1,'*'"points":10}') ;;
+*)
+    echo "service smoke: coordinator's anonymous row is not 1 job / 10 points: $stats" >&2
+    exit 1
+    ;;
+esac
 
 echo "== coordinator /metrics: monotonic fleet counters + queue-wait histogram"
 # The scrape triggers the coordinator's worker-stats aggregation, so the

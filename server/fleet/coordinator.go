@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -412,19 +411,19 @@ func (c *Coordinator) Placement(ctx context.Context, config string, scale int) (
 	return client.New(w.url, client.WithScale(scale)).Placement(ctx, config)
 }
 
-// FleetStats aggregates /v1/stats across the fleet. Counter-class
-// fields (decodes, characterization and build cache hits/misses,
-// finished/failed/rejected jobs, points served) come from the
-// coordinator's monotonic ledger, so they never regress when a worker
-// restarts, re-registers under a fresh id, or is temporarily
-// unreachable — the departed incarnation's work stays counted. Gauge
-// fields (pool size, busy workers, running/queued jobs) describe the
-// present and are summed over the workers that answered this fetch;
-// workers that miss the stats timeout contribute nothing to gauges but
-// stay listed in Workers().
+// FleetStats aggregates the workers' lab stats per scale. The counter
+// fields (decodes, characterization and build cache hits/misses) come
+// from the coordinator's monotonic ledger, so they never regress when a
+// worker restarts, re-registers under a fresh id, or is temporarily
+// unreachable — the departed incarnation's work stays counted. The
+// gauge fields (pool size, busy workers) describe the present and are
+// summed over the workers that answered this fetch; workers that miss
+// the stats timeout contribute nothing to gauges but stay listed in
+// Workers(). Worker tenant rows are not aggregated: workers only ever
+// see the coordinator's shard sub-jobs, as their anonymous tenant.
 //
 //hotnoc:deterministic
-func (c *Coordinator) FleetStats(ctx context.Context) (labs []hotnoc.LabStats, tenants []wire.TenantStats) {
+func (c *Coordinator) FleetStats(ctx context.Context) []hotnoc.LabStats {
 	c.mu.Lock()
 	live := c.liveLocked()
 	urls := make([]string, len(live))
@@ -453,12 +452,11 @@ func (c *Coordinator) FleetStats(ctx context.Context) (labs []hotnoc.LabStats, t
 	// Fold this round's successful fetches into the monotonic ledger,
 	// then assemble: gauges from the round, counters from the ledger.
 	byScale := map[int]*hotnoc.LabStats{}
-	byTenant := map[string]*wire.TenantStats{}
 	for i := range results {
 		if !oks[i] {
 			continue
 		}
-		c.ledger.observe(urls[i], results[i])
+		c.ledger.observe(urls[i], results[i].Labs)
 		for _, ls := range results[i].Labs {
 			agg, ok := byScale[ls.Scale]
 			if !ok {
@@ -468,20 +466,10 @@ func (c *Coordinator) FleetStats(ctx context.Context) (labs []hotnoc.LabStats, t
 			agg.Workers += ls.Workers
 			agg.BusyWorkers += ls.BusyWorkers
 		}
-		for _, ts := range results[i].Tenants {
-			agg, ok := byTenant[ts.ID]
-			if !ok {
-				agg = &wire.TenantStats{ID: ts.ID, Weight: ts.Weight}
-				byTenant[ts.ID] = agg
-			}
-			agg.Running += ts.Running
-			agg.Queued += ts.Queued
-		}
 	}
-	labTotals := c.ledger.labTotals()
-	var scales []int
-	for _, scale := range slices.Sorted(maps.Keys(labTotals)) {
-		ct := labTotals[scale]
+	totals := c.ledger.labTotals()
+	for _, scale := range slices.Sorted(maps.Keys(totals)) {
+		ct := totals[scale]
 		agg, ok := byScale[scale]
 		if !ok {
 			agg = &hotnoc.LabStats{Scale: scale}
@@ -493,39 +481,11 @@ func (c *Coordinator) FleetStats(ctx context.Context) (labs []hotnoc.LabStats, t
 		agg.BuildHits = ct.buildHits
 		agg.BuildMisses = ct.buildMisses
 	}
-	for scale := range byScale {
-		scales = append(scales, scale)
+	labs := make([]hotnoc.LabStats, 0, len(byScale))
+	for _, scale := range slices.Sorted(maps.Keys(byScale)) {
+		labs = append(labs, *byScale[scale])
 	}
-	tnTotals, weights := c.ledger.tenantTotals()
-	var tenantIDs []string
-	for _, id := range slices.Sorted(maps.Keys(tnTotals)) {
-		ct := tnTotals[id]
-		agg, ok := byTenant[id]
-		if !ok {
-			agg = &wire.TenantStats{ID: id}
-			byTenant[id] = agg
-		}
-		agg.Done = ct.done
-		agg.Failed = ct.failed
-		agg.Canceled = ct.canceled
-		agg.Rejected = ct.rejected
-		agg.Points = ct.points
-		if w, ok := weights[id]; ok {
-			agg.Weight = w
-		}
-	}
-	for id := range byTenant {
-		tenantIDs = append(tenantIDs, id)
-	}
-	sort.Ints(scales)
-	for _, s := range scales {
-		labs = append(labs, *byScale[s])
-	}
-	sort.Strings(tenantIDs)
-	for _, id := range tenantIDs {
-		tenants = append(tenants, *byTenant[id])
-	}
-	return labs, tenants
+	return labs
 }
 
 // authorized checks the fleet secret on worker registration requests.

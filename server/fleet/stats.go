@@ -8,32 +8,29 @@ import (
 
 	"hotnoc"
 	"hotnoc/obs"
-	"hotnoc/server/wire"
 )
 
-// statsLedger makes the fleet's aggregated counters monotonic across
-// worker restarts. A worker that loses its lease and re-registers (or
-// crashes and comes back) reports counters that restarted from zero; a
-// naive sum over live workers would make the fleet totals go *down*,
+// statsLedger makes the fleet's aggregated lab counters monotonic
+// across worker restarts. A worker that loses its lease and re-registers
+// (or crashes and comes back) reports counters that restarted from zero;
+// a naive sum over live workers would make the fleet totals go *down*,
 // which breaks anything rate()-ing them. The ledger keys on worker URL
 // — the stable identity across re-registration, since coordinator ids
-// change on every rejoin — and keeps, per URL, an accumulated base from
-// previous incarnations plus the latest snapshot of the current one.
-// When a snapshot's counters regress, the previous snapshot is folded
-// into the base (the old incarnation's final contribution) and the new
-// snapshot starts the next incarnation. Totals are Σ(base + last) over
-// every URL ever observed, so a departed worker's work stays counted.
+// change on every rejoin — and keeps, per URL and scale, an accumulated
+// base from previous incarnations plus the latest snapshot of the
+// current one. When a snapshot's counters regress, or a scale it
+// reported before is missing (a daemon never drops a Lab), the previous
+// snapshot is folded into the base (the old incarnation's final
+// contribution) and the new snapshot starts the next incarnation.
+// Totals are Σ(base + last) over every URL ever observed, so a departed
+// worker's work stays counted.
 //
 // Only counter-class fields live here. Gauges (pool sizes, busy
-// workers, running/queued jobs) describe the present and must come from
-// the workers currently reachable, not from history.
+// workers) describe the present and must come from the workers
+// currently reachable, not from history.
 type statsLedger struct {
 	mu    sync.Mutex
 	byURL map[string]*urlLedger
-	// tnWeight is the most recently observed weight per tenant, across
-	// all workers — weight is configuration, not a counter, so the last
-	// report wins regardless of which worker it came from.
-	tnWeight map[string]int
 }
 
 // labCounters is the counter-class slice of hotnoc.LabStats.
@@ -72,83 +69,64 @@ func labCountersOf(ls hotnoc.LabStats) labCounters {
 	}
 }
 
-// tenantCounters is the counter-class slice of wire.TenantStats.
-type tenantCounters struct {
-	done     int
-	failed   int
-	canceled int
-	rejected int
-	points   int64
-}
-
-func (a tenantCounters) add(b tenantCounters) tenantCounters {
-	a.done += b.done
-	a.failed += b.failed
-	a.canceled += b.canceled
-	a.rejected += b.rejected
-	a.points += b.points
-	return a
-}
-
-func (cur tenantCounters) regressed(prev tenantCounters) bool {
-	return cur.done < prev.done || cur.failed < prev.failed ||
-		cur.canceled < prev.canceled || cur.rejected < prev.rejected ||
-		cur.points < prev.points
-}
-
-func tenantCountersOf(ts wire.TenantStats) tenantCounters {
-	return tenantCounters{
-		done:     ts.Done,
-		failed:   ts.Failed,
-		canceled: ts.Canceled,
-		rejected: ts.Rejected,
-		points:   ts.Points,
-	}
-}
-
-// urlLedger is one worker URL's accumulation state.
+// urlLedger is one worker URL's accumulation state, by scale.
 type urlLedger struct {
-	labBase map[int]labCounters // accumulated from dead incarnations, by scale
-	labLast map[int]labCounters // latest snapshot of the live incarnation
+	base map[int]labCounters // accumulated from dead incarnations
+	last map[int]labCounters // latest snapshot of the live incarnation
+}
 
-	tnBase map[string]tenantCounters
-	tnLast map[string]tenantCounters
+// total returns the URL's counters at one scale, summed over its
+// incarnations.
+func (ul *urlLedger) total(scale int) labCounters {
+	return ul.base[scale].add(ul.last[scale])
+}
+
+// scales returns every scale the URL ever reported, sorted.
+//
+//hotnoc:deterministic
+func (ul *urlLedger) scales() []int {
+	var out []int
+	for scale := range ul.base {
+		out = append(out, scale)
+	}
+	for scale := range ul.last {
+		out = append(out, scale)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func newStatsLedger() *statsLedger {
-	return &statsLedger{byURL: map[string]*urlLedger{}, tnWeight: map[string]int{}}
+	return &statsLedger{byURL: map[string]*urlLedger{}}
 }
 
-// observe folds one successfully fetched worker stats snapshot into the
-// ledger. Restart detection is per scale (and per tenant): a regression
-// in any counter means the worker restarted since the previous
-// snapshot, so the previous snapshot — the old incarnation's final
-// observed state — is banked into the base.
-func (l *statsLedger) observe(url string, st wire.Stats) {
+// observe folds one successfully fetched worker's lab stats into the
+// ledger. Restart detection is per scale: a regression in any counter,
+// or a scale gone missing, means the worker restarted since the
+// previous snapshot, so the previous snapshot — the old incarnation's
+// final observed state — is banked into the base.
+func (l *statsLedger) observe(url string, labs []hotnoc.LabStats) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ul, ok := l.byURL[url]
 	if !ok {
-		ul = &urlLedger{
-			labBase: map[int]labCounters{}, labLast: map[int]labCounters{},
-			tnBase: map[string]tenantCounters{}, tnLast: map[string]tenantCounters{},
-		}
+		ul = &urlLedger{base: map[int]labCounters{}, last: map[int]labCounters{}}
 		l.byURL[url] = ul
 	}
-	for _, ls := range st.Labs {
+	reported := map[int]bool{}
+	for _, ls := range labs {
+		reported[ls.Scale] = true
 		cur := labCountersOf(ls)
-		if prev, seen := ul.labLast[ls.Scale]; seen && cur.regressed(prev) {
-			ul.labBase[ls.Scale] = ul.labBase[ls.Scale].add(prev)
+		if prev, seen := ul.last[ls.Scale]; seen && cur.regressed(prev) {
+			ul.base[ls.Scale] = ul.base[ls.Scale].add(prev)
 		}
-		ul.labLast[ls.Scale] = cur
+		ul.last[ls.Scale] = cur
 	}
-	for _, ts := range st.Tenants {
-		cur := tenantCountersOf(ts)
-		if prev, seen := ul.tnLast[ts.ID]; seen && cur.regressed(prev) {
-			ul.tnBase[ts.ID] = ul.tnBase[ts.ID].add(prev)
+	for scale, prev := range ul.last {
+		if !reported[scale] {
+			ul.base[scale] = ul.base[scale].add(prev)
+			delete(ul.last, scale)
 		}
-		ul.tnLast[ts.ID] = cur
-		l.tnWeight[ts.ID] = ts.Weight
 	}
 }
 
@@ -162,42 +140,11 @@ func (l *statsLedger) labTotals() map[int]labCounters {
 	out := map[int]labCounters{}
 	for _, url := range slices.Sorted(maps.Keys(l.byURL)) {
 		ul := l.byURL[url]
-		for _, scale := range slices.Sorted(maps.Keys(ul.labLast)) {
-			out[scale] = out[scale].add(ul.labBase[scale]).add(ul.labLast[scale])
-		}
-		for _, scale := range slices.Sorted(maps.Keys(ul.labBase)) {
-			if _, ok := ul.labLast[scale]; !ok {
-				out[scale] = out[scale].add(ul.labBase[scale])
-			}
+		for _, scale := range ul.scales() {
+			out[scale] = out[scale].add(ul.total(scale))
 		}
 	}
 	return out
-}
-
-// tenantTotals returns the fleet-wide monotonic tenant counters and the
-// most recently observed weight per tenant.
-//
-//hotnoc:deterministic
-func (l *statsLedger) tenantTotals() (map[string]tenantCounters, map[string]int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := map[string]tenantCounters{}
-	weights := map[string]int{}
-	for _, url := range slices.Sorted(maps.Keys(l.byURL)) {
-		ul := l.byURL[url]
-		for _, id := range slices.Sorted(maps.Keys(ul.tnLast)) {
-			out[id] = out[id].add(ul.tnBase[id]).add(ul.tnLast[id])
-		}
-		for _, id := range slices.Sorted(maps.Keys(ul.tnBase)) {
-			if _, ok := ul.tnLast[id]; !ok {
-				out[id] = out[id].add(ul.tnBase[id])
-			}
-		}
-	}
-	for _, id := range slices.Sorted(maps.Keys(l.tnWeight)) {
-		weights[id] = l.tnWeight[id]
-	}
-	return out, weights
 }
 
 // perWorker returns each observed worker URL's monotonic counters,
@@ -212,16 +159,9 @@ func (l *statsLedger) perWorker() (urls []string, counters []labCounters) {
 	counters = make([]labCounters, len(urls))
 	for i, url := range urls {
 		ul := l.byURL[url]
-		var sum labCounters
-		for _, scale := range slices.Sorted(maps.Keys(ul.labLast)) {
-			sum = sum.add(ul.labBase[scale]).add(ul.labLast[scale])
+		for _, scale := range ul.scales() {
+			counters[i] = counters[i].add(ul.total(scale))
 		}
-		for _, scale := range slices.Sorted(maps.Keys(ul.labBase)) {
-			if _, ok := ul.labLast[scale]; !ok {
-				sum = sum.add(ul.labBase[scale])
-			}
-		}
-		counters[i] = sum
 	}
 	return urls, counters
 }

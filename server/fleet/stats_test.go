@@ -4,13 +4,10 @@ import (
 	"testing"
 
 	"hotnoc"
-	"hotnoc/server/wire"
 )
 
-func labStats(scale int, decodes, cacheMisses uint64) wire.Stats {
-	return wire.Stats{Labs: []hotnoc.LabStats{{
-		Scale: scale, Decodes: decodes, CacheMisses: cacheMisses,
-	}}}
+func labStats(scale int, decodes, cacheMisses uint64) []hotnoc.LabStats {
+	return []hotnoc.LabStats{{Scale: scale, Decodes: decodes, CacheMisses: cacheMisses}}
 }
 
 // TestLedgerMonotonicAcrossRestart: a worker whose counters regress —
@@ -43,6 +40,18 @@ func TestLedgerMonotonicAcrossRestart(t *testing.T) {
 	if tot := l.labTotals()[8]; tot.decodes != 180 {
 		t.Fatalf("totals after repeated snapshot = %+v, want 180 decodes", tot)
 	}
+
+	// w1 restarts again and is polled before its new Lab exists: the
+	// missing scale banks the 30 decodes, so a new incarnation that
+	// catches up to the same count is not mistaken for the old one.
+	l.observe("http://w1", nil)
+	if tot := l.labTotals()[8]; tot.decodes != 180 {
+		t.Fatalf("totals while w1 reports no Lab = %+v, want 180 decodes", tot)
+	}
+	l.observe("http://w1", labStats(8, 30, 1))
+	if tot := l.labTotals()[8]; tot.decodes != 210 {
+		t.Fatalf("totals after w1's third incarnation = %+v, want 210 decodes", tot)
+	}
 }
 
 // TestLedgerPerWorker: the per-worker view is sorted by URL, sums a
@@ -50,11 +59,11 @@ func TestLedgerMonotonicAcrossRestart(t *testing.T) {
 func TestLedgerPerWorker(t *testing.T) {
 	l := newStatsLedger()
 	l.observe("http://wb", labStats(8, 5, 0))
-	l.observe("http://wa", wire.Stats{Labs: []hotnoc.LabStats{
+	l.observe("http://wa", []hotnoc.LabStats{
 		{Scale: 8, Decodes: 10},
 		{Scale: 16, Decodes: 3},
-	}})
-	l.observe("http://wa", labStats(8, 2, 0)) // scale-8 restart; scale 16 unreported
+	})
+	l.observe("http://wa", labStats(8, 2, 0)) // restart: scale 8 regressed, scale 16 gone
 
 	urls, counters := l.perWorker()
 	if len(urls) != 2 || urls[0] != "http://wa" || urls[1] != "http://wb" {
@@ -66,31 +75,5 @@ func TestLedgerPerWorker(t *testing.T) {
 	}
 	if counters[1].decodes != 5 {
 		t.Fatalf("wb decodes = %d, want 5", counters[1].decodes)
-	}
-}
-
-// TestLedgerTenantTotals: tenant counters are summed monotonically like
-// lab counters, while the weight is the latest observation — it is
-// configuration, not history.
-func TestLedgerTenantTotals(t *testing.T) {
-	l := newStatsLedger()
-	l.observe("http://w1", wire.Stats{Tenants: []wire.TenantStats{
-		{ID: "ci", Weight: 3, Done: 4, Rejected: 1, Points: 40},
-	}})
-	l.observe("http://w2", wire.Stats{Tenants: []wire.TenantStats{
-		{ID: "ci", Weight: 3, Done: 2, Points: 20},
-	}})
-	// w1 restarts and the tenant's weight was reconfigured meanwhile.
-	l.observe("http://w1", wire.Stats{Tenants: []wire.TenantStats{
-		{ID: "ci", Weight: 5, Done: 1, Points: 10},
-	}})
-
-	totals, weights := l.tenantTotals()
-	ci := totals["ci"]
-	if ci.done != 7 || ci.rejected != 1 || ci.points != 70 {
-		t.Fatalf("tenant totals = %+v, want 7 done / 1 rejected / 70 points", ci)
-	}
-	if weights["ci"] != 5 {
-		t.Fatalf("tenant weight = %d, want the latest observation (5)", weights["ci"])
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,6 +143,123 @@ func TestFleetByteParityAndExactlyOnce(t *testing.T) {
 	}
 	if len(st.Workers) != 2 {
 		t.Fatalf("coordinator stats list %d workers, want 2", len(st.Workers))
+	}
+}
+
+// anonymousRow returns the anonymous tenant's /v1/stats row.
+func anonymousRow(t *testing.T, st wire.Stats) wire.TenantStats {
+	t.Helper()
+	for _, ts := range st.Tenants {
+		if ts.ID == tenant.AnonymousID {
+			return ts
+		}
+	}
+	t.Fatalf("no anonymous row in /v1/stats tenants %+v", st.Tenants)
+	return wire.TenantStats{}
+}
+
+// TestFleetStatsCountEachJobOnce: a coordinator's tenant rows are its
+// own admission accounting. One 8-point job through a two-worker fleet
+// is one done job and 8 points on /v1/stats, read right after the job
+// is seen done, and the same figures as the coordinator's /metrics —
+// the workers' shard sub-jobs are not added in.
+func TestFleetStatsCountEachJobOnce(t *testing.T) {
+	_, coordURL, _ := startFleet(t, 2)
+	runToCompletion(t, coordURL, testGrid())
+	st, err := client.New(coordURL).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := anonymousRow(t, st)
+	if row.Done != 1 || row.Points != 8 {
+		t.Fatalf("anonymous row = %+v, want done 1, points 8", row)
+	}
+	body := scrapeMetrics(t, coordURL)
+	if n := metricValue(t, body, `hotnocd_jobs_total{state="done",tenant="anonymous"}`); n != float64(row.Done) {
+		t.Errorf("/metrics counts %v done jobs, /v1/stats %d", n, row.Done)
+	}
+	if n := metricValue(t, body, `hotnocd_points_total{tenant="anonymous"}`); n != float64(row.Points) {
+		t.Errorf("/metrics counts %v points, /v1/stats %d", n, row.Points)
+	}
+}
+
+// TestFleetStatsMonotonicAcrossWorkerRestart restarts a worker behind
+// the same URL: the coordinator's /v1/stats lab counters never go down,
+// keep the old incarnation's work, and agree with the fleet series on
+// its /metrics.
+func TestFleetStatsMonotonicAcrossWorkerRestart(t *testing.T) {
+	co := fleet.NewCoordinator(fleet.Config{Lease: time.Hour})
+	_, coordURL := testServer(t, Config{Fleet: co})
+	var restartable atomic.Pointer[Server]
+	restartable.Store(New(Config{}))
+	w1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		restartable.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(w1.Close)
+	w2 := httptest.NewServer(New(Config{}))
+	t.Cleanup(w2.Close)
+	co.Register(w1.URL, 1)
+	co.Register(w2.URL, 1)
+
+	ctx := context.Background()
+	labs := func(url string) hotnoc.LabStats {
+		t.Helper()
+		st, err := client.New(url).Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum hotnoc.LabStats
+		for _, ls := range st.Labs {
+			sum.Decodes += ls.Decodes
+			sum.CacheHits += ls.CacheHits
+			sum.CacheMisses += ls.CacheMisses
+			sum.BuildHits += ls.BuildHits
+			sum.BuildMisses += ls.BuildMisses
+		}
+		return sum
+	}
+	noLoss := func(when string, prev, cur hotnoc.LabStats) {
+		t.Helper()
+		if cur.Decodes < prev.Decodes || cur.CacheHits < prev.CacheHits || cur.CacheMisses < prev.CacheMisses ||
+			cur.BuildHits < prev.BuildHits || cur.BuildMisses < prev.BuildMisses {
+			t.Fatalf("coordinator lab counters went down %s: %+v -> %+v", when, prev, cur)
+		}
+	}
+
+	runToCompletion(t, coordURL, testGrid())
+	before := labs(coordURL)
+	if before.Decodes == 0 {
+		t.Fatal("the first sweep recorded no decodes")
+	}
+	oldIncarnation := labs(w1.URL)
+
+	restartable.Store(New(Config{}))
+	during := labs(coordURL)
+	noLoss("across the restart", before, during)
+
+	runToCompletion(t, coordURL, testGrid())
+	after := labs(coordURL)
+	noLoss("after the next sweep", during, after)
+	newIncarnation, survivor := labs(w1.URL), labs(w2.URL)
+	if want := oldIncarnation.Decodes + newIncarnation.Decodes + survivor.Decodes; after.Decodes != want {
+		t.Errorf("coordinator decodes = %d, want %d (old %d + restarted %d + survivor %d)",
+			after.Decodes, want, oldIncarnation.Decodes, newIncarnation.Decodes, survivor.Decodes)
+	}
+
+	body := scrapeMetrics(t, coordURL)
+	for _, c := range []struct {
+		series string
+		stats  uint64
+	}{
+		{"hotnocd_fleet_decodes_total", after.Decodes},
+		{"hotnocd_fleet_cache_hits_total", after.CacheHits},
+		{"hotnocd_fleet_cache_misses_total", after.CacheMisses},
+		{"hotnocd_fleet_build_hits_total", after.BuildHits},
+		{"hotnocd_fleet_build_misses_total", after.BuildMisses},
+	} {
+		if n := metricValue(t, body, c.series); n != float64(c.stats) {
+			t.Errorf("%s = %v, /v1/stats says %d", c.series, n, c.stats)
+		}
 	}
 }
 

@@ -5,12 +5,15 @@ import (
 	"time"
 
 	"hotnoc/obs"
+	"hotnoc/server/wire"
 )
 
 // serverMetrics is the daemon's own instrument set: scheduler depth
 // gauges, queue-wait and job-lifecycle counters, all per-tenant where a
-// tenant is accountable. Every method is nil-receiver safe so a daemon
-// with metrics disabled pays a single pointer check per call site.
+// tenant is accountable. It is always built, whether or not GET /metrics
+// is routed: the per-tenant counters are the only store of the
+// accounting /v1/stats reports, so each daemon needs a registry of its
+// own.
 //
 // Gauges are updated explicitly at the scheduler's mutation points
 // (enqueue, dispatch, terminal) rather than through scrape-time
@@ -25,6 +28,13 @@ type serverMetrics struct {
 	jobsRunning *obs.Gauge
 	jobsQueued  *obs.Gauge
 }
+
+// The per-tenant counters /v1/stats reads back.
+const (
+	jobsTotalName = "hotnocd_jobs_total"
+	rejectedName  = "hotnocd_submissions_rejected_total"
+	pointsName    = "hotnocd_points_total"
+)
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
@@ -46,18 +56,12 @@ func (m *serverMetrics) tenantQueueDepth(tenant string) *obs.Gauge {
 
 // jobQueued records a job entering its tenant's queue.
 func (m *serverMetrics) jobQueued(tenant string) {
-	if m == nil {
-		return
-	}
 	m.jobsQueued.Add(1)
 	m.tenantQueueDepth(tenant).Add(1)
 }
 
 // jobDispatched records a queued job winning a slot after wait.
 func (m *serverMetrics) jobDispatched(tenant string, wait time.Duration) {
-	if m == nil {
-		return
-	}
 	m.jobsQueued.Add(-1)
 	m.tenantQueueDepth(tenant).Add(-1)
 	m.jobsRunning.Add(1)
@@ -66,9 +70,6 @@ func (m *serverMetrics) jobDispatched(tenant string, wait time.Duration) {
 
 // jobFinished records a dispatched job reaching the terminal state.
 func (m *serverMetrics) jobFinished(tenant, state string) {
-	if m == nil {
-		return
-	}
 	m.jobsRunning.Add(-1)
 	m.jobsTotal(tenant, state).Inc()
 }
@@ -76,26 +77,20 @@ func (m *serverMetrics) jobFinished(tenant, state string) {
 // jobTerminatedQueued records a job canceled out of its queue without
 // ever running.
 func (m *serverMetrics) jobTerminatedQueued(tenant, state string) {
-	if m == nil {
-		return
-	}
 	m.jobsQueued.Add(-1)
 	m.tenantQueueDepth(tenant).Add(-1)
 	m.jobsTotal(tenant, state).Inc()
 }
 
 func (m *serverMetrics) jobsTotal(tenant, state string) *obs.Counter {
-	return m.reg.Counter("hotnocd_jobs_total",
+	return m.reg.Counter(jobsTotalName,
 		"Sweep jobs finished, by tenant and terminal state.",
 		obs.Labels{"tenant": tenant, "state": state})
 }
 
 // rejected records an admission 429 (submit rate or queue bound).
 func (m *serverMetrics) rejected(tenant string) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("hotnocd_submissions_rejected_total",
+	m.reg.Counter(rejectedName,
 		"Sweep submissions rejected with 429, by tenant.",
 		obs.Labels{"tenant": tenant}).Inc()
 }
@@ -104,12 +99,23 @@ func (m *serverMetrics) rejected(tenant string) {
 // once per job, then Inc'd per outcome — the registry lookup stays off
 // the streaming path.
 func (m *serverMetrics) pointsCounter(tenant string) *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.reg.Counter("hotnocd_points_total",
+	return m.reg.Counter(pointsName,
 		"Grid points streamed to clients, by tenant.",
 		obs.Labels{"tenant": tenant})
+}
+
+// readTenant fills row's finished-job, rejection and point counts from
+// the counters above. A series never incremented reads as zero and is
+// not created, so /v1/stats leaves the /metrics exposition unchanged.
+func (m *serverMetrics) readTenant(row *wire.TenantStats) {
+	jobs := func(state string) int {
+		return int(m.reg.CounterValue(jobsTotalName, obs.Labels{"tenant": row.ID, "state": state}))
+	}
+	row.Done = jobs(wire.JobDone)
+	row.Failed = jobs(wire.JobFailed)
+	row.Canceled = jobs(wire.JobCanceled)
+	row.Rejected = int(m.reg.CounterValue(rejectedName, obs.Labels{"tenant": row.ID}))
+	row.Points = int64(m.reg.CounterValue(pointsName, obs.Labels{"tenant": row.ID}))
 }
 
 // handleMetrics serves GET /metrics in Prometheus text exposition

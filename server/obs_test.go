@@ -128,6 +128,95 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// seriesValue is metricValue for a series that may not exist yet: a
+// counter never incremented is absent from the scrape and counts zero.
+func seriesValue(t *testing.T, body, prefix string) float64 {
+	t.Helper()
+	if !strings.Contains(body, "\n"+prefix+" ") {
+		return 0
+	}
+	return metricValue(t, body, prefix)
+}
+
+// TestStatsAgreeWithMetrics: after a sweep per tenant and one 429,
+// every counter on /v1/stats equals its /metrics series — both surfaces
+// read one store — and reading /v1/stats leaves the scrape unchanged.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	slow := keyed("slow", 1, tenant.Limits{RatePerSec: 0.25, Burst: 1})
+	free := keyed("free", 1, tenant.Limits{})
+	srv, url := testServer(t, Config{Tenants: testRegistry(t, []*tenant.Tenant{slow, free}, nil)})
+	frozen := time.Now()
+	srv.now = func() time.Time { return frozen }
+
+	submit := func(key string, status int) {
+		t.Helper()
+		resp := postSweep(t, url, "Bearer "+key)
+		defer resp.Body.Close()
+		if resp.StatusCode != status {
+			t.Fatalf("POST /v1/sweeps as %s answered %d, want %d", key, resp.StatusCode, status)
+		}
+		if status != http.StatusCreated {
+			return
+		}
+		var created wire.SweepCreated
+		if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+			t.Fatal(err)
+		}
+		waitForTerminal(t, client.New(url, client.WithAPIKey(key)), created.ID)
+	}
+	submit("key-slow", http.StatusCreated)
+	submit("key-slow", http.StatusTooManyRequests)
+	submit("key-free", http.StatusCreated)
+
+	before := scrapeMetrics(t, url)
+	st, err := client.New(url, client.WithAPIKey("key-free")).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := scrapeMetrics(t, url)
+	if body != before {
+		t.Errorf("reading /v1/stats changed /metrics:\nbefore:\n%s\nafter:\n%s", before, body)
+	}
+
+	check := func(field string, stats int64, series string) {
+		t.Helper()
+		if n := seriesValue(t, body, series); n != float64(stats) {
+			t.Errorf("%s: /v1/stats %d, /metrics %s %v", field, stats, series, n)
+		}
+	}
+	if len(st.Tenants) != 2 {
+		t.Fatalf("tenant rows %+v, want slow and free", st.Tenants)
+	}
+	for _, ts := range st.Tenants {
+		jobs := func(state string) string {
+			return fmt.Sprintf(`hotnocd_jobs_total{state=%q,tenant=%q}`, state, ts.ID)
+		}
+		check(ts.ID+" done", int64(ts.Done), jobs(wire.JobDone))
+		check(ts.ID+" failed", int64(ts.Failed), jobs(wire.JobFailed))
+		check(ts.ID+" canceled", int64(ts.Canceled), jobs(wire.JobCanceled))
+		check(ts.ID+" rejected", int64(ts.Rejected), fmt.Sprintf(`hotnocd_submissions_rejected_total{tenant=%q}`, ts.ID))
+		check(ts.ID+" points", ts.Points, fmt.Sprintf(`hotnocd_points_total{tenant=%q}`, ts.ID))
+		if ts.Done != 1 || ts.Points != 1 {
+			t.Errorf("tenant %s: %d done, %d points; want 1 and 1", ts.ID, ts.Done, ts.Points)
+		}
+	}
+	if len(st.Labs) != 1 {
+		t.Fatalf("lab rows %+v, want one at scale %d", st.Labs, testScale)
+	}
+	ls := st.Labs[0]
+	cache := func(kind, result string) string {
+		return fmt.Sprintf(`hotnoc_cache_requests_total{kind=%q,result=%q,scale="%d"}`, kind, result, testScale)
+	}
+	check("decodes", int64(ls.Decodes), fmt.Sprintf(`hotnoc_decodes_total{scale="%d"}`, testScale))
+	check("cache_hits", int64(ls.CacheHits), cache("characterization", "hit"))
+	check("cache_misses", int64(ls.CacheMisses), cache("characterization", "miss"))
+	check("build_hits", int64(ls.BuildHits), cache("build", "hit"))
+	check("build_misses", int64(ls.BuildMisses), cache("build", "miss"))
+	if ls.Decodes == 0 || ls.CacheMisses != 1 || ls.CacheHits != 1 {
+		t.Errorf("lab stats %+v, want decodes, one characterization miss and one hit", ls)
+	}
+}
+
 // TestMetricsDisabled: DisableMetrics leaves /metrics unrouted.
 func TestMetricsDisabled(t *testing.T) {
 	_, url := testServer(t, Config{DisableMetrics: true})

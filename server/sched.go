@@ -43,9 +43,10 @@ func newSched() *sched {
 	return &sched{tenants: map[string]*tenantState{}}
 }
 
-// tenantState is one tenant's scheduling and accounting state. The
-// identity fields are fixed at creation; everything else mutates under
-// the server's mutex.
+// tenantState is one tenant's scheduling state. The identity fields are
+// fixed at creation; everything else mutates under the server's mutex.
+// Its finished-job, rejection and point counts live only in the
+// daemon's metrics registry (serverMetrics).
 type tenantState struct {
 	id     string
 	weight int
@@ -61,13 +62,6 @@ type tenantState struct {
 	// Submit-rate token bucket (limits.RatePerSec / limits.Burst).
 	tokens   float64
 	lastFill time.Time
-
-	// Accounting surfaced per tenant on /v1/stats.
-	done     int
-	failed   int
-	canceled int
-	rejected int   // 429s: over-rate or over-queue submissions
-	points   int64 // cumulative outcomes evaluated
 }
 
 // sweepFn is the execution backend a dispatched job runs its grid on:

@@ -118,17 +118,20 @@ type Config struct {
 	// registered workers and merged back into one byte-identical stream
 	// (see hotnoc/server/fleet). The /v1/workers routes come alive,
 	// GET /v1/builds proxies to the worker owning the build, and
-	// /v1/stats aggregates counters across the whole fleet. Tenancy,
-	// admission and weighted-fair scheduling stay coordinator-side.
+	// /v1/stats reports the fleet's lab counters from the coordinator's
+	// monotonic ledger. Tenancy, admission and weighted-fair scheduling
+	// stay coordinator-side, so its tenant rows are its own admission
+	// accounting.
 	Fleet *fleet.Coordinator
 	// Metrics, when non-nil, is the obs registry the daemon records into
 	// and serves on GET /metrics — share one to co-host the daemon with
 	// other instrumented subsystems in one process. Nil creates a
-	// private registry.
+	// private registry. The daemon's per-tenant counters live only here
+	// and /v1/stats reads them back, so give each daemon its own
+	// registry.
 	Metrics *obs.Registry
-	// DisableMetrics turns the metrics subsystem off entirely: no
-	// instruments are registered, the Labs record nothing, and GET
-	// /metrics is not routed.
+	// DisableMetrics leaves GET /metrics unrouted. The daemon still
+	// counts into its registry, which /v1/stats reads.
 	DisableMetrics bool
 	// EventBuffer is the retention depth of the GET /v1/events
 	// diagnostics ring: how many lifecycle events a reconnecting
@@ -177,9 +180,8 @@ type Server struct {
 	durCount int
 
 	// reg/met/diag are the observability subsystem: the metrics
-	// registry served on GET /metrics, the daemon's own instruments
-	// (nil when disabled), and the diagnostics ring behind GET
-	// /v1/events.
+	// registry served on GET /metrics, the daemon's own instruments,
+	// and the diagnostics ring behind GET /v1/events.
 	reg  *obs.Registry
 	met  *serverMetrics
 	diag *diagLog
@@ -224,11 +226,11 @@ func New(cfg Config) *Server {
 		jobs:    map[string]*job{},
 		sched:   newSched(),
 		reg:     obsReg,
+		met:     newServerMetrics(obsReg),
 		diag:    newDiagLog(cfg.EventBuffer),
 		now:     time.Now,
 	}
 	if !cfg.DisableMetrics {
-		s.met = newServerMetrics(obsReg)
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
 	if fl := cfg.Fleet; fl != nil {
@@ -239,9 +241,7 @@ func New(cfg Config) *Server {
 		fl.SetEventHook(func(typ, workerID, url, reason string) {
 			s.diag.emit(wire.DiagEvent{Type: typ, Worker: workerID, URL: url, Reason: reason})
 		})
-		if !cfg.DisableMetrics {
-			obsReg.Collect(fl.MetricsCollector())
-		}
+		obsReg.Collect(fl.MetricsCollector())
 	}
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleCreateSweep)
 	s.mux.HandleFunc("GET /v1/events", s.handleDiagEvents)
@@ -386,19 +386,16 @@ func (s *Server) labFor(scale int) *hotnoc.Lab {
 	defer s.mu.Unlock()
 	lab, ok := s.labs[scale]
 	if !ok {
-		opts := []hotnoc.LabOption{
+		// Each scale's Lab registers its pipeline instruments (stage
+		// latencies, cache requests, evaluated points) in the daemon's
+		// registry, labeled by scale.
+		lab = hotnoc.NewLab(
 			hotnoc.WithScale(scale),
 			hotnoc.WithWorkers(s.cfg.Workers),
 			hotnoc.WithCacheDir(s.cfg.CacheDir),
 			hotnoc.WithCacheLimit(s.cfg.CacheLimit),
-		}
-		if s.met != nil {
-			// Each scale's Lab registers its pipeline instruments
-			// (stage latencies, cache requests, evaluated points) in
-			// the daemon's registry, labeled by scale.
-			opts = append(opts, hotnoc.WithMetrics(s.reg))
-		}
-		lab = hotnoc.NewLab(opts...)
+			hotnoc.WithMetrics(s.reg),
+		)
 		s.labs[scale] = lab
 	}
 	return lab
@@ -483,7 +480,6 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 	// quota or the global MaxJobs slots is not a rejection — the job
 	// queues and the weighted-fair scheduler dispatches it later.
 	if ok, retry := ts.takeToken(s.now()); !ok {
-		ts.rejected++
 		s.met.rejected(ts.id)
 		s.mu.Unlock()
 		cancel()
@@ -495,7 +491,6 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ts.limits.MaxQueued > 0 && len(ts.queue) >= ts.limits.MaxQueued {
-		ts.rejected++
 		s.met.rejected(ts.id)
 		s.mu.Unlock()
 		cancel()
@@ -577,9 +572,8 @@ func (s *Server) terminateQueuedLocked(j *job) bool {
 		return false
 	}
 	j.cancel()
-	j.fail(wire.JobCanceled, errors.New("canceled while queued"))
-	ts.canceled++
 	s.met.jobTerminatedQueued(ts.id, wire.JobCanceled)
+	j.fail(wire.JobCanceled, errors.New("canceled while queued"))
 	s.diag.emit(wire.DiagEvent{Type: wire.DiagJobFinished, Tenant: j.tenant,
 		Job: j.id, State: wire.JobCanceled, Reason: "canceled while queued"})
 	s.jobsWG.Done()
@@ -588,10 +582,11 @@ func (s *Server) terminateQueuedLocked(j *job) bool {
 
 // runJob drives one dispatched sweep to completion, appending every
 // progress event and outcome to the job's log and crediting evaluated
-// points to the job's tenant. It owns the job's terminal state, and on
-// reaching it releases the job's slot, records per-tenant accounting,
-// applies the retention policy and dispatches whatever the freed slot
-// admits next.
+// points to the job's tenant. It owns the job's terminal state. The
+// tenant's counters are recorded before that state is published, so a
+// client that sees its job end and reads /v1/stats at once finds the
+// job counted; afterwards runJob releases the job's slot, applies the
+// retention policy and dispatches whatever the freed slot admits next.
 func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 	j := qj.j
 	started := time.Now()
@@ -601,20 +596,13 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 		s.mu.Lock()
 		s.running--
 		ts.running--
-		switch state {
-		case wire.JobDone:
-			ts.done++
+		if state == wire.JobDone {
 			s.totalDur += time.Since(started)
 			s.durCount++
-		case wire.JobFailed:
-			ts.failed++
-		case wire.JobCanceled:
-			ts.canceled++
 		}
 		s.pruneLocked(time.Now())
 		s.dispatchLocked()
 		s.mu.Unlock()
-		s.met.jobFinished(ts.id, state)
 		s.diag.emit(wire.DiagEvent{Type: wire.DiagJobFinished, Tenant: j.tenant,
 			Job: j.id, State: state, Points: j.doneNow(), Reason: j.errNow()})
 	}()
@@ -636,25 +624,22 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 	}
 	// Resolve the tenant's served-points counter once; the per-outcome
 	// cost is then a single atomic increment.
-	ptsCounter := s.met.pointsCounter(ts.id)
+	points := s.met.pointsCounter(ts.id)
 	for out, err := range qj.sweep(j.ctx, qj.pts, progress) {
 		if err != nil {
 			state := wire.JobFailed
 			if errors.Is(err, context.Canceled) {
 				state = wire.JobCanceled
 			}
+			s.met.jobFinished(ts.id, state)
 			j.fail(state, err)
 			return
 		}
+		points.Inc()
 		j.append(wire.EventOutcome, wire.FromOutcome(idx, out))
 		idx++
-		if ptsCounter != nil {
-			ptsCounter.Inc()
-		}
-		s.mu.Lock()
-		ts.points++
-		s.mu.Unlock()
 	}
+	s.met.jobFinished(ts.id, wire.JobDone)
 	j.finish()
 }
 
@@ -991,20 +976,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	tenants := make([]wire.TenantStats, 0, len(s.sched.tenants))
 	for _, ts := range s.sched.tenants {
 		tenants = append(tenants, wire.TenantStats{
-			ID:       ts.id,
-			Weight:   ts.weight,
-			Running:  ts.running,
-			Queued:   len(ts.queue),
-			Done:     ts.done,
-			Failed:   ts.failed,
-			Canceled: ts.canceled,
-			Rejected: ts.rejected,
-			Points:   ts.points,
+			ID:      ts.id,
+			Weight:  ts.weight,
+			Running: ts.running,
+			Queued:  len(ts.queue),
 		})
 	}
 	reg := s.tenants
 	s.mu.Unlock()
 	sort.Slice(tenants, func(i, k int) bool { return tenants[i].ID < tenants[k].ID })
+	for i := range tenants {
+		s.met.readTenant(&tenants[i])
+	}
 
 	st := wire.Stats{Jobs: counts, Labs: labs, Tenants: tenants, Limits: wire.Limits{
 		MaxJobs:      s.cfg.MaxJobs,
@@ -1013,85 +996,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AuthRequired: reg.AuthRequired(),
 	}}
 	if fl := s.cfg.Fleet; fl != nil {
-		// A coordinator's own counters are job bookkeeping only; the
-		// simulation counters live on the workers. Fold them in so one
-		// stats call answers for the whole fleet.
-		flabs, ftenants := fl.FleetStats(r.Context())
-		st.Labs = mergeLabStats(st.Labs, flabs)
-		st.Tenants = mergeTenantStats(st.Tenants, ftenants)
+		// A coordinator runs no Labs: the simulation counters live on
+		// the workers and come from the coordinator's monotonic ledger.
+		st.Labs = fl.FleetStats(r.Context())
 		st.Workers = fl.Workers()
 	}
 	writeJSON(w, st)
-}
-
-// mergeLabStats sums two per-scale counter sets, each already unique by
-// scale, into one sorted by scale.
-//
-//hotnoc:deterministic
-func mergeLabStats(a, b []hotnoc.LabStats) []hotnoc.LabStats {
-	byScale := map[int]*hotnoc.LabStats{}
-	var scales []int
-	for _, src := range [][]hotnoc.LabStats{a, b} {
-		for _, ls := range src {
-			agg, ok := byScale[ls.Scale]
-			if !ok {
-				agg = &hotnoc.LabStats{Scale: ls.Scale}
-				byScale[ls.Scale] = agg
-				scales = append(scales, ls.Scale)
-			}
-			agg.Workers += ls.Workers
-			agg.BusyWorkers += ls.BusyWorkers
-			agg.Decodes += ls.Decodes
-			agg.CacheHits += ls.CacheHits
-			agg.CacheMisses += ls.CacheMisses
-			agg.BuildHits += ls.BuildHits
-			agg.BuildMisses += ls.BuildMisses
-		}
-	}
-	sort.Ints(scales)
-	out := make([]hotnoc.LabStats, 0, len(scales))
-	for _, sc := range scales {
-		out = append(out, *byScale[sc])
-	}
-	return out
-}
-
-// mergeTenantStats folds worker-side tenant counters into the
-// coordinator's own table by id. Where both sides know a tenant the
-// coordinator's weight is authoritative — workers see shard sub-jobs
-// anonymously, so in practice only the anonymous row overlaps.
-//
-//hotnoc:deterministic
-func mergeTenantStats(local, remote []wire.TenantStats) []wire.TenantStats {
-	byID := map[string]*wire.TenantStats{}
-	var ids []string
-	for i := range local {
-		ts := local[i]
-		byID[ts.ID] = &ts
-		ids = append(ids, ts.ID)
-	}
-	for _, ts := range remote {
-		agg, ok := byID[ts.ID]
-		if !ok {
-			cp := ts
-			byID[ts.ID] = &cp
-			ids = append(ids, ts.ID)
-			continue
-		}
-		agg.Running += ts.Running
-		agg.Queued += ts.Queued
-		agg.Done += ts.Done
-		agg.Failed += ts.Failed
-		agg.Canceled += ts.Canceled
-		agg.Rejected += ts.Rejected
-		agg.Points += ts.Points
-	}
-	sort.Strings(ids)
-	out := make([]wire.TenantStats, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *byID[id])
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
