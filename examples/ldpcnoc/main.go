@@ -1,8 +1,12 @@
 // ldpcnoc walks through the workload substrate on its own: it builds an
 // LDPC code, partitions its Tanner graph across a 4x4 mesh, decodes noisy
-// blocks cycle-accurately on the NoC, and verifies the distributed decoder
-// against the reference software decoder — the correctness spine of the
-// whole reproduction.
+// blocks with the reference min-sum decoder, and runs each block's decoder
+// traffic cycle-accurately on the NoC for its duration and network load.
+// The NoC engine carries no message values: its traffic does not depend
+// on them. That the distributed mapping decodes bit-exactly like the
+// reference decoder is pinned by internal/appmap's oracle tests
+// (TestDistributedMatchesReference on the value-carrying RefEngine, and
+// TestTrafficMatchesValueOracle tying the engine to it).
 //
 //	go run ./examples/ldpcnoc
 package main
@@ -68,25 +72,21 @@ func main() {
 		}
 		llr := ch.Transmit(cw)
 
-		want, _, _ := ref.Decode(llr)
-		got, err := eng.Decode(llr)
+		bits, _, converged := ref.Decode(llr)
+		cycles, err := eng.Decode(llr)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		bitExact := true
 		errors := 0
-		for i := range want {
-			if got.Decisions[i] != want[i] {
-				bitExact = false
-			}
-			if got.Decisions[i] != cw[i] {
+		for i := range bits {
+			if bits[i] != cw[i] {
 				errors++
 			}
 		}
 		fmt.Printf("block %d: %d cycles on the NoC (%.1f µs at 250 MHz), converged=%v, "+
-			"bit-exact with reference=%v, residual bit errors=%d\n",
-			blk, got.Cycles, float64(got.Cycles)/250e6*1e6, got.Converged, bitExact, errors)
+			"residual bit errors=%d\n",
+			blk, cycles, float64(cycles)/250e6*1e6, converged, errors)
 	}
 
 	s := net.Stats

@@ -31,6 +31,19 @@ func newEngine(t testing.TB, code *ldpc.Code, part *Partition, gridN int) *Engin
 	return e
 }
 
+func newRefEngine(t testing.TB, code *ldpc.Code, part *Partition, gridN int) *RefEngine {
+	t.Helper()
+	net, err := noc.New(geom.NewGrid(gridN, gridN), noc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewRefEngine(code, part, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func randomLLRs(code *ldpc.Code, snr float64, seed int64) ([]uint8, []ldpc.LLR) {
 	ch, err := ldpc.NewChannel(snr, code.Rate(), seed)
 	if err != nil {
@@ -140,7 +153,9 @@ func TestOpsAndTrafficConservation(t *testing.T) {
 
 // TestDistributedMatchesReference is the keystone integration test: the
 // on-NoC distributed decoder must produce bit-identical decisions to the
-// reference flooding decoder, for several partitions and codes.
+// reference flooding decoder, for several partitions and codes. The
+// decoder is the frozen value-carrying RefEngine, whose traffic
+// TestTrafficMatchesValueOracle pins the Engine to.
 func TestDistributedMatchesReference(t *testing.T) {
 	code := mustCode(t, 160, 80, 3, 6)
 	ref := ldpc.NewDecoder(code)
@@ -153,17 +168,17 @@ func TestDistributedMatchesReference(t *testing.T) {
 		parts["skewed"] = sk
 	}
 	for name, part := range parts {
-		eng := newEngine(t, code, part, 4)
+		eng := newRefEngine(t, code, part, 4)
 		eng.MaxIter = 8
 		for blk := int64(0); blk < 3; blk++ {
 			_, llr := randomLLRs(code, 2.0, 100+blk)
 			wantBits, _, _ := ref.Decode(llr)
-			got, err := eng.Decode(llr)
+			got, _, err := eng.Decode(llr)
 			if err != nil {
 				t.Fatalf("%s block %d: %v", name, blk, err)
 			}
 			for i := range wantBits {
-				if got.Decisions[i] != wantBits[i] {
+				if got[i] != wantBits[i] {
 					t.Fatalf("%s block %d: decision %d differs from reference", name, blk, i)
 				}
 			}
@@ -173,15 +188,16 @@ func TestDistributedMatchesReference(t *testing.T) {
 
 // TestPlacementInvariance: migrating the logical plane must not change the
 // decoded bits — only timing and traffic location. This is the paper's
-// correctness requirement for transparent reconfiguration.
+// correctness requirement for transparent reconfiguration, checked on the
+// value-carrying RefEngine.
 func TestPlacementInvariance(t *testing.T) {
 	code := mustCode(t, 160, 80, 3, 8)
 	part := Contiguous(code, 16)
 	_, llr := randomLLRs(code, 2.0, 9)
 
-	eng := newEngine(t, code, part, 4)
+	eng := newRefEngine(t, code, part, 4)
 	eng.MaxIter = 6
-	base, err := eng.Decode(llr)
+	base, _, err := eng.Decode(llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,17 +211,17 @@ func TestPlacementInvariance(t *testing.T) {
 		for i := range place {
 			place[i] = perm.Dst(i)
 		}
-		eng2 := newEngine(t, code, part, 4)
+		eng2 := newRefEngine(t, code, part, 4)
 		eng2.MaxIter = 6
 		if err := eng2.SetPlacement(place); err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng2.Decode(llr)
+		got, _, err := eng2.Decode(llr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range base.Decisions {
-			if got.Decisions[i] != base.Decisions[i] {
+		for i := range base {
+			if got[i] != base[i] {
 				t.Fatalf("%s placement changed decisions at bit %d", tr.Name, i)
 			}
 		}
@@ -223,16 +239,16 @@ func TestDeterministicBlockTime(t *testing.T) {
 	var want int64
 	for blk := int64(0); blk < 3; blk++ {
 		_, llr := randomLLRs(code, 2.0, 200+blk)
-		res, err := eng.Decode(llr)
+		cycles, err := eng.Decode(llr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if blk == 0 {
-			want = res.Cycles
+			want = cycles
 			continue
 		}
-		if res.Cycles != want {
-			t.Fatalf("block %d took %d cycles, block 0 took %d", blk, res.Cycles, want)
+		if cycles != want {
+			t.Fatalf("block %d took %d cycles, block 0 took %d", blk, cycles, want)
 		}
 	}
 }
@@ -304,23 +320,65 @@ func TestEngineRejectsMismatchedMesh(t *testing.T) {
 	}
 }
 
-// TestEdgeCheckPE property: the edge-to-check-PE table agrees with a
-// linear scan of the check-major edge layout.
-func TestEdgeCheckPE(t *testing.T) {
-	code := mustCode(t, 120, 60, 3, 16)
-	part := Interleaved(code, 16)
-	eng := newEngine(t, code, part, 4)
-	eng.prepareDecode()
-	id := 0
-	for c := 0; c < code.M; c++ {
-		for range code.CheckNbrs[c] {
-			if got := eng.edgeCheckPE[id]; got != part.CheckPE[c] {
-				t.Fatalf("edgeCheckPE[%d] = %d, want PE %d of check %d", id, got, part.CheckPE[c], c)
-			}
-			id++
+// TestDecodeRejectsWrongBlockLength: the block argument carries no values,
+// but it must still be one LLR per code bit.
+func TestDecodeRejectsWrongBlockLength(t *testing.T) {
+	code := mustCode(t, 64, 32, 3, 17)
+	eng := newEngine(t, code, Contiguous(code, 16), 4)
+	for _, n := range []int{0, code.N - 1, code.N + 1} {
+		if _, err := eng.Decode(make([]ldpc.LLR, n)); err == nil {
+			t.Fatalf("a %d-LLR block accepted for N=%d", n, code.N)
 		}
 	}
-	if id != len(eng.edgeCheckPE) {
-		t.Fatalf("table covers %d edges, code has %d", len(eng.edgeCheckPE), id)
+	if eng.Decodes != 0 || eng.Net.Cycle != 0 {
+		t.Fatalf("a rejected block ran: %d decodes, cycle %d", eng.Decodes, eng.Net.Cycle)
+	}
+}
+
+// TestScheduleMatchesOracle: the static schedule's per-phase edge
+// computations and messages per (source, destination) PE pair equal what
+// the value-carrying RefEngine computes and sends in each phase.
+func TestScheduleMatchesOracle(t *testing.T) {
+	code := mustCode(t, 120, 60, 3, 16)
+	for name, part := range map[string]*Partition{
+		"contiguous":  Contiguous(code, 16),
+		"interleaved": Interleaved(code, 16),
+	} {
+		eng := newEngine(t, code, part, 4)
+		eng.prepareDecode()
+		ref := newRefEngine(t, code, part, 4)
+		ref.MaxIter = 1
+		_, llr := randomLLRs(code, 2.0, 18)
+		if _, _, err := ref.Decode(llr); err != nil {
+			t.Fatal(err)
+		}
+		var wantLoad int64
+		for p, n := range eng.sched.load {
+			if n != int64(len(ref.varsOwned[p])) {
+				t.Fatalf("%s: PE %d loads %d variables, oracle %d", name, p, n, len(ref.varsOwned[p]))
+			}
+			wantLoad += n
+		}
+		if wantLoad != int64(code.N) {
+			t.Fatalf("%s: schedule loads %d variables, code has %d", name, wantLoad, code.N)
+		}
+		npe := part.NPE
+		for phase := range 2 {
+			for p := 0; p < npe; p++ {
+				if got, want := eng.sched.ops[phase][p], int64(ref.ops[phase][p]); got != want {
+					t.Fatalf("%s phase %d: PE %d computes %d messages, oracle %d", name, phase, p, got, want)
+				}
+				for d := 0; d < npe; d++ {
+					got := eng.sched.cnt[p][d]
+					if phase == 1 {
+						got = eng.sched.cnt[d][p]
+					}
+					if want := int64(ref.sent[phase][p*npe+d]); got != want {
+						t.Fatalf("%s phase %d: PE %d sends %d messages to PE %d, oracle %d",
+							name, phase, p, got, d, want)
+					}
+				}
+			}
+		}
 	}
 }

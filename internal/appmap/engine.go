@@ -9,28 +9,19 @@ import (
 	"hotnoc/internal/noc"
 )
 
-// MsgBatch is the payload of one inter-PE packet: a batch of edge messages
-// produced by one PE for one destination PE in one decoder phase.
-type MsgBatch struct {
-	// Phase is 0 for check-to-variable messages, 1 for variable-to-check.
-	Phase uint8
-	Vals  []EdgeVal
-}
-
-// EdgeVal is one message: the Tanner-graph edge (check-major index) and
-// the fixed-point value.
-type EdgeVal struct {
-	Edge int32
-	Val  ldpc.LLR
-}
-
-// Engine executes distributed min-sum decoding on the cycle-accurate NoC.
-// Each logical PE owns the variables and checks its partition assigns; in
-// every half-iteration a PE computes its outgoing edge messages (charging
-// compute cycles and PE-op energy), then ships messages for remote PEs as
-// wormhole packets batched per destination. A half-iteration ends when
-// every PE has received all messages it is due — the barrier that makes the
-// distributed decode bit-exact with the reference flooding decoder.
+// Engine runs the traffic of distributed min-sum decoding on the
+// cycle-accurate NoC. Each logical PE owns the variables and checks its
+// partition assigns; in every half-iteration a PE computes its outgoing
+// edge messages (charging compute cycles and PE-op energy), then ships
+// the messages for remote PEs as one wormhole packet per destination. A
+// half-iteration ends when every PE has received all messages it is due.
+//
+// With a fixed iteration count none of this depends on the message
+// values, so the engine carries none: it runs a static schedule derived
+// from the code and the partition, and produces the cycles and switching
+// activity a value-carrying decoder would. The frozen value-carrying
+// engine in ref_test.go pins that equivalence, and its decisions against
+// ldpc.Decoder.
 type Engine struct {
 	Code *ldpc.Code
 	Part *Partition
@@ -40,11 +31,9 @@ type Engine struct {
 	// iterations give the deterministic block time the paper's migration
 	// periods are synchronized to.
 	MaxIter int
-	// NormNum/NormDen is the min-sum normalization (default 3/4).
-	NormNum, NormDen int
-	// MsgsPerFlit packs fixed-point messages into 64-bit flits (default 8:
-	// 8-bit message plus 16-bit edge tag each... 8 messages with tag
-	// compression; the flit count only shapes network load).
+	// MsgsPerFlit is how many edge messages one 64-bit body flit carries
+	// (default 8); a packet is a head flit plus enough body flits for its
+	// messages. The flit count only shapes network load.
 	MsgsPerFlit int
 	// CyclesPerOp is the PE cost of one edge-message computation
 	// (default 1).
@@ -61,34 +50,14 @@ type Engine struct {
 
 	place []int // logical PE -> physical block index
 
-	// Static per-PE node ownership.
-	checksOwned [][]int
-	varsOwned   [][]int
-	// checkEdge[c] is the first check-major edge index of check c.
-	checkEdge []int
-	varEdges  [][]int
-	// edgeCheckPE[id] is the logical PE owning the check of edge id
-	// (built by prepareDecode).
-	edgeCheckPE []int
-	// expectCheck[p] / expectVar[p] count the remote messages PE p receives
-	// in the check / variable phase of every iteration.
-	expectCheck []int
-	expectVar   []int
-
-	// Dynamic edge state (single block).
-	v2c, c2v []ldpc.LLR
-	totals   []int32
-
+	// sched is the static decode schedule and packets/sends the per-phase
+	// scratch, all built by prepareDecode. Packets are indexed src*NPE+dst;
+	// a phase ends only after every packet it sent is delivered, so the
+	// next phase may overwrite them.
+	sched         phaseCounts
+	packets       []noc.Packet
+	sends         []pendingPkt
 	pendingRemote int
-
-	// Per-phase scratch (built by prepareDecode), reused across phases:
-	// batches and packets are indexed src*NPE+dst, in/out hold one node's
-	// edge messages. A phase ends only after every batch it sent is
-	// delivered, so the next phase may overwrite them.
-	batches []MsgBatch
-	packets []noc.Packet
-	sends   []pendingPkt
-	in, out []ldpc.LLR
 
 	// windows[:recorded] are the phases simulated so far in the current
 	// decode, which later phases replay; the rest are spare recordings
@@ -100,16 +69,13 @@ type Engine struct {
 	simulateAll bool
 }
 
-// phaseWindow is one simulated half-iteration of the current decode. A
-// phase replays it when its kind, send count and compute span match and
+// phaseWindow is one simulated half-iteration of the current decode.
+// Within one decode every phase of a kind sends the same packets at the
+// same relative cycles, so a phase replays a window of its kind whenever
 // the network's arbitration state equals the recorded start (noc.Replay
-// checks that). Within one decode every phase of a kind sends the same
-// packets at the same relative cycles: iterations are fixed and the
-// batching follows the partition and placement, not the data.
+// checks that).
 type phaseWindow struct {
 	phase uint8
-	sends int
-	span  int64 // maxReady - phaseStart
 	win   noc.Window
 }
 
@@ -129,8 +95,6 @@ func NewEngine(code *ldpc.Code, part *Partition, net *noc.Network) (*Engine, err
 		Part:          part,
 		Net:           net,
 		MaxIter:       16,
-		NormNum:       3,
-		NormDen:       4,
 		MsgsPerFlit:   8,
 		CyclesPerOp:   1,
 		PhaseOverhead: 8,
@@ -139,66 +103,18 @@ func NewEngine(code *ldpc.Code, part *Partition, net *noc.Network) (*Engine, err
 	for i := range e.place {
 		e.place[i] = i
 	}
-	e.checksOwned = make([][]int, part.NPE)
-	e.varsOwned = make([][]int, part.NPE)
-	for c, pe := range part.CheckPE {
-		e.checksOwned[pe] = append(e.checksOwned[pe], c)
-	}
-	for v, pe := range part.VarPE {
-		e.varsOwned[pe] = append(e.varsOwned[pe], v)
-	}
-	e.checkEdge = make([]int, code.M+1)
-	for c := 0; c < code.M; c++ {
-		e.checkEdge[c+1] = e.checkEdge[c] + len(code.CheckNbrs[c])
-	}
-	e.varEdges = make([][]int, code.N)
-	for c := 0; c < code.M; c++ {
-		for i, v := range code.CheckNbrs[c] {
-			e.varEdges[v] = append(e.varEdges[v], e.checkEdge[c]+i)
-		}
-	}
-	e.expectCheck = make([]int, part.NPE)
-	e.expectVar = make([]int, part.NPE)
-	for c := 0; c < code.M; c++ {
-		cp := part.CheckPE[c]
-		for _, v := range code.CheckNbrs[c] {
-			vp := part.VarPE[v]
-			if cp != vp {
-				e.expectCheck[vp]++ // check phase delivers c->v messages
-				e.expectVar[cp]++   // variable phase delivers v->c messages
-			}
-		}
-	}
-	edges := code.Edges()
-	e.v2c = make([]ldpc.LLR, edges)
-	e.c2v = make([]ldpc.LLR, edges)
-	e.totals = make([]int32, code.N)
 	return e, nil
 }
 
-// prepareDecode builds, on an engine's first decode, the edge-to-check-PE
-// table and the per-phase scratch, so engines that never decode (clones
-// evaluating a cached characterization) do not pay for them.
+// prepareDecode builds, on an engine's first decode, the schedule and the
+// per-phase scratch, so engines that never decode (clones evaluating a
+// cached characterization) do not pay for them.
 func (e *Engine) prepareDecode() {
-	if e.batches != nil {
+	if e.packets != nil {
 		return
 	}
-	e.edgeCheckPE = make([]int, e.Code.Edges())
-	maxDeg := 0
-	for c, nbrs := range e.Code.CheckNbrs {
-		for i := range nbrs {
-			e.edgeCheckPE[e.checkEdge[c]+i] = e.Part.CheckPE[c]
-		}
-		maxDeg = max(maxDeg, len(nbrs))
-	}
-	for _, ids := range e.varEdges {
-		maxDeg = max(maxDeg, len(ids))
-	}
-	e.in = make([]ldpc.LLR, maxDeg)
-	e.out = make([]ldpc.LLR, maxDeg)
-	npe := e.Part.NPE
-	e.batches = make([]MsgBatch, npe*npe)
-	e.packets = make([]noc.Packet, npe*npe)
+	e.sched = countPhases(e.Code, e.Part)
+	e.packets = make([]noc.Packet, e.Part.NPE*e.Part.NPE)
 }
 
 // SetPlacement installs a new logical-to-physical mapping (a migration).
@@ -218,35 +134,25 @@ func (e *Engine) SetPlacement(place []int) error {
 	return nil
 }
 
-// BlockResult summarises one decoded block.
-type BlockResult struct {
-	Decisions []uint8
-	// Cycles is the block decode duration in clock cycles (deterministic
-	// for a fixed placement).
-	Cycles int64
-	// Converged reports whether the syndrome is satisfied.
-	Converged bool
-	// Iterations actually executed (== MaxIter unless early stop is added).
-	Iterations int
-}
-
 // pendingPkt is a packet waiting for its PE to finish computing.
 type pendingPkt struct {
 	at  int64
 	pkt *noc.Packet
 }
 
-// Decode runs one block through the distributed decoder, driving the
-// network cycle-by-cycle. A half-iteration that repeats one already
-// simulated in this block, from the same arbitration state, replays its
-// recorded network window instead; the messages are still computed and
-// delivered. Channel LLRs are assumed pre-loaded into the PEs
-// (codeword I/O is modelled as PE-local work; chip-boundary address
-// translation is exercised by the core package's I/O translator).
-func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
-	code := e.Code
-	if len(chLLR) != code.N {
-		return BlockResult{}, fmt.Errorf("appmap: block has %d LLRs, code N=%d", len(chLLR), code.N)
+// Decode runs one block's decoder traffic through the network, driving
+// it cycle by cycle, and returns the block's duration in cycles. A
+// half-iteration that repeats one already simulated in this block, from
+// the same arbitration state, replays its recorded network window
+// instead. Channel LLRs are assumed pre-loaded into the PEs (codeword I/O
+// is modelled as PE-local work).
+//
+// The block must hold Code.N LLRs; its values are never read. The
+// argument survives only for bench/layers.go's decode probe, until a
+// change to the benchmark moves that probe.
+func (e *Engine) Decode(block []ldpc.LLR) (int64, error) {
+	if len(block) != e.Code.N {
+		return 0, fmt.Errorf("appmap: block has %d LLRs, code N=%d", len(block), e.Code.N)
 	}
 	e.prepareDecode()
 	e.recorded = 0
@@ -257,107 +163,46 @@ func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
 	e.Net.Deliver = e.onDeliver
 
 	// Load phase: PEs latch channel LLRs into their variable-node units.
-	for v := 0; v < code.N; v++ {
-		for _, id := range e.varEdges[v] {
-			e.v2c[id] = chLLR[v]
-		}
-	}
 	loadMax := int64(0)
-	for p := 0; p < e.Part.NPE; p++ {
-		ops := int64(len(e.varsOwned[p]))
+	for p, ops := range e.sched.load {
 		e.Net.Act.PEOps[e.place[p]] += uint64(ops)
-		if t := ops * int64(e.CyclesPerOp); t > loadMax {
-			loadMax = t
-		}
+		loadMax = max(loadMax, ops*int64(e.CyclesPerOp))
 	}
 	e.Net.Run(loadMax)
 
 	for it := 0; it < e.MaxIter; it++ {
-		if err := e.runPhase(0, chLLR); err != nil {
-			return BlockResult{}, err
-		}
-		if err := e.runPhase(1, chLLR); err != nil {
-			return BlockResult{}, err
-		}
-	}
-
-	decisions := make([]uint8, code.N)
-	for v, tot := range e.totals {
-		if tot < 0 {
-			decisions[v] = 1
+		for phase := range uint8(2) {
+			if err := e.runPhase(phase); err != nil {
+				return 0, err
+			}
 		}
 	}
 	e.Decodes++
-	return BlockResult{
-		Decisions:  decisions,
-		Cycles:     e.Net.Cycle - start,
-		Converged:  code.CheckSyndrome(decisions),
-		Iterations: e.MaxIter,
-	}, nil
+	return e.Net.Cycle - start, nil
 }
 
 // runPhase executes one half-iteration: phase 0 updates check nodes, phase
-// 1 variable nodes. The network part replays a matching window recorded
-// earlier in the block, or is simulated and recorded.
-func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
+// 1 variable nodes. The network part replays a window of the same kind
+// recorded earlier in the block, or is simulated and recorded.
+func (e *Engine) runPhase(phase uint8) error {
 	npe := e.Part.NPE
 	phaseStart := e.Net.Cycle
 	e.sends = e.sends[:0]
 	maxReady := phaseStart
 
 	for p := 0; p < npe; p++ {
-		batches := e.batches[p*npe : (p+1)*npe] // by destination logical PE
-		for d := range batches {
-			batches[d] = MsgBatch{Phase: phase, Vals: batches[d].Vals[:0]}
-		}
-		ops := 0
-		if phase == 0 {
-			for _, c := range e.checksOwned[p] {
-				lo, hi := e.checkEdge[c], e.checkEdge[c+1]
-				out := e.out[:hi-lo]
-				ldpc.CheckNodeUpdate(e.v2c[lo:hi], out, e.NormNum, e.NormDen)
-				ops += hi - lo
-				for i, v := range e.Code.CheckNbrs[c] {
-					dst := e.Part.VarPE[v]
-					if dst == p {
-						e.c2v[lo+i] = out[i]
-						continue
-					}
-					b := &batches[dst]
-					b.Vals = append(b.Vals, EdgeVal{Edge: int32(lo + i), Val: out[i]})
-				}
-			}
-		} else {
-			for _, v := range e.varsOwned[p] {
-				ids := e.varEdges[v]
-				in, out := e.in[:len(ids)], e.out[:len(ids)]
-				for i, id := range ids {
-					in[i] = e.c2v[id]
-				}
-				e.totals[v] = ldpc.VarNodeUpdate(chLLR[v], in, out)
-				ops += len(ids)
-				for i, id := range ids {
-					dst := e.edgeCheckPE[id]
-					if dst == p {
-						e.v2c[id] = out[i]
-						continue
-					}
-					b := &batches[dst]
-					b.Vals = append(b.Vals, EdgeVal{Edge: int32(id), Val: out[i]})
-				}
-			}
-		}
-
+		ops := e.sched.ops[phase][p]
 		e.Net.Act.PEOps[e.place[p]] += uint64(ops)
-		ready := phaseStart + int64(ops*e.CyclesPerOp+e.PhaseOverhead)
-		if ready > maxReady {
-			maxReady = ready
-		}
+		ready := phaseStart + ops*int64(e.CyclesPerOp) + int64(e.PhaseOverhead)
+		maxReady = max(maxReady, ready)
 
 		// Deterministic send order by destination PE.
-		for d := range batches {
-			b := &batches[d]
-			if len(b.Vals) == 0 {
+		for d := 0; d < npe; d++ {
+			msgs := int(e.sched.cnt[p][d])
+			if phase == 1 {
+				msgs = int(e.sched.cnt[d][p])
+			}
+			if msgs == 0 {
 				continue
 			}
 			pkt := &e.packets[p*npe+d]
@@ -365,20 +210,16 @@ func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
 				ID:      e.Net.NextID(),
 				Src:     e.Net.Grid.Coord(e.place[p]),
 				Dst:     e.Net.Grid.Coord(e.place[d]),
-				NFlits:  1 + (len(b.Vals)+e.MsgsPerFlit-1)/e.MsgsPerFlit,
-				Payload: b,
+				NFlits:  1 + (msgs+e.MsgsPerFlit-1)/e.MsgsPerFlit,
+				Payload: e,
 			}
 			e.sends = append(e.sends, pendingPkt{at: ready, pkt: pkt})
 		}
 	}
 
-	span := maxReady - phaseStart
 	if !e.simulateAll {
 		for _, w := range e.windows[:e.recorded] {
-			if w.phase == phase && w.sends == len(e.sends) && w.span == span && e.Net.Replay(&w.win) {
-				for _, s := range e.sends {
-					e.apply(s.pkt.Payload.(*MsgBatch))
-				}
+			if w.phase == phase && e.Net.Replay(&w.win) {
 				return nil
 			}
 		}
@@ -392,7 +233,7 @@ func (e *Engine) runPhase(phase uint8, chLLR []ldpc.LLR) error {
 	e.pendingRemote = len(e.sends)
 	err := drive(e.Net, e.sends, maxReady, &e.pendingRemote)
 	if recording && e.Net.EndWindow(&w.win) && err == nil {
-		w.phase, w.sends, w.span = phase, len(e.sends), span
+		w.phase = phase
 		e.recorded++
 	}
 	if err != nil {
@@ -441,24 +282,10 @@ func drive(net *noc.Network, sends []pendingPkt, maxReady int64, pending *int) e
 	return nil
 }
 
-// onDeliver applies a received message batch to the edge state.
+// onDeliver counts the engine's own packets down; foreign packets (e.g.
+// migration traffic) are not ours.
 func (e *Engine) onDeliver(pkt *noc.Packet) {
-	b, ok := pkt.Payload.(*MsgBatch)
-	if !ok {
-		return // foreign packet (e.g. migration traffic); not ours
-	}
-	e.apply(b)
-	e.pendingRemote--
-}
-
-// apply writes a batch's messages into the edge state. Each edge is
-// written once per phase, so batches may be applied in any order.
-func (e *Engine) apply(b *MsgBatch) {
-	for _, ev := range b.Vals {
-		if b.Phase == 0 {
-			e.c2v[ev.Edge] = ev.Val
-		} else {
-			e.v2c[ev.Edge] = ev.Val
-		}
+	if pkt.Payload == e {
+		e.pendingRemote--
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"hotnoc/internal/geom"
 	"hotnoc/internal/noc"
 )
 
@@ -21,20 +22,33 @@ func digest[T uint8 | uint64](s []T) string {
 }
 
 // TestDecodeFingerprint pins one paper-scale decode bit for bit: its
-// duration, decisions, every per-block activity counter and the network
-// statistics. Any change to the NoC kernel or the decode event loop that
+// duration, every per-block activity counter and the network statistics
+// on the Engine, and the decisions of the value-carrying RefEngine on the
+// same block. Any change to the NoC kernel or the decode event loop that
 // alters a simulated cycle, flit or switching event fails here, inside
 // go test, before the bench harness's golden digests see it.
 func TestDecodeFingerprint(t *testing.T) {
 	eng, llr := paperDecode(t)
-	res, err := eng.Decode(llr)
+	cycles, err := eng.Decode(llr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refNet, err := noc.New(geom.NewGrid(4, 4), noc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRefEngine(eng.Code, eng.Part, refNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decisions, _, err := ref.Decode(llr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	act := eng.Net.Act
 	got := map[string]string{
-		"cycles":    fmt.Sprint(res.Cycles),
-		"decisions": digest(res.Decisions),
+		"cycles":    fmt.Sprint(cycles),
+		"decisions": digest(decisions),
 		"BufWrites": digest(act.BufWrites),
 		"BufReads":  digest(act.BufReads),
 		"Xbar":      digest(act.Xbar),

@@ -1,11 +1,13 @@
 // Package appmap maps the LDPC decoder onto the NoC: it partitions the
-// Tanner graph across processing elements and executes message-passing
-// decoding cycle-accurately on the mesh, producing the switching activity,
-// per-block timing and traffic irregularity that drive the thermal
-// evaluation. Partitions are expressed over *logical* PEs; a placement
-// vector maps logical PEs to physical blocks, which is exactly the level at
-// which the paper's runtime reconfiguration operates (the logical plane
-// moves, the partition does not).
+// Tanner graph across processing elements and runs the traffic of
+// message-passing decoding cycle-accurately on the mesh, producing the
+// switching activity, per-block timing and traffic irregularity that drive
+// the thermal evaluation. The traffic does not depend on the decoded data,
+// so no message values are simulated; the package's tests pin it against
+// a frozen value-carrying decoder. Partitions are expressed over *logical*
+// PEs; a placement vector maps logical PEs to physical blocks, which is
+// exactly the level at which the paper's runtime reconfiguration operates
+// (the logical plane moves, the partition does not).
 package appmap
 
 import (
@@ -126,38 +128,76 @@ func SkewedBoth(code *ldpc.Code, npe, heavyPEs int, heavyShare, varShare float64
 	return p, nil
 }
 
+// phaseCounts is the decoder's work per iteration under a partition,
+// split by decoder phase. It depends only on the code and the partition,
+// never on message values: it is the schedule the engine runs on the
+// network and the traffic model the placement annealer optimises.
+type phaseCounts struct {
+	// load[p] counts the variables PE p latches channel LLRs into at the
+	// start of a block.
+	load []int64
+	// ops[0][p] and ops[1][p] count the edge messages PE p computes in the
+	// check and the variable phase: the edges of its checks and of its
+	// variables.
+	ops [2][]int64
+	// cnt[p][d] counts the edges from a check on PE p to a variable on PE
+	// d != p. The check phase sends cnt[p][d] messages from p to d, and
+	// the variable phase sends cnt[d][p] messages from p to d; edges
+	// inside one PE never enter the network.
+	cnt [][]int64
+}
+
+// countPhases derives a partition's phaseCounts in one pass over the
+// Tanner graph.
+func countPhases(code *ldpc.Code, p *Partition) phaseCounts {
+	pc := phaseCounts{
+		load: make([]int64, p.NPE),
+		ops:  [2][]int64{make([]int64, p.NPE), make([]int64, p.NPE)},
+		cnt:  make([][]int64, p.NPE),
+	}
+	for i := range pc.cnt {
+		pc.cnt[i] = make([]int64, p.NPE)
+	}
+	for _, vp := range p.VarPE {
+		pc.load[vp]++
+	}
+	for c, nbrs := range code.CheckNbrs {
+		cp := p.CheckPE[c]
+		pc.ops[0][cp] += int64(len(nbrs))
+		for _, v := range nbrs {
+			vp := p.VarPE[v]
+			pc.ops[1][vp]++
+			if cp != vp {
+				pc.cnt[cp][vp]++
+			}
+		}
+	}
+	return pc
+}
+
 // OpsPerPE returns each logical PE's message computations per decoding
 // iteration (check-phase plus variable-phase edge updates) — the compute
 // load that, multiplied by per-op energy, sets the PE's dynamic power.
 func OpsPerPE(code *ldpc.Code, p *Partition) []int64 {
-	ops := make([]int64, p.NPE)
-	for c, nbrs := range code.CheckNbrs {
-		ops[p.CheckPE[c]] += int64(len(nbrs))
-	}
-	for v, nbrs := range code.VarNbrs {
-		ops[p.VarPE[v]] += int64(len(nbrs))
+	pc := countPhases(code, p)
+	ops := pc.ops[0]
+	for i, o := range pc.ops[1] {
+		ops[i] += o
 	}
 	return ops
 }
 
 // TrafficMatrix returns the number of inter-PE messages per decoding
-// iteration between each ordered logical PE pair (messages between nodes
-// on the same PE never enter the network). Both decoder phases contribute:
-// edge (c,v) sends PE(c)->PE(v) in the check phase and PE(v)->PE(c) in the
-// variable phase.
+// iteration between each ordered logical PE pair: both decoder phases'
+// messages, cnt + cntᵀ in phaseCounts' terms. The matrix is symmetric
+// with a zero diagonal.
 func TrafficMatrix(code *ldpc.Code, p *Partition) [][]int64 {
+	cnt := countPhases(code, p).cnt
 	m := make([][]int64, p.NPE)
 	for i := range m {
 		m[i] = make([]int64, p.NPE)
-	}
-	for c, nbrs := range code.CheckNbrs {
-		cp := p.CheckPE[c]
-		for _, v := range nbrs {
-			vp := p.VarPE[v]
-			if cp != vp {
-				m[cp][vp]++
-				m[vp][cp]++
-			}
+		for j := range m[i] {
+			m[i][j] = cnt[i][j] + cnt[j][i]
 		}
 	}
 	return m

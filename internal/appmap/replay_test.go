@@ -24,130 +24,252 @@ func sameArbitration(t *testing.T, a, b *noc.Network) bool {
 	return b.Replay(&wa) && a.Replay(&wb)
 }
 
-// assertSameNetwork fails unless the replaying network agrees with the
-// simulating one on the clock, every simulated statistic, all seven
-// activity counters and the arbitration pointers.
-func assertSameNetwork(t *testing.T, what string, rep, sim *noc.Network) {
+// assertSameNetwork fails unless the network under test agrees with the
+// reference one on the clock, every simulated statistic, all seven
+// activity counters, the next packet ID and the arbitration pointers.
+func assertSameNetwork(t *testing.T, what string, got, want *noc.Network) {
 	t.Helper()
-	if rep.Cycle != sim.Cycle {
-		t.Fatalf("%s: cycle %d, simulated %d", what, rep.Cycle, sim.Cycle)
+	if got.Cycle != want.Cycle {
+		t.Fatalf("%s: cycle %d, reference %d", what, got.Cycle, want.Cycle)
 	}
-	rs, ss := rep.Stats, sim.Stats
-	rs.SkippedCycles, rs.ReplayedCycles = 0, 0
-	ss.SkippedCycles, ss.ReplayedCycles = 0, 0
-	if rs != ss {
-		t.Fatalf("%s: stats %+v, simulated %+v", what, rs, ss)
+	gs, ws := got.Stats, want.Stats
+	gs.SkippedCycles, gs.ReplayedCycles = 0, 0
+	ws.SkippedCycles, ws.ReplayedCycles = 0, 0
+	if gs != ws {
+		t.Fatalf("%s: stats %+v, reference %+v", what, gs, ws)
 	}
-	if !reflect.DeepEqual(rep.Act, sim.Act) {
-		t.Fatalf("%s: activity counters differ from simulation", what)
+	if !reflect.DeepEqual(got.Act, want.Act) {
+		t.Fatalf("%s: activity counters differ from the reference", what)
 	}
-	if !sameArbitration(t, rep, sim) {
-		t.Fatalf("%s: arbitration pointers differ from simulation", what)
+	// Taking an ID advances both counters alike.
+	if g, w := got.NextID(), want.NextID(); g != w {
+		t.Fatalf("%s: next packet ID %d, reference %d", what, g, w)
+	}
+	if !sameArbitration(t, got, want) {
+		t.Fatalf("%s: arbitration pointers differ from the reference", what)
 	}
 }
 
-// decodeBoth decodes one block on a replaying and a simulating engine and
-// fails unless everything observable agrees.
-func decodeBoth(t *testing.T, what string, rep, sim *appmap.Engine, llr []ldpc.LLR) {
+// side is one half of a differential decode: a decoder on its own
+// network, with the migrator that moves it when the harness migrates.
+type side struct {
+	net          *noc.Network
+	mig          *core.Migrator
+	setPlacement func([]int) error
+	decode       func([]ldpc.LLR) (int64, error)
+}
+
+func engineSide(e *appmap.Engine, mig *core.Migrator) side {
+	return side{net: e.Net, mig: mig, setPlacement: e.SetPlacement, decode: e.Decode}
+}
+
+func refSide(r *appmap.RefEngine, mig *core.Migrator) side {
+	return side{net: r.Net, mig: mig, setPlacement: r.SetPlacement,
+		decode: func(llr []ldpc.LLR) (int64, error) {
+			_, cycles, err := r.Decode(llr)
+			return cycles, err
+		}}
+}
+
+// decodeBoth decodes one block on both sides and fails unless everything
+// observable agrees. The replaying side (got) must replay some cycles of
+// the block and the reference side none.
+func decodeBoth(t *testing.T, what string, got, want side, llr []ldpc.LLR) {
 	t.Helper()
-	replayedBefore := rep.Net.Stats.ReplayedCycles
-	got, err := rep.Decode(llr)
+	replayedBefore := got.net.Stats.ReplayedCycles
+	gc, err := got.decode(llr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Decode(llr)
+	wc, err := want.decode(llr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: block result %d cycles differs from simulated %d cycles (or its decisions do)",
-			what, got.Cycles, want.Cycles)
+	if gc != wc {
+		t.Fatalf("%s: block took %d cycles, reference %d", what, gc, wc)
 	}
-	assertSameNetwork(t, what, rep.Net, sim.Net)
-	if rep.Net.Stats.ReplayedCycles == replayedBefore || sim.Net.Stats.ReplayedCycles != 0 {
-		t.Fatalf("%s: replayed %d cycles, simulation replayed %d; want some and none",
-			what, rep.Net.Stats.ReplayedCycles-replayedBefore, sim.Net.Stats.ReplayedCycles)
+	assertSameNetwork(t, what, got.net, want.net)
+	if got.net.Stats.ReplayedCycles == replayedBefore || want.net.Stats.ReplayedCycles != 0 {
+		t.Fatalf("%s: replayed %d cycles, reference replayed %d; want some and none",
+			what, got.net.Stats.ReplayedCycles-replayedBefore, want.net.Stats.ReplayedCycles)
 	}
+}
+
+// orbitBoth decodes one block per leg on both sides of a paper
+// configuration, migrating both between decodes so each leg starts from
+// a new placement and the arbitration state the migration left.
+func orbitBoth(t *testing.T, name string, g geom.Grid, place []int, got, want side, llr []ldpc.LLR) {
+	t.Helper()
+	place = append([]int(nil), place...)
+	for _, tr := range []geom.Transform{
+		geom.Rotation(g.W), geom.XYTranslate(g.W, g.H, 1, 2), geom.XMirror(g.W), geom.Identity(),
+	} {
+		what := name + " leg " + tr.Name
+		for _, s := range []side{got, want} {
+			if err := s.setPlacement(place); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decodeBoth(t, what, got, want, llr)
+
+		perm := geom.FromTransform(g, tr)
+		gm, err := got.mig.Execute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm, err := want.mig.Execute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gm != wm {
+			t.Fatalf("%s: migration %+v, reference %+v", what, gm, wm)
+		}
+		assertSameNetwork(t, what+" migration", got.net, want.net)
+		next := make([]int, len(place))
+		for l, blk := range place {
+			next[l] = perm.Dst(blk)
+		}
+		place = next
+	}
+}
+
+// buildScaled builds a paper configuration at scale 8 and returns two
+// independent clones of it.
+func buildScaled(t *testing.T, spec chipcfg.Spec) (a, b *core.System) {
+	t.Helper()
+	built, err := spec.Scaled(8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err = built.System.Clone(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = built.System.Clone(); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
 }
 
 // TestPhaseReplayMatchesSimulation is the differential oracle for phase
 // replay: decoding with repeated half-iterations replayed from recorded
 // windows must equal simulating every half-iteration on the network —
-// decisions, cycles, statistics, activity and the arbitration state left
-// for later traffic — on the paper decode, on the five paper
-// configurations, and across migrations that change the placement and
-// leave the network in a new arbitration state between decodes.
+// cycles, statistics, activity and the arbitration state left for later
+// traffic — on the paper decode, on the five paper configurations, and
+// across migrations that change the placement and leave the network in a
+// new arbitration state between decodes.
 func TestPhaseReplayMatchesSimulation(t *testing.T) {
 	t.Run("paper decode", func(t *testing.T) {
 		rep, llr := appmap.PaperDecode(t)
 		sim, _ := appmap.PaperDecode(t)
 		appmap.SimulateAll(sim)
-		decodeBoth(t, "first block", rep, sim, llr)
-		decodeBoth(t, "repeat block", rep, sim, llr)
+		decodeBoth(t, "first block", engineSide(rep, nil), engineSide(sim, nil), llr)
+		decodeBoth(t, "repeat block", engineSide(rep, nil), engineSide(sim, nil), llr)
 	})
 
 	for _, spec := range chipcfg.Specs() {
-		spec := spec.Scaled(8)
 		t.Run(spec.Name, func(t *testing.T) {
-			b, err := spec.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := b.System.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim, err := b.System.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep, sim := buildScaled(t, spec)
 			appmap.SimulateAll(sim.Engine)
+			orbitBoth(t, spec.Name, rep.Grid, rep.InitialPlace,
+				engineSide(rep.Engine, rep.Migrator), engineSide(sim.Engine, sim.Migrator), rep.BlockSource(0))
+		})
+	}
+}
 
-			g := rep.Grid
-			place := append([]int(nil), rep.InitialPlace...)
-			for leg, tr := range []geom.Transform{
-				geom.Rotation(g.W), geom.XYTranslate(g.W, g.H, 1, 2), geom.XMirror(g.W), geom.Identity(),
-			} {
-				what := spec.Name + " leg " + tr.Name
-				for _, s := range []*core.System{rep, sim} {
-					if err := s.Engine.SetPlacement(place); err != nil {
-						t.Fatal(err)
-					}
-				}
-				decodeBoth(t, what, rep.Engine, sim.Engine, rep.BlockSource(leg))
+// noisyBlock transmits the all-zero codeword of code over a 2 dB channel.
+func noisyBlock(t *testing.T, code *ldpc.Code, seed int64) []ldpc.LLR {
+	t.Helper()
+	ch, err := ldpc.NewChannel(2.0, code.Rate(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch.Transmit(make([]uint8, code.N))
+}
 
-				perm := geom.FromTransform(g, tr)
-				rm, err := rep.Migrator.Execute(perm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sm, err := sim.Migrator.Execute(perm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rm != sm {
-					t.Fatalf("%s: migration %+v, simulated %+v", what, rm, sm)
-				}
-				assertSameNetwork(t, what+" migration", rep.Engine.Net, sim.Engine.Net)
-				next := make([]int, len(place))
-				for l, blk := range place {
-					next[l] = perm.Dst(blk)
-				}
-				place = next
+// TestTrafficMatchesValueOracle is the differential oracle for the
+// traffic-only Engine: on the same blocks, placements and migrations it
+// must leave the network exactly as the frozen value-carrying RefEngine
+// does — cycles, every simulated statistic, all seven activity counters,
+// the next packet ID and the arbitration pointers after each decode. It
+// covers the paper decode, the five paper configurations with migrations
+// between decodes, and small contiguous, interleaved and skewed
+// partitions.
+func TestTrafficMatchesValueOracle(t *testing.T) {
+	newRef := func(t *testing.T, e *appmap.Engine) *appmap.RefEngine {
+		t.Helper()
+		net, err := noc.New(e.Net.Grid, e.Net.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := appmap.NewRefEngine(e.Code, e.Part, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.MaxIter = e.MaxIter
+		return ref
+	}
+
+	t.Run("paper decode", func(t *testing.T) {
+		eng, llr := appmap.PaperDecode(t)
+		ref := newRef(t, eng)
+		decodeBoth(t, "first block", engineSide(eng, nil), refSide(ref, nil), llr)
+		decodeBoth(t, "second block", engineSide(eng, nil), refSide(ref, nil), llr)
+	})
+
+	for _, spec := range chipcfg.Specs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			sys, other := buildScaled(t, spec)
+			ref, err := appmap.NewRefEngine(other.Engine.Code, other.Engine.Part, other.Engine.Net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.MaxIter = other.Engine.MaxIter
+			llr := noisyBlock(t, sys.Engine.Code, 4001)
+			orbitBoth(t, spec.Name, sys.Grid, sys.InitialPlace,
+				engineSide(sys.Engine, sys.Migrator), refSide(ref, other.Migrator), llr)
+		})
+	}
+
+	code, err := ldpc.NewRegular(160, 80, 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed, err := appmap.Skewed(code, 16, 3, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, part := range map[string]*appmap.Partition{
+		"contiguous":  appmap.Contiguous(code, 16),
+		"interleaved": appmap.Interleaved(code, 16),
+		"skewed":      skewed,
+	} {
+		t.Run(name, func(t *testing.T) {
+			net, err := noc.New(geom.NewGrid(4, 4), noc.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := appmap.NewEngine(code, part, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.MaxIter = 8
+			ref := newRef(t, eng)
+			for blk := int64(0); blk < 3; blk++ {
+				decodeBoth(t, name, engineSide(eng, nil), refSide(ref, nil), noisyBlock(t, code, 100+blk))
 			}
 		})
 	}
 }
 
 // TestDecodeSteadyAllocs pins a warm decode's allocations: the phase
-// memo reuses its windows, leaving the decisions slice, and the send
+// memo reuses its windows, leaving the delivery hooks and the send
 // ordering of the simulated phases.
 func TestDecodeSteadyAllocs(t *testing.T) {
 	eng, llr := appmap.PaperDecode(t)
 	if _, err := eng.Decode(llr); err != nil {
 		t.Fatal(err)
 	}
-	const maxAllocs = 11
+	const maxAllocs = 7
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := eng.Decode(llr); err != nil {
 			t.Fatal(err)

@@ -26,7 +26,10 @@ import (
 	"hotnoc/internal/thermal"
 )
 
-// Spec declares one test-chip configuration.
+// Spec declares one test-chip configuration: chip, code, partition,
+// placement, decoder and migration parameters. It has no channel or
+// workload-data parameters: the simulated decoder's traffic, and so every
+// cycle and activity count, does not depend on the decoded bits.
 type Spec struct {
 	// Name is the paper's configuration letter.
 	Name string
@@ -67,10 +70,8 @@ type Spec struct {
 	// preserving their placements bit for bit.
 	PlaceRestarts int
 
-	// Decoder and workload.
-	MaxIter  int
-	SNRdB    float64
-	ChanSeed int64
+	// MaxIter is the decoder's fixed iteration count per block.
+	MaxIter int
 
 	// StateFlits is the per-PE configuration+state transferred at each
 	// migration (block-boundary migrations keep it small, §3).
@@ -87,40 +88,35 @@ func Specs() []Spec {
 			CodeN: 2560, CodeM: 1280, ColWeight: 3, CodeSeed: 1001,
 			HeavyPEs: 4, HeavyShare: 0.55, VarShare: 0.50, PartSeed: 2001,
 			CommWeight: 1.2e-3, IOWeight: 3.0e-3, IOAtCorner: true, PlaceSeed: 3001, PlaceIters: 20000,
-			MaxIter: 16, SNRdB: 2.5, ChanSeed: 4001,
-			StateFlits: 128,
+			MaxIter: 16, StateFlits: 128,
 		},
 		{
 			Name: "B", GridN: 4, BasePeakC: 84.05,
 			CodeN: 2560, CodeM: 1280, ColWeight: 3, CodeSeed: 1002,
 			HeavyPEs: 3, HeavyShare: 0.45, VarShare: 0.40, PartSeed: 2002,
 			CommWeight: 0.8e-3, IOWeight: 2.5e-3, IOAtCorner: true, PlaceSeed: 3002, PlaceIters: 20000,
-			MaxIter: 16, SNRdB: 2.5, ChanSeed: 4002,
-			StateFlits: 128,
+			MaxIter: 16, StateFlits: 128,
 		},
 		{
 			Name: "C", GridN: 5, BasePeakC: 75.17,
 			CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1003,
 			HeavyPEs: 5, HeavyShare: 0.40, VarShare: 0.35, PartSeed: 2003,
 			CommWeight: 0.8e-3, IOWeight: 3.0e-3, PlaceSeed: 3003, PlaceIters: 25000,
-			MaxIter: 16, SNRdB: 2.5, ChanSeed: 4003,
-			StateFlits: 128,
+			MaxIter: 16, StateFlits: 128,
 		},
 		{
 			Name: "D", GridN: 5, BasePeakC: 72.80,
 			CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1004,
 			HeavyPEs: 6, HeavyShare: 0.45, VarShare: 0.35, PartSeed: 2004,
 			CommWeight: 0.8e-3, IOWeight: 2.5e-3, PlaceSeed: 3004, PlaceIters: 25000,
-			MaxIter: 16, SNRdB: 2.5, ChanSeed: 4004,
-			StateFlits: 128,
+			MaxIter: 16, StateFlits: 128,
 		},
 		{
 			Name: "E", GridN: 5, BasePeakC: 75.98,
 			CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1005,
 			HeavyPEs: 4, HeavyShare: 0.50, VarShare: 0.40, PartSeed: 2005,
 			CommWeight: 8e-3, IOWeight: 0, PlaceSeed: 3005, PlaceIters: 25000,
-			MaxIter: 16, SNRdB: 2.5, ChanSeed: 4005,
-			StateFlits: 128,
+			MaxIter: 16, StateFlits: 128,
 		},
 	}
 }
@@ -353,17 +349,6 @@ func (s Spec) build(data *BuildData) (*Built, error) {
 		}
 	}
 
-	// Workload block (deterministic).
-	ch, err := ldpc.NewChannel(s.SNRdB, code.Rate(), s.ChanSeed)
-	if err != nil {
-		return nil, fmt.Errorf("chipcfg %s: channel: %w", s.Name, err)
-	}
-	cw, err := code.Encode(make([]uint8, code.K()))
-	if err != nil {
-		return nil, fmt.Errorf("chipcfg %s: encode: %w", s.Name, err)
-	}
-	llr := ch.Transmit(cw)
-
 	if err := eng.SetPlacement(pl.Place); err != nil {
 		return nil, fmt.Errorf("chipcfg %s: placement apply: %w", s.Name, err)
 	}
@@ -373,17 +358,16 @@ func (s Spec) build(data *BuildData) (*Built, error) {
 	if data == nil {
 		// Reference activity at the placed configuration for calibration.
 		net.ResetStats()
-		blk, err := eng.Decode(llr)
+		blockCycles, err = eng.Decode(make([]ldpc.LLR, code.N))
 		if err != nil {
 			return nil, fmt.Errorf("chipcfg %s: calibration decode: %w", s.Name, err)
 		}
-		dur := float64(blk.Cycles) / clockHz
+		dur := float64(blockCycles) / clockHz
 		unitPower := net.Act.PowerMap(baseEnergy, dur)
 		scale, staticPeak, err = calibrateScale(tn, unitPower, leak, s.BasePeakC)
 		if err != nil {
 			return nil, fmt.Errorf("chipcfg %s: calibration: %w", s.Name, err)
 		}
-		blockCycles = blk.Cycles
 	} else {
 		// The snapshot carries the calibration outcome; everything the
 		// decode fed into it is already folded into these numbers, and
@@ -405,8 +389,6 @@ func (s Spec) build(data *BuildData) (*Built, error) {
 		Engine:       eng,
 		Migrator:     mig,
 		InitialPlace: pl.Place,
-		BlockSource:  func(leg int) []ldpc.LLR { return llr },
-		IO:           core.NewIOTranslator(g),
 	}
 	return &Built{
 		Spec:        s,

@@ -12,11 +12,11 @@ import (
 // decoded at the leg's placement, followed by the migration that ends the
 // leg. All quantities are for a single decoded block; the evaluation stage
 // scales them to the configured migration period, which is exact because
-// traffic timing and event counts in the engine are data-independent
-// (fixed iterations, partition-determined batching). The decoder itself
-// now relies on this: it simulates each distinct half-iteration of a
-// block once and replays the repeats, and appmap's
-// TestPhaseReplayMatchesSimulation pins that against simulating them all.
+// the engine's traffic is data-independent: it runs a static schedule of
+// fixed iterations and carries no message values (appmap's
+// TestTrafficMatchesValueOracle pins it against a value-carrying
+// decoder). It also simulates each distinct half-iteration of a block
+// once and replays the repeats (TestPhaseReplayMatchesSimulation).
 type LegActivity struct {
 	// Step is the transform the migration at the end of this leg applies.
 	Step geom.Transform
@@ -90,11 +90,12 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 		return nil, err
 	}
 	net.ResetStats()
-	blk, err := s.Engine.Decode(s.BlockSource(0))
+	block := s.BlockSource(0) // every leg decodes the same block
+	cycles, err := s.Engine.Decode(block)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline decode: %w", err)
 	}
-	ch.BaselineCycles = blk.Cycles
+	ch.BaselineCycles = cycles
 	ch.BaselineBlockJ = blockEnergies(net.Act, s.Energy, g.N())
 
 	// One decode plus one migration per orbit position.
@@ -105,12 +106,12 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 			return nil, err
 		}
 		net.ResetStats()
-		blk, err := s.Engine.Decode(s.BlockSource(leg))
+		cycles, err := s.Engine.Decode(block)
 		if err != nil {
 			return nil, fmt.Errorf("core: leg %d decode: %w", leg, err)
 		}
 		la := LegActivity{
-			DecodeCycles: blk.Cycles,
+			DecodeCycles: cycles,
 			DecodeBlockJ: blockEnergies(net.Act, s.Energy, g.N()),
 		}
 		la.DecodeJ = sum(la.DecodeBlockJ)
@@ -131,7 +132,6 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 			next[l] = perm.Dst(blkIdx)
 		}
 		place = next
-		s.IO.Advance(la.Step)
 
 		ch.Legs = append(ch.Legs, la)
 	}

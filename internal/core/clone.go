@@ -6,13 +6,13 @@ import (
 )
 
 // Clone returns an independent, ready-to-run copy of the system in its
-// initial (pre-migration) state. The clone gets its own network, engine,
-// migrator and I/O translator — everything a run mutates — while sharing
-// the read-only calibration products: the thermal network, energy and
-// leakage tables, code, partition, placement and block source. Cloning is
-// how a concurrent sweep turns one calibrated Built into per-worker
-// systems without repeating placement annealing or energy calibration;
-// a clone's runs are bitwise identical to the original's.
+// initial (pre-migration) state. The clone gets its own network, engine
+// and migrator — everything a run mutates — while sharing the read-only
+// calibration products: the thermal network, energy and leakage tables,
+// code, partition and placement. Cloning is how a concurrent sweep turns
+// one calibrated Built into per-worker systems without repeating
+// placement annealing or energy calibration; a clone's runs are bitwise
+// identical to the original's.
 func (s *System) Clone() (*System, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -26,7 +26,6 @@ func (s *System) Clone() (*System, error) {
 		return nil, err
 	}
 	eng.MaxIter = s.Engine.MaxIter
-	eng.NormNum, eng.NormDen = s.Engine.NormNum, s.Engine.NormDen
 	eng.MsgsPerFlit = s.Engine.MsgsPerFlit
 	eng.CyclesPerOp = s.Engine.CyclesPerOp
 	eng.PhaseOverhead = s.Engine.PhaseOverhead
@@ -45,8 +44,6 @@ func (s *System) Clone() (*System, error) {
 		Engine:       eng,
 		Migrator:     mig,
 		InitialPlace: append([]int(nil), s.InitialPlace...),
-		BlockSource:  s.BlockSource,
-		IO:           NewIOTranslator(s.Grid),
 		IdleFrac:     s.IdleFrac,
 	}, nil
 }

@@ -8,7 +8,8 @@ import "hotnoc/internal/geom"
 // world keeps addressing PEs by their original (logical) coordinates no
 // matter how many migrations have occurred. The unit maintains only the
 // cumulative transform and its inverse; both update in O(1) per migration
-// by transform composition.
+// by transform composition. It models §2.3 on its own: the simulated
+// workload routes no chip I/O packets, so no System carries a translator.
 type IOTranslator struct {
 	grid geom.Grid
 	// cum maps logical (external) coordinates to current physical ones.

@@ -30,11 +30,6 @@ type System struct {
 	// InitialPlace is the thermally-aware static placement (logical PE ->
 	// physical block).
 	InitialPlace []int
-	// BlockSource supplies the channel LLRs for the block decoded at each
-	// migration leg; it must be deterministic for reproducibility.
-	BlockSource func(leg int) []ldpc.LLR
-	// IO is the chip-boundary migration unit, advanced at each migration.
-	IO *IOTranslator
 	// IdleFrac is the fraction of a block's active power it keeps burning
 	// while halted during a migration (clock trees and always-on logic;
 	// ~35% of dynamic power at 160 nm). Longer migrations therefore cost
@@ -58,6 +53,15 @@ func (s *System) thermalEvaluator() (*thermal.Evaluator, error) {
 	return s.thermEval, nil
 }
 
+// BlockSource returns a zero block of Code.N channel LLRs for the block
+// decoded at a migration leg. The engine's traffic does not depend on the
+// values, so every leg gets the same block. The method survives only for
+// bench/layers.go's decode probe, until a change to the benchmark moves
+// that probe.
+func (s *System) BlockSource(leg int) []ldpc.LLR {
+	return make([]ldpc.LLR, s.Engine.Code.N)
+}
+
 // Validate reports wiring mistakes.
 func (s *System) Validate() error {
 	if s.Therm == nil || s.Engine == nil || s.Migrator == nil {
@@ -72,12 +76,6 @@ func (s *System) Validate() error {
 	if len(s.InitialPlace) != s.Grid.N() {
 		return fmt.Errorf("core: initial placement has %d entries for %d PEs",
 			len(s.InitialPlace), s.Grid.N())
-	}
-	if s.BlockSource == nil {
-		return fmt.Errorf("core: nil block source")
-	}
-	if s.IO == nil {
-		return fmt.Errorf("core: nil I/O translator")
 	}
 	if s.IdleFrac < 0 || s.IdleFrac > 1 {
 		return fmt.Errorf("core: IdleFrac %g outside [0,1]", s.IdleFrac)

@@ -65,17 +65,6 @@ func buildSystem(t testing.TB, n int) *System {
 		t.Fatal(err)
 	}
 
-	ch, err := ldpc.NewChannel(2.5, code.Rate(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := make([]uint8, code.K())
-	cw, err := code.Encode(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	llr := ch.Transmit(cw)
-
 	mig := NewMigrator(net)
 	mig.StateFlits = 32
 
@@ -88,8 +77,6 @@ func buildSystem(t testing.TB, n int) *System {
 		Engine:       eng,
 		Migrator:     mig,
 		InitialPlace: pl.Place,
-		BlockSource:  func(leg int) []ldpc.LLR { return llr },
-		IO:           NewIOTranslator(g),
 	}
 }
 
@@ -186,24 +173,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunIOTransparencyMaintained: after a full run the I/O translator has
-// advanced once per migration and returned to identity (full orbits).
-func TestRunIOTransparencyMaintained(t *testing.T) {
-	sys := buildSystem(t, 4)
-	res, err := sys.Run(RunConfig{Scheme: Rot()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.IO.Migrations() != len(res.Legs) {
-		t.Fatalf("I/O translator saw %d migrations, want %d", sys.IO.Migrations(), len(res.Legs))
-	}
-	for _, c := range sys.Grid.Coords() {
-		if sys.IO.InboundDst(c) != c {
-			t.Fatalf("after a full orbit the I/O map is not identity at %v", c)
-		}
-	}
-}
-
 // TestRunValidation covers the error paths.
 func TestRunValidation(t *testing.T) {
 	sys := buildSystem(t, 4)
@@ -217,10 +186,5 @@ func TestRunValidation(t *testing.T) {
 	bad.ClockHz = 0
 	if _, err := bad.Run(RunConfig{Scheme: Rot()}); err == nil {
 		t.Fatal("zero clock accepted")
-	}
-	bad = *sys
-	bad.BlockSource = nil
-	if _, err := bad.Run(RunConfig{Scheme: Rot()}); err == nil {
-		t.Fatal("nil block source accepted")
 	}
 }

@@ -61,11 +61,11 @@ func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, e
 		return nil, fmt.Errorf("hotnoc: config %s: %w", config, err)
 	}
 	sys.Engine.Net.ResetStats()
-	blk, err := sys.Engine.Decode(sys.BlockSource(0))
+	cycles, err := sys.Engine.Decode(sys.BlockSource(0))
 	if err != nil {
 		return nil, fmt.Errorf("hotnoc: config %s: decode: %w", config, err)
 	}
-	dur := float64(blk.Cycles) / sys.ClockHz
+	dur := float64(cycles) / sys.ClockHz
 	placedPower := sys.Engine.Net.Act.PowerMap(sys.Energy, dur)
 
 	ss, err := thermal.NewSteadySolver(sys.Therm)
