@@ -93,10 +93,10 @@ type (
 	ReactiveConfig = core.ReactiveConfig
 	// ReactiveResult summarises a reactive run.
 	ReactiveResult = core.ReactiveResult
-	// Characterization is the deterministic outcome of simulating one
+	// Characterization is the immutable outcome of simulating one
 	// scheme's full orbit on the cycle-accurate NoC; it feeds any number
-	// of periodic (System.Evaluate) or reactive (System.EvaluateReactive)
-	// evaluations, and is what Lab caches across runs.
+	// of concurrent periodic (System.Evaluate) or reactive
+	// (System.EvaluateReactive) evaluations, and is what Lab caches.
 	Characterization = core.Characterization
 )
 

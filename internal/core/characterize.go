@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"hotnoc/internal/geom"
 	"hotnoc/internal/power"
@@ -41,29 +43,21 @@ type LegActivity struct {
 // ablation, so one characterization serves every period and ablation
 // variant of the same (system, scheme) — the expensive NoC simulation runs
 // once and the cheap thermal evaluation runs per variant.
+// It is plain, immutable data that any number of goroutines may evaluate
+// at once. The sweep layer persists it with gob, which round-trips
+// float64 bit-exactly, so a restored characterization evaluates bitwise
+// identically to the original.
 type Characterization struct {
-	// Scheme is the migration scheme that was characterized.
-	Scheme Scheme
+	// SchemeName records which scheme produced the orbit, so evaluating it
+	// under the wrong scheme fails loudly instead of silently evaluating
+	// the wrong legs.
+	SchemeName string
 	// BaselineCycles and BaselineBlockJ describe one block decoded at the
 	// static thermally-aware placement.
 	BaselineCycles int64
 	BaselineBlockJ []float64
 	// Legs covers the scheme's full orbit in order.
 	Legs []LegActivity
-
-	// baseCache memoizes the period-independent static-baseline thermal
-	// cycle per integrator option set, so repeated Evaluate calls pay for
-	// it once. Like the System it came from, a Characterization must not
-	// be evaluated from multiple goroutines.
-	baseCache map[baselineKey]thermal.CycleResult
-}
-
-// baselineKey identifies a baseline evaluation by the scalar integrator
-// options; custom leakage hooks are never cached (their identity cannot
-// be compared).
-type baselineKey struct {
-	dt, tol float64
-	maxReps int
 }
 
 // Characterize runs the expensive stage of an evaluation: it decodes one
@@ -80,10 +74,7 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 	}
 	g := s.Grid
 	net := s.Engine.Net
-	ch := &Characterization{
-		Scheme:    scheme,
-		baseCache: map[baselineKey]thermal.CycleResult{},
-	}
+	ch := &Characterization{SchemeName: scheme.Name}
 
 	// Static baseline decode.
 	if err := s.Engine.SetPlacement(s.InitialPlace); err != nil {
@@ -156,7 +147,8 @@ type EvalConfig struct {
 // into per-leg power maps for the configured period and drives the thermal
 // model to its quasi-steady cycle, reusing the system's cached thermal
 // factorisations. Many Evaluate calls — different periods, the
-// migration-energy ablation — amortise one Characterize.
+// migration-energy ablation — amortise one Characterize, and they may run
+// concurrently on one System.
 func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, error) {
 	if ch == nil || len(ch.Legs) == 0 {
 		return RunResult{}, fmt.Errorf("core: empty characterization")
@@ -170,37 +162,19 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 	g := s.Grid
 	b := float64(cfg.BlocksPerPeriod)
 	opts := withLeak(cfg.CycleOpts, s.Leak)
-	ev, err := s.thermalEvaluator()
+	ev, err := s.takeEvaluator()
 	if err != nil {
 		return RunResult{}, err
 	}
+	defer s.putEvaluator(ev)
 
 	var res RunResult
-
-	// Static baseline steady cycle: independent of the period and the
-	// energy ablation, so it is computed once per characterization and
-	// option set, and replayed for every further variant.
-	key := baselineKey{dt: cfg.CycleOpts.Dt, tol: cfg.CycleOpts.TolC, maxReps: cfg.CycleOpts.MaxReps}
-	cacheable := cfg.CycleOpts.Leak == nil && ch.baseCache != nil
-	baseRes, cached := ch.baseCache[key]
-	if !cacheable || !cached {
-		baseDur := float64(ch.BaselineCycles) / s.ClockHz
-		basePower := make([]float64, g.N())
-		for i, e := range ch.BaselineBlockJ {
-			basePower[i] = e / baseDur
-		}
-		baseRes, err = ev.RunCycle([]thermal.ScheduleEntry{{
-			Power: basePower, Duration: baseDur, Label: "static",
-		}}, opts)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("core: baseline thermal: %w", err)
-		}
-		if cacheable {
-			ch.baseCache[key] = baseRes
-		}
+	baseRes, err := s.baseline(ev, ch, cfg.CycleOpts)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("core: baseline thermal: %w", err)
 	}
 	// Copy the per-block maxima so callers mutating the result cannot
-	// corrupt the cache (or each other).
+	// corrupt the memo (or each other).
 	baseRes.MaxPerBlock = append([]float64(nil), baseRes.MaxPerBlock...)
 	res.BaselinePeakC, res.BaselinePeakAt = baseRes.PeakC, baseRes.PeakBlock
 	res.BaselineMeanC = baseRes.MeanC
@@ -253,6 +227,58 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 	res.ReductionC = res.BaselinePeakC - res.MigratedPeakC
 	res.ThroughputPenalty = float64(totalMig) / float64(totalDecode+totalMig)
 	res.PeriodSec = float64(totalDecode+totalMig) / float64(len(ch.Legs)) / s.ClockHz
+	return res, nil
+}
+
+// baselineKey identifies a memoized static-baseline cycle by the scalar
+// integrator options; custom leakage hooks are never cached (their
+// identity cannot be compared).
+type baselineKey struct {
+	dt, tol float64
+	maxReps int
+}
+
+// baselineEntry is one memoized baseline cycle and the inputs it came from.
+type baselineEntry struct {
+	cycles int64
+	blockJ []float64
+	res    thermal.CycleResult
+}
+
+// baseline returns the static-placement steady cycle for ch. It depends on
+// neither the period, the energy ablation nor the scheme, so the System
+// memoizes it per option set; an entry serves only a characterization
+// whose baseline inputs equal its own bit for bit.
+//
+//hotnoc:deterministic
+func (s *System) baseline(ev *thermal.Evaluator, ch *Characterization, opts thermal.CycleOptions) (thermal.CycleResult, error) {
+	key := baselineKey{dt: opts.Dt, tol: opts.TolC, maxReps: opts.MaxReps}
+	s.mu.Lock()
+	e, ok := s.baselines[key]
+	s.mu.Unlock()
+	if ok && opts.Leak == nil && e.cycles == ch.BaselineCycles &&
+		slices.EqualFunc(e.blockJ, ch.BaselineBlockJ, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+		return e.res, nil
+	}
+	dur := float64(ch.BaselineCycles) / s.ClockHz
+	basePower := make([]float64, s.Grid.N())
+	for i, j := range ch.BaselineBlockJ {
+		basePower[i] = j / dur
+	}
+	res, err := ev.RunCycle([]thermal.ScheduleEntry{{
+		Power: basePower, Duration: dur, Label: "static",
+	}}, withLeak(opts, s.Leak))
+	if err != nil || opts.Leak != nil {
+		return res, err
+	}
+	s.mu.Lock()
+	if s.baselines == nil {
+		s.baselines = map[baselineKey]baselineEntry{}
+	}
+	s.baselines[key] = baselineEntry{cycles: ch.BaselineCycles, blockJ: slices.Clone(ch.BaselineBlockJ), res: res}
+	s.mu.Unlock()
 	return res, nil
 }
 

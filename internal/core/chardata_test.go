@@ -9,7 +9,7 @@ import (
 )
 
 // TestCharDataGobRoundTripEvaluatesIdentically: a characterization
-// serialized through gob and reconstructed with FromData yields
+// serialized through gob and decoded again yields
 // evaluations — periodic and reactive — bitwise identical to the
 // original's. This is the property the sweep layer's disk cache rests on.
 func TestCharDataGobRoundTripEvaluatesIdentically(t *testing.T) {
@@ -20,20 +20,17 @@ func TestCharDataGobRoundTripEvaluatesIdentically(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ch.Data()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(ch); err != nil {
 		t.Fatal(err)
 	}
-	var restored CharData
+	var restored Characterization
 	if err := gob.NewDecoder(&buf).Decode(&restored); err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Validate(sys.Grid.N()); err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := FromData(XYShift(), &restored)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch2 := &restored
 
 	for _, cfg := range []EvalConfig{
 		{BlocksPerPeriod: 1},
@@ -87,7 +84,7 @@ func TestFromDataRejectsMismatch(t *testing.T) {
 	if _, err := FromData(Rot(), nil); err == nil {
 		t.Fatal("nil data accepted")
 	}
-	if err := (&CharData{}).Validate(sys.Grid.N()); err == nil {
+	if err := (&Characterization{}).Validate(sys.Grid.N()); err == nil {
 		t.Fatal("empty data validated")
 	}
 }
@@ -139,8 +136,8 @@ func TestEvaluateReactiveMatchesFused(t *testing.T) {
 // evaluating it into NaN temperatures.
 func TestCharDataValidateRejectsBadValues(t *testing.T) {
 	const n = 4
-	valid := func() *CharData {
-		return &CharData{
+	valid := func() *Characterization {
+		return &Characterization{
 			SchemeName:     "Rot",
 			BaselineCycles: 100,
 			BaselineBlockJ: []float64{1, 2, 0, 4},
@@ -158,20 +155,20 @@ func TestCharDataValidateRejectsBadValues(t *testing.T) {
 		t.Fatalf("valid data rejected: %v", err)
 	}
 	nan, inf := math.NaN(), math.Inf(1)
-	for name, corrupt := range map[string]func(d *CharData){
-		"NaN baseline":          func(d *CharData) { d.BaselineBlockJ[1] = nan },
-		"+Inf baseline":         func(d *CharData) { d.BaselineBlockJ[3] = inf },
-		"negative baseline":     func(d *CharData) { d.BaselineBlockJ[0] = -1 },
-		"NaN decode block":      func(d *CharData) { d.Legs[0].DecodeBlockJ[2] = nan },
-		"-Inf decode block":     func(d *CharData) { d.Legs[0].DecodeBlockJ[0] = -inf },
-		"negative decode block": func(d *CharData) { d.Legs[0].DecodeBlockJ[3] = -1e-12 },
-		"NaN decode total":      func(d *CharData) { d.Legs[0].DecodeJ = nan },
-		"negative decode total": func(d *CharData) { d.Legs[0].DecodeJ = -10 },
-		"NaN migration block":   func(d *CharData) { d.Legs[0].MigBlockJ[1] = nan },
-		"negative migration":    func(d *CharData) { d.Legs[0].MigBlockJ[2] = -0.5 },
-		"+Inf migration total":  func(d *CharData) { d.Legs[0].MigJ = inf },
-		"negative transfers":    func(d *CharData) { d.Legs[0].Migration.Transfers = -1 },
-		"negative state flits":  func(d *CharData) { d.Legs[0].Migration.StateFlitsMoved = -32 },
+	for name, corrupt := range map[string]func(d *Characterization){
+		"NaN baseline":          func(d *Characterization) { d.BaselineBlockJ[1] = nan },
+		"+Inf baseline":         func(d *Characterization) { d.BaselineBlockJ[3] = inf },
+		"negative baseline":     func(d *Characterization) { d.BaselineBlockJ[0] = -1 },
+		"NaN decode block":      func(d *Characterization) { d.Legs[0].DecodeBlockJ[2] = nan },
+		"-Inf decode block":     func(d *Characterization) { d.Legs[0].DecodeBlockJ[0] = -inf },
+		"negative decode block": func(d *Characterization) { d.Legs[0].DecodeBlockJ[3] = -1e-12 },
+		"NaN decode total":      func(d *Characterization) { d.Legs[0].DecodeJ = nan },
+		"negative decode total": func(d *Characterization) { d.Legs[0].DecodeJ = -10 },
+		"NaN migration block":   func(d *Characterization) { d.Legs[0].MigBlockJ[1] = nan },
+		"negative migration":    func(d *Characterization) { d.Legs[0].MigBlockJ[2] = -0.5 },
+		"+Inf migration total":  func(d *Characterization) { d.Legs[0].MigJ = inf },
+		"negative transfers":    func(d *Characterization) { d.Legs[0].Migration.Transfers = -1 },
+		"negative state flits":  func(d *Characterization) { d.Legs[0].Migration.StateFlitsMoved = -32 },
 	} {
 		d := valid()
 		corrupt(d)

@@ -7,12 +7,12 @@ import (
 
 // Clone returns an independent, ready-to-run copy of the system in its
 // initial (pre-migration) state. The clone gets its own network, engine
-// and migrator — everything a run mutates — while sharing the read-only
-// calibration products: the thermal network, energy and leakage tables,
-// code, partition and placement. Cloning is how a concurrent sweep turns
-// one calibrated Built into per-worker systems without repeating
-// placement annealing or energy calibration; a clone's runs are bitwise
-// identical to the original's.
+// and migrator — everything Characterize mutates — while sharing the
+// read-only calibration products: the thermal network, energy and leakage
+// tables, code, partition and placement. Cloning is how a concurrent
+// sweep gives each characterization a simulator of its own without
+// repeating placement annealing or energy calibration; evaluation needs
+// no clone. A clone's runs are bitwise identical to the original's.
 func (s *System) Clone() (*System, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

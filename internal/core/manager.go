@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"hotnoc/internal/appmap"
 	"hotnoc/internal/geom"
@@ -12,6 +13,8 @@ import (
 
 // System bundles one test chip: workload engine, network (inside the
 // engine), thermal model, energy tables and the migration machinery.
+// Characterize drives the engine and migrator and needs a System of its
+// own (see Clone); any number of goroutines may evaluate on one System.
 type System struct {
 	Grid geom.Grid
 	// Therm is the chip's RC thermal model.
@@ -37,20 +40,34 @@ type System struct {
 	// transfer phases, has the largest reconfiguration energy penalty.
 	IdleFrac float64
 
-	// thermEval caches the thermal LU factorisations across evaluations.
-	thermEval *thermal.Evaluator
+	// mu guards the evaluation state: a free list of thermal evaluators,
+	// at most one per concurrent caller (not a sync.Pool, whose GC purge
+	// would drop their LU factorisations mid-sweep), and the
+	// static-baseline cycle memo.
+	mu        sync.Mutex
+	evals     []*thermal.Evaluator
+	baselines map[baselineKey]baselineEntry
 }
 
-// thermalEvaluator lazily creates the cached thermal evaluator.
-func (s *System) thermalEvaluator() (*thermal.Evaluator, error) {
-	if s.thermEval == nil {
-		ev, err := thermal.NewEvaluator(s.Therm)
-		if err != nil {
-			return nil, err
-		}
-		s.thermEval = ev
+// takeEvaluator lends a thermal evaluator, building one when all are in
+// use. Results do not depend on which evaluator a caller gets.
+func (s *System) takeEvaluator() (*thermal.Evaluator, error) {
+	s.mu.Lock()
+	if n := len(s.evals); n > 0 {
+		ev := s.evals[n-1]
+		s.evals = s.evals[:n-1]
+		s.mu.Unlock()
+		return ev, nil
 	}
-	return s.thermEval, nil
+	s.mu.Unlock()
+	return thermal.NewEvaluator(s.Therm)
+}
+
+// putEvaluator returns a lent evaluator to the free list.
+func (s *System) putEvaluator(ev *thermal.Evaluator) {
+	s.mu.Lock()
+	s.evals = append(s.evals, ev)
+	s.mu.Unlock()
 }
 
 // BlockSource returns a zero block of Code.N channel LLRs for the block

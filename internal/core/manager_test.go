@@ -182,7 +182,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := sys.Run(RunConfig{Scheme: Rot(), BlocksPerPeriod: -1}); err == nil {
 		t.Fatal("negative period accepted")
 	}
-	bad := *sys
+	bad, err := sys.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad.ClockHz = 0
 	if _, err := bad.Run(RunConfig{Scheme: Rot()}); err == nil {
 		t.Fatal("zero clock accepted")

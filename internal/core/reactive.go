@@ -136,9 +136,9 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 	if cfg.Scheme.StepFn == nil {
 		return ReactiveResult{}, fmt.Errorf("core: no migration scheme configured")
 	}
-	if cfg.Scheme.Name != ch.Scheme.Name {
+	if cfg.Scheme.Name != ch.SchemeName {
 		return ReactiveResult{}, fmt.Errorf("core: reactive config selects scheme %q but characterization is for %q",
-			cfg.Scheme.Name, ch.Scheme.Name)
+			cfg.Scheme.Name, ch.SchemeName)
 	}
 	cfg.setDefaults()
 	g := s.Grid
@@ -149,12 +149,8 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 	// the migration window plus the idle-clock power the halted PEs keep
 	// burning. The arithmetic mirrors Activity.PowerMap so the result is
 	// bit-identical to measuring the leg live.
-	legs := make([]*legMeasurement, orbit)
-	measure := func(k int) (*legMeasurement, error) {
-		if m := legs[k]; m != nil {
-			return m, nil
-		}
-		la := ch.Legs[k]
+	legs := make([]legMeasurement, orbit)
+	for k, la := range ch.Legs {
 		decodeDur := float64(la.DecodeCycles) / s.ClockHz
 		decodePower := make([]float64, g.N())
 		for i, e := range la.DecodeBlockJ {
@@ -168,26 +164,21 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 		for i := range migPower {
 			migPower[i] += s.IdleFrac * decodePower[i]
 		}
-		m := &legMeasurement{
+		legs[k] = legMeasurement{
 			decodeCycles: la.DecodeCycles,
 			decodePower:  decodePower,
 			migCycles:    la.Migration.Cycles,
 			migPower:     migPower,
 		}
-		legs[k] = m
-		return m, nil
 	}
 
 	// Warm-start the thermal state from the static placement's
 	// leakage-closed steady state.
-	first, err := measure(0)
+	ev, err := s.takeEvaluator()
 	if err != nil {
 		return ReactiveResult{}, err
 	}
-	ev, err := s.thermalEvaluator()
-	if err != nil {
-		return ReactiveResult{}, err
-	}
+	defer s.putEvaluator(ev)
 	// Scratch for the integration hot loop: die temperatures, leakage map
 	// and per-step power map are reused across every step of the horizon.
 	dieBuf := make([]float64, g.N())
@@ -197,11 +188,11 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 	ss := ev.Steady()
 	state := make([]float64, s.Therm.NNodes)
 	next := make([]float64, s.Therm.NNodes)
-	ss.SolveFullInto(state, first.decodePower)
+	ss.SolveFullInto(state, legs[0].decodePower)
 	for it := 0; it < 50; it++ {
 		s.Therm.DieTempsInto(dieBuf, state)
 		s.Leak.Into(leakBuf, dieBuf)
-		copy(pmBuf, first.decodePower)
+		copy(pmBuf, legs[0].decodePower)
 		for i, l := range leakBuf {
 			pmBuf[i] += l
 		}
@@ -253,10 +244,7 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 	var decodeCycles, migCycles int64
 	for blk := 0; blk < cfg.SimBlocks; blk++ {
 		recording = blk >= cfg.WarmupBlocks
-		m, err := measure(k)
-		if err != nil {
-			return ReactiveResult{}, err
-		}
+		m := &legs[k]
 		integrate(m.decodePower, float64(m.decodeCycles)/s.ClockHz)
 		if recording {
 			decodeCycles += m.decodeCycles

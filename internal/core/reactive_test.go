@@ -207,7 +207,10 @@ func TestReactiveValidation(t *testing.T) {
 	if _, err := sys.RunReactive(ReactiveConfig{TriggerC: 60}); err == nil {
 		t.Fatal("nil scheme accepted")
 	}
-	bad := *sys
+	bad, err := sys.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad.ClockHz = 0
 	if _, err := bad.RunReactive(ReactiveConfig{Scheme: Rot(), TriggerC: 60}); err == nil {
 		t.Fatal("invalid system accepted")

@@ -281,7 +281,7 @@ func TestBuildCacheLRUEvictionIndependentOfCharFiles(t *testing.T) {
 		{Config: "A", Scheme: "Rot", Scale: 8},
 		{Config: "B", Scheme: "Rot", Scale: 8},
 	} {
-		if _, _, err := cc.Get(k, n, func() (*core.CharData, error) { return fakeChar(n), nil }); err != nil {
+		if _, _, err := cc.Get(k, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // charFormatVersion gates disk entries: bump it whenever the simulation
-// pipeline changes in a way that invalidates stored characterizations.
-// Entries with any other version are treated as stale and recomputed.
-const charFormatVersion = 1
+// pipeline or the stored type changes in a way that invalidates stored
+// characterizations. Entries with any other version are treated as stale
+// and recomputed. Version 2 stores the payload under a new gob type name.
+const charFormatVersion = 2
 
 // CharKey identifies one cross-run characterization: a (configuration,
 // scheme, scale) triple. Everything the NoC stage measures is a pure
@@ -30,7 +31,7 @@ type diskChar struct {
 	Version int
 	Key     CharKey
 	GridN   int
-	Data    core.CharData
+	Data    core.Characterization
 }
 
 // CharCache shares NoC characterizations across runs. In memory it is a
@@ -59,7 +60,7 @@ type diskChar struct {
 // service accretes over months.
 type CharCache struct {
 	disk   diskCache
-	flight singleflight[CharKey, *core.CharData]
+	flight singleflight[CharKey, *core.Characterization]
 }
 
 // NewCharCache returns a cache persisting under dir; an empty dir keeps
@@ -80,13 +81,13 @@ func NewCharCache(dir string, limit int) *CharCache {
 // returned to this caller and any goroutine that was blocked on the same
 // key, but is not cached: the key is cleared so the next request
 // retries.
-func (c *CharCache) Get(key CharKey, gridN int, compute func() (*core.CharData, error)) (*core.CharData, bool, error) {
+func (c *CharCache) Get(key CharKey, gridN int, compute func() (*core.Characterization, error)) (*core.Characterization, bool, error) {
 	return c.flight.do(key,
-		func() (*core.CharData, bool) {
+		func() (*core.Characterization, bool) {
 			d := c.load(key, gridN)
 			return d, d != nil
 		},
-		func() (*core.CharData, error) {
+		func() (*core.Characterization, error) {
 			d, err := compute()
 			if err != nil {
 				return nil, err
@@ -115,7 +116,7 @@ func (c *CharCache) path(key CharKey) string {
 // load restores a disk entry, returning nil on any problem — a missing,
 // unreadable, corrupt, stale-format or mismatched file means "compute it
 // again", never an error.
-func (c *CharCache) load(key CharKey, gridN int) *core.CharData {
+func (c *CharCache) load(key CharKey, gridN int) *core.Characterization {
 	var dc diskChar
 	if !c.disk.load(c.path(key), &dc) {
 		return nil
@@ -133,7 +134,7 @@ func (c *CharCache) load(key CharKey, gridN int) *core.CharData {
 }
 
 // save persists an entry best-effort; see diskCache.save.
-func (c *CharCache) save(key CharKey, gridN int, data *core.CharData) {
+func (c *CharCache) save(key CharKey, gridN int, data *core.Characterization) {
 	if data == nil {
 		return
 	}

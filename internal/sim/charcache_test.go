@@ -15,7 +15,7 @@ import (
 )
 
 // fakeChar builds a small, fully populated characterization payload.
-func fakeChar(n int) *core.CharData {
+func fakeChar(n int) *core.Characterization {
 	blockJ := func(seed float64) []float64 {
 		out := make([]float64, n)
 		for i := range out {
@@ -23,7 +23,7 @@ func fakeChar(n int) *core.CharData {
 		}
 		return out
 	}
-	return &core.CharData{
+	return &core.Characterization{
 		SchemeName:     "Rot",
 		BaselineCycles: 1000,
 		BaselineBlockJ: blockJ(1.5),
@@ -50,7 +50,7 @@ func TestCharCacheRoundTrip(t *testing.T) {
 	want := fakeChar(n)
 
 	c1 := NewCharCache(dir, 0)
-	got, hit, err := c1.Get(key, n, func() (*core.CharData, error) { return want, nil })
+	got, hit, err := c1.Get(key, n, func() (*core.Characterization, error) { return want, nil })
 	if err != nil || hit {
 		t.Fatalf("first Get = (hit %v, err %v), want computed", hit, err)
 	}
@@ -59,7 +59,7 @@ func TestCharCacheRoundTrip(t *testing.T) {
 	}
 
 	c2 := NewCharCache(dir, 0)
-	got2, hit2, err := c2.Get(key, n, func() (*core.CharData, error) {
+	got2, hit2, err := c2.Get(key, n, func() (*core.Characterization, error) {
 		t.Fatal("fresh cache recomputed a persisted entry")
 		return nil, nil
 	})
@@ -77,8 +77,8 @@ func TestCharCacheMemoryHit(t *testing.T) {
 	c := NewCharCache("", 0) // memory-only
 	key := CharKey{Config: "B", Scheme: "X-Y Shift", Scale: 1}
 	computes := 0
-	get := func() (*core.CharData, bool, error) {
-		return c.Get(key, 4, func() (*core.CharData, error) {
+	get := func() (*core.Characterization, bool, error) {
+		return c.Get(key, 4, func() (*core.Characterization, error) {
 			computes++
 			return fakeChar(4), nil
 		})
@@ -105,7 +105,7 @@ func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fakeChar(n)
-	got, hit, err := c.Get(key, n, func() (*core.CharData, error) { return want, nil })
+	got, hit, err := c.Get(key, n, func() (*core.Characterization, error) { return want, nil })
 	if err != nil {
 		t.Fatalf("corrupt entry became fatal: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 		t.Fatal("corrupt entry corrupted the recomputed result")
 	}
 	// The overwrite must leave a valid entry behind.
-	if _, hit, err := NewCharCache(dir, 0).Get(key, n, func() (*core.CharData, error) {
+	if _, hit, err := NewCharCache(dir, 0).Get(key, n, func() (*core.Characterization, error) {
 		t.Fatal("overwritten entry not readable")
 		return nil, nil
 	}); err != nil || !hit {
@@ -136,8 +136,8 @@ func TestCharCacheRetriesAfterError(t *testing.T) {
 	const n = 4
 	transient := errors.New("transient characterize failure")
 	calls := 0
-	get := func() (*core.CharData, bool, error) {
-		return c.Get(key, n, func() (*core.CharData, error) {
+	get := func() (*core.Characterization, bool, error) {
+		return c.Get(key, n, func() (*core.Characterization, error) {
 			calls++
 			if calls == 1 {
 				return nil, transient
@@ -182,7 +182,7 @@ func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
 		release := make(chan struct{})
 		resErr := make(chan error, 1)
 		go func() {
-			_, _, err := c.Get(key, n, func() (*core.CharData, error) {
+			_, _, err := c.Get(key, n, func() (*core.Characterization, error) {
 				close(started)
 				<-release
 				return nil, transient
@@ -201,7 +201,7 @@ func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, _, err := c.Get(key, n, func() (*core.CharData, error) {
+				_, _, err := c.Get(key, n, func() (*core.Characterization, error) {
 					computes.Add(1)
 					return fakeChar(n), nil
 				})
@@ -223,7 +223,7 @@ func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
 		// result must be visible here (a memory hit): a compute whose
 		// result vanished resolved the orphaned entry — the bug.
 		probed := false
-		data, hit, err := c.Get(key, n, func() (*core.CharData, error) {
+		data, hit, err := c.Get(key, n, func() (*core.Characterization, error) {
 			probed = true
 			return fakeChar(n), nil
 		})
@@ -264,11 +264,11 @@ func TestCharCacheDebouncedTouch(t *testing.T) {
 	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
 	const n = 4
 	c := NewCharCache(dir, 0)
-	if _, _, err := c.Get(key, n, func() (*core.CharData, error) { return fakeChar(n), nil }); err != nil {
+	if _, _, err := c.Get(key, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
 		t.Fatal(err)
 	}
 	warm := func() {
-		if _, hit, err := c.Get(key, n, func() (*core.CharData, error) {
+		if _, hit, err := c.Get(key, n, func() (*core.Characterization, error) {
 			t.Fatal("memory entry recomputed")
 			return nil, nil
 		}); !hit || err != nil {
@@ -313,7 +313,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 
 	seed := NewCharCache(dir, limit)
 	for _, k := range []CharKey{k1, k2} {
-		if _, _, err := seed.Get(k, n, func() (*core.CharData, error) { return fakeChar(n), nil }); err != nil {
+		if _, _, err := seed.Get(k, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +329,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 	// Serving k1 from disk (fresh cache, so it is a disk load, not a
 	// memory hit) must refresh its mtime past k2's.
 	warm := NewCharCache(dir, limit)
-	if _, hit, err := warm.Get(k1, n, func() (*core.CharData, error) {
+	if _, hit, err := warm.Get(k1, n, func() (*core.Characterization, error) {
 		t.Fatal("persisted entry recomputed")
 		return nil, nil
 	}); err != nil || !hit {
@@ -337,7 +337,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 	}
 
 	// Writing k3 exceeds the limit; the LRU entry is now k2, not k1.
-	if _, _, err := warm.Get(k3, n, func() (*core.CharData, error) { return fakeChar(n), nil }); err != nil {
+	if _, _, err := warm.Get(k3, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(warm.path(k2)); !os.IsNotExist(err) {
@@ -352,7 +352,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 	// An evicted key recomputes; the survivors still serve from disk.
 	final := NewCharCache(dir, limit)
 	computed := false
-	if _, hit, err := final.Get(k2, n, func() (*core.CharData, error) {
+	if _, hit, err := final.Get(k2, n, func() (*core.Characterization, error) {
 		computed = true
 		return fakeChar(n), nil
 	}); err != nil || hit || !computed {
@@ -371,7 +371,7 @@ func TestCharCacheUnlimitedKeepsAll(t *testing.T) {
 		{Config: "C", Scheme: "Rot", Scale: 8},
 	}
 	for _, k := range keys {
-		if _, _, err := c.Get(k, n, func() (*core.CharData, error) { return fakeChar(n), nil }); err != nil {
+		if _, _, err := c.Get(k, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,7 +394,7 @@ func TestCharCacheIgnoresStaleEntries(t *testing.T) {
 		{"version", diskChar{Version: charFormatVersion + 1, Key: key, GridN: n, Data: *fakeChar(n)}},
 		{"key", diskChar{Version: charFormatVersion, Key: CharKey{Config: "E", Scheme: "Rot", Scale: 8}, GridN: n, Data: *fakeChar(n)}},
 		{"gridn", diskChar{Version: charFormatVersion, Key: key, GridN: n + 1, Data: *fakeChar(n)}},
-		{"payload", diskChar{Version: charFormatVersion, Key: key, GridN: n, Data: core.CharData{SchemeName: "Rot"}}},
+		{"payload", diskChar{Version: charFormatVersion, Key: key, GridN: n, Data: core.Characterization{SchemeName: "Rot"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -408,7 +408,7 @@ func TestCharCacheIgnoresStaleEntries(t *testing.T) {
 			}
 			f.Close()
 			computed := false
-			_, hit, err := c.Get(key, n, func() (*core.CharData, error) {
+			_, hit, err := c.Get(key, n, func() (*core.Characterization, error) {
 				computed = true
 				return fakeChar(n), nil
 			})

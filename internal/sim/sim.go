@@ -11,8 +11,10 @@
 // migration-energy ablation — are all instances of such grids, and the
 // hotnoc.Lab façade drives them through this runner. Results are
 // bitwise identical to a serial walk of the same grid: every stage of the
-// pipeline is deterministic, workers operate on independent System clones,
-// and outcomes stream in point order regardless of completion order.
+// pipeline is deterministic, each characterization simulates on a System
+// clone of its own, evaluations share the build's System (evaluation is a
+// pure function of its inputs), and outcomes stream in point order
+// regardless of completion order.
 //
 //hotnoc:deterministic
 package sim
@@ -386,7 +388,7 @@ func (s *charSeen) first(key CharKey) bool {
 // already resolved — is the one that classifies it; a later chunk task
 // served from the freshly resolved entry cannot relabel the sweep's
 // compute as a hit.
-func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), seen *charSeen) (*core.CharData, *chipcfg.Built, error) {
+func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), seen *charSeen) (*core.Characterization, *chipcfg.Built, error) {
 	built, err := r.builtFor(config, prog)
 	if err != nil {
 		return nil, nil, err
@@ -395,21 +397,18 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 	account := seen.first(key)
 	//hotnoc:allow determinism wall-clock metric timing only
 	start := time.Now()
-	data, hit, err := r.chars.Get(key, built.System.Grid.N(), func() (*core.CharData, error) {
+	ch, hit, err := r.chars.Get(key, built.System.Grid.N(), func() (*core.Characterization, error) {
 		emit(prog, Event{Stage: StageCharacterizeStart, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1})
-		// The characterizing system is a private clone: one System holds
-		// mutable engine, network and I/O state.
+		// The characterizing system is a private clone: Characterize
+		// drives the engine, network and migrator a System holds.
 		sys, err := built.System.Clone()
 		if err != nil {
 			return nil, fmt.Errorf("clone: %w", err)
 		}
 		ch, err := sys.Characterize(scheme)
 		r.decodes.Add(sys.Engine.Decodes)
-		if err != nil {
-			return nil, err
-		}
-		return ch.Data(), nil
+		return ch, err
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: config %s scheme %s: %w", config, scheme.Name, err)
@@ -425,7 +424,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		emit(prog, Event{Stage: StageCharacterizeDone, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1, CacheHit: hit})
 	}
-	return data, built, nil
+	return ch, built, nil
 }
 
 // Built returns the calibrated build for one configuration at the
@@ -592,22 +591,14 @@ func (r *Runner) StreamWith(ctx context.Context, pts []Point, progress func(Even
 
 // runTask resolves one (configuration, scheme) characterization — cache
 // or cycle-accurate NoC — and evaluates every variant of the group,
-// periodic and reactive alike, on a private System clone, marking each
+// periodic and reactive alike, on the build's shared System, marking each
 // point ready as its outcome lands. Mixed grids therefore share one orbit
 // characterization across kinds: a reactive point never re-simulates an
 // orbit a periodic point (or a cached run) already paid for.
 func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome, ready []chan struct{}, prog func(Event), seen *charSeen) error {
-	data, built, err := r.charFor(t.config, t.scheme, prog, seen)
+	ch, built, err := r.charFor(t.config, t.scheme, prog, seen)
 	if err != nil {
 		return err
-	}
-	sys, err := built.System.Clone()
-	if err != nil {
-		return fmt.Errorf("sim: config %s: clone: %w", t.config, err)
-	}
-	ch, err := core.FromData(t.scheme, data)
-	if err != nil {
-		return fmt.Errorf("sim: config %s scheme %s: %w", t.config, t.scheme.Name, err)
 	}
 	for _, idx := range t.cells {
 		if err := ctx.Err(); err != nil {
@@ -624,14 +615,14 @@ func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome
 			// characterization); a spec that carried only parameters gets
 			// the step function filled in here.
 			cfg.Scheme = t.scheme
-			res, err := sys.EvaluateReactive(ch, cfg)
+			res, err := built.System.EvaluateReactive(ch, cfg)
 			if err != nil {
 				return fmt.Errorf("sim: config %s scheme %s reactive trigger %g: %w",
 					p.Config, p.Scheme.Name, cfg.TriggerC, err)
 			}
 			o.Reactive = &res
 		default:
-			res, err := sys.Evaluate(ch, core.EvalConfig{
+			res, err := built.System.Evaluate(ch, core.EvalConfig{
 				BlocksPerPeriod:        p.Blocks,
 				ExcludeMigrationEnergy: p.ExcludeMigrationEnergy,
 			})
@@ -654,15 +645,16 @@ func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome
 // groupPoints partitions the grid into tasks, ordered by their first
 // appearance so scheduling is deterministic. Periodic cells of one
 // (configuration, scheme) form a single task: their thermal evaluations
-// are cheap and share one System clone. Reactive cells of one
+// are cheap. Reactive cells of one
 // (configuration, scheme) are split into up to workers contiguous chunk
 // tasks: each cell is a full transient integration — the dominant cost
 // of a reactive sweep once the orbit is characterized — so a
 // single-scheme trigger sweep must be able to spread across the pool.
 // Chunk tasks request the same characterization key; the cache's
 // per-key singleflight still simulates the orbit at most once, and
-// results do not depend on the chunking (every clone evaluates
-// identically), so outcomes stay bitwise identical across worker counts.
+// results do not depend on the chunking (evaluation on the shared System
+// is a pure function of its inputs), so outcomes stay bitwise identical
+// across worker counts.
 func groupPoints(pts []Point, workers int) []task {
 	type gkey struct {
 		config, scheme string

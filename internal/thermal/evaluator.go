@@ -8,9 +8,9 @@ package thermal
 // the same chip pays for factorisation once instead of per evaluation.
 //
 // An Evaluator (like the Transient and SteadySolver it wraps) holds
-// mutable scratch state and must not be shared between goroutines;
-// concurrent sweeps give each worker its own Evaluator over the shared,
-// read-only Network.
+// mutable scratch state and must not be shared between goroutines; its
+// results do not depend on what it ran before, so concurrent callers
+// take turns with a free list of Evaluators over one Network.
 type Evaluator struct {
 	nw *Network
 	ss *SteadySolver

@@ -245,8 +245,8 @@ func (l *Lab) MigrationEnergy(ctx context.Context, config string) ([]EnergyStudy
 // worker-pool pipeline as every other sweep, so entries selecting the
 // same scheme share one NoC characterization (served from the Lab's
 // cross-run cache when available), exactly as periodic period sweeps do,
-// and the transient thermal evaluations run concurrently on independent
-// System clones. Results are returned in input order and are bitwise
+// and the transient thermal evaluations run concurrently on the build's
+// shared System. Results are returned in input order and are bitwise
 // identical to the fused System.RunReactive.
 func (l *Lab) Reactive(ctx context.Context, config string, cfgs []ReactiveConfig) ([]ReactiveResult, error) {
 	return SweepReactive(ctx, l, config, cfgs)

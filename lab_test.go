@@ -464,3 +464,27 @@ func TestLabBuildCache(t *testing.T) {
 		t.Fatal("sweep did not reuse Lab.Build's calibrated build")
 	}
 }
+
+// TestWarmSweepAllocs guards the warm path's allocation budget: a Figure 1
+// grid served from the characterization cache evaluates on each build's
+// shared System, so it allocates no per-task NoC, engine, migrator or
+// thermal evaluator.
+func TestWarmSweepAllocs(t *testing.T) {
+	ctx := context.Background()
+	lab := NewLab(WithScale(8), WithWorkers(2))
+	pts := SweepGrid([]string{"A", "B", "C", "D", "E"}, Schemes(), nil)
+	if _, err := lab.SweepAll(ctx, pts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := lab.SweepAll(ctx, pts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// About 1 000 allocations here and 1 200 under the race detector;
+	// a per-task clone is 5 100.
+	const bound = 1500
+	if allocs > bound {
+		t.Fatalf("warm 25-point sweep made %.0f allocations, want at most %d", allocs, bound)
+	}
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # bench.sh records the benchmark trajectory for a PR: it runs the pinned
 # thermal-kernel, NoC and build-path (code construction, annealing)
-# benchmarks (with -benchmem) plus a one-iteration paper-scale pass,
+# benchmarks (with -benchmem) plus a one-iteration paper-scale pass
+# (period sweep, warm and cold build, warm Figure 1 sweep),
 # writes BENCH_<pr>.json at the repo root (or
 # bench-trajectory.json for a run not tied to a PR) with ns/op,
 # B/op and allocs/op per benchmark, and fails if any of the hot loops
@@ -53,7 +54,7 @@ go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
 
 if [ "$SKIP_PAPER" != 1 ]; then
     echo "== paper-scale trajectory (1 iteration)"
-    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm|BenchmarkBuildCold)$' \
+    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm|BenchmarkBuildCold|BenchmarkLabSweepWarm)$' \
         -benchmem -benchtime=1x -timeout=30m . | tee -a "$TMP"
 fi
 

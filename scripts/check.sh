@@ -20,6 +20,9 @@ echo "== build-path differential (sort-based code construction, coordinate-based
 echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases, Replay vs stepping)" \
     && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs' ./internal/appmap \
     && go test -count=1 -run 'TestReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
+echo "== shared evaluation (concurrent Evaluate on one System under -race, warm-sweep allocation guard)" \
+    && go test -race -count=10 -run '^TestSharedEvaluation$' ./internal/core \
+    && go test -count=1 -run '^TestWarmSweepAllocs$' .
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
     && go run ./cmd/hotnoclint ./...
