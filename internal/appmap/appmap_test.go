@@ -335,6 +335,39 @@ func TestDecodeRejectsWrongBlockLength(t *testing.T) {
 	}
 }
 
+// TestDecodeMemoForgetsFailures: a decode that fails is not cached. Its
+// key is released, so a fork decoding at the same key simulates, and
+// fails, again instead of replaying a failed entry.
+func TestDecodeMemoForgetsFailures(t *testing.T) {
+	code := mustCode(t, 64, 32, 3, 17)
+	block := make([]ldpc.LLR, code.N)
+	cfg := noc.Config{InjectCap: 1} // every packet is at least two flits
+	net, err := noc.New(geom.NewGrid(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(code, Contiguous(code, 16), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forkNet, err := noc.New(geom.NewGrid(4, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := eng.Fork(forkNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{eng, fork} {
+		if _, err := e.Decode(block); err == nil {
+			t.Fatal("a decode overflowing its injection queues succeeded")
+		}
+		if n := len(e.memo.entries); n != 0 || e.Decodes != 0 {
+			t.Fatalf("a failed decode left %d memo entries and counted %d decodes", n, e.Decodes)
+		}
+	}
+}
+
 // TestScheduleMatchesOracle: the static schedule's per-phase edge
 // computations and messages per (source, destination) PE pair equal what
 // the value-carrying RefEngine computes and sends in each phase.

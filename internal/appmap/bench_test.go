@@ -39,14 +39,41 @@ func paperDecode(tb testing.TB) (*Engine, []ldpc.LLR) {
 	return eng, ch.Transmit(cw)
 }
 
-// BenchmarkDecodeOnNoC measures one distributed block decode at paper
-// scale — the dominant cost of every experiment leg.
+// BenchmarkDecodeOnNoC measures one simulated distributed block decode
+// at paper scale — the cost of every distinct decode of an experiment.
+// The decode memo is bypassed: after two decodes the engine's network
+// returns to an arbitration state it has decoded from, and every further
+// decode would be a memo hit.
 func BenchmarkDecodeOnNoC(b *testing.B) {
 	eng, llr := paperDecode(b)
+	eng.bypassMemo = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Decode(llr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeMemoHit measures a decode served from the decode memo:
+// the key, the lookup and the replay of the recorded decode.
+func BenchmarkDecodeMemoHit(b *testing.B) {
+	eng, llr := paperDecode(b)
+	for range 3 { // reach the arbitration state every later decode starts from
+		if _, err := eng.Decode(llr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	simulated := eng.SimulatedDecodes
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Decode(llr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if eng.SimulatedDecodes != simulated {
+		b.Fatalf("%d of %d timed decodes were simulated, want memo hits only",
+			eng.SimulatedDecodes-simulated, b.N)
 	}
 }

@@ -22,6 +22,10 @@ import (
 // activity a value-carrying decoder would. The frozen value-carrying
 // engine in ref_test.go pins that equivalence, and its decisions against
 // ldpc.Decoder.
+//
+// Engines Forked from one another share a decode memo: a decode that
+// repeats one any of them has simulated, at the same placement and from
+// the same arbitration state, is replayed from the memo instead.
 type Engine struct {
 	Code *ldpc.Code
 	Part *Partition
@@ -42,13 +46,25 @@ type Engine struct {
 	// (default 8 cycles).
 	PhaseOverhead int
 
-	// Decodes counts completed Decode calls — the unit of expensive NoC
-	// characterization work, which sweep tests and benchmarks use to
-	// verify that period and ablation variants reuse one characterization
-	// instead of re-simulating.
+	// Decodes counts completed Decode calls, simulated or served from the
+	// decode memo: the logical decodes a characterization asks for, which
+	// sweep tests and benchmarks use to verify that period and ablation
+	// variants reuse one characterization instead of characterizing again.
 	Decodes uint64
+	// SimulatedDecodes counts the completed Decode calls that drove the
+	// network rather than replaying the memo. Like
+	// noc.Stats.ReplayedCycles it is host-side bookkeeping.
+	SimulatedDecodes uint64
 
 	place []int // logical PE -> physical block index
+
+	// memo is shared by every engine Forked from this one, and key is the
+	// scratch its keys are built in.
+	memo *decodeMemo
+	key  []byte
+	// bypassMemo simulates every decode without consulting or filling the
+	// memo (a test seam for checking the memo against simulation).
+	bypassMemo bool
 
 	// sched is the static decode schedule and packets/sends the per-phase
 	// scratch, all built by prepareDecode. Packets are indexed src*NPE+dst;
@@ -64,8 +80,9 @@ type Engine struct {
 	// kept from earlier decodes so the memo stops allocating.
 	windows  []*phaseWindow
 	recorded int
-	// simulateAll sends every phase through the network (a test seam for
-	// checking replay against simulation).
+	// simulateAll sends every phase of every decode through the network,
+	// bypassing the memo too (a test seam for checking replay against
+	// simulation).
 	simulateAll bool
 }
 
@@ -79,9 +96,9 @@ type phaseWindow struct {
 	win   noc.Window
 }
 
-// NewEngine wires a code, partition and network together. The partition's
-// logical PE count must equal the mesh size; the initial placement is the
-// identity.
+// NewEngine wires a code, partition and network together, with a decode
+// memo of its own. The partition's logical PE count must equal the mesh
+// size; the initial placement is the identity.
 func NewEngine(code *ldpc.Code, part *Partition, net *noc.Network) (*Engine, error) {
 	if err := part.Validate(code); err != nil {
 		return nil, err
@@ -103,12 +120,28 @@ func NewEngine(code *ldpc.Code, part *Partition, net *noc.Network) (*Engine, err
 	for i := range e.place {
 		e.place[i] = i
 	}
+	e.memo = newDecodeMemo(code, part, net)
 	return e, nil
 }
 
-// prepareDecode builds, on an engine's first decode, the schedule and the
-// per-phase scratch, so engines that never decode (clones evaluating a
-// cached characterization) do not pay for them.
+// Fork returns an engine on net with e's code, partition and parameters
+// and the identity placement. It shares e's decode memo, so a decode
+// either engine has simulated is replayed on the other; net must be a
+// network of its own, shaped and configured like e's.
+func (e *Engine) Fork(net *noc.Network) (*Engine, error) {
+	f, err := NewEngine(e.Code, e.Part, net)
+	if err != nil {
+		return nil, err
+	}
+	f.MaxIter, f.MsgsPerFlit = e.MaxIter, e.MsgsPerFlit
+	f.CyclesPerOp, f.PhaseOverhead = e.CyclesPerOp, e.PhaseOverhead
+	f.memo = e.memo
+	return f, nil
+}
+
+// prepareDecode builds, on an engine's first simulated decode, the
+// schedule and the per-phase scratch, so engines whose decodes are all
+// served from the memo do not pay for them.
 func (e *Engine) prepareDecode() {
 	if e.packets != nil {
 		return
@@ -141,11 +174,13 @@ type pendingPkt struct {
 }
 
 // Decode runs one block's decoder traffic through the network, driving
-// it cycle by cycle, and returns the block's duration in cycles. A
-// half-iteration that repeats one already simulated in this block, from
-// the same arbitration state, replays its recorded network window
-// instead. Channel LLRs are assumed pre-loaded into the PEs (codeword I/O
-// is modelled as PE-local work).
+// it cycle by cycle, and returns the block's duration in cycles. A decode
+// that starts on a drained network and repeats one recorded in the decode
+// memo (same parameters, placement and arbitration state) is replayed
+// from it instead, and a half-iteration that repeats one already
+// simulated in this block replays its recorded network window. Channel
+// LLRs are assumed pre-loaded into the PEs (codeword I/O is modelled as
+// PE-local work).
 //
 // The block must hold Code.N LLRs; its values are never read. The
 // argument survives only for bench/layers.go's decode probe, until a
@@ -154,9 +189,34 @@ func (e *Engine) Decode(block []ldpc.LLR) (int64, error) {
 	if len(block) != e.Code.N {
 		return 0, fmt.Errorf("appmap: block has %d LLRs, code N=%d", len(block), e.Code.N)
 	}
+	start := e.Net.Cycle
+	ent, owner := e.lookupMemo()
+	if ent != nil && !owner {
+		<-ent.done
+		if e.replay(ent) {
+			e.Decodes++
+			return e.Net.Cycle - start, nil
+		}
+		// The decode that claimed the key failed: simulate this one.
+	}
+	var err error
+	if owner {
+		err = e.record(ent)
+	} else {
+		err = e.simulate()
+	}
+	if err != nil {
+		return 0, err
+	}
+	e.Decodes++
+	e.SimulatedDecodes++
+	return e.Net.Cycle - start, nil
+}
+
+// simulate drives one decode through the network.
+func (e *Engine) simulate() error {
 	e.prepareDecode()
 	e.recorded = 0
-	start := e.Net.Cycle
 
 	prevDeliver := e.Net.Deliver
 	defer func() { e.Net.Deliver = prevDeliver }()
@@ -173,12 +233,11 @@ func (e *Engine) Decode(block []ldpc.LLR) (int64, error) {
 	for it := 0; it < e.MaxIter; it++ {
 		for phase := range uint8(2) {
 			if err := e.runPhase(phase); err != nil {
-				return 0, err
+				return err
 			}
 		}
 	}
-	e.Decodes++
-	return e.Net.Cycle - start, nil
+	return nil
 }
 
 // runPhase executes one half-iteration: phase 0 updates check nodes, phase

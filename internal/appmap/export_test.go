@@ -7,5 +7,9 @@ package appmap
 // replaying recorded phases.
 func SimulateAll(e *Engine) { e.simulateAll = true }
 
+// BypassMemo makes e simulate every decode without consulting or filling
+// its decode memo.
+func BypassMemo(e *Engine) { e.bypassMemo = true }
+
 // PaperDecode is paperDecode for the external test package.
 var PaperDecode = paperDecode

@@ -261,11 +261,12 @@ func TestTrafficMatchesValueOracle(t *testing.T) {
 	}
 }
 
-// TestDecodeSteadyAllocs pins a warm decode's allocations: the phase
-// memo reuses its windows, leaving the delivery hooks and the send
-// ordering of the simulated phases.
+// TestDecodeSteadyAllocs pins a warm simulated decode's allocations (the
+// decode memo is bypassed): the phase memo reuses its windows, leaving
+// the delivery hooks and the send ordering of the simulated phases.
 func TestDecodeSteadyAllocs(t *testing.T) {
 	eng, llr := appmap.PaperDecode(t)
+	appmap.BypassMemo(eng)
 	if _, err := eng.Decode(llr); err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +278,8 @@ func TestDecodeSteadyAllocs(t *testing.T) {
 	})
 	if got > maxAllocs {
 		t.Errorf("a warm decode allocates %.0f times, want at most %d", got, maxAllocs)
+	}
+	if eng.SimulatedDecodes != eng.Decodes {
+		t.Errorf("%d of %d decodes simulated, want all", eng.SimulatedDecodes, eng.Decodes)
 	}
 }

@@ -18,7 +18,10 @@ import (
 // fixed iterations and carries no message values (appmap's
 // TestTrafficMatchesValueOracle pins it against a value-carrying
 // decoder). It also simulates each distinct half-iteration of a block
-// once and replays the repeats (TestPhaseReplayMatchesSimulation).
+// once and replays the repeats (TestPhaseReplayMatchesSimulation), and a
+// decode that repeats one any clone of the same build has simulated, at
+// the same placement and arbitration state, is replayed from the build's
+// decode memo (TestDecodeMemoMatchesSimulation).
 type LegActivity struct {
 	// Step is the transform the migration at the end of this leg applies.
 	Step geom.Transform
@@ -42,7 +45,10 @@ type LegActivity struct {
 // independent of the migration period and of the migration-energy
 // ablation, so one characterization serves every period and ablation
 // variant of the same (system, scheme) — the expensive NoC simulation runs
-// once and the cheap thermal evaluation runs per variant.
+// once and the cheap thermal evaluation runs per variant. Decodes that
+// repeat across the schemes of one build, the static-placement baseline
+// among them, are served from the build's decode memo, so the simulation
+// is shared across schemes too.
 // It is plain, immutable data that any number of goroutines may evaluate
 // at once. The sweep layer persists it with gob, which round-trips
 // float64 bit-exactly, so a restored characterization evaluates bitwise
@@ -63,8 +69,9 @@ type Characterization struct {
 // Characterize runs the expensive stage of an evaluation: it decodes one
 // block at the static placement and at every placement of the scheme's
 // orbit, executes each migration on the cycle-accurate network, and
-// records the activity-derived energies. The result feeds any number of
-// Evaluate calls.
+// records the activity-derived energies. A decode that repeats one in
+// the engine's decode memo is replayed from it. The result feeds any
+// number of Evaluate calls.
 func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

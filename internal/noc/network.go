@@ -142,6 +142,16 @@ func (n *Network) NextID() uint64 {
 	return n.nextID
 }
 
+// IDs returns how many packet IDs NextID and TakeIDs have allocated.
+func (n *Network) IDs() uint64 { return n.nextID }
+
+// TakeIDs allocates k packet IDs at once, as k NextID calls would; a
+// caller replaying traffic it does not send keeps the IDs of later
+// packets unchanged with it.
+//
+//hotnoc:noalloc
+func (n *Network) TakeIDs(k uint64) { n.nextID += k }
+
 // Send enqueues a packet for injection at its source NI. The packet is
 // stamped with the current cycle; flits enter the router as buffer space
 // allows. Send fails if the source or destination is off-grid, the worm

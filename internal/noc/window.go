@@ -17,8 +17,9 @@ import "hotnoc/internal/power"
 //
 // A Window's storage is reused by every recording into it.
 type Window struct {
-	// rr0 and rr1 are the arbitration pointers at the start and the end.
-	rr0, rr1 []Dir
+	// rr0 and rr1 are the arbitration pointers at the start and the end,
+	// as SaveArbitration writes them.
+	rr0, rr1 []byte
 	// Between BeginWindow and EndWindow stats and act hold the snapshot
 	// taken at the start; after a successful EndWindow they hold the
 	// span's deltas, with stats.LatencyMax the span's own maximum and
@@ -47,12 +48,12 @@ func (n *Network) BeginWindow(w *Window) bool {
 	if n.inflight != 0 {
 		return false
 	}
-	if nrr := len(n.routers) * int(numDirs); cap(w.rr0) < nrr {
-		w.rr0 = make([]Dir, nrr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+	if nrr := n.ArbitrationLen(); cap(w.rr0) < nrr {
+		w.rr0 = make([]byte, nrr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
 	} else {
 		w.rr0 = w.rr0[:nrr]
 	}
-	n.saveRR(w.rr0)
+	n.SaveArbitration(w.rr0)
 	for k, s := range nocActivity(n.Act) {
 		if cap(w.act[k]) < len(s) {
 			w.act[k] = make([]uint64, len(s)) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
@@ -83,10 +84,10 @@ func (n *Network) EndWindow(w *Window) bool {
 		return false
 	}
 	if cap(w.rr1) < len(w.rr0) {
-		w.rr1 = make([]Dir, len(w.rr0)) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+		w.rr1 = make([]byte, len(w.rr0)) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
 	}
 	w.rr1 = w.rr1[:len(w.rr0)]
-	n.saveRR(w.rr1)
+	n.SaveArbitration(w.rr1)
 	s, b := &n.Stats, w.stats
 	w.stats = Stats{
 		PacketsSent:      s.PacketsSent - b.PacketsSent,
@@ -142,39 +143,45 @@ func (n *Network) Replay(w *Window) bool {
 	return true
 }
 
-// saveRR copies every output port's round-robin pointer, in router and
-// port order, into dst.
+// ArbitrationLen is the length of the vector SaveArbitration writes.
+func (n *Network) ArbitrationLen() int { return len(n.routers) * int(numDirs) }
+
+// SaveArbitration writes every output port's round-robin pointer, one
+// byte each in router and port order, into dst[:ArbitrationLen()]. On a
+// drained network these pointers are all the state later cycles can
+// observe (see Window), so callers key recorded spans on them.
 //
 //hotnoc:noalloc
-func (n *Network) saveRR(dst []Dir) {
+func (n *Network) SaveArbitration(dst []byte) {
 	for i := range n.routers {
 		for o := range n.routers[i].out {
-			dst[i*int(numDirs)+o] = n.routers[i].out[o].rr
+			dst[i*int(numDirs)+o] = byte(n.routers[i].out[o].rr)
 		}
 	}
 }
 
-// restoreRR sets the round-robin pointers from a saveRR vector.
+// restoreRR sets the round-robin pointers from a SaveArbitration vector.
 //
 //hotnoc:noalloc
-func (n *Network) restoreRR(src []Dir) {
+func (n *Network) restoreRR(src []byte) {
 	for i := range n.routers {
 		for o := range n.routers[i].out {
-			n.routers[i].out[o].rr = src[i*int(numDirs)+o]
+			n.routers[i].out[o].rr = Dir(src[i*int(numDirs)+o])
 		}
 	}
 }
 
-// rrEqual reports whether the round-robin pointers equal a saveRR vector.
+// rrEqual reports whether the round-robin pointers equal a
+// SaveArbitration vector.
 //
 //hotnoc:noalloc
-func (n *Network) rrEqual(v []Dir) bool {
-	if len(v) != len(n.routers)*int(numDirs) {
+func (n *Network) rrEqual(v []byte) bool {
+	if len(v) != n.ArbitrationLen() {
 		return false
 	}
 	for i := range n.routers {
 		for o := range n.routers[i].out {
-			if n.routers[i].out[o].rr != v[i*int(numDirs)+o] {
+			if byte(n.routers[i].out[o].rr) != v[i*int(numDirs)+o] {
 				return false
 			}
 		}

@@ -26,9 +26,9 @@ func burst(t *testing.T, n *Network, rate float64, nflits, cycles int, seed int6
 }
 
 // rrOf returns a network's arbitration pointers.
-func rrOf(n *Network) []Dir {
-	rr := make([]Dir, len(n.routers)*int(numDirs))
-	n.saveRR(rr)
+func rrOf(n *Network) []byte {
+	rr := make([]byte, n.ArbitrationLen())
+	n.SaveArbitration(rr)
 	return rr
 }
 

@@ -53,6 +53,9 @@ func newMetrics(reg *obs.Registry, r *Runner) *metrics {
 	reg.CounterFunc("hotnoc_decodes_total",
 		"Engine block decodes performed for NoC characterizations.",
 		obs.Labels{"scale": s}, r.decodes.Load)
+	reg.CounterFunc("hotnoc_decodes_simulated_total",
+		"Engine block decodes simulated on the NoC; the rest of hotnoc_decodes_total replayed a build's decode memo.",
+		obs.Labels{"scale": s}, r.simulated.Load)
 	m.points = reg.Counter("hotnoc_points_evaluated_total",
 		"Grid points evaluated by the thermal stage.",
 		obs.Labels{"scale": s})

@@ -200,10 +200,13 @@ type Runner struct {
 	met    *metrics
 
 	// decodes counts engine block decodes performed on behalf of this
-	// runner — the unit of expensive NoC work. A fully cache-served sweep
-	// leaves it untouched. It and the four cache counters below are the
-	// only store of these counts: the registry's series are views of them.
-	decodes atomic.Uint64
+	// runner, and simulated those among them that drove the NoC rather
+	// than replaying a repeat from the build's decode memo. A fully
+	// cache-served sweep leaves both untouched. They and the four cache
+	// counters below are the only store of these counts: the registry's
+	// series are views of them.
+	decodes   atomic.Uint64
+	simulated atomic.Uint64
 
 	// charHits / charMisses count characterization requests served from
 	// the cross-run cache versus simulated on the NoC.
@@ -401,13 +404,16 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		emit(prog, Event{Stage: StageCharacterizeStart, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1})
 		// The characterizing system is a private clone: Characterize
-		// drives the engine, network and migrator a System holds.
+		// drives the engine, network and migrator a System holds. The
+		// clone's engine shares the build's decode memo, so decodes that
+		// repeat across schemes are simulated once.
 		sys, err := built.System.Clone()
 		if err != nil {
 			return nil, fmt.Errorf("clone: %w", err)
 		}
 		ch, err := sys.Characterize(scheme)
 		r.decodes.Add(sys.Engine.Decodes)
+		r.simulated.Add(sys.Engine.SimulatedDecodes)
 		return ch, err
 	})
 	if err != nil {

@@ -146,8 +146,10 @@ func (l *Lab) Build(config string) (*Built, error) {
 	return l.runner.Built(config)
 }
 
-// Decodes returns the number of engine block decodes the Lab has
-// performed — the unit of expensive cycle-accurate NoC work. A sweep
+// Decodes returns the number of engine block decodes the Lab's
+// characterizations have asked for, whether simulated on the
+// cycle-accurate NoC or replayed from a build's decode memo (the
+// hotnoc_decodes_simulated_total series counts the former). A sweep
 // served entirely from the characterization cache leaves the counter
 // unchanged, which is how tests assert the cache short-circuits the NoC
 // stage.
@@ -162,8 +164,8 @@ type LabStats struct {
 	// BusyWorkers gauges workers currently executing sweep tasks — a
 	// utilization signal for services multiplexing jobs onto one Lab.
 	BusyWorkers int `json:"busy_workers"`
-	// Decodes counts engine block decodes — the unit of expensive
-	// cycle-accurate NoC work (see Lab.Decodes).
+	// Decodes counts engine block decodes, simulated or replayed from a
+	// build's decode memo (see Lab.Decodes).
 	Decodes uint64 `json:"decodes"`
 	// CacheHits / CacheMisses count characterization requests served from
 	// the cross-run cache versus simulated on the NoC.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hotnoc/internal/place"
+	"hotnoc/obs"
 )
 
 func labGrid() []SweepPoint {
@@ -486,5 +487,30 @@ func TestWarmSweepAllocs(t *testing.T) {
 	const bound = 1500
 	if allocs > bound {
 		t.Fatalf("warm 25-point sweep made %.0f allocations, want at most %d", allocs, bound)
+	}
+}
+
+// TestColdFigure1SimulatedDecodes pins the build-wide decode memo at
+// paper scale: a cold Figure 1 asks for 121 decodes but simulates only
+// the 71 distinct ones its builds' calibration decodes have not already
+// recorded, whatever the worker count, and the simulated count reaches
+// /metrics as hotnoc_decodes_simulated_total.
+func TestColdFigure1SimulatedDecodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale Figure 1")
+	}
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		lab := NewLab(WithScale(1), WithWorkers(workers), WithMetrics(reg))
+		if _, err := lab.Figure1(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		scale := obs.Labels{"scale": "1"}
+		decodes := reg.CounterValue("hotnoc_decodes_total", scale)
+		simulated := reg.CounterValue("hotnoc_decodes_simulated_total", scale)
+		if decodes != 121 || lab.Stats().Decodes != 121 || simulated != 71 {
+			t.Errorf("workers %d: %d decodes (Stats %d), %d simulated; want 121 and 71",
+				workers, decodes, lab.Stats().Decodes, simulated)
+		}
 	}
 }

@@ -2,13 +2,14 @@
 # bench.sh records the benchmark trajectory for a PR: it runs the pinned
 # thermal-kernel, NoC and build-path (code construction, annealing)
 # benchmarks (with -benchmem) plus a one-iteration paper-scale pass
-# (period sweep, warm and cold build, warm Figure 1 sweep),
+# (period sweep, warm and cold build, warm and cold Figure 1 sweep),
 # writes BENCH_<pr>.json at the repo root (or
 # bench-trajectory.json for a run not tied to a PR) with ns/op,
 # B/op and allocs/op per benchmark, and fails if any of the hot loops
 # pinned at zero allocations (SteadySolve, TransientStep, CycleLoopStep,
-# the NoC kernel's StepIdle, plus the obs recording paths
-# HistogramObserve and CounterInc) reports a nonzero allocs/op.
+# the NoC kernel's StepIdle, a decode served from the decode memo
+# (DecodeMemoHit), plus the obs recording paths HistogramObserve and
+# CounterInc) reports a nonzero allocs/op.
 #
 # Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
@@ -39,7 +40,7 @@ go test -run '^$' \
 echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME)"
 go test -run '^$' -bench '^(BenchmarkStepIdle|BenchmarkStepLoaded)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/noc | tee -a "$TMP"
-go test -run '^$' -bench '^BenchmarkDecodeOnNoC$' \
+go test -run '^$' -bench '^(BenchmarkDecodeOnNoC|BenchmarkDecodeMemoHit)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/appmap | tee -a "$TMP"
 
 echo "== build-path benchmarks: code construction and annealing (benchtime $BENCHTIME)"
@@ -54,7 +55,7 @@ go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
 
 if [ "$SKIP_PAPER" != 1 ]; then
     echo "== paper-scale trajectory (1 iteration)"
-    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm|BenchmarkBuildCold|BenchmarkLabSweepWarm)$' \
+    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm|BenchmarkBuildCold|BenchmarkLabSweepWarm|BenchmarkSweepFigure1)$' \
         -benchmem -benchtime=1x -timeout=30m . | tee -a "$TMP"
 fi
 
@@ -82,13 +83,14 @@ awk '
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     if (name != "BenchmarkSteadySolve" && name != "BenchmarkTransientStep" && name != "BenchmarkCycleLoopStep" &&
-        name != "BenchmarkStepIdle" && name != "BenchmarkHistogramObserve" && name != "BenchmarkCounterInc") next
+        name != "BenchmarkStepIdle" && name != "BenchmarkDecodeMemoHit" &&
+        name != "BenchmarkHistogramObserve" && name != "BenchmarkCounterInc") next
     seen++
     for (i = 2; i <= NF; i++)
         if ($i == "allocs/op" && $(i-1) + 0 != 0) { print "FAIL: " name " reports " $(i-1) " allocs/op"; bad = 1 }
 }
 END {
-    if (seen < 6) { print "FAIL: pinned benchmarks missing from bench output"; exit 1 }
+    if (seen < 7) { print "FAIL: pinned benchmarks missing from bench output"; exit 1 }
     if (bad) exit 1
     print "ok: all pinned hot loops at 0 allocs/op"
 }

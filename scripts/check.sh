@@ -17,8 +17,10 @@ echo "== thermal differential (banded vs dense reference, batched, singular)" \
     && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree' ./internal/thermal
 echo "== build-path differential (sort-based code construction, coordinate-based anneal cost)" \
     && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place
-echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases, Replay vs stepping)" \
-    && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs' ./internal/appmap \
+echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases and decodes, Replay vs stepping)" \
+    && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs|TestDecodeMemoMatchesSimulation|TestDecodeMemoHitAllocs' ./internal/appmap \
+    && go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap \
+    && go test -count=1 -run '^TestColdFigure1SimulatedDecodes$' . \
     && go test -count=1 -run 'TestReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
 echo "== shared evaluation (concurrent Evaluate on one System under -race, warm-sweep allocation guard)" \
     && go test -race -count=10 -run '^TestSharedEvaluation$' ./internal/core \

@@ -110,6 +110,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`hotnoc_stage_seconds_count{scale="8",stage="evaluate"}`,
 		`hotnoc_stage_seconds_count{scale="8",stage="build"}`,
 		"# TYPE hotnoc_cache_requests_total counter",
+		"# TYPE hotnoc_decodes_simulated_total counter",
 		"# TYPE hotnocd_queue_wait_seconds histogram",
 		"# TYPE hotnocd_jobs_total counter",
 		`hotnocd_jobs_total{state="done",tenant="anonymous"} 1`,
@@ -125,6 +126,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if n := metricValue(t, body, `hotnoc_points_evaluated_total{scale="8"}`); n != 1 {
 		t.Errorf("hotnoc_points_evaluated_total = %v, want 1", n)
+	}
+	// The cold build's calibration decode recorded the static-placement
+	// decode, so the orbit's baseline decode at least replays the memo.
+	decodes := metricValue(t, body, `hotnoc_decodes_total{scale="8"}`)
+	if n := metricValue(t, body, `hotnoc_decodes_simulated_total{scale="8"}`); n < 1 || n >= decodes {
+		t.Errorf("hotnoc_decodes_simulated_total = %v of %v decodes, want some but not all", n, decodes)
 	}
 }
 
