@@ -286,6 +286,44 @@ func BenchmarkAblationReactive(b *testing.B) {
 	b.ReportMetric(periodic.ThroughputPenalty*100, "%-periodic-penalty")
 }
 
+// BenchmarkEvaluateReactive measures one warm reactive evaluation: X-Y
+// Shift under an 84 °C trigger on a paper-scale configuration A
+// characterization with the default 2048-block horizon. The build and the
+// characterization (the NoC work) happen before the timer starts, and one
+// untimed call warms the System's pooled thermal evaluator, so the loop
+// times what a warm reactive point costs: the steady warm start and about
+// 65k leakage-coupled backward-Euler steps. It fails if the loop decodes.
+func BenchmarkEvaluateReactive(b *testing.B) {
+	built := fullBuild(b, "A")
+	sys, err := built.System.Clone()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 84}
+	if _, err := built.System.EvaluateReactive(ch, cfg); err != nil {
+		b.Fatal(err)
+	}
+	decodes := built.System.Engine.Decodes
+	var last ReactiveResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if last, err = built.System.EvaluateReactive(ch, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if built.System.Engine.Decodes != decodes {
+		b.Fatalf("the timed loop decoded %d blocks on the NoC", built.System.Engine.Decodes-decodes)
+	}
+	b.ReportMetric(last.PeakC, "°C-peak")
+	b.ReportMetric(float64(last.Migrations), "migrations")
+}
+
 // BenchmarkPhasePlanner measures the congestion-free migration planner,
 // the component that must be fast enough to run at every reconfiguration.
 func BenchmarkPhasePlanner(b *testing.B) {

@@ -105,3 +105,37 @@ func TestStudyFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// TestReactiveFingerprint pins the reactive reference set bit for bit at
+// the test scale: X-Y Shift and Rot under every trigger of {82, 83, 84,
+// 85} °C on configuration A, each with the default horizon, warmup,
+// sensor resolution and step. It hashes every field of each
+// ReactiveResult, the whole BlockPeaks timeline included, so a change to
+// the transient integrator that moves one temperature bit fails here
+// inside go test. amd64-only, like TestStudyFingerprint.
+func TestReactiveFingerprint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fingerprints are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	var cfgs []ReactiveConfig
+	for _, s := range []Scheme{XYShift(), Rot()} {
+		for _, trig := range []float64{82, 83, 84, 85} {
+			cfgs = append(cfgs, ReactiveConfig{Scheme: s, TriggerC: trig})
+		}
+	}
+	res, err := NewLab(WithScale(testScale)).Reactive(context.Background(), "A", cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newStudyHash()
+	for i, r := range res {
+		h.str(cfgs[i].Scheme.Name)
+		h.f(cfgs[i].TriggerC, r.PeakC, r.MeanC, r.ThroughputPenalty)
+		h.u64(uint64(r.Migrations))
+		h.u64(uint64(len(r.BlockPeaks)))
+		h.f(r.BlockPeaks...)
+	}
+	if got, want := h.sum(), "f9c9aa97ee20978f"; got != want {
+		t.Errorf("reactive = %s, want %s", got, want)
+	}
+}

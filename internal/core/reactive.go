@@ -179,19 +179,20 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 		return ReactiveResult{}, err
 	}
 	defer s.putEvaluator(ev)
-	// Scratch for the integration hot loop: die temperatures, leakage map
-	// and per-step power map are reused across every step of the horizon.
-	dieBuf := make([]float64, g.N())
-	leakBuf := make([]float64, g.N())
-	pmBuf := make([]float64, g.N())
+	// Scratch for the integration hot loop: the leakage map and per-step
+	// power map are reused across every step of the horizon. The leakage
+	// model and the statistics read the die prefix of the thermal state
+	// in place.
+	n := g.N()
+	leakBuf := make([]float64, n)
+	pmBuf := make([]float64, n)
 
 	ss := ev.Steady()
 	state := make([]float64, s.Therm.NNodes)
 	next := make([]float64, s.Therm.NNodes)
 	ss.SolveFullInto(state, legs[0].decodePower)
 	for it := 0; it < 50; it++ {
-		s.Therm.DieTempsInto(dieBuf, state)
-		s.Leak.Into(leakBuf, dieBuf)
+		s.Leak.Into(leakBuf, state[:n])
 		copy(pmBuf, legs[0].decodePower)
 		for i, l := range leakBuf {
 			pmBuf[i] += l
@@ -209,6 +210,7 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 		return ReactiveResult{}, err
 	}
 	tr.SetState(state, 0)
+	die := tr.T[:n]
 
 	res := ReactiveResult{PeakC: -math.MaxFloat64}
 	var meanAcc float64
@@ -220,8 +222,7 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 			steps = 1
 		}
 		for i := 0; i < steps; i++ {
-			tr.DieInto(dieBuf)
-			s.Leak.Into(leakBuf, dieBuf)
+			s.Leak.Into(leakBuf, die)
 			copy(pmBuf, basePower)
 			for j, l := range leakBuf {
 				pmBuf[j] += l
@@ -230,12 +231,11 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 			if !recording {
 				continue
 			}
-			tr.DieInto(dieBuf)
-			p, _ := thermal.Peak(dieBuf)
+			p, _ := thermal.Peak(die)
 			if p > res.PeakC {
 				res.PeakC = p
 			}
-			meanAcc += thermal.Mean(dieBuf)
+			meanAcc += thermal.Mean(die)
 			meanN++
 		}
 	}
@@ -250,8 +250,7 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 			decodeCycles += m.decodeCycles
 		}
 
-		tr.DieInto(dieBuf)
-		sensorPeak := quantize(maxOf(dieBuf), cfg.SensorQuantC)
+		sensorPeak := quantize(maxOf(die), cfg.SensorQuantC)
 		if cfg.PeaksEvery > 0 && blk%cfg.PeaksEvery == 0 {
 			res.BlockPeaks = append(res.BlockPeaks, sensorPeak)
 		}

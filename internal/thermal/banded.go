@@ -17,6 +17,21 @@ import (
 // handled as a bordered block. Factorisation then costs O(n·k²) instead of
 // the dense O(n³) and each solve O(n·k) instead of O(n²).
 //
+// Row runs: fill-in during elimination stays inside each row's envelope,
+// but some in-band factors are still exactly zero (mostly in the first
+// grid row, before fill reaches them). A solve must skip those, as the
+// straightforward band sweep does, so that its floating-point operations
+// are the same ones in the same order. Instead of testing every in-band
+// factor on every solve, FactorBanded records once, per row, the runs of
+// consecutive non-zero L and U entries as column ranges over the factored
+// band (lrun, urun). The sweeps then walk those runs with no zero test and
+// no per-element band index arithmetic. Invariant: for every right-hand
+// side, a sweep performs exactly the subtractions of the zero-skipping
+// band sweep — same operands, same order (ascending column within a row),
+// same final division by the pivot — so the result is bitwise identical.
+// internal/thermal/ref_test.go holds the production kernels to the frozen
+// band sweeps bit for bit.
+//
 // Stability without pivoting: the matrices are symmetric and (weakly)
 // diagonally dominant with positive diagonal — every off-diagonal entry is
 // the negative of a physical conductance also added to both diagonals, and
@@ -37,14 +52,20 @@ type BandedLU struct {
 	n      int   // full order, banded block plus the border node
 	nb     int   // banded block order
 	k      int   // half bandwidth of the banded block
-	stride int   // 2k+1, the band-storage row stride
 	border int   // node index of the dense border row/column
-	perm   []int // perm[node] = banded position; perm[border] = -1
+	perm   []int // perm[node] = banded position; perm[border] = -1 (the caller's, read-only)
 
-	// ab is the factored band in row-major band storage: entry (i, j) of
-	// the banded block lives at ab[i*stride + (j-i+k)]. After FactorBanded it
-	// holds unit-diagonal L below and U on and above the diagonal.
+	// ab is the factored band in row-major band storage with row stride
+	// 2k+1: entry (i, j) of the banded block lives at ab[i*2k + k + j], so
+	// ab[i*2k+k:] is row i indexed by column. After FactorBanded it holds
+	// unit-diagonal L below and U on and above the diagonal.
 	ab []float64
+	// lrun and urun locate the non-zero factors. lrun covers rows
+	// 1..nb-1 in forward-sweep order, urun rows nb-1..0 in back-sweep
+	// order; each row contributes the number of its runs of consecutive
+	// non-zero L (lrun) or strictly-upper U (urun) entries, then each run
+	// as a half-open column range [a, b). Both are views of one allocation.
+	lrun, urun []int32
 	// bcol is the border coupling column b (banded order), y = A⁻¹·b, and
 	// schur = d - bᵀ·y the Schur complement of the border node, so a solve
 	// against [[A, b], [bᵀ, d]] is two banded sweeps plus rank-one fixup.
@@ -60,17 +81,33 @@ type BandedLU struct {
 // FactorBanded factorises m, which must be symmetric, (weakly) diagonally
 // dominant, and banded under perm outside the single border row/column.
 // perm maps every non-border node to its position in the banded ordering
-// and the border node to -1; the half bandwidth is detected from the
+// and the border node to -1; the factorisation keeps perm, so the caller
+// must not modify it afterwards. The half bandwidth is detected from the
 // non-zero pattern. A zero or negative pivot — the matrix class makes
 // them equivalent to singularity — is reported as a node with no path to
 // ambient, matching the dense reference LU in linalg_test.go.
 func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
+	return factorBanded(m, nil, border, perm)
+}
+
+// factorBanded factorises m + diag(shift) without forming the sum; a nil
+// shift factorises m itself. Each diagonal entry is m's plus the shift,
+// one addition, exactly as if the shift had been added to a copy of m.
+// The backward-Euler integrator passes G and C/dt this way instead of
+// cloning the dense conductance matrix per step size.
+func factorBanded(m *Dense, shift []float64, border int, perm []int) (*BandedLU, error) {
 	n := m.N
 	if border < 0 || border >= n {
 		panic(fmt.Sprintf("thermal: border node %d outside %d-node system", border, n))
 	}
 	if len(perm) != n {
 		panic(fmt.Sprintf("thermal: permutation has %d entries for %d nodes", len(perm), n))
+	}
+	diag := func(i int) float64 {
+		if shift == nil {
+			return m.At(i, i)
+		}
+		return m.At(i, i) + shift[i]
 	}
 	nb := n - 1
 	seen := make([]bool, nb)
@@ -86,7 +123,7 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 		}
 		seen[p] = true
 	}
-	if err := checkSymmetricDominant(m); err != nil {
+	if err := checkSymmetricDominant(m, diag); err != nil {
 		return nil, err
 	}
 
@@ -109,10 +146,11 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 		}
 	}
 
+	stride := 2*k + 1
 	f := &BandedLU{
-		n: n, nb: nb, k: k, stride: 2*k + 1, border: border,
-		perm: append([]int(nil), perm...),
-		ab:   make([]float64, nb*(2*k+1)),
+		n: n, nb: nb, k: k, border: border,
+		perm: perm,
+		ab:   make([]float64, nb*stride),
 		bcol: make([]float64, nb),
 		y:    make([]float64, nb),
 		x:    make([]float64, nb),
@@ -122,7 +160,7 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 			continue
 		}
 		pi := perm[i]
-		f.ab[pi*f.stride+k] = m.At(i, i)
+		f.ab[pi*stride+k] = diag(i)
 		f.bcol[pi] = m.At(i, border)
 		for j := i + 1; j < n; j++ {
 			if j == border {
@@ -130,8 +168,8 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 			}
 			if v := m.At(i, j); v != 0 {
 				pj := perm[j]
-				f.ab[pi*f.stride+(pj-pi+k)] = v
-				f.ab[pj*f.stride+(pi-pj+k)] = v
+				f.ab[pi*stride+(pj-pi+k)] = v
+				f.ab[pj*stride+(pi-pj+k)] = v
 			}
 		}
 	}
@@ -142,7 +180,7 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 	// rounding residue, many orders of magnitude below the diagonal scale.
 	dmax := 0.0
 	for i := 0; i < n; i++ {
-		if d := m.At(i, i); d > dmax {
+		if d := diag(i); d > dmax {
 			dmax = d
 		}
 	}
@@ -151,7 +189,7 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 	// Unpivoted banded LU (Doolittle): stable for this symmetric
 	// diagonally-dominant class, asserted above.
 	for col := 0; col < nb; col++ {
-		piv := f.ab[col*f.stride+k]
+		piv := f.ab[col*stride+k]
 		if !(piv > tiny) {
 			return nil, fmt.Errorf("thermal: singular system (pivot %g at banded column %d); some node has no path to ambient", piv, col)
 		}
@@ -159,9 +197,9 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 		if rmax > nb-1 {
 			rmax = nb - 1
 		}
-		pivRow := f.ab[col*f.stride:]
+		pivRow := f.ab[col*stride:]
 		for r := col + 1; r <= rmax; r++ {
-			rRow := f.ab[r*f.stride:]
+			rRow := f.ab[r*stride:]
 			d := col - r + k // column col's offset in row r's band storage
 			l := rRow[d] / piv
 			rRow[d] = l
@@ -173,13 +211,14 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 			}
 		}
 	}
+	f.deriveRuns()
 
 	// Border elimination: y = A⁻¹·b and the Schur complement
 	// d - bᵀ·y, which is the sink's effective conductance to ambient —
 	// non-positive exactly when the network floats with no ambient path.
 	copy(f.y, f.bcol)
 	f.solveSingle(f.y)
-	d := m.At(border, border)
+	d := diag(border)
 	acc := 0.0
 	for i, b := range f.bcol {
 		if b != 0 {
@@ -193,12 +232,70 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 	return f, nil
 }
 
+// row returns banded row i of the factored band indexed by column: row(i)[j]
+// is entry (i, j) for |i-j| ≤ k.
+func (f *BandedLU) row(i int) []float64 { return f.ab[i*2*f.k+f.k:] }
+
+// deriveRuns records lrun and urun from the factored band in one
+// allocation: a counting pass sizes it, a second pass fills it.
+func (f *BandedLU) deriveRuns() {
+	nb, k := f.nb, f.k
+	size := 0
+	for i := 0; i < nb; i++ {
+		if i > 0 {
+			size += 1 + 2*countRuns(f.row(i), max(i-k, 0), i)
+		}
+		size += 1 + 2*countRuns(f.row(i), i+1, min(i+k, nb-1)+1)
+	}
+	runs := make([]int32, 0, size)
+	for i := 1; i < nb; i++ {
+		runs = appendRuns(runs, f.row(i), max(i-k, 0), i)
+	}
+	nl := len(runs)
+	for i := nb - 1; i >= 0; i-- {
+		runs = appendRuns(runs, f.row(i), i+1, min(i+k, nb-1)+1)
+	}
+	f.lrun, f.urun = runs[:nl:nl], runs[nl:]
+}
+
+// countRuns counts the runs of consecutive non-zero entries of row over
+// columns [lo, hi).
+func countRuns(row []float64, lo, hi int) int {
+	n := 0
+	for j := lo; j < hi; j++ {
+		if row[j] != 0 && (j == lo || row[j-1] == 0) {
+			n++
+		}
+	}
+	return n
+}
+
+// appendRuns appends the runs of consecutive non-zero entries of row over
+// columns [lo, hi) to dst: their count, then each run's [a, b).
+func appendRuns(dst []int32, row []float64, lo, hi int) []int32 {
+	at := len(dst)
+	dst = append(dst, 0)
+	for j := lo; j < hi; j++ {
+		if row[j] == 0 {
+			continue
+		}
+		a := j
+		for j < hi && row[j] != 0 {
+			j++
+		}
+		dst = append(dst, int32(a), int32(j))
+		dst[at]++
+	}
+	return dst
+}
+
 // checkSymmetricDominant asserts the structural properties the unpivoted
 // banded factorisation relies on: symmetry and weak diagonal dominance
-// with non-negative diagonal (within rounding slack). The thermal stamps
-// construct exactly this class; anything else needs a pivoting
-// factorisation, which this package does not provide.
-func checkSymmetricDominant(m *Dense) error {
+// with non-negative diagonal (within rounding slack), where diag(i) is the
+// matrix's diagonal entry i. The thermal stamps construct exactly this
+// class; anything else needs a pivoting factorisation, which this package
+// does not provide.
+func checkSymmetricDominant(m *Dense, diag func(i int) float64) error {
 	n := m.N
 	for i := 0; i < n; i++ {
 		off := 0.0
@@ -212,101 +309,104 @@ func checkSymmetricDominant(m *Dense) error {
 			}
 			off += math.Abs(a)
 		}
-		diag := m.At(i, i)
-		if diag < 0 || diag < off*(1-1e-9) {
-			return fmt.Errorf("thermal: row %d not diagonally dominant (diagonal %g, off-diagonal sum %g); unpivoted banded factorisation would be unstable", i, diag, off)
+		d := diag(i)
+		if d < 0 || d < off*(1-1e-9) {
+			return fmt.Errorf("thermal: row %d not diagonally dominant (diagonal %g, off-diagonal sum %g); unpivoted banded factorisation would be unstable", i, d, off)
 		}
 	}
 	return nil
 }
 
 // solveSingle performs the banded forward and back substitution in place
-// on one right-hand side with flat indexing — the per-solve hot path.
-// Its operation sequence (ascending j, zero factors skipped, one
-// subtraction per in-band entry, final division by the pivot) is exactly
-// solveCols' per-column sequence, which is what makes a batched solve
-// bitwise identical to repeated single solves.
+// on one right-hand side — the per-solve hot path. It walks each row's
+// non-zero runs (lrun, then urun) instead of the whole band: within a row
+// it subtracts factor·x[j] for ascending j over exactly the non-zero
+// in-band factors, then (back sweep) divides by the pivot. That is the
+// zero-skipping band sweep's operation sequence, and solveCols' per-column
+// sequence, which is what makes a batched solve bitwise identical to
+// repeated single solves.
 //
 //hotnoc:noalloc
 func (f *BandedLU) solveSingle(x []float64) {
-	nb, k, stride := f.nb, f.k, f.stride
-	for i := 1; i < nb; i++ {
-		lo := i - k
-		if lo < 0 {
-			lo = 0
-		}
-		row := f.ab[i*stride:]
+	// p indexes the current row's run count in run; base is row i's
+	// offset in ab (see ab), so ab[base+j] is entry (i, j).
+	ab, k2 := f.ab, 2*f.k
+	run, p, base := f.lrun, 0, f.k
+	for i := 1; i < f.nb; i++ {
+		base += k2
 		s := x[i]
-		for j := lo; j < i; j++ {
-			if l := row[j-i+k]; l != 0 {
-				s -= l * x[j]
-			}
+		for end := p + 1 + 2*int(run[p]); p+1 < end; p += 2 {
+			a, b := int(run[p+1]), int(run[p+2])
+			s = subRun(s, ab[base+a:base+b], x[a:b])
 		}
+		p++
 		x[i] = s
 	}
-	for i := nb - 1; i >= 0; i-- {
-		hi := i + k
-		if hi > nb-1 {
-			hi = nb - 1
-		}
-		row := f.ab[i*stride:]
+	run, p = f.urun, 0
+	for i := f.nb - 1; i >= 0; i-- {
 		s := x[i]
-		for j := i + 1; j <= hi; j++ {
-			if u := row[j-i+k]; u != 0 {
-				s -= u * x[j]
-			}
+		for end := p + 1 + 2*int(run[p]); p+1 < end; p += 2 {
+			a, b := int(run[p+1]), int(run[p+2])
+			s = subRun(s, ab[base+a:base+b], x[a:b])
 		}
-		x[i] = s / row[k]
+		p++
+		x[i] = s / ab[base+i]
+		base -= k2
 	}
+}
+
+// subRun returns s - fac[0]·x[0] - fac[1]·x[1] - …, subtracting one
+// product at a time in ascending order.
+//
+//hotnoc:noalloc
+func subRun(s float64, fac, x []float64) float64 {
+	x = x[:len(fac)]
+	for j, v := range fac {
+		s -= v * x[j]
+	}
+	return s
 }
 
 // solveCols performs the banded forward and back substitution in place on
 // ncols right-hand sides stored row-major (x[i*ncols+c] is row i of column
-// c). The per-column arithmetic is identical for every ncols and matches
-// solveSingle, so a batched solve is bitwise identical to ncols sequential
-// single solves.
+// c). It walks the same non-zero runs as solveSingle, so the per-column
+// arithmetic is identical for every ncols and matches solveSingle: a
+// batched solve is bitwise identical to ncols sequential single solves.
 //
 //hotnoc:noalloc
 func (f *BandedLU) solveCols(x []float64, ncols int) {
-	nb, k, stride := f.nb, f.k, f.stride
 	// Forward substitution with unit-diagonal L.
-	for i := 1; i < nb; i++ {
-		lo := i - k
-		if lo < 0 {
-			lo = 0
-		}
-		row := f.ab[i*stride : i*stride+k]
+	run := f.lrun
+	for i := 1; i < f.nb; i++ {
+		row := f.row(i)
 		xi := x[i*ncols : (i+1)*ncols]
-		for j := lo; j < i; j++ {
-			l := row[j-i+k]
-			if l == 0 {
-				continue
-			}
-			xj := x[j*ncols : (j+1)*ncols]
-			for c := range xi {
-				xi[c] -= l * xj[c]
+		n := 2 * int(run[0])
+		for r := 1; r <= n; r += 2 {
+			for j := int(run[r]); j < int(run[r+1]); j++ {
+				l, xj := row[j], x[j*ncols:(j+1)*ncols]
+				for c := range xi {
+					xi[c] -= l * xj[c]
+				}
 			}
 		}
+		run = run[n+1:]
 	}
 	// Back substitution with U.
-	for i := nb - 1; i >= 0; i-- {
-		hi := i + k
-		if hi > nb-1 {
-			hi = nb - 1
-		}
-		row := f.ab[i*stride:]
+	run = f.urun
+	for i := f.nb - 1; i >= 0; i-- {
+		row := f.row(i)
 		xi := x[i*ncols : (i+1)*ncols]
-		for j := i + 1; j <= hi; j++ {
-			u := row[j-i+k]
-			if u == 0 {
-				continue
-			}
-			xj := x[j*ncols : (j+1)*ncols]
-			for c := range xi {
-				xi[c] -= u * xj[c]
+		n := 2 * int(run[0])
+		for r := 1; r <= n; r += 2 {
+			for j := int(run[r]); j < int(run[r+1]); j++ {
+				u, xj := row[j], x[j*ncols:(j+1)*ncols]
+				for c := range xi {
+					xi[c] -= u * xj[c]
+				}
 			}
 		}
-		piv := row[k]
+		run = run[n+1:]
+		piv := row[i]
 		for c := range xi {
 			xi[c] /= piv
 		}
@@ -321,13 +421,23 @@ func (f *BandedLU) Solve(dst, b []float64) {
 	if len(dst) != f.n || len(b) != f.n {
 		panic("thermal: banded Solve dimension mismatch")
 	}
-	x := f.x
 	for node, p := range f.perm {
 		if p >= 0 {
-			x[p] = b[node]
+			f.x[p] = b[node]
 		}
 	}
-	rb := b[f.border]
+	f.solveBordered(dst, b[f.border])
+}
+
+// solveBordered finishes a single solve whose right-hand side is already
+// in place: the banded entries in f.x (banded order) and the border
+// entry rb. It runs both sweeps, the rank-one border fixup, and one
+// scatter of the node-order solution into dst. The integrators assemble
+// their right-hand sides straight into f.x and call it directly.
+//
+//hotnoc:noalloc
+func (f *BandedLU) solveBordered(dst []float64, rb float64) {
+	x := f.x
 	f.solveSingle(x)
 	acc := 0.0
 	for i, bc := range f.bcol {

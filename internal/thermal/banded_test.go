@@ -267,10 +267,8 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 		{"SolveInto", func() { ss.SolveInto(die, p) }},
 		{"SolveFullInto", func() { ss.SolveFullInto(full, p) }},
 		{"Step", func() { tr.Step(p) }},
-		{"DieInto", func() { tr.DieInto(die) }},
 		{"cycle step with leak", func() {
-			tr.DieInto(die)
-			leak(leakBuf, die)
+			leak(leakBuf, tr.T[:nw.NDie])
 			tr.Step(p)
 		}},
 	}

@@ -139,8 +139,9 @@ func BenchmarkTransientStep(b *testing.B) {
 }
 
 // BenchmarkCycleLoopStep measures one iteration of RunCycle's inner loop
-// with the leakage closure engaged — die extraction, leakage map, power
-// assembly, banded step; 0 allocs/op is pinned by the alloc guard.
+// with the leakage closure engaged — leakage map over the live die
+// temperatures, power assembly, banded step; 0 allocs/op is pinned by the
+// alloc guard.
 func BenchmarkCycleLoopStep(b *testing.B) {
 	nw := benchNetwork(b, 5)
 	tr, err := NewTransient(nw, 5e-6)
@@ -148,14 +149,12 @@ func BenchmarkCycleLoopStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	base := benchPower(nw.NDie)
-	die := make([]float64, nw.NDie)
 	leak := make([]float64, nw.NDie)
 	pm := make([]float64, nw.NDie)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.DieInto(die)
-		for j, t := range die {
+		for j, t := range tr.T[:nw.NDie] {
 			leak[j] = 0.012 * (1 + 0.018*(t-40))
 		}
 		copy(pm, base)

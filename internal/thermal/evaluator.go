@@ -2,10 +2,11 @@ package thermal
 
 // Evaluator amortises the expensive linear-algebra setup of thermal
 // evaluation across many solves on one network: the steady-state LU
-// factorisation is computed once, and each backward-Euler iteration matrix
-// is factorised once per distinct step size and then reused by every
-// subsequent cycle integration. A sweep that evaluates many schedules on
-// the same chip pays for factorisation once instead of per evaluation.
+// factorisation is computed once, and the backward-Euler iteration matrix
+// of the current step size is factorised once and then reused by every
+// subsequent cycle integration at that step. A sweep that evaluates many
+// schedules on the same chip pays for factorisation once instead of per
+// evaluation.
 //
 // An Evaluator (like the Transient and SteadySolver it wraps) holds
 // mutable scratch state and must not be shared between goroutines; its
@@ -14,10 +15,13 @@ package thermal
 type Evaluator struct {
 	nw *Network
 	ss *SteadySolver
-	// trans caches one integrator per step size. RunCycle overwrites the
-	// integrator state before use, so reuse is exact.
-	trans map[float64]*Transient
-	sc    *cycleScratch
+	// tr is the integrator of the most recently requested step size; a
+	// different step replaces it. Keeping one bounds the evaluator's
+	// memory when callers choose the step (a long-lived daemon serves any
+	// dt a client sends). RunCycle overwrites the integrator state before
+	// use, so reuse is exact.
+	tr *Transient
+	sc *cycleScratch
 }
 
 // cycleScratch holds the per-evaluator buffers that make RunCycle
@@ -26,7 +30,6 @@ type Evaluator struct {
 type cycleScratch struct {
 	avg       []float64 // time-averaged power map, NDie
 	withLeak  []float64 // warm-start power map with leakage folded in, NDie
-	die       []float64 // die-layer temperatures, NDie
 	leak      []float64 // leakage power map, NDie
 	power     []float64 // per-step power map, NDie
 	state     []float64 // warm-start fixed-point state, NNodes
@@ -41,7 +44,7 @@ func NewEvaluator(nw *Network) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{nw: nw, ss: ss, trans: map[float64]*Transient{}}, nil
+	return &Evaluator{nw: nw, ss: ss}, nil
 }
 
 func (ev *Evaluator) scratch() *cycleScratch {
@@ -50,7 +53,6 @@ func (ev *Evaluator) scratch() *cycleScratch {
 		ev.sc = &cycleScratch{
 			avg:       make([]float64, n),
 			withLeak:  make([]float64, n),
-			die:       make([]float64, n),
 			leak:      make([]float64, n),
 			power:     make([]float64, n),
 			state:     make([]float64, nn),
@@ -64,19 +66,19 @@ func (ev *Evaluator) scratch() *cycleScratch {
 // Steady returns the cached steady-state solver.
 func (ev *Evaluator) Steady() *SteadySolver { return ev.ss }
 
-// Transient returns the cached integrator for step dt, factorising the
-// iteration matrix on first use. The integrator's state persists between
-// calls; callers that need a defined starting point must Reset or SetState
-// it (RunCycle always does).
+// Transient returns the integrator for step dt: the cached one when the
+// previous request used the same step, otherwise a new one whose
+// iteration matrix is factorised here and which replaces the cache. The
+// integrator's state persists between calls; callers that need a defined
+// starting point must Reset or SetState it (RunCycle always does).
 func (ev *Evaluator) Transient(dt float64) (*Transient, error) {
-	if tr, ok := ev.trans[dt]; ok {
-		return tr, nil
+	if ev.tr != nil && ev.tr.dt == dt {
+		return ev.tr, nil
 	}
-	lu, err := factorStep(ev.nw, dt)
+	tr, err := NewTransient(ev.nw, dt)
 	if err != nil {
 		return nil, err
 	}
-	tr := newTransient(ev.nw, dt, lu)
-	ev.trans[dt] = tr
+	ev.tr = tr
 	return tr, nil
 }

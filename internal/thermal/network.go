@@ -237,37 +237,10 @@ func (nw *Network) stamp(i, j int, g float64) {
 	nw.G.Add(j, i, -g)
 }
 
-// powerVector expands a per-block die power map (W) to the full node
-// vector; only die nodes dissipate.
-//
-//hotnoc:noalloc
-func (nw *Network) powerVector(dst, blockPower []float64) {
-	if len(blockPower) != nw.NDie {
-		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks",
-			len(blockPower), nw.NDie))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	copy(dst, blockPower)
-}
-
-// DieTemps extracts the die-layer slice of a full node temperature vector.
+// DieTemps returns a copy of the die-layer slice of a full node
+// temperature vector. Hot loops read full[:NDie] in place instead.
 func (nw *Network) DieTemps(full []float64) []float64 {
-	out := make([]float64, nw.NDie)
-	nw.DieTempsInto(out, full)
-	return out
-}
-
-// DieTempsInto is DieTemps without the allocation: it writes the die-layer
-// temperatures into dst, which must have NDie entries.
-//
-//hotnoc:noalloc
-func (nw *Network) DieTempsInto(dst, full []float64) {
-	if len(dst) != nw.NDie {
-		panic(fmt.Sprintf("thermal: die buffer has %d entries for %d blocks", len(dst), nw.NDie))
-	}
-	copy(dst, full[:nw.NDie])
+	return append([]float64(nil), full[:nw.NDie]...)
 }
 
 // Peak returns the hottest die temperature and its block index.

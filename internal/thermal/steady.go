@@ -11,8 +11,8 @@ import "fmt"
 type SteadySolver struct {
 	nw *Network
 	f  *BandedLU
-	// scratch buffers to keep the Into variants allocation-free.
-	p []float64
+	// t is the node-order solution scratch that keeps SolveInto
+	// allocation-free.
 	t []float64
 }
 
@@ -23,12 +23,7 @@ func NewSteadySolver(nw *Network) (*SteadySolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SteadySolver{
-		nw: nw,
-		f:  f,
-		p:  make([]float64, nw.NNodes),
-		t:  make([]float64, nw.NNodes),
-	}, nil
+	return &SteadySolver{nw: nw, f: f, t: make([]float64, nw.NNodes)}, nil
 }
 
 // Solve returns the steady-state die temperatures (°C) for a per-block
@@ -48,7 +43,7 @@ func (s *SteadySolver) SolveInto(dst, blockPower []float64) {
 	if len(dst) != s.nw.NDie {
 		panic(fmt.Sprintf("thermal: SolveInto dst has %d entries for %d blocks", len(dst), s.nw.NDie))
 	}
-	s.solveNodes(blockPower)
+	s.solveNodes(s.t, blockPower)
 	copy(dst, s.t[:s.nw.NDie])
 }
 
@@ -68,17 +63,30 @@ func (s *SteadySolver) SolveFullInto(dst, blockPower []float64) {
 	if len(dst) != s.nw.NNodes {
 		panic(fmt.Sprintf("thermal: SolveFullInto dst has %d entries for %d nodes", len(dst), s.nw.NNodes))
 	}
-	s.solveNodes(blockPower)
-	copy(dst, s.t)
+	s.solveNodes(dst, blockPower)
 }
 
+// solveNodes solves G·T = P + B into dst (NNodes entries), assembling the
+// right-hand side straight into the factorisation's banded scratch in the
+// network's node layout, as Transient.Step does: die nodes carry their
+// block power, the other nodes the literal 0 power term of the node-order
+// vector this replaces.
+//
 //hotnoc:noalloc
-func (s *SteadySolver) solveNodes(blockPower []float64) {
-	s.nw.powerVector(s.p, blockPower)
-	for i := range s.p {
-		s.p[i] += s.nw.B[i]
+func (s *SteadySolver) solveNodes(dst, blockPower []float64) {
+	nw := s.nw
+	if len(blockPower) != nw.NDie {
+		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks", len(blockPower), nw.NDie))
 	}
-	s.f.Solve(s.t, s.p)
+	x, perm, B := s.f.x, s.f.perm, nw.B
+	for i, p := range blockPower {
+		x[perm[i]] = p + B[i]
+	}
+	sink := nw.Sink()
+	for i := nw.NDie; i < sink; i++ {
+		x[perm[i]] = 0 + B[i]
+	}
+	s.f.solveBordered(dst, 0+B[sink])
 }
 
 // Influence is the precomputed linear thermal operator of a network:

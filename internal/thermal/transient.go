@@ -18,55 +18,36 @@ type Transient struct {
 	nw *Network
 	dt float64
 	f  *BandedLU
+	// cdt holds C[i]/dt per node: the diagonal the iteration matrix adds
+	// to G, and the weight of the current state in every right-hand side.
+	cdt []float64
 
 	// T is the current full node temperature vector.
 	T []float64
 	// Time is the elapsed simulated time in seconds.
 	Time float64
-
-	rhs []float64
-	pv  []float64
 }
 
 // NewTransient creates an integrator with step dt (seconds), starting from
-// a uniform ambient-temperature state.
-func NewTransient(nw *Network, dt float64) (*Transient, error) {
-	f, err := factorStep(nw, dt)
-	if err != nil {
-		return nil, err
-	}
-	return newTransient(nw, dt, f), nil
-}
-
-// factorStep factorises the backward-Euler iteration matrix C/dt + G for
-// step size dt. Adding C/dt to the diagonal preserves symmetry, diagonal
+// a uniform ambient-temperature state. It factorises the iteration matrix
+// C/dt + G: adding C/dt to the diagonal preserves symmetry, diagonal
 // dominance, and the band pattern, so the banded factorisation applies
-// unchanged. The factorisation depends only on (network, dt), so an
-// Evaluator caches it across any number of integrations.
-func factorStep(nw *Network, dt float64) (*BandedLU, error) {
+// unchanged, and it shifts G's diagonal by C/dt without copying G.
+func NewTransient(nw *Network, dt float64) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive step %g", dt)
 	}
-	m := nw.G.Clone()
-	for i := 0; i < nw.NNodes; i++ {
-		m.Add(i, i, nw.C[i]/dt)
+	cdt := make([]float64, nw.NNodes)
+	for i, c := range nw.C {
+		cdt[i] = c / dt
 	}
-	return FactorBanded(m, nw.Sink(), nw.BandPerm())
-}
-
-// newTransient wires an integrator around a previously factorised
-// iteration matrix for the same (network, dt).
-func newTransient(nw *Network, dt float64, f *BandedLU) *Transient {
-	tr := &Transient{
-		nw:  nw,
-		dt:  dt,
-		f:   f,
-		T:   make([]float64, nw.NNodes),
-		rhs: make([]float64, nw.NNodes),
-		pv:  make([]float64, nw.NNodes),
+	f, err := factorBanded(nw.G, cdt, nw.Sink(), nw.BandPerm())
+	if err != nil {
+		return nil, err
 	}
+	tr := &Transient{nw: nw, dt: dt, f: f, cdt: cdt, T: make([]float64, nw.NNodes)}
 	tr.Reset()
-	return tr
+	return tr, nil
 }
 
 // Reset returns the state to uniform ambient temperature at time zero.
@@ -90,15 +71,29 @@ func (tr *Transient) SetState(full []float64, time float64) {
 // State returns a copy of the full node temperature vector.
 func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) }
 
-// Step advances one dt with the given per-block die power map (watts).
+// Step advances one dt with the given per-block die power map (watts). It
+// assembles the right-hand side C/dt·T + P + B straight into the
+// factorisation's banded scratch, node by node in the network's layout
+// (die nodes, then spreaders, then the sink, the border), and solves into
+// T. Only die nodes dissipate: the other nodes' power term is the literal
+// + 0, which keeps the sum's rounding (a -0 product becomes +0) the same as
+// adding a zero power entry.
 //
 //hotnoc:noalloc
 func (tr *Transient) Step(blockPower []float64) {
-	tr.nw.powerVector(tr.pv, blockPower)
-	for i := range tr.rhs {
-		tr.rhs[i] = tr.nw.C[i]/tr.dt*tr.T[i] + tr.pv[i] + tr.nw.B[i]
+	nw := tr.nw
+	if len(blockPower) != nw.NDie {
+		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks", len(blockPower), nw.NDie))
 	}
-	tr.f.Solve(tr.T, tr.rhs)
+	x, perm, T, cdt, B := tr.f.x, tr.f.perm, tr.T, tr.cdt, nw.B
+	for i, p := range blockPower {
+		x[perm[i]] = cdt[i]*T[i] + p + B[i]
+	}
+	sink := nw.Sink()
+	for i := nw.NDie; i < sink; i++ {
+		x[perm[i]] = cdt[i]*T[i] + 0 + B[i]
+	}
+	tr.f.solveBordered(T, cdt[sink]*T[sink]+0+B[sink])
 	tr.Time += tr.dt
 }
 
@@ -116,12 +111,6 @@ func (tr *Transient) StepFor(blockPower []float64, duration float64) {
 
 // Die returns a copy of the current die-layer temperatures.
 func (tr *Transient) Die() []float64 { return tr.nw.DieTemps(tr.T) }
-
-// DieInto writes the current die-layer temperatures into dst without
-// allocating; dst must have NDie entries.
-//
-//hotnoc:noalloc
-func (tr *Transient) DieInto(dst []float64) { tr.nw.DieTempsInto(dst, tr.T) }
 
 // ScheduleEntry is one segment of a piecewise-constant power schedule: the
 // chip dissipates Power (per-block watts) for Duration seconds. A migration
@@ -166,7 +155,9 @@ type CycleOptions struct {
 	// Leak, when non-nil, writes the additional per-block leakage power
 	// for the current die temperatures into dst, closing the
 	// electrothermal loop. The Into signature keeps the per-step hot loop
-	// allocation-free (power.Leakage.Into satisfies it).
+	// allocation-free (power.Leakage.Into satisfies it). dieTemps is the
+	// die prefix of the evaluator's node-temperature state, handed over
+	// without a copy, so Leak must only read it.
 	Leak func(dst, dieTemps []float64)
 }
 
@@ -235,8 +226,7 @@ func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (Cycle
 	ss.SolveFullInto(state, withLeak)
 	if opts.Leak != nil {
 		for it := 0; it < 50; it++ {
-			nw.DieTempsInto(sc.die, state)
-			opts.Leak(sc.leak, sc.die)
+			opts.Leak(sc.leak, state[:nw.NDie])
 			copy(withLeak, avg)
 			for i, l := range sc.leak {
 				withLeak[i] += l
@@ -263,8 +253,7 @@ func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (Cycle
 		for s := 0; s < steps; s++ {
 			copy(power, e.Power)
 			if opts.Leak != nil {
-				nw.DieTempsInto(sc.die, tr.T)
-				opts.Leak(sc.leak, sc.die)
+				opts.Leak(sc.leak, tr.T[:nw.NDie])
 				for i, l := range sc.leak {
 					power[i] += l
 				}

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # bench.sh records the benchmark trajectory for a PR: it runs the pinned
-# thermal-kernel, NoC and build-path (code construction, annealing)
-# benchmarks (with -benchmem) plus a one-iteration paper-scale pass
+# thermal-kernel (plus a warm paper-scale reactive evaluation), NoC and
+# build-path (code construction, annealing) benchmarks (with -benchmem)
+# plus a one-iteration paper-scale pass
 # (period sweep, warm and cold build, warm and cold Figure 1 sweep),
 # writes BENCH_<pr>.json at the repo root (or
 # bench-trajectory.json for a run not tied to a PR) with ns/op,
@@ -36,6 +37,8 @@ echo "== thermal kernel benchmarks (benchtime $BENCHTIME)"
 go test -run '^$' \
     -bench '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkInfluenceBuild|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/thermal | tee -a "$TMP"
+go test -run '^$' -bench '^BenchmarkEvaluateReactive$' \
+    -benchmem -benchtime "$BENCHTIME" . | tee -a "$TMP"
 
 echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME)"
 go test -run '^$' -bench '^(BenchmarkStepIdle|BenchmarkStepLoaded)$' \

@@ -13,8 +13,8 @@ echo "== go vet" && go vet ./...
 echo "== go test" && go test ./...
 echo "== bench module (vet + short tests against the library API)" \
     && go -C bench vet ./... && go -C bench test -short ./...
-echo "== thermal differential (banded vs dense reference, batched, singular)" \
-    && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree' ./internal/thermal
+echo "== thermal differential (banded vs dense reference, batched, singular, row-run kernels vs frozen band sweeps)" \
+    && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree|MatchesRef' ./internal/thermal
 echo "== build-path differential (sort-based code construction, coordinate-based anneal cost)" \
     && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place
 echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases and decodes, Replay vs stepping)" \
