@@ -41,17 +41,29 @@ func bcBuilt(t *testing.T) *chipcfg.Built {
 	return bcVal
 }
 
-// countingCache returns a memory-or-disk cache whose cold builds serve the
-// shared real build while counting invocations.
-func countingCache(t *testing.T, dir string, builds *int) *BuildCache {
+// bcKey is the key every build-cache test resolves.
+var bcKey = BuildKey{Config: "A", Scale: bcScale}
+
+// coldBuild runs a real cold build of bcKey.
+func coldBuild() (*chipcfg.Built, error) { return buildConfig(bcKey.Config, bcKey.Scale) }
+
+// countingBuild returns a compute serving the shared real build while
+// counting invocations.
+func countingBuild(t *testing.T, builds *int) func() (*chipcfg.Built, error) {
 	t.Helper()
 	real := bcBuilt(t)
-	c := NewBuildCache(dir, 0)
-	c.build = func(config string, scale int) (*chipcfg.Built, error) {
+	return func() (*chipcfg.Built, error) {
 		*builds++
 		return real, nil
 	}
-	return c
+}
+
+// neverBuild is the compute of a Get that must be served from the cache.
+func neverBuild(t *testing.T) func() (*chipcfg.Built, error) {
+	return func() (*chipcfg.Built, error) {
+		t.Error("cache hit expected, but the build ran")
+		return nil, errors.New("unexpected build")
+	}
 }
 
 // TestBuildCacheRoundTrip: a build persisted by one cache is
@@ -59,15 +71,15 @@ func countingCache(t *testing.T, dir string, builds *int) *BuildCache {
 // annealing and identical calibration products and placement.
 func TestBuildCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c1 := NewBuildCache(dir, 0)
-	cold, hit, err := c1.Get("A", bcScale)
+	c1 := newBuildCache(dir, 0)
+	cold, hit, err := c1.Get(bcKey, coldBuild)
 	if err != nil || hit {
 		t.Fatalf("cold Get = (hit %v, err %v), want a cold build", hit, err)
 	}
 
 	anneals := place.AnnealCount()
-	c2 := NewBuildCache(dir, 0)
-	warm, hit, err := c2.Get("A", bcScale)
+	c2 := newBuildCache(dir, 0)
+	warm, hit, err := c2.Get(bcKey, neverBuild(t))
 	if err != nil || !hit {
 		t.Fatalf("restored Get = (hit %v, err %v), want disk hit", hit, err)
 	}
@@ -89,11 +101,11 @@ func TestBuildCacheRoundTrip(t *testing.T) {
 // and does not rebuild.
 func TestBuildCacheMemoryHit(t *testing.T) {
 	builds := 0
-	c := countingCache(t, "", &builds) // memory-only
-	if _, hit, err := c.Get("A", bcScale); hit || err != nil {
+	c, build := newBuildCache("", 0), countingBuild(t, &builds) // memory-only
+	if _, hit, err := c.Get(bcKey, build); hit || err != nil {
 		t.Fatalf("cold Get = (hit %v, err %v)", hit, err)
 	}
-	if _, hit, err := c.Get("A", bcScale); !hit || err != nil {
+	if _, hit, err := c.Get(bcKey, build); !hit || err != nil {
 		t.Fatalf("warm Get = (hit %v, err %v)", hit, err)
 	}
 	if builds != 1 {
@@ -107,22 +119,22 @@ func TestBuildCacheRetriesAfterError(t *testing.T) {
 	real := bcBuilt(t)
 	transient := errors.New("transient build failure")
 	calls := 0
-	c := NewBuildCache("", 0)
-	c.build = func(config string, scale int) (*chipcfg.Built, error) {
+	c := newBuildCache("", 0)
+	build := func() (*chipcfg.Built, error) {
 		calls++
 		if calls == 1 {
 			return nil, transient
 		}
 		return real, nil
 	}
-	if _, _, err := c.Get("A", bcScale); !errors.Is(err, transient) {
+	if _, _, err := c.Get(bcKey, build); !errors.Is(err, transient) {
 		t.Fatalf("first Get returned %v, want the build error", err)
 	}
-	built, hit, err := c.Get("A", bcScale)
+	built, hit, err := c.Get(bcKey, build)
 	if err != nil || hit || built == nil {
 		t.Fatalf("retry after failure = (hit %v, err %v), want a fresh build", hit, err)
 	}
-	if _, hit, err := c.Get("A", bcScale); !hit || err != nil {
+	if _, hit, err := c.Get(bcKey, build); !hit || err != nil {
 		t.Fatalf("post-retry Get = (hit %v, err %v), want memory hit", hit, err)
 	}
 	if calls != 2 {
@@ -139,7 +151,7 @@ func TestRunnerBuildRetryAccounting(t *testing.T) {
 	real := bcBuilt(t)
 	r := NewRunner(Options{Scale: bcScale, Workers: 1})
 	fail := true
-	r.builds.build = func(config string, scale int) (*chipcfg.Built, error) {
+	r.build = func(config string, scale int) (*chipcfg.Built, error) {
 		if fail {
 			fail = false
 			return nil, errors.New("transient build failure")
@@ -192,19 +204,38 @@ func TestRunnerBuildRetryAccounting(t *testing.T) {
 func TestBuildCacheIgnoresCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	builds := 0
-	c := countingCache(t, dir, &builds)
+	c := newBuildCache(dir, 0)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path(BuildKey{Config: "A", Scale: bcScale}), []byte("not a gob stream"), 0o644); err != nil {
+	if err := os.WriteFile(c.path(bcKey), []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := c.Get("A", bcScale); err != nil || hit || builds != 1 {
+	if _, hit, err := c.Get(bcKey, countingBuild(t, &builds)); err != nil || hit || builds != 1 {
 		t.Fatalf("corrupt entry: (hit %v, builds %d, err %v), want silent rebuild", hit, builds, err)
 	}
 	// The overwrite must leave a valid snapshot behind.
-	if _, hit, err := NewBuildCache(dir, 0).Get("A", bcScale); err != nil || !hit {
+	if _, hit, err := newBuildCache(dir, 0).Get(bcKey, neverBuild(t)); err != nil || !hit {
 		t.Fatalf("after overwrite: (hit %v, err %v), want disk hit", hit, err)
+	}
+}
+
+// writeEntry gob-encodes env into path, standing in for a file another
+// process (or an earlier version) wrote.
+func writeEntry(t *testing.T, path string, env any) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -212,36 +243,51 @@ func TestBuildCacheIgnoresCorruptEntry(t *testing.T) {
 // version, key, grid or a payload failing spec revalidation are treated
 // as absent — the sweep silently falls back to a fresh build.
 func TestBuildCacheIgnoresStaleEntries(t *testing.T) {
-	key := BuildKey{Config: "A", Scale: bcScale}
+	type env = diskEntry[BuildKey, chipcfg.BuildData]
 	good := *bcBuilt(t).Data()
+	otherGrid := good
+	otherGrid.GridN = 5
 	badPayload := good
 	badPayload.EnergyScale = 0
 	cases := []struct {
 		name string
-		env  diskBuild
+		env  env
 	}{
-		{"version", diskBuild{Version: buildFormatVersion + 1, Key: key, GridN: 4, Data: good}},
-		{"key", diskBuild{Version: buildFormatVersion, Key: BuildKey{Config: "B", Scale: bcScale}, GridN: 4, Data: good}},
-		{"gridn", diskBuild{Version: buildFormatVersion, Key: key, GridN: 5, Data: good}},
-		{"payload", diskBuild{Version: buildFormatVersion, Key: key, GridN: 4, Data: badPayload}},
+		{"version", env{Version: buildFormatVersion + 1, Key: bcKey, Data: good}},
+		{"key", env{Version: buildFormatVersion, Key: BuildKey{Config: "B", Scale: bcScale}, Data: good}},
+		{"gridn", env{Version: buildFormatVersion, Key: bcKey, Data: otherGrid}},
+		{"payload", env{Version: buildFormatVersion, Key: bcKey, Data: badPayload}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			builds := 0
-			c := countingCache(t, t.TempDir(), &builds)
-			f, err := os.Create(c.path(key))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewEncoder(f).Encode(tc.env); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			if _, hit, err := c.Get("A", bcScale); err != nil || hit || builds != 1 {
+			c := newBuildCache(t.TempDir(), 0)
+			writeEntry(t, c.path(bcKey), tc.env)
+			if _, hit, err := c.Get(bcKey, countingBuild(t, &builds)); err != nil || hit || builds != 1 {
 				t.Fatalf("stale %s entry: (hit %v, builds %d, err %v), want rebuild",
 					tc.name, hit, builds, err)
 			}
 		})
+	}
+}
+
+// TestBuildCacheServesLegacyEnvelope: a snapshot in the envelope layout
+// written before the build and characterization caches shared one
+// envelope (with its GridN field) still restores, so upgrading
+// invalidates no cache directory.
+func TestBuildCacheServesLegacyEnvelope(t *testing.T) {
+	type legacyBuild struct {
+		Version int
+		Key     BuildKey
+		GridN   int
+		Data    chipcfg.BuildData
+	}
+	c := newBuildCache(t.TempDir(), 0)
+	writeEntry(t, c.path(bcKey), legacyBuild{
+		Version: buildFormatVersion, Key: bcKey, GridN: 4, Data: *bcBuilt(t).Data(),
+	})
+	if _, hit, err := c.Get(bcKey, neverBuild(t)); err != nil || !hit {
+		t.Fatalf("legacy snapshot: (hit %v, err %v), want disk hit", hit, err)
 	}
 }
 
@@ -258,12 +304,12 @@ func TestBuildCacheUnwritableDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := 0
-	c := countingCache(t, filepath.Join(notADir, "sub"), &builds)
-	if _, hit, err := c.Get("A", bcScale); err != nil || hit || builds != 1 {
+	c, build := newBuildCache(filepath.Join(notADir, "sub"), 0), countingBuild(t, &builds)
+	if _, hit, err := c.Get(bcKey, build); err != nil || hit || builds != 1 {
 		t.Fatalf("unwritable dir: (hit %v, builds %d, err %v), want fresh build", hit, builds, err)
 	}
 	// And the in-memory entry still serves.
-	if _, hit, err := c.Get("A", bcScale); err != nil || !hit {
+	if _, hit, err := c.Get(bcKey, build); err != nil || !hit {
 		t.Fatalf("memory entry after failed persist: (hit %v, err %v)", hit, err)
 	}
 }
@@ -273,24 +319,23 @@ func TestBuildCacheUnwritableDir(t *testing.T) {
 // build files and leaves characterization files alone.
 func TestBuildCacheLRUEvictionIndependentOfCharFiles(t *testing.T) {
 	dir := t.TempDir()
-	const n = 4
 
 	// Two characterization files that must survive build eviction.
-	cc := NewCharCache(dir, 0)
+	cc := newCharCache(dir, 0)
 	for _, k := range []CharKey{
 		{Config: "A", Scheme: "Rot", Scale: 8},
 		{Config: "B", Scheme: "Rot", Scale: 8},
 	} {
-		if _, _, err := cc.Get(k, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
+		if _, _, err := cc.Get(k, func() (*core.Characterization, error) { return fakeCharFor(k), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	real := bcBuilt(t)
-	bc := NewBuildCache(dir, 2)
-	bc.build = func(config string, scale int) (*chipcfg.Built, error) { return real, nil }
+	bc := newBuildCache(dir, 2)
 	for _, cfg := range []string{"A", "B", "C"} {
-		if _, _, err := bc.Get(cfg, bcScale); err != nil {
+		key := BuildKey{Config: cfg, Scale: bcScale}
+		if _, _, err := bc.Get(key, func() (*chipcfg.Built, error) { return real, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/gob"
 	"errors"
 	"os"
 	"reflect"
@@ -10,9 +9,22 @@ import (
 	"testing"
 	"time"
 
+	"hotnoc/internal/chipcfg"
 	"hotnoc/internal/core"
 	"hotnoc/internal/geom"
 )
+
+// fakeCharFor is fakeChar sized to key's configuration and naming key's
+// scheme: a payload the cache restores for key.
+func fakeCharFor(key CharKey) *core.Characterization {
+	spec, err := chipcfg.ByName(key.Config)
+	if err != nil {
+		panic(err)
+	}
+	ch := fakeChar(spec.GridN * spec.GridN)
+	ch.SchemeName = key.Scheme
+	return ch
+}
 
 // fakeChar builds a small, fully populated characterization payload.
 func fakeChar(n int) *core.Characterization {
@@ -46,11 +58,10 @@ func fakeChar(n int) *core.Characterization {
 func TestCharCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
-	const n = 9
-	want := fakeChar(n)
+	want := fakeCharFor(key)
 
-	c1 := NewCharCache(dir, 0)
-	got, hit, err := c1.Get(key, n, func() (*core.Characterization, error) { return want, nil })
+	c1 := newCharCache(dir, 0)
+	got, hit, err := c1.Get(key, func() (*core.Characterization, error) { return want, nil })
 	if err != nil || hit {
 		t.Fatalf("first Get = (hit %v, err %v), want computed", hit, err)
 	}
@@ -58,8 +69,8 @@ func TestCharCacheRoundTrip(t *testing.T) {
 		t.Fatal("first Get returned different data")
 	}
 
-	c2 := NewCharCache(dir, 0)
-	got2, hit2, err := c2.Get(key, n, func() (*core.Characterization, error) {
+	c2 := newCharCache(dir, 0)
+	got2, hit2, err := c2.Get(key, func() (*core.Characterization, error) {
 		t.Fatal("fresh cache recomputed a persisted entry")
 		return nil, nil
 	})
@@ -74,11 +85,11 @@ func TestCharCacheRoundTrip(t *testing.T) {
 // TestCharCacheMemoryHit: the second in-process Get for a key is a hit and
 // does not recompute.
 func TestCharCacheMemoryHit(t *testing.T) {
-	c := NewCharCache("", 0) // memory-only
+	c := newCharCache("", 0) // memory-only
 	key := CharKey{Config: "B", Scheme: "X-Y Shift", Scale: 1}
 	computes := 0
 	get := func() (*core.Characterization, bool, error) {
-		return c.Get(key, 4, func() (*core.Characterization, error) {
+		return c.Get(key, func() (*core.Characterization, error) {
 			computes++
 			return fakeChar(4), nil
 		})
@@ -99,13 +110,12 @@ func TestCharCacheMemoryHit(t *testing.T) {
 func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	key := CharKey{Config: "C", Scheme: "Rot", Scale: 8}
-	const n = 4
-	c := NewCharCache(dir, 0)
+	c := newCharCache(dir, 0)
 	if err := os.WriteFile(c.path(key), []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := fakeChar(n)
-	got, hit, err := c.Get(key, n, func() (*core.Characterization, error) { return want, nil })
+	want := fakeCharFor(key)
+	got, hit, err := c.Get(key, func() (*core.Characterization, error) { return want, nil })
 	if err != nil {
 		t.Fatalf("corrupt entry became fatal: %v", err)
 	}
@@ -116,7 +126,7 @@ func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 		t.Fatal("corrupt entry corrupted the recomputed result")
 	}
 	// The overwrite must leave a valid entry behind.
-	if _, hit, err := NewCharCache(dir, 0).Get(key, n, func() (*core.Characterization, error) {
+	if _, hit, err := newCharCache(dir, 0).Get(key, func() (*core.Characterization, error) {
 		t.Fatal("overwritten entry not readable")
 		return nil, nil
 	}); err != nil || !hit {
@@ -131,13 +141,13 @@ func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 // entries cached the first error forever, so one transient failure
 // failed every later job touching the key for the life of the service.
 func TestCharCacheRetriesAfterError(t *testing.T) {
-	c := NewCharCache("", 0)
+	c := newCharCache("", 0)
 	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
 	const n = 4
 	transient := errors.New("transient characterize failure")
 	calls := 0
 	get := func() (*core.Characterization, bool, error) {
-		return c.Get(key, n, func() (*core.Characterization, error) {
+		return c.Get(key, func() (*core.Characterization, error) {
 			calls++
 			if calls == 1 {
 				return nil, transient
@@ -177,12 +187,12 @@ func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
 	transient := errors.New("transient characterize failure")
 
 	attempt := func() (sharedErrs int, waiterComputes int32, resolverErr error) {
-		c := NewCharCache("", 0)
+		c := newCharCache("", 0)
 		started := make(chan struct{})
 		release := make(chan struct{})
 		resErr := make(chan error, 1)
 		go func() {
-			_, _, err := c.Get(key, n, func() (*core.Characterization, error) {
+			_, _, err := c.Get(key, func() (*core.Characterization, error) {
 				close(started)
 				<-release
 				return nil, transient
@@ -201,7 +211,7 @@ func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, _, err := c.Get(key, n, func() (*core.Characterization, error) {
+				_, _, err := c.Get(key, func() (*core.Characterization, error) {
 					computes.Add(1)
 					return fakeChar(n), nil
 				})
@@ -223,7 +233,7 @@ func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
 		// result must be visible here (a memory hit): a compute whose
 		// result vanished resolved the orphaned entry — the bug.
 		probed := false
-		data, hit, err := c.Get(key, n, func() (*core.Characterization, error) {
+		data, hit, err := c.Get(key, func() (*core.Characterization, error) {
 			probed = true
 			return fakeChar(n), nil
 		})
@@ -262,13 +272,12 @@ func TestCharCacheDebouncedTouch(t *testing.T) {
 
 	dir := t.TempDir()
 	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
-	const n = 4
-	c := NewCharCache(dir, 0)
-	if _, _, err := c.Get(key, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
+	c := newCharCache(dir, 0)
+	if _, _, err := c.Get(key, func() (*core.Characterization, error) { return fakeCharFor(key), nil }); err != nil {
 		t.Fatal(err)
 	}
 	warm := func() {
-		if _, hit, err := c.Get(key, n, func() (*core.Characterization, error) {
+		if _, hit, err := c.Get(key, func() (*core.Characterization, error) {
 			t.Fatal("memory entry recomputed")
 			return nil, nil
 		}); !hit || err != nil {
@@ -306,14 +315,14 @@ func TestCharCacheDebouncedTouch(t *testing.T) {
 // disk refreshes its recency, protecting it from the next eviction pass.
 func TestCharCacheLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	const n, limit = 4, 2
+	const limit = 2
 	k1 := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
 	k2 := CharKey{Config: "B", Scheme: "Rot", Scale: 8}
 	k3 := CharKey{Config: "C", Scheme: "Rot", Scale: 8}
 
-	seed := NewCharCache(dir, limit)
+	seed := newCharCache(dir, limit)
 	for _, k := range []CharKey{k1, k2} {
-		if _, _, err := seed.Get(k, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
+		if _, _, err := seed.Get(k, func() (*core.Characterization, error) { return fakeCharFor(k), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,8 +337,8 @@ func TestCharCacheLRUEviction(t *testing.T) {
 
 	// Serving k1 from disk (fresh cache, so it is a disk load, not a
 	// memory hit) must refresh its mtime past k2's.
-	warm := NewCharCache(dir, limit)
-	if _, hit, err := warm.Get(k1, n, func() (*core.Characterization, error) {
+	warm := newCharCache(dir, limit)
+	if _, hit, err := warm.Get(k1, func() (*core.Characterization, error) {
 		t.Fatal("persisted entry recomputed")
 		return nil, nil
 	}); err != nil || !hit {
@@ -337,7 +346,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 	}
 
 	// Writing k3 exceeds the limit; the LRU entry is now k2, not k1.
-	if _, _, err := warm.Get(k3, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
+	if _, _, err := warm.Get(k3, func() (*core.Characterization, error) { return fakeCharFor(k3), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(warm.path(k2)); !os.IsNotExist(err) {
@@ -350,11 +359,11 @@ func TestCharCacheLRUEviction(t *testing.T) {
 	}
 
 	// An evicted key recomputes; the survivors still serve from disk.
-	final := NewCharCache(dir, limit)
+	final := newCharCache(dir, limit)
 	computed := false
-	if _, hit, err := final.Get(k2, n, func() (*core.Characterization, error) {
+	if _, hit, err := final.Get(k2, func() (*core.Characterization, error) {
 		computed = true
-		return fakeChar(n), nil
+		return fakeCharFor(k2), nil
 	}); err != nil || hit || !computed {
 		t.Fatalf("evicted entry: (hit %v, computed %v, err %v), want recompute", hit, computed, err)
 	}
@@ -363,15 +372,14 @@ func TestCharCacheLRUEviction(t *testing.T) {
 // TestCharCacheUnlimitedKeepsAll: the default limit of zero never evicts.
 func TestCharCacheUnlimitedKeepsAll(t *testing.T) {
 	dir := t.TempDir()
-	const n = 4
-	c := NewCharCache(dir, 0)
+	c := newCharCache(dir, 0)
 	keys := []CharKey{
 		{Config: "A", Scheme: "Rot", Scale: 8},
 		{Config: "B", Scheme: "Rot", Scale: 8},
 		{Config: "C", Scheme: "Rot", Scale: 8},
 	}
 	for _, k := range keys {
-		if _, _, err := c.Get(k, n, func() (*core.Characterization, error) { return fakeChar(n), nil }); err != nil {
+		if _, _, err := c.Get(k, func() (*core.Characterization, error) { return fakeCharFor(k), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,40 +390,66 @@ func TestCharCacheUnlimitedKeepsAll(t *testing.T) {
 	}
 }
 
-// TestCharCacheIgnoresStaleEntries: entries with the wrong format version,
-// key or grid size are treated as absent.
+// TestCharCacheIgnoresStaleEntries: entries with the wrong format
+// version or key, or a payload for another grid or scheme or failing
+// validation, are treated as absent.
 func TestCharCacheIgnoresStaleEntries(t *testing.T) {
-	const n = 4
+	type env = diskEntry[CharKey, core.Characterization]
 	key := CharKey{Config: "D", Scheme: "Rot", Scale: 8}
+	good := *fakeCharFor(key)
+	otherScheme := *fakeCharFor(CharKey{Config: "D", Scheme: "X-Y Shift", Scale: 8})
 	cases := []struct {
 		name string
-		env  diskChar
+		env  env
 	}{
-		{"version", diskChar{Version: charFormatVersion + 1, Key: key, GridN: n, Data: *fakeChar(n)}},
-		{"key", diskChar{Version: charFormatVersion, Key: CharKey{Config: "E", Scheme: "Rot", Scale: 8}, GridN: n, Data: *fakeChar(n)}},
-		{"gridn", diskChar{Version: charFormatVersion, Key: key, GridN: n + 1, Data: *fakeChar(n)}},
-		{"payload", diskChar{Version: charFormatVersion, Key: key, GridN: n, Data: core.Characterization{SchemeName: "Rot"}}},
+		{"version", env{Version: charFormatVersion + 1, Key: key, Data: good}},
+		{"key", env{Version: charFormatVersion, Key: CharKey{Config: "E", Scheme: "Rot", Scale: 8}, Data: good}},
+		{"gridn", env{Version: charFormatVersion, Key: key, Data: *fakeChar(len(good.BaselineBlockJ) + 1)}},
+		{"scheme", env{Version: charFormatVersion, Key: key, Data: otherScheme}},
+		{"payload", env{Version: charFormatVersion, Key: key, Data: core.Characterization{SchemeName: "Rot"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCharCache(t.TempDir(), 0)
-			f, err := os.Create(c.path(key))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewEncoder(f).Encode(tc.env); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+			c := newCharCache(t.TempDir(), 0)
+			writeEntry(t, c.path(key), tc.env)
 			computed := false
-			_, hit, err := c.Get(key, n, func() (*core.Characterization, error) {
+			_, hit, err := c.Get(key, func() (*core.Characterization, error) {
 				computed = true
-				return fakeChar(n), nil
+				return fakeCharFor(key), nil
 			})
 			if err != nil || hit || !computed {
 				t.Fatalf("stale %s entry: (hit %v, computed %v, err %v), want recompute",
 					tc.name, hit, computed, err)
 			}
 		})
+	}
+}
+
+// TestCharCacheServesLegacyEnvelope: an entry in the envelope layout
+// written before the build and characterization caches shared one
+// envelope (with its GridN field) still restores, so upgrading
+// invalidates no cache directory.
+func TestCharCacheServesLegacyEnvelope(t *testing.T) {
+	type legacyChar struct {
+		Version int
+		Key     CharKey
+		GridN   int
+		Data    core.Characterization
+	}
+	key := CharKey{Config: "C", Scheme: "Rot", Scale: 8}
+	want := fakeCharFor(key)
+	c := newCharCache(t.TempDir(), 0)
+	writeEntry(t, c.path(key), legacyChar{
+		Version: charFormatVersion, Key: key, GridN: len(want.BaselineBlockJ), Data: *want,
+	})
+	got, hit, err := c.Get(key, func() (*core.Characterization, error) {
+		t.Error("legacy entry recomputed")
+		return nil, errors.New("unexpected compute")
+	})
+	if err != nil || !hit {
+		t.Fatalf("legacy entry: (hit %v, err %v), want disk hit", hit, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("legacy entry restored different data")
 	}
 }

@@ -12,13 +12,13 @@ import (
 	"time"
 )
 
-// diskCache is the on-disk half shared by the sweep layer's caches: gob
-// envelopes written atomically (temp file + rename), best-effort reads
-// where any problem means "recompute", per-kind LRU eviction over the
-// file count, and a debounced modification-time touch so hot in-memory
-// entries stay visible to eviction without a syscall per request. The
-// characterization cache and the build cache each own one, differing only
-// in prefix (artifact kind) and envelope type.
+// diskCache is the on-disk half of a cache: gob envelopes written
+// atomically (temp file + rename), best-effort reads where any problem
+// means "recompute", per-kind LRU eviction over the file count, a
+// debounced modification-time touch so hot in-memory entries stay visible
+// to eviction without a syscall per request, and an advisory per-entry
+// lock. Each cache kind owns one, differing only in prefix. Every method
+// but enabled assumes a directory is configured; cache.Get checks once.
 type diskCache struct {
 	dir    string
 	limit  int
@@ -32,9 +32,6 @@ func (c *diskCache) enabled() bool { return c.dir != "" }
 // a missing, unreadable or corrupt file means "compute it again", never
 // an error. Semantic validation (version, key, payload) is the caller's.
 func (c *diskCache) load(path string, v any) bool {
-	if !c.enabled() {
-		return false
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return false
@@ -49,9 +46,6 @@ func (c *diskCache) load(path string, v any) bool {
 // complete new one, never a torn file. A successful write triggers an
 // eviction pass.
 func (c *diskCache) save(path string, v any) {
-	if !c.enabled() {
-		return
-	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return
 	}
@@ -75,9 +69,6 @@ func (c *diskCache) save(path string, v any) {
 // touch refreshes a persisted entry's modification time so eviction sees
 // it as recently used. Best effort, like all disk operations here.
 func (c *diskCache) touch(path string) {
-	if !c.enabled() {
-		return
-	}
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
 }
@@ -93,9 +84,6 @@ var touchInterval = time.Minute
 // key once per worker — and long-lived services serving one hot key for
 // months — stay syscall-free between intervals.
 func (c *diskCache) touchDebounced(path string, last *atomic.Int64) {
-	if !c.enabled() {
-		return
-	}
 	now := time.Now().UnixNano()
 	prev := last.Load()
 	if now-prev < int64(touchInterval) {
@@ -139,10 +127,10 @@ func (c *diskCache) evict() {
 }
 
 // Advisory cross-process locking. Two coordinator-less daemons pointed
-// at one cache directory race to build the same cold key; an advisory
+// at one cache directory race to compute the same cold key; an advisory
 // lock file per entry serializes them so the expensive compute (an
-// annealing build) runs once and the loser reloads the winner's
-// snapshot. The lock is O_CREATE|O_EXCL — portable to every platform Go
+// annealing build, a NoC characterization) runs once and the loser
+// reloads the winner's file. The lock is O_CREATE|O_EXCL — portable to every platform Go
 // supports, unlike flock — with mtime-based staleness so a crashed
 // holder cannot wedge the key forever. Locking is best-effort like
 // every disk operation here: an unwritable directory or an exhausted
@@ -159,13 +147,10 @@ var (
 )
 
 // waitLock blocks until it holds the advisory lock for path, returning
-// the release function — or nil when locking is unavailable (no cache
-// directory, unwritable directory) or the wait budget ran out, in which
-// case the caller proceeds unlocked.
+// the release function — or nil when locking is unavailable (unwritable
+// directory) or the wait budget ran out, in which case the caller
+// proceeds unlocked.
 func (c *diskCache) waitLock(path string) (release func()) {
-	if !c.enabled() {
-		return nil
-	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return nil
 	}

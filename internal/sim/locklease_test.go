@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hotnoc/internal/chipcfg"
 )
 
 // pinLockTiming speeds the advisory-lock poll loop up for tests and
@@ -19,70 +17,84 @@ func pinLockTiming(t *testing.T, poll, stale, wait time.Duration) {
 }
 
 // TestBuildLockDedupsAcrossCaches is the coordinator-less shared
-// cache-dir scenario: two independent BuildCaches (standing in for two
+// cache-dir scenario: two independent build caches (standing in for two
 // daemon processes — each has its own in-memory singleflight, so only
 // the advisory lock file can coordinate them) resolve the same cold key
 // concurrently. The advisory lock must serialize them so exactly one
 // anneal runs and the loser reconstitutes the winner's snapshot.
 func TestBuildLockDedupsAcrossCaches(t *testing.T) {
-	pinLockTiming(t, 2*time.Millisecond, time.Hour, time.Minute)
-	real := bcBuilt(t)
 	dir := t.TempDir()
+	lockDedups(t, func() *buildCache { return newBuildCache(dir, 0) }, bcKey, bcBuilt(t))
+}
 
-	var builds atomic.Int64
+// TestCharLockDedupsAcrossCaches: characterizations take the same
+// advisory lock, so two coordinator-less daemons sharing a directory
+// simulate each orbit once.
+func TestCharLockDedupsAcrossCaches(t *testing.T) {
+	dir := t.TempDir()
+	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
+	lockDedups(t, func() *charCache { return newCharCache(dir, 0) }, key, fakeCharFor(key))
+}
+
+// lockDedups resolves key on two caches from mk concurrently, the second
+// starting while the first sits inside its compute, and asserts that
+// exactly one compute ran, both Gets got a value and the lock file is
+// gone afterwards.
+func lockDedups[K comparable, V comparable, P any](t *testing.T, mk func() *cache[K, V, P], key K, val V) {
+	t.Helper()
+	pinLockTiming(t, 2*time.Millisecond, time.Hour, time.Minute)
+
+	var computes atomic.Int64
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 2)
-	mkCache := func() *BuildCache {
-		c := NewBuildCache(dir, 0)
-		c.build = func(config string, scale int) (*chipcfg.Built, error) {
-			builds.Add(1)
-			entered <- struct{}{}
-			<-gate
-			return real, nil
-		}
-		return c
+	compute := func() (V, error) {
+		computes.Add(1)
+		entered <- struct{}{}
+		<-gate
+		return val, nil
 	}
-	a, b := mkCache(), mkCache()
+	a, b := mk(), mk()
 
 	type res struct {
-		built *chipcfg.Built
-		err   error
+		val V
+		err error
 	}
 	results := make(chan res, 2)
-	get := func(c *BuildCache) {
-		built, _, err := c.Get("A", bcScale)
-		results <- res{built, err}
+	get := func(c *cache[K, V, P]) {
+		v, _, err := c.Get(key, compute)
+		results <- res{v, err}
 	}
 	go get(a)
 	// Wait for the first daemon to hold the lock and sit inside its
-	// build before the second one starts, so the contender path is the
+	// compute before the second one starts, so the contender path is the
 	// one exercised.
 	<-entered
 	go get(b)
 
-	// While the holder is mid-anneal, the contender must wait on the
-	// lock file rather than start a second build.
+	// While the holder is mid-compute, the contender must wait on the
+	// lock file rather than start a second compute.
 	select {
 	case <-entered:
-		t.Fatal("second cache started a build while the first held the lock")
+		t.Fatal("second cache started a compute while the first held the lock")
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(gate)
 
+	var zero V
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil {
 			t.Fatalf("Get: %v", r.err)
 		}
-		if r.built == nil {
-			t.Fatal("Get returned nil build")
+		if r.val == zero {
+			t.Fatal("Get returned no value")
 		}
 	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("expected exactly one cold build across both caches, got %d", n)
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("expected exactly one cold compute across both caches, got %d", n)
 	}
 	// The winner's release must not leave the lock file behind.
-	if _, err := os.Stat(a.path(BuildKey{Config: "A", Scale: bcScale}) + ".lock"); !os.IsNotExist(err) {
+	if _, err := os.Stat(a.path(key) + ".lock"); !os.IsNotExist(err) {
 		t.Fatalf("lock file still present after both Gets: %v", err)
 	}
 }
@@ -94,9 +106,9 @@ func TestBuildLockBreaksStaleLock(t *testing.T) {
 	pinLockTiming(t, 2*time.Millisecond, 50*time.Millisecond, time.Minute)
 	dir := t.TempDir()
 	var builds int
-	c := countingCache(t, dir, &builds)
+	c, build := newBuildCache(dir, 0), countingBuild(t, &builds)
 
-	lock := c.path(BuildKey{Config: "A", Scale: bcScale}) + ".lock"
+	lock := c.path(bcKey) + ".lock"
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +122,7 @@ func TestBuildLockBreaksStaleLock(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get("A", bcScale)
+		_, _, err := c.Get(bcKey, build)
 		done <- err
 	}()
 	select {
@@ -130,8 +142,7 @@ func TestBuildLockBreaksStaleLock(t *testing.T) {
 // to lock; the cold path must not touch the filesystem or stall.
 func TestBuildLockMemoryOnly(t *testing.T) {
 	var builds int
-	c := countingCache(t, "", &builds)
-	if _, _, err := c.Get("A", bcScale); err != nil {
+	if _, _, err := newBuildCache("", 0).Get(bcKey, countingBuild(t, &builds)); err != nil {
 		t.Fatal(err)
 	}
 	if builds != 1 {

@@ -156,8 +156,10 @@ type Options struct {
 	// NoC characterizations (keyed by configuration, scheme and scale)
 	// and calibrated build snapshots (keyed by configuration and scale).
 	// A fresh process pointed at the same directory skips both the
-	// cycle-accurate NoC stage and the annealing + calibration stage.
-	// Empty keeps both caches memory-only.
+	// cycle-accurate NoC stage and the annealing + calibration stage, and
+	// processes sharing it take an advisory per-entry lock on every cold
+	// compute, so each key is computed once. Empty keeps both caches
+	// memory-only.
 	CacheDir string
 	// CacheLimit bounds the number of files of each artifact kind kept
 	// under CacheDir (characterizations and build snapshots are bounded
@@ -195,9 +197,12 @@ func (o Options) withDefaults() Options {
 // and the cycle-accurate NoC stage entirely.
 type Runner struct {
 	opts   Options
-	builds *BuildCache
-	chars  *CharCache
+	builds *buildCache
+	chars  *charCache
 	met    *metrics
+
+	// build constructs a cold build; tests inject failures here.
+	build func(config string, scale int) (*chipcfg.Built, error)
 
 	// decodes counts engine block decodes performed on behalf of this
 	// runner, and simulated those among them that drove the NoC rather
@@ -241,8 +246,9 @@ func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
 	r := &Runner{
 		opts:          opts,
-		builds:        NewBuildCache(opts.CacheDir, opts.CacheLimit),
-		chars:         NewCharCache(opts.CacheDir, opts.CacheLimit),
+		builds:        newBuildCache(opts.CacheDir, opts.CacheLimit),
+		chars:         newCharCache(opts.CacheDir, opts.CacheLimit),
+		build:         buildConfig,
 		emittedBuilds: map[BuildKey]bool{},
 		countedBuilds: map[BuildKey]bool{},
 	}
@@ -333,7 +339,9 @@ func (r *Runner) builtFor(config string, prog func(Event)) (*chipcfg.Built, erro
 	}
 	//hotnoc:allow determinism wall-clock metric timing only
 	start := time.Now()
-	built, hit, err := r.builds.Get(config, r.opts.Scale)
+	built, hit, err := r.builds.Get(key, func() (*chipcfg.Built, error) {
+		return r.build(config, r.opts.Scale)
+	})
 	if err != nil {
 		r.buildAccountMu.Lock()
 		if first && !r.countedBuilds[key] {
@@ -400,7 +408,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 	account := seen.first(key)
 	//hotnoc:allow determinism wall-clock metric timing only
 	start := time.Now()
-	ch, hit, err := r.chars.Get(key, built.System.Grid.N(), func() (*core.Characterization, error) {
+	ch, hit, err := r.chars.Get(key, func() (*core.Characterization, error) {
 		emit(prog, Event{Stage: StageCharacterizeStart, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1})
 		// The characterizing system is a private clone: Characterize
@@ -431,6 +439,16 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 			Scheme: scheme.Name, Point: -1, CacheHit: hit})
 	}
 	return ch, built, nil
+}
+
+// buildConfig anneals and calibrates one configuration at scale: the
+// runner's cold build.
+func buildConfig(config string, scale int) (*chipcfg.Built, error) {
+	spec, err := chipcfg.ByName(config)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Scaled(scale).Build()
 }
 
 // Built returns the calibrated build for one configuration at the

@@ -46,11 +46,11 @@ type sfEntry[V any] struct {
 	lastTouch atomic.Int64
 }
 
-// do returns the value for key and whether it was a cache hit. load
-// tries the persisted snapshot (second return reports success); compute
-// runs when it misses; touched, when non-nil, fires on memory hits with
-// the entry's debounce state so hot entries stay visible to the on-disk
-// LRU.
+// do returns the value for key and whether it was a cache hit. load,
+// when non-nil, tries the persisted snapshot (second return reports
+// success); compute runs when it misses; touched, when non-nil, fires on
+// memory hits with the entry's debounce state so hot entries stay
+// visible to the on-disk LRU.
 func (s *singleflight[K, V]) do(
 	key K,
 	load func() (V, bool),
@@ -89,12 +89,14 @@ func (s *singleflight[K, V]) do(
 	}
 	// This goroutine resolves the entry; e.mu stays held so concurrent
 	// requests for the same key block on one resolution.
-	if val, ok := load(); ok {
-		e.val, e.fromDisk, e.done = val, true, true
-		e.resolved.Store(true)
-		e.lastTouch.Store(time.Now().UnixNano())
-		e.mu.Unlock()
-		return val, true, nil
+	if load != nil {
+		if val, ok := load(); ok {
+			e.val, e.fromDisk, e.done = val, true, true
+			e.resolved.Store(true)
+			e.lastTouch.Store(time.Now().UnixNano())
+			e.mu.Unlock()
+			return val, true, nil
+		}
 	}
 	val, err := compute()
 	if err != nil {

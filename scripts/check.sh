@@ -22,6 +22,8 @@ echo "== decode differential (traffic-only vs frozen value-carrying decoder, rep
     && go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap \
     && go test -count=1 -run '^TestColdFigure1SimulatedDecodes$' . \
     && go test -count=1 -run 'TestReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
+echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)" \
+    && go test -race -count=3 -run 'Cache|Lock' ./internal/sim
 echo "== shared evaluation (concurrent Evaluate on one System under -race, warm-sweep allocation guard)" \
     && go test -race -count=10 -run '^TestSharedEvaluation$' ./internal/core \
     && go test -count=1 -run '^TestWarmSweepAllocs$' .
