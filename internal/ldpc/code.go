@@ -10,13 +10,19 @@ package ldpc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Code is a binary LDPC code defined by its parity-check matrix H
-// (M checks × N variables), stored sparsely as adjacency lists, together
-// with a derived systematic encoder.
+// (M checks × N variables), stored sparsely as adjacency lists. K and
+// Rate come from the rank of H, checked at construction; the systematic
+// encoder is derived from H on the first Encode.
+//
+// A Code is safe for concurrent use. It must not be copied after
+// construction.
 type Code struct {
 	// N is the codeword length (number of variable nodes).
 	N int
@@ -28,10 +34,13 @@ type Code struct {
 	// VarNbrs[v] lists the checks in which variable v participates.
 	VarNbrs [][]int
 
-	// k is the information length after encoder derivation (N - rank(H)).
+	// k is the information length, N - rank(H).
 	k int
-	// parityOf maps each of the k information positions into the codeword,
-	// infoCols[i] being the codeword column carrying information bit i;
+
+	// encoderOnce guards the systematic encoder below, which
+	// deriveEncoder fills on the first Encode.
+	encoderOnce sync.Once
+	// infoCols[i] is the codeword column carrying information bit i;
 	// parityCols[j] carries parity bit j.
 	infoCols   []int
 	parityCols []int
@@ -60,8 +69,9 @@ func (c *Code) Edges() int {
 // n variables and m checks via constrained random edge placement: each
 // variable connects to colWeight distinct checks, always choosing among the
 // checks with the lowest current degree (random tie-break), which keeps row
-// weights within one of each other and avoids duplicate edges. The
-// construction is deterministic for a given seed.
+// weights within one of each other and avoids duplicate edges. A draw
+// whose H is rank deficient is discarded and drawn again, so every code
+// has K = n - m. The construction is deterministic for a given seed.
 //
 // Each variable draws a fresh random permutation of the checks and takes
 // the first colWeight entries of that permutation stably sorted by current
@@ -70,16 +80,24 @@ func (c *Code) Edges() int {
 // then those of the next degree, and so on; buildRegular selects them with
 // one scan of the permutation per degree level instead of sorting, which
 // yields the same checks in the same order from the same random draws.
+//
+// NewRegular only checks the rank of H; the systematic encoder is derived
+// on the first Encode, so a code that is never encoded never pays for it.
 func NewRegular(n, m, colWeight int, seed int64) (*Code, error) {
-	if n <= 0 || m <= 0 || m >= n {
+	if n <= 0 || m <= 0 || m >= n || m > math.MaxInt32 {
 		return nil, fmt.Errorf("ldpc: invalid code size n=%d m=%d", n, m)
 	}
 	if colWeight < 2 || colWeight > m {
 		return nil, fmt.Errorf("ldpc: invalid column weight %d", colWeight)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
+	// draws[i] makes the draws of Intn(i+1), shared by every attempt.
+	draws := make([]intnDraw, m)
+	for i := range draws {
+		draws[i] = newIntnDraw(i + 1)
+	}
 	for attempt := 0; attempt < 32; attempt++ {
-		c, err := buildRegular(n, m, colWeight, rng)
+		c, err := buildRegular(n, m, colWeight, src, draws)
 		if err == nil {
 			return c, nil
 		}
@@ -87,7 +105,60 @@ func NewRegular(n, m, colWeight int, seed int64) (*Code, error) {
 	return nil, fmt.Errorf("ldpc: could not derive a systematic encoder for n=%d m=%d w=%d", n, m, colWeight)
 }
 
-func buildRegular(n, m, colWeight int, rng *rand.Rand) (*Code, error) {
+// intnDraw holds what drawing rand.(*Rand).Intn(n) takes for one
+// n < 2^31, computed once: Int31n draws 31-bit values from the Source
+// the Rand wraps, redraws any above max, and reduces the accepted one
+// modulo n. rem does that reduction with a mask for a power of two and
+// otherwise with Lemire, Kaser & Kurz's multiply-shift remainder ("Faster
+// Remainder by Direct Computation", 2019), exact for every 32-bit
+// dividend, in place of Int31n's division.
+type intnDraw struct {
+	// mul is ceil(2^64/n), or 0 when n is a power of two.
+	mul uint64
+	// max is Int31n's rejection bound, 2^31-1 - 2^31 mod n.
+	max uint32
+	n   uint32
+}
+
+func newIntnDraw(n int) intnDraw {
+	d := intnDraw{max: 1<<31 - 1, n: uint32(n)}
+	if n&(n-1) != 0 {
+		d.max -= (1 << 31) % d.n
+		d.mul = ^uint64(0)/uint64(n) + 1
+	}
+	return d
+}
+
+// rem returns v mod n for an accepted draw v <= max.
+func (d *intnDraw) rem(v uint32) int {
+	if d.mul == 0 {
+		return int(v & (d.n - 1))
+	}
+	r, _ := bits.Mul64(d.mul*uint64(v), uint64(d.n))
+	return int(r)
+}
+
+// fillPerm fills order with rand.(*Rand).Perm(len(order)) of the Rand
+// wrapping src, making the same draws; draws[i] draws Intn(i+1). The
+// draw is written out here rather than called: an interface call keeps
+// a helper from being inlined, and the call would cost more than the
+// arithmetic.
+//
+//hotnoc:noalloc
+func fillPerm(order []int, draws []intnDraw, src rand.Source) {
+	for i := range order {
+		d := &draws[i]
+		v := uint32(src.Int63() >> 32) //hotnoc:allow noalloc a rand.NewSource generator's Int63 is one lagged-Fibonacci step
+		for v > d.max {
+			v = uint32(src.Int63() >> 32) //hotnoc:allow noalloc a rand.NewSource generator's Int63 is one lagged-Fibonacci step
+		}
+		j := d.rem(v)
+		order[i] = order[j]
+		order[j] = i
+	}
+}
+
+func buildRegular(n, m, colWeight int, src rand.Source, draws []intnDraw) (*Code, error) {
 	c := &Code{
 		N:         n,
 		M:         m,
@@ -102,12 +173,7 @@ func buildRegular(n, m, colWeight int, rng *rand.Rand) (*Code, error) {
 	order := make([]int, m)
 	picks := make([]int, 0, colWeight)
 	for v := 0; v < n; v++ {
-		// The same draws as rng.Perm(m), into a reused buffer.
-		for i := range order {
-			j := rng.Intn(i + 1)
-			order[i] = order[j]
-			order[j] = i
-		}
+		fillPerm(order, draws, src)
 		// Select colWeight distinct checks of minimal degree: the prefix
 		// of order stably sorted by degree. Every degree is picked before
 		// any is incremented, as the sort saw them.
@@ -142,21 +208,27 @@ func buildRegular(n, m, colWeight int, rng *rand.Rand) (*Code, error) {
 			minDeg++
 		}
 	}
-	if err := c.deriveEncoder(); err != nil {
-		return nil, err
+	if _, pivotCol := c.eliminate(false); len(pivotCol) < m {
+		// Redundant checks exist; the paper's codes are full rank, and a
+		// rank-deficient draw just triggers a reconstruction with fresh
+		// randomness.
+		return nil, fmt.Errorf("ldpc: H has rank %d < %d", len(pivotCol), m)
 	}
+	c.k = n - m
 	return c, nil
 }
 
-// deriveEncoder Gaussian-eliminates H over GF(2) into [A | I] form (with
-// column pivoting) and extracts the sparse parity equations. Codewords are
-// laid out in natural column order; infoCols and parityCols record which
-// codeword positions hold information and parity.
-func (c *Code) deriveEncoder() error {
+// eliminate reduces H over GF(2) with column pivoting, one row per check
+// packed into uint64 words, and returns the rows and the pivot column of
+// each of the first len(pivotCol) = rank(H) of them. With full set each
+// pivot row is XORed into every other row holding its column, leaving
+// the reduced row echelon form; otherwise only into the rows below it,
+// which is all the rank needs. Rows at or below the pivot evolve the
+// same either way, so both find the same pivot columns.
+func (c *Code) eliminate(full bool) (h [][]uint64, pivotCol []int) {
 	m, n := c.M, c.N
-	// Dense bit matrix, one row per check, packed into uint64 words.
 	words := (n + 63) / 64
-	h := make([][]uint64, m)
+	h = make([][]uint64, m)
 	cells := make([]uint64, m*words)
 	for ch := 0; ch < m; ch++ {
 		h[ch] = cells[ch*words : (ch+1)*words : (ch+1)*words]
@@ -165,8 +237,7 @@ func (c *Code) deriveEncoder() error {
 		}
 	}
 
-	pivotCol := make([]int, 0, m) // pivot column of each eliminated row
-	usedCol := make([]bool, n)
+	pivotCol = make([]int, 0, m)
 	row := 0
 	for col := 0; col < n && row < m; col++ {
 		w0, bit := col/64, uint64(1)<<(uint(col)%64)
@@ -186,7 +257,11 @@ func (c *Code) deriveEncoder() error {
 		// eliminated from it, and a skipped column was zero in every row
 		// at or below row. So the XOR can start at col's word.
 		piv := h[row][w0:]
-		for r := 0; r < m; r++ {
+		first := row + 1
+		if full {
+			first = 0
+		}
+		for r := first; r < m; r++ {
 			if r != row && h[r][w0]&bit != 0 {
 				dst := h[r][w0:]
 				for w, x := range piv {
@@ -195,22 +270,29 @@ func (c *Code) deriveEncoder() error {
 			}
 		}
 		pivotCol = append(pivotCol, col)
-		usedCol[col] = true
 		row++
 	}
-	rank := row
-	if rank < m {
-		// Redundant checks exist; the paper's codes are full rank, and a
-		// rank-deficient draw just triggers a reconstruction with fresh
-		// randomness.
-		return fmt.Errorf("ldpc: H has rank %d < %d", rank, m)
-	}
+	return h, pivotCol
+}
+
+// deriveEncoder Gauss–Jordan eliminates H into [A | I] form (with column
+// pivoting) and extracts the sparse parity equations. Codewords are laid
+// out in natural column order; infoCols and parityCols record which
+// codeword positions hold information and parity. The reduced row
+// echelon form is unique, so the encoder depends on H alone. H has full
+// rank, as NewRegular checked.
+func (c *Code) deriveEncoder() {
+	h, pivotCol := c.eliminate(true)
+	n, words := c.N, (c.N+63)/64
 
 	// Pivot columns carry parity bits; the remaining columns carry
 	// information bits.
-	c.k = n - rank
-	c.parityCols = append([]int(nil), pivotCol...)
-	c.infoCols = c.infoCols[:0]
+	c.parityCols = pivotCol
+	usedCol := make([]bool, n)
+	for _, col := range pivotCol {
+		usedCol[col] = true
+	}
+	c.infoCols = make([]int, 0, c.k)
 	infoIdx := make([]int, n)
 	infoMask := make([]uint64, words)
 	for col := 0; col < n; col++ {
@@ -222,8 +304,8 @@ func (c *Code) deriveEncoder() error {
 	}
 	// After full reduction, row r reads: parity(pivotCol[r]) = XOR of the
 	// information columns set in row r, collected in ascending order.
-	c.parityEq = make([][]int, rank)
-	for r := 0; r < rank; r++ {
+	c.parityEq = make([][]int, len(pivotCol))
+	for r := range c.parityEq {
 		cnt := 0
 		for w, x := range h[r] {
 			cnt += bits.OnesCount64(x & infoMask[w])
@@ -239,15 +321,15 @@ func (c *Code) deriveEncoder() error {
 		}
 		c.parityEq[r] = eq
 	}
-	return nil
 }
 
 // Encode maps k information bits to an n-bit codeword satisfying every
-// parity check.
+// parity check. The first call derives the systematic encoder.
 func (c *Code) Encode(info []uint8) ([]uint8, error) {
 	if len(info) != c.k {
 		return nil, fmt.Errorf("ldpc: encoding %d bits with k=%d", len(info), c.k)
 	}
+	c.encoderOnce.Do(c.deriveEncoder)
 	cw := make([]uint8, c.N)
 	for i, col := range c.infoCols {
 		cw[col] = info[i] & 1

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -121,13 +122,31 @@ func refDeriveEncoder(c *Code) error {
 
 // assertMatchesRef compares NewRegular against the oracle on one shape:
 // the whole Code (adjacency, encoder columns and parity equations) or
-// the error. It returns the oracle's attempt count.
+// the error. NewRegular derives the encoder only on the first Encode:
+// before that the code has no encoder, and its K and Rate, from the rank
+// check alone, must already equal the oracle's. The comparison then
+// derives the encoder and marks the oracle's eagerly built one derived,
+// leaving both sync.Onces in the same state. It returns the oracle's
+// attempt count.
 func assertMatchesRef(t *testing.T, n, m, w int, seed int64) int {
 	t.Helper()
 	want, attempts, wantErr := refNewRegular(n, m, w, seed)
 	got, err := NewRegular(n, m, w, seed)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("NewRegular(%d,%d,%d,%d) error %v, oracle %v", n, m, w, seed, err, wantErr)
+	}
+	if got != nil {
+		if got.infoCols != nil || got.parityCols != nil || got.parityEq != nil {
+			t.Fatalf("NewRegular(%d,%d,%d,%d) derived the encoder before the first Encode", n, m, w, seed)
+		}
+		if got.K() != want.K() || got.Rate() != want.Rate() {
+			t.Fatalf("NewRegular(%d,%d,%d,%d): K %d rate %v, oracle K %d rate %v",
+				n, m, w, seed, got.K(), got.Rate(), want.K(), want.Rate())
+		}
+		got.encoderOnce.Do(got.deriveEncoder)
+	}
+	if want != nil {
+		want.encoderOnce.Do(func() {})
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("NewRegular(%d,%d,%d,%d) differs from the sort-based construction", n, m, w, seed)
@@ -178,4 +197,129 @@ func TestNewRegularMatchesRefRetry(t *testing.T) {
 	if a := assertMatchesRef(t, 12, 6, 3, 3); a < 2 {
 		t.Fatalf("shape took %d attempt(s); pick one that retries", a)
 	}
+}
+
+// intn makes one draw of rand.(*Rand).Intn(n) from src the way fillPerm
+// does, from d = newIntnDraw(n).
+func intn(d *intnDraw, src rand.Source) int {
+	v := uint32(src.Int63() >> 32)
+	for v > d.max {
+		v = uint32(src.Int63() >> 32)
+	}
+	return d.rem(v)
+}
+
+// inStep fails unless src and rng, seeded alike, have consumed the same
+// number of values.
+func inStep(t *testing.T, src rand.Source, rng *rand.Rand) {
+	t.Helper()
+	if a, b := src.Int63(), rng.Int63(); a != b {
+		t.Fatalf("streams out of step: %d vs %d", a, b)
+	}
+}
+
+// checkBound checks d's rejection bound directly, since a draw equal to
+// it is too rare to meet: [0, max] must be the longest prefix of
+// [0, 2^31) holding a whole number of residue cycles mod n.
+func checkBound(t *testing.T, d *intnDraw, n int) {
+	t.Helper()
+	if k := uint64(d.max) + 1; k%uint64(n) != 0 || k+uint64(n) <= 1<<31 {
+		t.Fatalf("Intn(%d): rejection bound %d", n, d.max)
+	}
+}
+
+// TestIntnDrawMatchesRand: an intnDraw consumes a Source exactly as
+// rand.(*Rand).Intn does and returns the same values. Every n in
+// [1, 1<<16] is drawn in turn from one stream per seed, so one extra or
+// missing draw desynchronizes every later one. The n near and just above
+// 1<<30 make Int31n reject about half its draws (the rejection path);
+// the powers of two take the mask path; the rest, Lemire's remainder.
+func TestIntnDrawMatchesRand(t *testing.T) {
+	for _, seed := range []int64{1, 1003, -7} {
+		src, rng := rand.NewSource(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1<<16; i++ {
+			d := newIntnDraw(i + 1)
+			checkBound(t, &d, i+1)
+			if got, want := intn(&d, src), rng.Intn(i+1); got != want {
+				t.Fatalf("seed %d: Intn(%d) drew %d, rand drew %d", seed, i+1, got, want)
+			}
+		}
+		inStep(t, src, rng)
+	}
+	large := []int{1<<30 - 1, 1<<30 + 1, 1<<30 + 3, 1<<30 + 12345, 3 << 29, 1<<31 - 3, 1<<31 - 1}
+	for k := 0; k <= 30; k++ {
+		large = append(large, 1<<k)
+	}
+	for _, n := range large {
+		src, rng := rand.NewSource(int64(n)), rand.New(rand.NewSource(int64(n)))
+		d := newIntnDraw(n)
+		checkBound(t, &d, n)
+		for r := 0; r < 2000; r++ {
+			if got, want := intn(&d, src), rng.Intn(n); got != want {
+				t.Fatalf("Intn(%d) draw %d: got %d, rand drew %d", n, r, got, want)
+			}
+		}
+		inStep(t, src, rng)
+	}
+}
+
+// TestFillPermDrawsMatchRand: fillPerm makes rand.Perm's draws for every
+// i in [0, 1<<16) and allocates nothing, the runtime complement of its
+// //hotnoc:noalloc annotation. Perm is a bijection from its draws to
+// permutations, so an equal permutation means every draw was equal.
+func TestFillPermDrawsMatchRand(t *testing.T) {
+	const m = 1 << 16
+	draws := make([]intnDraw, m)
+	for i := range draws {
+		draws[i] = newIntnDraw(i + 1)
+	}
+	order := make([]int, m)
+	src, rng := rand.NewSource(9), rand.New(rand.NewSource(9))
+	fillPerm(order, draws, src)
+	if !reflect.DeepEqual(order, rng.Perm(m)) {
+		t.Fatal("fillPerm differs from rand.Perm")
+	}
+	inStep(t, src, rng)
+	if a := testing.AllocsPerRun(5, func() { fillPerm(order, draws, src) }); a != 0 {
+		t.Fatalf("fillPerm made %v allocations, want 0", a)
+	}
+}
+
+// TestLazyEncoderConcurrent: concurrent first Encodes on one fresh Code
+// derive the encoder once, race-free under -race, and each returns the
+// oracle's codeword, which satisfies every check.
+func TestLazyEncoderConcurrent(t *testing.T) {
+	const n, m, w, seed = 500, 250, 3, 1003
+	ref, _, err := refNewRegular(n, m, w, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.encoderOnce.Do(func() {}) // the oracle's encoder is built eagerly
+	code, err := NewRegular(n, m, w, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			info := make([]uint8, code.K())
+			for i := range info {
+				info[i] = uint8(rng.Intn(2))
+			}
+			cw, err := code.Encode(info)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want, _ := ref.Encode(info)
+			if !code.CheckSyndrome(cw) || !reflect.DeepEqual(cw, want) {
+				t.Errorf("goroutine %d: codeword fails its checks or differs from the oracle's", g)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -222,6 +222,38 @@ func TestGroupPointsSplitsReactiveCells(t *testing.T) {
 	}
 }
 
+// TestGroupPointsInterleavesConfigs: a configuration-major grid is
+// dealt in rounds across configurations, so a second configuration's
+// build starts while the first is still running. Each round takes every
+// configuration's largest remaining task, largest first, and every cell
+// lands in exactly one task.
+func TestGroupPointsInterleavesConfigs(t *testing.T) {
+	schemes := []core.Scheme{core.XYShift(), core.Rot()}
+	pts := Grid([]string{"A", "B", "C"}, schemes, []int{1, 4})
+	// C's Rot gets a third period: it is the largest task, so it leads
+	// the first round and C's X-Y Shift waits for the second.
+	pts = append(pts, Periodic("C", core.Rot(), 8))
+	var got []string
+	seen := map[int]bool{}
+	for _, tk := range groupPoints(pts, 2) {
+		got = append(got, tk.config+"/"+tk.scheme.Name)
+		for _, c := range tk.cells {
+			if seen[c] || pts[c].Config != tk.config || pts[c].Scheme.Name != tk.scheme.Name {
+				t.Fatalf("cell %d misplaced in task %s/%s", c, tk.config, tk.scheme.Name)
+			}
+			seen[c] = true
+		}
+	}
+	if len(seen) != len(pts) {
+		t.Fatalf("%d cells scheduled, want %d", len(seen), len(pts))
+	}
+	x, r := schemes[0].Name, schemes[1].Name
+	want := []string{"C/" + r, "A/" + x, "B/" + x, "A/" + r, "B/" + r, "C/" + x}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("task order %v, want %v", got, want)
+	}
+}
+
 // TestChunkedReactiveSweepAccountsOncePerKey: however many chunk tasks a
 // reactive sweep splits into, each (config, scheme) key produces exactly
 // one StageCharacterizeDone event and one hit-or-miss count per sweep —

@@ -24,7 +24,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -666,8 +666,8 @@ func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome
 	return nil
 }
 
-// groupPoints partitions the grid into tasks, ordered by their first
-// appearance so scheduling is deterministic. Periodic cells of one
+// groupPoints partitions the grid into tasks, in an order fixed by the
+// grid so scheduling is deterministic. Periodic cells of one
 // (configuration, scheme) form a single task: their thermal evaluations
 // are cheap. Reactive cells of one
 // (configuration, scheme) are split into up to workers contiguous chunk
@@ -707,12 +707,38 @@ func groupPoints(pts []Point, workers int) []task {
 		}
 		tasks = append(tasks, g)
 	}
-	// Largest groups first: with more tasks than workers this packs the
-	// pool better without affecting result order.
-	sort.SliceStable(tasks, func(i, j int) bool {
-		return len(tasks[i].cells) > len(tasks[j].cells)
-	})
+	// Largest tasks first: with more tasks than workers this packs the
+	// pool better. Then deal them in rounds, each taking the largest
+	// remaining task of every configuration that has one, so on a
+	// configuration-major grid every configuration's build starts as
+	// soon as a worker is free instead of the pool queueing behind one
+	// build at a time. Neither affects result order.
+	slices.SortStableFunc(tasks, func(a, b task) int { return len(b.cells) - len(a.cells) })
+	round := 0 // where the current round starts
+	for p := range tasks {
+		i := p
+		for i < len(tasks) && hasConfig(tasks[round:p], tasks[i].config) {
+			i++
+		}
+		if i == len(tasks) {
+			round, i = p, p // every remaining configuration was dealt: next round
+		}
+		// Move task i to p, keeping the remaining tasks in order.
+		t := tasks[i]
+		copy(tasks[p+1:i+1], tasks[p:i])
+		tasks[p] = t
+	}
 	return tasks
+}
+
+// hasConfig reports whether a task of config is among tasks.
+func hasConfig(tasks []task, config string) bool {
+	for _, t := range tasks {
+		if t.config == config {
+			return true
+		}
+	}
+	return false
 }
 
 // Grid returns the cross product configs × schemes × blocks in

@@ -12,6 +12,12 @@
 # (DecodeMemoHit), plus the obs recording paths HistogramObserve and
 # CounterInc) reports a nonzero allocs/op.
 #
+# The build-path benchmarks (code construction, annealing, warm and cold
+# build) run REPEAT=5 times, so a change to them can be told apart from
+# host noise: their row records the median run's ns/op, B/op and
+# allocs/op plus "runs" and the ns/op "ns_per_op_min"/"ns_per_op_max".
+# Every other benchmark runs once and its row keeps only the first three.
+#
 # Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
 #        SKIP_PAPER=1                skip the paper-scale benchmarks
@@ -29,6 +35,7 @@ else
 fi
 BENCHTIME="${BENCHTIME:-1s}"
 SKIP_PAPER="${SKIP_PAPER:-0}"
+REPEAT=5
 
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
@@ -46,11 +53,11 @@ go test -run '^$' -bench '^(BenchmarkStepIdle|BenchmarkStepLoaded)$' \
 go test -run '^$' -bench '^(BenchmarkDecodeOnNoC|BenchmarkDecodeMemoHit)$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/appmap | tee -a "$TMP"
 
-echo "== build-path benchmarks: code construction and annealing (benchtime $BENCHTIME)"
+echo "== build-path benchmarks: code construction and annealing (benchtime $BENCHTIME, $REPEAT runs)"
 go test -run '^$' -bench '^(BenchmarkConstruction|BenchmarkConstructionPaper)$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/ldpc | tee -a "$TMP"
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/ldpc | tee -a "$TMP"
 go test -run '^$' -bench '^BenchmarkAnneal$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/place | tee -a "$TMP"
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/place | tee -a "$TMP"
 
 echo "== obs recording benchmarks (benchtime $BENCHTIME)"
 go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
@@ -58,26 +65,46 @@ go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
 
 if [ "$SKIP_PAPER" != 1 ]; then
     echo "== paper-scale trajectory (1 iteration)"
-    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkBuildWarm|BenchmarkBuildCold|BenchmarkLabSweepWarm|BenchmarkSweepFigure1)$' \
+    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkLabSweepWarm|BenchmarkSweepFigure1)$' \
         -benchmem -benchtime=1x -timeout=30m . | tee -a "$TMP"
+    go test -run '^$' -bench '^(BenchmarkBuildWarm|BenchmarkBuildCold)$' \
+        -benchmem -benchtime=1x -count "$REPEAT" -timeout=30m . | tee -a "$TMP"
 fi
 
 awk -v pr="$PR" -v gover="$(go version | awk '{print $3}')" '
-BEGIN { printf "{\n  \"pr\": %s,\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", pr, gover }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bop = ""; allocs = ""
+    ns = ""; bop = "null"; allocs = "null"
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i-1)
         else if ($i == "B/op") bop = $(i-1)
         else if ($i == "allocs/op") allocs = $(i-1)
     }
     if (ns == "") next
-    if (n++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s}", \
-        name, ns, (bop == "" ? "null" : bop), (allocs == "" ? "null" : allocs)
+    if (!(name in runs)) order[++names] = name
+    k = ++runs[name]
+    nsv[name, k] = ns; bopv[name, k] = bop; allocv[name, k] = allocs
 }
-END { printf "\n  ]\n}\n" }
+END {
+    printf "{\n  \"pr\": %s,\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", pr, gover
+    for (b = 1; b <= names; b++) {
+        name = order[b]; n = runs[name]
+        # Sort run indices by ns/op; the median run is the middle one.
+        for (i = 1; i <= n; i++) idx[i] = i
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && nsv[name, idx[j-1]] + 0 > nsv[name, idx[j]] + 0; j--) {
+                t = idx[j]; idx[j] = idx[j-1]; idx[j-1] = t
+            }
+        m = idx[int((n + 1) / 2)]
+        if (b > 1) printf ",\n"
+        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s", \
+            name, nsv[name, m], bopv[name, m], allocv[name, m]
+        if (n > 1)
+            printf ", \"runs\": %d, \"ns_per_op_min\": %s, \"ns_per_op_max\": %s", n, nsv[name, idx[1]], nsv[name, idx[n]]
+        printf "}"
+    }
+    printf "\n  ]\n}\n"
+}
 ' "$TMP" > "$OUT"
 echo "wrote $OUT"
 

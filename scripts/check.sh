@@ -15,8 +15,9 @@ echo "== bench module (vet + short tests against the library API)" \
     && go -C bench vet ./... && go -C bench test -short ./...
 echo "== thermal differential (banded vs dense reference, batched, singular, row-run kernels vs frozen band sweeps)" \
     && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree|MatchesRef' ./internal/thermal
-echo "== build-path differential (sort-based code construction, coordinate-based anneal cost)" \
-    && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place
+echo "== build-path differential (sort-based code construction, Intn-exact draws, lazy encoder under -race, coordinate-based anneal cost)" \
+    && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
+    && go test -race -count=1 -run 'MatchesRef|Draw|Lazy' ./internal/ldpc
 echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases and decodes, Replay vs stepping)" \
     && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs|TestDecodeMemoMatchesSimulation|TestDecodeMemoHitAllocs' ./internal/appmap \
     && go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap \
