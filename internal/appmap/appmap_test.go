@@ -362,7 +362,7 @@ func TestDecodeMemoForgetsFailures(t *testing.T) {
 		if _, err := e.Decode(block); err == nil {
 			t.Fatal("a decode overflowing its injection queues succeeded")
 		}
-		if n := len(e.memo.entries); n != 0 || e.Decodes != 0 {
+		if n := e.memo.spans.Len(); n != 0 || e.Decodes != 0 {
 			t.Fatalf("a failed decode left %d memo entries and counted %d decodes", n, e.Decodes)
 		}
 	}

@@ -89,8 +89,8 @@ type Engine struct {
 // phaseWindow is one simulated half-iteration of the current decode.
 // Within one decode every phase of a kind sends the same packets at the
 // same relative cycles, so a phase replays a window of its kind whenever
-// the network's arbitration state equals the recorded start (noc.Replay
-// checks that).
+// the network's arbitration pointers equal the recorded start on every
+// port the window observed (noc.Replay checks that).
 type phaseWindow struct {
 	phase uint8
 	win   noc.Window
@@ -192,7 +192,6 @@ func (e *Engine) Decode(block []ldpc.LLR) (int64, error) {
 	start := e.Net.Cycle
 	ent, owner := e.lookupMemo()
 	if ent != nil && !owner {
-		<-ent.done
 		if e.replay(ent) {
 			e.Decodes++
 			return e.Net.Cycle - start, nil

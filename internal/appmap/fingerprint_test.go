@@ -81,12 +81,16 @@ func TestDecodeFingerprint(t *testing.T) {
 
 	// Fast-forwarding idle spans and replaying repeated phases are
 	// host-side bookkeeping: both must happen in a decode, and neither may
-	// change any simulated count. Three of the 32 half-iterations are
-	// simulated (check, variable, then check again from a new arbitration
-	// state); the other 29 are replayed.
-	const wantStepped = 1299
+	// change any simulated count. Two of the 32 half-iterations are
+	// simulated (check, then variable); the other 30 are replayed, each
+	// from arbitration pointers that agree with its window's start on
+	// every port the window observed.
+	const wantStepped = 756
 	st := eng.Net.Stats
 	stepped := st.Cycles - st.SkippedCycles - st.ReplayedCycles
+	if eng.recorded != 2 {
+		t.Errorf("%d half-iterations simulated, want 2", eng.recorded)
+	}
 	if st.SkippedCycles <= 0 || st.ReplayedCycles <= 0 || stepped != wantStepped {
 		t.Errorf("skipped %d, replayed %d, stepped %d of %d cycles, want some skipped, some replayed and %d stepped",
 			st.SkippedCycles, st.ReplayedCycles, stepped, st.Cycles, wantStepped)

@@ -3,8 +3,6 @@
 package appmap
 
 import (
-	"sync"
-
 	"hotnoc/internal/geom"
 	"hotnoc/internal/ldpc"
 	"hotnoc/internal/noc"
@@ -16,14 +14,8 @@ import (
 // cycles, statistics, activity and final arbitration pointers are a pure
 // function of the engine's parameters, the placement and the arbitration
 // pointers at its start (see noc.Window). The memo keys on exactly those,
-// so a repeat is replayed bit for bit however the engines interleave.
-//
-// Each key is resolved once: the first engine to miss simulates and
-// records the decode while engines asking for the same key wait for it,
-// so how many decodes are simulated does not depend on how many
-// goroutines decode at once. A published entry is never written again.
-// An entry whose decode failed is dropped rather than cached: its waiters
-// simulate on their own and a later request resolves the key afresh.
+// so a repeat is replayed bit for bit however the engines interleave;
+// noc.Memo resolves each key once.
 type decodeMemo struct {
 	// The code, partition and network shape the entries were recorded
 	// with; an engine whose own differ does not use the memo.
@@ -32,61 +24,21 @@ type decodeMemo struct {
 	grid geom.Grid
 	cfg  noc.Config
 
-	mu      sync.Mutex
-	entries map[string]*memoEntry
+	spans noc.Memo[decodeEffect]
 }
 
-// memoEntry is one recorded decode. Its fields are written only by the
-// engine that claimed it, before done is closed.
-type memoEntry struct {
-	key  string
-	done chan struct{} // closed once the entry is resolved
-	ok   bool          // the decode was recorded and can be replayed
-	win  noc.Window
-	// peOps is the decode's PE-op count per physical block, and ids the
-	// number of packet IDs it took.
+// decodeEffect is what a recorded decode changes outside the network: its
+// PE-op count per physical block, and the number of packet IDs it took.
+type decodeEffect struct {
 	peOps []uint64
 	ids   uint64
 }
 
+// memoEntry is one recorded decode.
+type memoEntry = noc.MemoEntry[decodeEffect]
+
 func newDecodeMemo(code *ldpc.Code, part *Partition, net *noc.Network) *decodeMemo {
-	return &decodeMemo{code: code, part: part, grid: net.Grid, cfg: net.Cfg,
-		entries: map[string]*memoEntry{}}
-}
-
-// lookup returns the entry for key, or nil when no engine has claimed it.
-//
-//hotnoc:noalloc
-func (m *decodeMemo) lookup(key []byte) *memoEntry {
-	m.mu.Lock()
-	ent := m.entries[string(key)] //hotnoc:allow noalloc indexing a map by string(key) does not copy the key
-	m.mu.Unlock()
-	return ent
-}
-
-// claim returns the entry for key and whether the caller must resolve it:
-// the first caller for a key gets a fresh entry and true, every other
-// caller the same entry and false.
-func (m *decodeMemo) claim(key []byte) (*memoEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ent := m.entries[string(key)]; ent != nil {
-		return ent, false
-	}
-	ent := &memoEntry{key: string(key), done: make(chan struct{})}
-	m.entries[ent.key] = ent
-	return ent, true
-}
-
-// publish resolves a claimed entry and wakes its waiters. An entry that
-// was not recorded is forgotten, so a later request claims the key again.
-func (m *decodeMemo) publish(ent *memoEntry) {
-	if !ent.ok {
-		m.mu.Lock()
-		delete(m.entries, ent.key)
-		m.mu.Unlock()
-	}
-	close(ent.done)
+	return &decodeMemo{code: code, part: part, grid: net.Grid, cfg: net.Cfg}
 }
 
 // memoKey writes the current decode's key into the engine's scratch and
@@ -131,11 +83,7 @@ func (e *Engine) lookupMemo() (*memoEntry, bool) {
 		e.Code != m.code || e.Part != m.part || e.Net.Grid != m.grid || e.Net.Cfg != m.cfg {
 		return nil, false
 	}
-	key := e.memoKey()
-	if ent := m.lookup(key); ent != nil {
-		return ent, false
-	}
-	return m.claim(key)
+	return m.spans.Get(e.memoKey())
 }
 
 // replay applies a resolved entry's decode to the network: the recorded
@@ -144,30 +92,31 @@ func (e *Engine) lookupMemo() (*memoEntry, bool) {
 //
 //hotnoc:noalloc
 func (e *Engine) replay(ent *memoEntry) bool {
-	if !ent.ok || !e.Net.Replay(&ent.win) {
+	if !ent.Wait() || !e.Net.Replay(&ent.Win) {
 		return false
 	}
-	for i, v := range ent.peOps {
+	for i, v := range ent.Val.peOps {
 		e.Net.Act.PEOps[i] += v
 	}
-	e.Net.TakeIDs(ent.ids)
+	e.Net.TakeIDs(ent.Val.ids)
 	return true
 }
 
 // record simulates the decode as the owner of ent, recording its network
 // window, PE-op delta and packet IDs, and publishes the entry.
 func (e *Engine) record(ent *memoEntry) error {
-	ent.peOps = append([]uint64(nil), e.Net.Act.PEOps...)
-	ent.ids = e.Net.IDs()
-	e.Net.BeginWindow(&ent.win)
+	v := &ent.Val
+	v.peOps = append([]uint64(nil), e.Net.Act.PEOps...)
+	v.ids = e.Net.IDs()
+	e.Net.BeginWindow(&ent.Win)
 	err := e.simulate()
-	if e.Net.EndWindow(&ent.win) && err == nil {
-		for i, v := range e.Net.Act.PEOps {
-			ent.peOps[i] = v - ent.peOps[i]
+	ok := e.Net.EndWindow(&ent.Win) && err == nil
+	if ok {
+		for i, x := range e.Net.Act.PEOps {
+			v.peOps[i] = x - v.peOps[i]
 		}
-		ent.ids = e.Net.IDs() - ent.ids
-		ent.ok = true
+		v.ids = e.Net.IDs() - v.ids
 	}
-	e.memo.publish(ent)
+	e.memo.spans.Publish(ent, ok)
 	return err
 }

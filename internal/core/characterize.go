@@ -17,11 +17,15 @@ import (
 // the engine's traffic is data-independent: it runs a static schedule of
 // fixed iterations and carries no message values (appmap's
 // TestTrafficMatchesValueOracle pins it against a value-carrying
-// decoder). It also simulates each distinct half-iteration of a block
-// once and replays the repeats (TestPhaseReplayMatchesSimulation), and a
-// decode that repeats one any clone of the same build has simulated, at
-// the same placement and arbitration state, is replayed from the build's
-// decode memo (TestDecodeMemoMatchesSimulation).
+// decoder). It also simulates a half-iteration of a block only when no
+// earlier one of its kind started from arbitration pointers that agree
+// on every port that half-iteration's arbitration read, and replays the
+// repeats (TestPhaseReplayMatchesSimulation). A decode that repeats one
+// any clone of the same build has simulated, at the same placement and
+// arbitration state, is replayed from the build's decode memo
+// (TestDecodeMemoMatchesSimulation), and a migration that repeats one of
+// the build's, with the same permutation, from its migration memo
+// (TestMigrationMemoMatchesSimulation).
 type LegActivity struct {
 	// Step is the transform the migration at the end of this leg applies.
 	Step geom.Transform
@@ -47,8 +51,10 @@ type LegActivity struct {
 // variant of the same (system, scheme) — the expensive NoC simulation runs
 // once and the cheap thermal evaluation runs per variant. Decodes that
 // repeat across the schemes of one build, the static-placement baseline
-// among them, are served from the build's decode memo, so the simulation
-// is shared across schemes too.
+// among them, are served from the build's decode memo, and migrations
+// that repeat (a scheme's orbit applies one step over and over) from its
+// migration memo, so the simulation is shared across legs and schemes
+// too.
 // It is plain, immutable data that any number of goroutines may evaluate
 // at once. The sweep layer persists it with gob, which round-trips
 // float64 bit-exactly, so a restored characterization evaluates bitwise
@@ -69,9 +75,9 @@ type Characterization struct {
 // Characterize runs the expensive stage of an evaluation: it decodes one
 // block at the static placement and at every placement of the scheme's
 // orbit, executes each migration on the cycle-accurate network, and
-// records the activity-derived energies. A decode that repeats one in
-// the engine's decode memo is replayed from it. The result feeds any
-// number of Evaluate calls.
+// records the activity-derived energies. A decode or migration that
+// repeats one in the build's decode or migration memo is replayed from
+// it. The result feeds any number of Evaluate calls.
 func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

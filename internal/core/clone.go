@@ -7,12 +7,13 @@ import "hotnoc/internal/noc"
 // and migrator — everything Characterize mutates — while sharing the
 // read-only calibration products: the thermal network, energy and leakage
 // tables, code, partition and placement. Its engine also shares the
-// build's decode memo (appmap.Engine.Fork), so a decode any clone of the
-// build has simulated is replayed, not simulated again. Cloning is how a
-// concurrent sweep gives each characterization a simulator of its own
-// without repeating placement annealing, energy calibration or repeated
-// decodes; evaluation needs no clone. A clone's runs are bitwise
-// identical to the original's.
+// build's decode memo (appmap.Engine.Fork) and its migrator the build's
+// migration memo (Migrator.Fork), so a decode or migration any clone of
+// the build has simulated is replayed, not simulated again. Cloning is how
+// a concurrent sweep gives each characterization a simulator of its own
+// without repeating placement annealing, energy calibration, repeated
+// decodes or repeated migrations; evaluation needs no clone. A clone's
+// runs are bitwise identical to the original's.
 func (s *System) Clone() (*System, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -26,11 +27,6 @@ func (s *System) Clone() (*System, error) {
 		return nil, err
 	}
 
-	mig := NewMigrator(net)
-	mig.StateFlits = s.Migrator.StateFlits
-	mig.PhaseSyncCycles = s.Migrator.PhaseSyncCycles
-	mig.DrainTimeout = s.Migrator.DrainTimeout
-
 	return &System{
 		Grid:         s.Grid,
 		Therm:        s.Therm,
@@ -38,7 +34,7 @@ func (s *System) Clone() (*System, error) {
 		Leak:         s.Leak,
 		ClockHz:      s.ClockHz,
 		Engine:       eng,
-		Migrator:     mig,
+		Migrator:     s.Migrator.Fork(net),
 		InitialPlace: append([]int(nil), s.InitialPlace...),
 		IdleFrac:     s.IdleFrac,
 	}, nil

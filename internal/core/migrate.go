@@ -17,6 +17,12 @@ type stateBlob struct {
 // in-flight workload traffic, then moves every PE's configuration and
 // state to its destination in congestion-free phases, charging conversion
 // energy at the sources and normal network energy along the routes.
+//
+// Migrators Forked from one another share a migration memo: a migration
+// that starts on a drained network and repeats one any of them has
+// simulated, with the same parameters and permutation, is replayed from
+// it. A Migrator made neither by NewMigrator nor by Fork has no memo and
+// steps every migration.
 type Migrator struct {
 	Net *noc.Network
 	// StateFlits is the worm length of one PE's configuration + state
@@ -28,11 +34,33 @@ type Migrator struct {
 	PhaseSyncCycles int
 	// DrainTimeout bounds the pre-migration drain (default 1e6 cycles).
 	DrainTimeout int64
+
+	// Migrations counts completed Execute calls, simulated or replayed
+	// from the migration memo, and SimulatedMigrations those that stepped
+	// the network. Like noc.Stats.ReplayedCycles both are host-side
+	// bookkeeping.
+	Migrations          uint64
+	SimulatedMigrations uint64
+
+	// memo is shared by every Migrator Forked from this one, and key is
+	// the scratch its keys are built in.
+	memo *migrationMemo
+	key  []byte
 }
 
-// NewMigrator returns a migrator with default parameters.
+// NewMigrator returns a migrator with default parameters and a migration
+// memo of its own.
 func NewMigrator(net *noc.Network) *Migrator {
-	return &Migrator{Net: net, StateFlits: 512, PhaseSyncCycles: 32, DrainTimeout: 1_000_000}
+	return &Migrator{Net: net, StateFlits: 512, PhaseSyncCycles: 32, DrainTimeout: 1_000_000,
+		memo: &migrationMemo{}}
+}
+
+// Fork returns a migrator on net with m's parameters. It shares m's
+// migration memo, so a migration either has simulated is replayed on the
+// other; net must be a network of its own.
+func (m *Migrator) Fork(net *noc.Network) *Migrator {
+	return &Migrator{Net: net, StateFlits: m.StateFlits, PhaseSyncCycles: m.PhaseSyncCycles,
+		DrainTimeout: m.DrainTimeout, memo: m.memo}
 }
 
 // MigrationStats reports one executed migration.
@@ -50,11 +78,35 @@ type MigrationStats struct {
 
 // Execute performs the migration described by perm. The caller updates the
 // application placement and I/O translator afterwards; Execute only moves
-// state and accounts for time and energy.
+// state and accounts for time and energy. A migration that starts on a
+// drained network and repeats one in the migration memo is replayed from
+// it, with the same outcome as stepping it.
 func (m *Migrator) Execute(perm geom.Perm) (MigrationStats, error) {
 	if m.StateFlits < 1 {
 		return MigrationStats{}, fmt.Errorf("core: StateFlits %d < 1", m.StateFlits)
 	}
+	ent, owner := m.lookupMemo(perm)
+	if ent != nil && !owner && m.replay(ent) {
+		m.Migrations++
+		return ent.Val.stats, nil
+	}
+	var stats MigrationStats
+	var err error
+	if owner {
+		stats, err = m.record(ent, perm)
+	} else {
+		stats, err = m.execute(perm)
+	}
+	if err != nil {
+		return stats, err
+	}
+	m.Migrations++
+	m.SimulatedMigrations++
+	return stats, nil
+}
+
+// execute steps one migration on the network.
+func (m *Migrator) execute(perm geom.Perm) (MigrationStats, error) {
 	start := m.Net.Cycle
 
 	// Halt and drain: workload packets still in the network complete

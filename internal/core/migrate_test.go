@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"hotnoc/internal/geom"
@@ -149,5 +150,111 @@ func TestMigratorRejectsBadState(t *testing.T) {
 	g := geom.NewGrid(4, 4)
 	if _, err := m.Execute(geom.FromTransform(g, geom.XMirror(4))); err == nil {
 		t.Fatal("zero StateFlits accepted")
+	}
+}
+
+// TestMigrationMemoForgetsFailures: a migration that fails is not cached.
+// Its key is released, so a fork migrating by the same permutation steps,
+// and fails, again instead of replaying a failed entry.
+func TestMigrationMemoForgetsFailures(t *testing.T) {
+	g := geom.NewGrid(4, 4)
+	cfg := noc.Config{InjectCap: 1} // a state worm never fits
+	net, err := noc.New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forkNet, err := noc.New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMigrator(net)
+	fork := m.Fork(forkNet)
+	for _, mig := range []*Migrator{m, fork} {
+		if _, err := mig.Execute(geom.FromTransform(g, geom.XMirror(4))); err == nil {
+			t.Fatal("a migration overflowing its injection queue succeeded")
+		}
+		if n := mig.memo.Len(); n != 0 || mig.Migrations != 0 {
+			t.Fatalf("a failed migration left %d memo entries and counted %d migrations", n, mig.Migrations)
+		}
+	}
+}
+
+// TestMigrationMemoHit: a fork's migration by a permutation its parent
+// has stepped is replayed, leaves the network exactly as stepping does,
+// returns the same stats and allocates nothing.
+func TestMigrationMemoHit(t *testing.T) {
+	g := geom.NewGrid(5, 5)
+	perm := geom.FromTransform(g, Rot().Step(0, g))
+	m := NewMigrator(newTestNet(t, 5))
+	want, err := m.Execute(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := m.Fork(newTestNet(t, 5))
+	got, err := fork.Execute(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || fork.SimulatedMigrations != 0 || fork.Migrations != 1 {
+		t.Fatalf("fork: %+v, %d of %d simulated; want %+v and a replay",
+			got, fork.SimulatedMigrations, fork.Migrations, want)
+	}
+	if fork.Net.Stats.ReplayedCycles != want.Cycles {
+		t.Fatalf("fork replayed %d cycles, want %d", fork.Net.Stats.ReplayedCycles, want.Cycles)
+	}
+	ns, fs := m.Net.Stats, fork.Net.Stats
+	ns.SkippedCycles, ns.ReplayedCycles = 0, 0
+	fs.SkippedCycles, fs.ReplayedCycles = 0, 0
+	if m.Net.Cycle != fork.Net.Cycle || ns != fs || !reflect.DeepEqual(m.Net.Act, fork.Net.Act) || m.Net.IDs() != fork.Net.IDs() {
+		t.Fatal("a replayed migration left the network unlike a stepped one")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := fork.Execute(perm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || fork.SimulatedMigrations != 0 {
+		t.Errorf("a memo hit allocates %.0f times and %d migrations were simulated, want 0 and 0",
+			allocs, fork.SimulatedMigrations)
+	}
+}
+
+// TestMigrationReplaysFromAnyArbitration: PlanPhases' congestion-free
+// phases never contest an output port, so a recorded migration observes
+// no arbitration pointer and replays on a network that random traffic
+// left in any arbitration state. Every scheme's migrations on both grids.
+func TestMigrationReplaysFromAnyArbitration(t *testing.T) {
+	for _, n := range []int{4, 5} {
+		g := geom.NewGrid(n, n)
+		for _, s := range AllSchemes() {
+			m := NewMigrator(newTestNet(t, n))
+			m.StateFlits = 16
+			net := newTestNet(t, n)
+			gen, err := noc.NewGenerator(net, noc.UniformRandom, 0.3, 4, int64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 200 {
+				gen.Tick()
+				net.Step()
+			}
+			if _, err := net.Drain(1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			fork := m.Fork(net)
+			for k := range s.OrbitLen(g) {
+				perm := geom.FromTransform(g, s.Step(k, g))
+				if _, err := m.Execute(perm); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fork.Execute(perm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fork.SimulatedMigrations != 0 {
+				t.Errorf("%s on %dx%d: %d of %d migrations stepped after random traffic, want all replayed",
+					s.Name, n, n, fork.SimulatedMigrations, fork.Migrations)
+			}
+		}
 	}
 }

@@ -280,8 +280,10 @@ func summarizeCall(pass *Pass, sum *allocSummary, add func(token.Pos, string), c
 	// Whether the callee allocates is decided at resolution time, when
 	// every function in the package has a summary; a suppressed call
 	// site is dropped here so it cleans the summary for callers too.
+	// An instantiated generic function or method is summarized by its
+	// generic declaration.
 	if !pass.Suppressed(call.Pos()) {
-		sum.calls = append(sum.calls, allocCall{call.Pos(), fn})
+		sum.calls = append(sum.calls, allocCall{call.Pos(), fn.Origin()})
 	}
 	walkArgs()
 }

@@ -95,3 +95,18 @@ func (s *solver) amortized(n int) {
 func (s *solver) callsAmortized(n int) {
 	s.amortized(n)
 }
+
+// box is a generic type; calls of its instantiated methods resolve to the
+// generic declaration's summary.
+type box[T any] struct{ v []T }
+
+//hotnoc:noalloc
+func (b *box[T]) first() T { return b.v[0] }
+
+func (b *box[T]) grow(v T) { b.v = append(b.v, v) }
+
+//hotnoc:noalloc
+func useBox(b *box[int]) int {
+	b.grow(1) // want `calls \(\*noalloc\.box\[T\]\)\.grow, which may allocate: append may grow its backing array`
+	return b.first()
+}

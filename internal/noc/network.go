@@ -106,6 +106,11 @@ type Network struct {
 
 	inflight int64
 	nextID   uint64
+
+	// windows are the recordings in progress, outermost first: windows
+	// nest, and every one of them watches the arbitrations of the cycles
+	// stepped or replayed while it records.
+	windows []*Window
 }
 
 // New builds a network over grid g.
@@ -312,19 +317,28 @@ func (n *Network) switchAllocTraversal() {
 			continue
 		}
 		var req [numDirs]Dir
-		wanted := 0 // bit o set when some input requests output o
+		// Bit o of wanted is set when some input requests output o, and
+		// of multi when two or more do: only then does the round-robin
+		// pointer decide who wins.
+		wanted, multi := 0, 0
 		for in := Dir(0); in < numDirs; in++ {
 			req[in] = r.request(in)
-			wanted |= requestBit(req[in])
+			b := requestBit(req[in])
+			multi |= wanted & b
+			wanted |= b
 		}
 		for o := Dir(0); o < numDirs; o++ {
 			op := &r.out[o]
 			if wanted&(1<<o) == 0 || op.valid {
 				continue // nobody asks, or latch occupied (downstream stalled)
 			}
+			owned := op.owned
 			winner, ok := op.arbitrate(o, &req)
 			if !ok {
 				continue
+			}
+			if !owned && len(n.windows) > 0 {
+				n.markGrant(i, o, multi&(1<<o) != 0)
 			}
 			n.Act.Arb[i]++
 			ip := &r.in[winner]
@@ -345,8 +359,12 @@ func (n *Network) switchAllocTraversal() {
 				op.owned = false
 				ip.holding = false
 			}
+			// The winner's old request was for o, already allocated, so
+			// no output still to come loses a requester.
 			req[winner] = r.request(winner)
-			wanted |= requestBit(req[winner])
+			b := requestBit(req[winner])
+			multi |= wanted & b
+			wanted |= b
 		}
 	}
 }

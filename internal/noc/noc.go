@@ -24,10 +24,12 @@
 // cycle changes nothing but the clock, so every cycle count, statistic and
 // activity counter is identical to stepping each cycle. A span that starts
 // and ends drained can also be recorded as a Window and replayed when the
-// same traffic repeats from the same arbitration state (counted in
-// Stats.ReplayedCycles): on a drained network the round-robin pointers
-// are the only state later cycles can observe, so a replay adds exactly
-// what stepping the repeat would.
+// same traffic repeats (counted in Stats.ReplayedCycles). On a drained
+// network the round-robin pointers are the only state later cycles can
+// observe, and a span reads only those of the ports whose first
+// arbitration in the span two or more inputs contest: the window records
+// that observed set, and a repeat from pointers that agree on it adds
+// exactly what stepping it would.
 package noc
 
 import (

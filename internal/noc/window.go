@@ -1,6 +1,10 @@
 package noc
 
-import "hotnoc/internal/power"
+import (
+	"math/bits"
+
+	"hotnoc/internal/power"
+)
 
 // Window records the effect of a span of simulation that starts and ends
 // with nothing in flight, so that a repeat of the span can be applied
@@ -10,16 +14,32 @@ import "hotnoc/internal/power"
 // each output port's round-robin pointer: FIFOs, output latches, worm
 // ownership, route-holding flags and NI queues are empty or cleared, an
 // empty FIFO's ring offset and a released input's stale route cannot be
-// observed, and the absolute cycle only shifts time stamps. Sending the
-// same packets at the same cycles relative to the start, from the same
-// arbitration pointers, therefore reproduces the recorded span cycle for
-// cycle. Matching the traffic is the caller's job; Replay checks the rest.
+// observed, and the absolute cycle only shifts time stamps. And a span
+// reads few of those pointers. An arbitration that one input alone
+// contests grants that input whatever the pointer says; a contested one
+// reads either the pointer the span started with or one an earlier grant
+// of the span wrote. A window therefore records which ports the span
+// granted, and which it observed: those whose first grant in the span was
+// contested. Sending the same packets at the same cycles relative to the
+// start, from arbitration pointers that agree on the observed ports,
+// reproduces the recorded span cycle for cycle (by induction over its
+// arbitrations), and leaves the granted ports' pointers where the span
+// left them and every other pointer where it was. Matching the traffic is
+// the caller's job; Replay checks the rest.
+//
+// Windows nest: a recording can contain another recording or a replay,
+// and the outer window observes what the inner span observed on ports
+// the outer span had not granted yet.
 //
 // A Window's storage is reused by every recording into it.
 type Window struct {
 	// rr0 and rr1 are the arbitration pointers at the start and the end,
 	// as SaveArbitration writes them.
 	rr0, rr1 []byte
+	// obs and granted hold one byte per router, bit o for output port o:
+	// the ports whose start pointer the span read, and the ports whose
+	// pointer it wrote.
+	obs, granted []uint8
 	// Between BeginWindow and EndWindow stats and act hold the snapshot
 	// taken at the start; after a successful EndWindow they hold the
 	// span's deltas, with stats.LatencyMax the span's own maximum and
@@ -54,6 +74,14 @@ func (n *Network) BeginWindow(w *Window) bool {
 		w.rr0 = w.rr0[:nrr]
 	}
 	n.SaveArbitration(w.rr0)
+	if nr := len(n.routers); cap(w.obs) < nr {
+		w.obs = make([]uint8, nr)     //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+		w.granted = make([]uint8, nr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+	} else {
+		w.obs, w.granted = w.obs[:nr], w.granted[:nr]
+		clear(w.obs)
+		clear(w.granted)
+	}
 	for k, s := range nocActivity(n.Act) {
 		if cap(w.act[k]) < len(s) {
 			w.act[k] = make([]uint64, len(s)) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
@@ -64,6 +92,7 @@ func (n *Network) BeginWindow(w *Window) bool {
 	w.stats = n.Stats
 	n.Stats.LatencyMax = 0 // the span's own maximum, folded back at the end
 	w.recording = true
+	n.windows = append(n.windows, w) //hotnoc:allow noalloc amortized growth to the deepest nesting; reuse records at 0 allocs
 	return true
 }
 
@@ -78,6 +107,12 @@ func (n *Network) EndWindow(w *Window) bool {
 		return false
 	}
 	w.recording = false
+	for i := len(n.windows) - 1; i >= 0; i-- {
+		if n.windows[i] == w {
+			n.windows = append(n.windows[:i], n.windows[i+1:]...) //hotnoc:allow noalloc removal shrinks in place
+			break
+		}
+	}
 	own := n.Stats.LatencyMax
 	n.Stats.LatencyMax = max(w.stats.LatencyMax, own)
 	if n.inflight != 0 {
@@ -112,19 +147,25 @@ func (n *Network) EndWindow(w *Window) bool {
 
 // Replay applies a recorded window as if its span had been stepped again:
 // it advances the clock, adds the statistics and activity deltas, folds
-// in the span's maximum latency and leaves the arbitration pointers where
-// the span left them. The replayed cycles count in Stats.ReplayedCycles.
-// Replay reports false and changes nothing unless w was recorded, nothing
-// is in flight and the arbitration pointers equal those w started from.
-// Packets of the span are neither sent nor delivered: the caller applies
-// their payloads.
+// in the span's maximum latency and sets the pointers of the ports the
+// span granted where the span left them. The replayed cycles count in
+// Stats.ReplayedCycles. Replay reports false and changes nothing unless
+// w was recorded, nothing is in flight and the arbitration pointers equal
+// those w started from on every port the span observed. Packets of the
+// span are neither sent nor delivered: the caller applies their payloads.
 //
 //hotnoc:noalloc
 func (n *Network) Replay(w *Window) bool {
-	if !w.ok || n.inflight != 0 || !n.rrEqual(w.rr0) {
+	if !w.ok || n.inflight != 0 || !n.observedMatch(w) {
 		return false
 	}
-	n.restoreRR(w.rr1)
+	n.restoreGranted(w)
+	for _, outer := range n.windows {
+		for i, g := range outer.granted {
+			outer.obs[i] |= w.obs[i] &^ g
+			outer.granted[i] = g | w.granted[i]
+		}
+	}
 	d, s := &w.stats, &n.Stats
 	n.Cycle += d.Cycles
 	s.PacketsSent += d.PacketsSent
@@ -141,6 +182,22 @@ func (n *Network) Replay(w *Window) bool {
 		}
 	}
 	return true
+}
+
+// markGrant records a grant of the unowned output o of router r in every
+// window being recorded. Every such grant writes the port's pointer; a
+// contested one, with two or more inputs requesting, also reads it, and
+// a window observes that read unless it granted the port earlier.
+//
+//hotnoc:noalloc
+func (n *Network) markGrant(r int, o Dir, contested bool) {
+	bit := uint8(1) << o
+	for _, w := range n.windows {
+		if contested && w.granted[r]&bit == 0 {
+			w.obs[r] |= bit
+		}
+		w.granted[r] |= bit
+	}
 }
 
 // ArbitrationLen is the length of the vector SaveArbitration writes.
@@ -160,31 +217,34 @@ func (n *Network) SaveArbitration(dst []byte) {
 	}
 }
 
-// restoreRR sets the round-robin pointers from a SaveArbitration vector.
+// observedMatch reports whether the round-robin pointers equal w's start
+// pointers on every port w's span observed.
 //
 //hotnoc:noalloc
-func (n *Network) restoreRR(src []byte) {
-	for i := range n.routers {
-		for o := range n.routers[i].out {
-			n.routers[i].out[o].rr = Dir(src[i*int(numDirs)+o])
-		}
-	}
-}
-
-// rrEqual reports whether the round-robin pointers equal a
-// SaveArbitration vector.
-//
-//hotnoc:noalloc
-func (n *Network) rrEqual(v []byte) bool {
-	if len(v) != n.ArbitrationLen() {
+func (n *Network) observedMatch(w *Window) bool {
+	if len(w.obs) != len(n.routers) {
 		return false
 	}
-	for i := range n.routers {
-		for o := range n.routers[i].out {
-			if byte(n.routers[i].out[o].rr) != v[i*int(numDirs)+o] {
+	for i, m := range w.obs {
+		for ; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros8(m)
+			if byte(n.routers[i].out[o].rr) != w.rr0[i*int(numDirs)+o] {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// restoreGranted sets the round-robin pointers of the ports w's span
+// granted to where the span left them.
+//
+//hotnoc:noalloc
+func (n *Network) restoreGranted(w *Window) {
+	for i, m := range w.granted {
+		for ; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros8(m)
+			n.routers[i].out[o].rr = Dir(w.rr1[i*int(numDirs)+o])
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"bytes"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -115,6 +118,202 @@ func TestReplayMatchesStepping(t *testing.T) {
 	}
 }
 
+// setRR sets the round-robin pointers from a SaveArbitration vector.
+func setRR(n *Network, v []byte) {
+	for i := range n.routers {
+		for o := range n.routers[i].out {
+			n.routers[i].out[o].rr = Dir(v[i*int(numDirs)+o])
+		}
+	}
+}
+
+// observed reports whether w's span observed port i of a
+// SaveArbitration vector.
+func observed(w *Window, i int) bool {
+	return w.obs[i/int(numDirs)]&(1<<(i%int(numDirs))) != 0
+}
+
+// agreeing returns a random arbitration vector that equals w's start
+// pointers on every port w observed.
+func agreeing(w *Window, rng *rand.Rand) []byte {
+	v := make([]byte, len(w.rr0))
+	for i := range v {
+		if observed(w, i) {
+			v[i] = w.rr0[i]
+		} else {
+			v[i] = byte(rng.Intn(int(numDirs)))
+		}
+	}
+	return v
+}
+
+// differsObserved reports whether n's pointers differ from w's start
+// pointers on some port w observed.
+func differsObserved(n *Network, w *Window) bool {
+	rr := rrOf(n)
+	for i := range rr {
+		if observed(w, i) && rr[i] != w.rr0[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// portCount counts the ports set in a per-router mask.
+func portCount(m []uint8) int {
+	c := 0
+	for _, b := range m {
+		c += bits.OnesCount8(b)
+	}
+	return c
+}
+
+// contended is one recorded span of the observed-pointer tests: seeded
+// uniform-random traffic, heavy enough that many arbitrations are
+// contested and light enough that some grants are not.
+type contended struct {
+	w, h  int
+	rate  float64
+	flits int
+	burst int
+}
+
+var contendedSpans = []contended{
+	{4, 4, 0.08, 4, 60},
+	{4, 4, 0.3, 4, 120},
+	{5, 5, 0.1, 6, 80},
+	{5, 5, 0.4, 2, 150},
+}
+
+// TestObservedReplayMatchesStepping is the differential oracle for
+// observed-pointer replay. A span of contended random traffic is recorded
+// on 4x4 and 5x5 meshes; from random arbitration vectors that agree with
+// its start on the ports it observed, replaying it must equal stepping the
+// same traffic: clock, statistics, activity and every pointer, including
+// those of later traffic. A vector that differs on one observed port is
+// refused.
+func TestObservedReplayMatchesStepping(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for ci, c := range contendedSpans {
+		rec := newNet(t, c.w, c.h)
+		burst(t, rec, 0.3, 4, 100, int64(10+ci))
+		var w Window
+		if !rec.BeginWindow(&w) {
+			t.Fatal("BeginWindow refused an idle network")
+		}
+		burst(t, rec, c.rate, c.flits, c.burst, int64(20+ci))
+		if !rec.EndWindow(&w) {
+			t.Fatal("EndWindow refused an idle network")
+		}
+		nobs, ngr := portCount(w.obs), portCount(w.granted)
+		if nobs == 0 || nobs == ngr || ngr == len(w.rr0) {
+			t.Fatalf("case %d: %d observed of %d granted of %d ports: the span does not test observed-only matching",
+				ci, nobs, ngr, len(w.rr0))
+		}
+		for k := range 8 {
+			start := agreeing(&w, rng)
+			if bytes.Equal(start, w.rr0) {
+				t.Fatalf("case %d: random start equals the recorded one", ci)
+			}
+			ref, rep := newNet(t, c.w, c.h), newNet(t, c.w, c.h)
+			setRR(ref, start)
+			setRR(rep, start)
+			burst(t, ref, c.rate, c.flits, c.burst, int64(20+ci))
+			if !rep.Replay(&w) {
+				t.Fatalf("case %d start %d: Replay refused pointers that agree on every observed port", ci, k)
+			}
+			assertSameState(t, rep, ref)
+			burst(t, ref, 0.4, 4, 100, int64(30+k))
+			burst(t, rep, 0.4, 4, 100, int64(30+k))
+			assertSameState(t, rep, ref)
+			if t.Failed() {
+				t.Fatalf("case %d start %d: replay differs from stepping", ci, k)
+			}
+		}
+
+		// One observed port off is refused, whichever it is.
+		for i := range w.rr0 {
+			if !observed(&w, i) {
+				continue
+			}
+			start := agreeing(&w, rng)
+			start[i] = (start[i] + 1 + byte(rng.Intn(int(numDirs)-1))) % byte(numDirs)
+			n := newNet(t, c.w, c.h)
+			setRR(n, start)
+			if n.Replay(&w) {
+				t.Fatalf("case %d: Replay accepted pointers that differ on observed port %d", ci, i)
+			}
+			if !bytes.Equal(rrOf(n), start) || n.Cycle != 0 || n.Stats != (Stats{}) {
+				t.Fatalf("case %d: a refused Replay changed the network", ci)
+			}
+		}
+	}
+}
+
+// TestNestedReplayMatchesStepping: an outer recording that steps some
+// traffic, replays an inner window and steps more equals the outer window
+// recorded by stepping all of it: the same observed and granted ports,
+// deltas and pointers. The inner span follows stepped traffic, so the
+// outer window observes only the inner span's reads of ports it had not
+// granted yet.
+func TestNestedReplayMatchesStepping(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for ci, c := range contendedSpans {
+		pre := func(n *Network) { burst(t, n, c.rate, c.flits, c.burst/2, int64(40+ci)) }
+		mid := func(n *Network) { burst(t, n, c.rate, c.flits, c.burst, int64(50+ci)) }
+		post := func(n *Network) { burst(t, n, c.rate, c.flits, c.burst/2, int64(60+ci)) }
+
+		// Record the outer span by stepping, with the inner span nested.
+		rec := newNet(t, c.w, c.h)
+		burst(t, rec, 0.3, 4, 100, int64(10+ci))
+		var outer, inner Window
+		rec.BeginWindow(&outer)
+		pre(rec)
+		rec.BeginWindow(&inner)
+		mid(rec)
+		if !rec.EndWindow(&inner) {
+			t.Fatal("inner EndWindow refused an idle network")
+		}
+		post(rec)
+		if !rec.EndWindow(&outer) {
+			t.Fatal("outer EndWindow refused an idle network")
+		}
+		if portCount(outer.obs) == portCount(outer.granted) {
+			t.Fatalf("case %d: every granted port observed: the span does not test observed-only matching", ci)
+		}
+
+		for k := range 4 {
+			start := agreeing(&outer, rng)
+			rep, ref := newNet(t, c.w, c.h), newNet(t, c.w, c.h)
+			setRR(rep, start)
+			setRR(ref, start)
+			var got, want Window
+			rep.BeginWindow(&got)
+			pre(rep)
+			if !rep.Replay(&inner) {
+				t.Fatalf("case %d start %d: inner Replay refused inside the outer span", ci, k)
+			}
+			post(rep)
+			ref.BeginWindow(&want)
+			pre(ref)
+			mid(ref)
+			post(ref)
+			if !rep.EndWindow(&got) || !ref.EndWindow(&want) {
+				t.Fatal("EndWindow refused an idle network")
+			}
+			assertSameState(t, rep, ref)
+			got.stats.ReplayedCycles, want.stats.ReplayedCycles = 0, 0
+			got.stats.SkippedCycles, want.stats.SkippedCycles = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d start %d: outer window with a nested replay differs from stepping", ci, k)
+			}
+			if !bytes.Equal(got.obs, outer.obs) || !bytes.Equal(got.granted, outer.granted) {
+				t.Fatalf("case %d start %d: observed or granted ports depend on unobserved start pointers", ci, k)
+			}
+		}
+	}
+}
+
 // TestReplayRefusals: Replay changes nothing on a busy network, under
 // different arbitration pointers, or for a window that was never
 // completed; BeginWindow refuses a busy network and EndWindow a
@@ -145,7 +344,7 @@ func TestReplayRefusals(t *testing.T) {
 	t.Run("busy", func(t *testing.T) {
 		n := newNet(t, 4, 4)
 		burst(t, n, 0.3, 4, 200, 1)
-		if !n.rrEqual(w.rr0) {
+		if !bytes.Equal(rrOf(n), w.rr0) {
 			t.Fatal("same warm-up, different arbitration state")
 		}
 		if err := n.Send(&Packet{Src: geom.Coord{X: 0, Y: 0}, Dst: geom.Coord{X: 3, Y: 3}, NFlits: 2}); err != nil {
@@ -156,7 +355,7 @@ func TestReplayRefusals(t *testing.T) {
 	t.Run("arbitration state", func(t *testing.T) {
 		n := newNet(t, 4, 4)
 		burst(t, n, 0.3, 4, 200, 7)
-		if n.rrEqual(w.rr0) {
+		if !differsObserved(n, &w) {
 			t.Fatal("different warm-up, same arbitration state: pick another seed")
 		}
 		refuse(t, n, &w)

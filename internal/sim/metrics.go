@@ -11,9 +11,10 @@ import (
 // resolved once at construction so the recording paths are pure atomic
 // operations: a *metrics is nil when no registry was configured, and
 // every method is nil-receiver safe, which keeps call sites free of
-// conditionals. The decode and cache-request counters are not stored
-// here: they are registered as views of the runner's own counters, which
-// Lab.Stats reads too.
+// conditionals. The decode, migration and cache-request counters are not
+// stored here: they are registered as views of the runner's own counters,
+// which Lab.Stats reads too (the migration counts appear on /metrics
+// only).
 type metrics struct {
 	buildSeconds *obs.Histogram
 	charSeconds  *obs.Histogram
@@ -56,6 +57,12 @@ func newMetrics(reg *obs.Registry, r *Runner) *metrics {
 	reg.CounterFunc("hotnoc_decodes_simulated_total",
 		"Engine block decodes simulated on the NoC; the rest of hotnoc_decodes_total replayed a build's decode memo.",
 		obs.Labels{"scale": s}, r.simulated.Load)
+	reg.CounterFunc("hotnoc_migrations_total",
+		"Orbit migrations executed for NoC characterizations.",
+		obs.Labels{"scale": s}, r.migrations.Load)
+	reg.CounterFunc("hotnoc_migrations_simulated_total",
+		"Orbit migrations stepped on the NoC; the rest of hotnoc_migrations_total replayed a build's migration memo.",
+		obs.Labels{"scale": s}, r.migrationsSimulated.Load)
 	m.points = reg.Counter("hotnoc_points_evaluated_total",
 		"Grid points evaluated by the thermal stage.",
 		obs.Labels{"scale": s})

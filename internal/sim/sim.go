@@ -212,6 +212,12 @@ type Runner struct {
 	// series are views of them.
 	decodes   atomic.Uint64
 	simulated atomic.Uint64
+	// migrations and migrationsSimulated count the orbit migrations the
+	// same characterizations executed, and those that stepped the NoC
+	// rather than replaying the build's migration memo; /metrics reads
+	// them.
+	migrations          atomic.Uint64
+	migrationsSimulated atomic.Uint64
 
 	// charHits / charMisses count characterization requests served from
 	// the cross-run cache versus simulated on the NoC.
@@ -413,8 +419,9 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 			Scheme: scheme.Name, Point: -1})
 		// The characterizing system is a private clone: Characterize
 		// drives the engine, network and migrator a System holds. The
-		// clone's engine shares the build's decode memo, so decodes that
-		// repeat across schemes are simulated once.
+		// clone's engine and migrator share the build's decode and
+		// migration memos, so decodes and migrations that repeat across
+		// schemes are simulated once.
 		sys, err := built.System.Clone()
 		if err != nil {
 			return nil, fmt.Errorf("clone: %w", err)
@@ -422,6 +429,8 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		ch, err := sys.Characterize(scheme)
 		r.decodes.Add(sys.Engine.Decodes)
 		r.simulated.Add(sys.Engine.SimulatedDecodes)
+		r.migrations.Add(sys.Migrator.Migrations)
+		r.migrationsSimulated.Add(sys.Migrator.SimulatedMigrations)
 		return ch, err
 	})
 	if err != nil {

@@ -515,3 +515,26 @@ func TestColdFigure1SimulatedDecodes(t *testing.T) {
 		}
 	}
 }
+
+// TestColdFigure1SimulatedMigrations pins the build-wide migration memo
+// at paper scale: a cold Figure 1 executes 96 orbit migrations but steps
+// only the 25 distinct (build, permutation) pairs, whatever the worker
+// count, and both counts reach /metrics.
+func TestColdFigure1SimulatedMigrations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale Figure 1")
+	}
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		lab := NewLab(WithScale(1), WithWorkers(workers), WithMetrics(reg))
+		if _, err := lab.Figure1(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		scale := obs.Labels{"scale": "1"}
+		migrations := reg.CounterValue("hotnoc_migrations_total", scale)
+		simulated := reg.CounterValue("hotnoc_migrations_simulated_total", scale)
+		if migrations != 96 || simulated != 25 {
+			t.Errorf("workers %d: %d migrations, %d simulated; want 96 and 25", workers, migrations, simulated)
+		}
+	}
+}

@@ -18,11 +18,13 @@ echo "== thermal differential (banded vs dense reference, batched, singular, row
 echo "== build-path differential (sort-based code construction, Intn-exact draws, lazy encoder under -race, coordinate-based anneal cost)" \
     && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
     && go test -race -count=1 -run 'MatchesRef|Draw|Lazy' ./internal/ldpc
-echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases and decodes, Replay vs stepping)" \
+echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases, decodes and migrations, Replay vs stepping)" \
     && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs|TestDecodeMemoMatchesSimulation|TestDecodeMemoHitAllocs' ./internal/appmap \
     && go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap \
-    && go test -count=1 -run '^TestColdFigure1SimulatedDecodes$' . \
-    && go test -count=1 -run 'TestReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
+    && go test -count=1 -run 'TestMigrationMemo|TestMigrationReplaysFromAnyArbitration' ./internal/core \
+    && go test -race -count=10 -run '^TestMigrationMemoConcurrent$' ./internal/core \
+    && go test -count=1 -run '^TestColdFigure1Simulated(Decodes|Migrations)$' . \
+    && go test -count=1 -run 'TestReplayMatchesStepping|TestObservedReplayMatchesStepping|TestNestedReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
 echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)" \
     && go test -race -count=3 -run 'Cache|Lock' ./internal/sim
 echo "== shared evaluation (concurrent Evaluate on one System under -race, warm-sweep allocation guard)" \

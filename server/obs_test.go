@@ -111,6 +111,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`hotnoc_stage_seconds_count{scale="8",stage="build"}`,
 		"# TYPE hotnoc_cache_requests_total counter",
 		"# TYPE hotnoc_decodes_simulated_total counter",
+		"# TYPE hotnoc_migrations_total counter",
+		"# TYPE hotnoc_migrations_simulated_total counter",
 		"# TYPE hotnocd_queue_wait_seconds histogram",
 		"# TYPE hotnocd_jobs_total counter",
 		`hotnocd_jobs_total{state="done",tenant="anonymous"} 1`,
@@ -132,6 +134,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	decodes := metricValue(t, body, `hotnoc_decodes_total{scale="8"}`)
 	if n := metricValue(t, body, `hotnoc_decodes_simulated_total{scale="8"}`); n < 1 || n >= decodes {
 		t.Errorf("hotnoc_decodes_simulated_total = %v of %v decodes, want some but not all", n, decodes)
+	}
+	// Every migration of a rotation orbit applies the same permutation,
+	// so the first is stepped and the rest replay the migration memo.
+	migrations := metricValue(t, body, `hotnoc_migrations_total{scale="8"}`)
+	if n := metricValue(t, body, `hotnoc_migrations_simulated_total{scale="8"}`); n != 1 || migrations < 2 {
+		t.Errorf("hotnoc_migrations_simulated_total = %v of %v migrations, want 1 of several", n, migrations)
 	}
 }
 
