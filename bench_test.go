@@ -8,6 +8,7 @@ import (
 	"hotnoc/internal/core"
 	"hotnoc/internal/geom"
 	"hotnoc/internal/place"
+	"hotnoc/obs"
 )
 
 // Benchmarks double as the experiment harness: each one regenerates a
@@ -127,20 +128,40 @@ func BenchmarkPeriodSweepShared(b *testing.B) {
 	b.ReportMetric(last.MigratedPeakC, "°C-peak-8blk")
 }
 
-// BenchmarkSweepFigure1 runs the whole Figure 1 grid through the
+// BenchmarkSweepFigure1 runs the whole Figure 1 grid cold through the
 // concurrent sweep engine (all configurations and schemes, one worker per
-// core), the headline workload of the orchestration layer.
+// core), the headline workload of the orchestration layer. Every
+// iteration gets a fresh Lab whose five builds are made with the timer
+// stopped, so an op is one cold sweep: every characterization is
+// computed, no build is (BenchmarkBuildCold times those).
+// decodes/sweep and stepped-cycles/sweep report the NoC work per sweep.
 func BenchmarkSweepFigure1(b *testing.B) {
-	lab := NewLab(WithScale(1))
-	pts := SweepGrid([]string{"A", "B", "C", "D", "E"}, Schemes(), nil)
+	configs := []string{"A", "B", "C", "D", "E"}
+	pts := SweepGrid(configs, Schemes(), nil)
+	scale := obs.Labels{"scale": "1"}
 	var outs []SweepOutcome
+	var decodes, stepped uint64
+	b.StopTimer()
 	for i := 0; i < b.N; i++ {
+		reg := obs.NewRegistry()
+		lab := NewLab(WithScale(1), WithMetrics(reg))
+		for _, c := range configs {
+			if _, err := lab.Build(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 		o, err := lab.SweepAll(context.Background(), pts)
+		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
 		outs = o
+		decodes += lab.Decodes()
+		stepped += reg.CounterValue("hotnoc_noc_cycles_stepped_total", scale)
 	}
+	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/sweep")
+	b.ReportMetric(float64(stepped)/float64(b.N), "stepped-cycles/sweep")
 	mean := 0.0
 	for _, o := range outs {
 		if o.Point.Scheme.Name == "X-Y Shift" {

@@ -66,14 +66,16 @@ type Engine struct {
 	// memo (a test seam for checking the memo against simulation).
 	bypassMemo bool
 
-	// sched is the static decode schedule and packets/sends the per-phase
-	// scratch, all built by prepareDecode. Packets are indexed src*NPE+dst;
-	// a phase ends only after every packet it sent is delivered, so the
-	// next phase may overwrite them.
+	// sched is the static decode schedule and packets the per-phase
+	// scratch, both built by prepareDecode. Packets are indexed
+	// src*NPE+dst; a phase ends only after every packet it sent is
+	// delivered, so the next phase may overwrite them.
 	sched         phaseCounts
 	packets       []noc.Packet
-	sends         []pendingPkt
 	pendingRemote int
+	// plans[phase] is the send order of each phase kind, built on the
+	// first simulated phase of that kind.
+	plans [2]sendPlan
 
 	// windows[:recorded] are the phases simulated so far in the current
 	// decode, which later phases replay; the rest are spare recordings
@@ -84,6 +86,26 @@ type Engine struct {
 	// bypassing the memo too (a test seam for checking replay against
 	// simulation).
 	simulateAll bool
+}
+
+// sendPlan is the packets one phase kind sends, in injection order.
+type sendPlan struct {
+	slots []sendSlot
+	// maxRel is the last PE's ready cycle relative to the phase start,
+	// and at least 0: the phase runs until then even if idle.
+	maxRel int64
+	// params are the CyclesPerOp, PhaseOverhead and MsgsPerFlit the
+	// plan was built with; built is false until it is.
+	params [3]int
+	built  bool
+}
+
+// sendSlot is one packet of a sendPlan: it goes from PE p to PE d as the
+// packet with ID offset seq in the phase, nflits long, once the clock
+// reaches the phase start plus rel.
+type sendSlot struct {
+	p, d, seq, nflits int32
+	rel               int64
 }
 
 // phaseWindow is one simulated half-iteration of the current decode.
@@ -167,12 +189,6 @@ func (e *Engine) SetPlacement(place []int) error {
 	return nil
 }
 
-// pendingPkt is a packet waiting for its PE to finish computing.
-type pendingPkt struct {
-	at  int64
-	pkt *noc.Packet
-}
-
 // Decode runs one block's decoder traffic through the network, driving
 // it cycle by cycle, and returns the block's duration in cycles. A decode
 // that starts on a drained network and repeats one recorded in the decode
@@ -241,43 +257,16 @@ func (e *Engine) simulate() error {
 
 // runPhase executes one half-iteration: phase 0 updates check nodes, phase
 // 1 variable nodes. The network part replays a window of the same kind
-// recorded earlier in the block, or is simulated and recorded.
+// recorded earlier in the block, or is simulated and recorded. A replayed
+// phase builds no packets: it takes their IDs and adds the PE ops only.
 func (e *Engine) runPhase(phase uint8) error {
-	npe := e.Part.NPE
-	phaseStart := e.Net.Cycle
-	e.sends = e.sends[:0]
-	maxReady := phaseStart
-
-	for p := 0; p < npe; p++ {
-		ops := e.sched.ops[phase][p]
+	for p, ops := range e.sched.ops[phase] {
 		e.Net.Act.PEOps[e.place[p]] += uint64(ops)
-		ready := phaseStart + ops*int64(e.CyclesPerOp) + int64(e.PhaseOverhead)
-		maxReady = max(maxReady, ready)
-
-		// Deterministic send order by destination PE.
-		for d := 0; d < npe; d++ {
-			msgs := int(e.sched.cnt[p][d])
-			if phase == 1 {
-				msgs = int(e.sched.cnt[d][p])
-			}
-			if msgs == 0 {
-				continue
-			}
-			pkt := &e.packets[p*npe+d]
-			*pkt = noc.Packet{
-				ID:      e.Net.NextID(),
-				Src:     e.Net.Grid.Coord(e.place[p]),
-				Dst:     e.Net.Grid.Coord(e.place[d]),
-				NFlits:  1 + (msgs+e.MsgsPerFlit-1)/e.MsgsPerFlit,
-				Payload: e,
-			}
-			e.sends = append(e.sends, pendingPkt{at: ready, pkt: pkt})
-		}
 	}
-
 	if !e.simulateAll {
 		for _, w := range e.windows[:e.recorded] {
 			if w.phase == phase && e.Net.Replay(&w.win) {
+				e.Net.TakeIDs(e.sched.pkts)
 				return nil
 			}
 		}
@@ -288,8 +277,7 @@ func (e *Engine) runPhase(phase uint8) error {
 	}
 	w := e.windows[e.recorded]
 	recording := e.Net.BeginWindow(&w.win)
-	e.pendingRemote = len(e.sends)
-	err := drive(e.Net, e.sends, maxReady, &e.pendingRemote)
+	err := e.drive(e.plan(phase))
 	if recording && e.Net.EndWindow(&w.win) && err == nil {
 		w.phase = phase
 		e.recorded++
@@ -300,33 +288,89 @@ func (e *Engine) runPhase(phase uint8) error {
 	return nil
 }
 
-// drive runs one bulk-synchronous step on the network: it injects each
-// send once the network clock reaches its ready cycle and steps until
-// every send is injected, *pending (decremented by the caller's delivery
-// sink) reaches zero and the clock has passed maxReady. Spans with an
-// idle fabric are fast-forwarded to the next ready cycle or maxReady,
-// which changes nothing but the host time spent. It fails after 10M
-// cycles.
+// plan returns the send plan of a phase kind, building it on first use
+// and again whenever the parameters it depends on have changed. Each PE
+// sends to its destinations in ascending PE order, and packet IDs follow
+// that order. The injection order is the one sort.Slice gives by ready
+// cycle: relative to the phase start the ready cycles, and so every
+// comparison the sort makes, are the same in every phase of a kind, so
+// sorting once per plan yields the order sorting every phase would.
+func (e *Engine) plan(phase uint8) *sendPlan {
+	pl := &e.plans[phase]
+	params := [3]int{e.CyclesPerOp, e.PhaseOverhead, e.MsgsPerFlit}
+	if pl.built && pl.params == params {
+		return pl
+	}
+	pl.params, pl.built = params, true
+	pl.maxRel = 0
+	if pl.slots == nil {
+		pl.slots = make([]sendSlot, 0, e.sched.pkts)
+	}
+	pl.slots = pl.slots[:0]
+	npe := e.Part.NPE
+	for p := 0; p < npe; p++ {
+		rel := e.sched.ops[phase][p]*int64(e.CyclesPerOp) + int64(e.PhaseOverhead)
+		pl.maxRel = max(pl.maxRel, rel)
+		for d := 0; d < npe; d++ {
+			msgs := int(e.sched.cnt[p][d])
+			if phase == 1 {
+				msgs = int(e.sched.cnt[d][p])
+			}
+			if msgs == 0 {
+				continue
+			}
+			pl.slots = append(pl.slots, sendSlot{
+				p: int32(p), d: int32(d), seq: int32(len(pl.slots)),
+				nflits: int32(1 + (msgs+e.MsgsPerFlit-1)/e.MsgsPerFlit),
+				rel:    rel,
+			})
+		}
+	}
+	sort.Slice(pl.slots, func(i, j int) bool { return pl.slots[i].rel < pl.slots[j].rel })
+	return pl
+}
+
+// drive runs one bulk-synchronous step on the network: it sends each
+// packet of the plan once the clock reaches its ready cycle and steps
+// until every packet is sent, every one is delivered (onDeliver counts
+// them down) and the clock has passed the last PE's ready cycle. Spans
+// with an idle fabric are fast-forwarded to the next ready cycle or the
+// last, which changes nothing but the host time spent. It fails after
+// 10M cycles.
 //
-// Equal-ready sends are injected in the order sort.Slice leaves them;
-// callers build sends in a fixed order, so runs are deterministic.
-func drive(net *noc.Network, sends []pendingPkt, maxReady int64, pending *int) error {
-	sort.Slice(sends, func(i, j int) bool { return sends[i].at < sends[j].at })
+// A packet is filled in when it is sent, with the ID its slot's seq
+// gives it: the plan takes the phase's IDs in one step. Equal-ready
+// packets are sent in plan order, so runs are deterministic.
+func (e *Engine) drive(pl *sendPlan) error {
+	net, npe := e.Net, int32(e.Part.NPE)
+	start := net.Cycle
+	maxReady := start + pl.maxRel
+	base := net.IDs()
+	net.TakeIDs(uint64(len(pl.slots)))
+	e.pendingRemote = len(pl.slots)
 	idx := 0
 	guard := net.Cycle + 10_000_000
-	for *pending > 0 || idx < len(sends) || net.Cycle < maxReady {
-		for idx < len(sends) && sends[idx].at <= net.Cycle {
-			if err := net.Send(sends[idx].pkt); err != nil {
+	for e.pendingRemote > 0 || idx < len(pl.slots) || net.Cycle < maxReady {
+		for ; idx < len(pl.slots) && start+pl.slots[idx].rel <= net.Cycle; idx++ {
+			sl := &pl.slots[idx]
+			pkt := &e.packets[sl.p*npe+sl.d]
+			*pkt = noc.Packet{
+				ID:      base + 1 + uint64(sl.seq),
+				Src:     net.Grid.Coord(e.place[sl.p]),
+				Dst:     net.Grid.Coord(e.place[sl.d]),
+				NFlits:  int(sl.nflits),
+				Payload: e,
+			}
+			if err := net.Send(pkt); err != nil {
 				return fmt.Errorf("injection failed: %w", err)
 			}
-			idx++
 		}
 		if net.Busy() {
 			net.Step()
 		} else {
 			next := guard + 1
-			if idx < len(sends) {
-				next = min(next, sends[idx].at)
+			if idx < len(pl.slots) {
+				next = min(next, start+pl.slots[idx].rel)
 			}
 			if maxReady > net.Cycle {
 				next = min(next, maxReady)

@@ -145,6 +145,9 @@ type phaseCounts struct {
 	// the variable phase sends cnt[d][p] messages from p to d; edges
 	// inside one PE never enter the network.
 	cnt [][]int64
+	// pkts counts the nonzero entries of cnt: the packets each phase
+	// sends, one per communicating PE pair and direction.
+	pkts uint64
 }
 
 // countPhases derives a partition's phaseCounts in one pass over the
@@ -168,7 +171,9 @@ func countPhases(code *ldpc.Code, p *Partition) phaseCounts {
 			vp := p.VarPE[v]
 			pc.ops[1][vp]++
 			if cp != vp {
-				pc.cnt[cp][vp]++
+				if pc.cnt[cp][vp]++; pc.cnt[cp][vp] == 1 {
+					pc.pkts++
+				}
 			}
 		}
 	}

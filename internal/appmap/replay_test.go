@@ -273,8 +273,8 @@ func TestTrafficMatchesValueOracle(t *testing.T) {
 }
 
 // TestDecodeSteadyAllocs pins a warm simulated decode's allocations (the
-// decode memo is bypassed): the phase memo reuses its windows, leaving
-// the delivery hooks and the send ordering of the simulated phases.
+// decode memo is bypassed): the phase memo reuses its windows and the
+// send plans are sorted once per engine, leaving the delivery hook.
 func TestDecodeSteadyAllocs(t *testing.T) {
 	eng, llr := appmap.PaperDecode(t)
 	appmap.BypassMemo(eng)

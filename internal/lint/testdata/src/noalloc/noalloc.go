@@ -41,7 +41,7 @@ func (s *solver) grow(v float64) {
 //
 //hotnoc:noalloc
 func (s *solver) box(v float64) {
-	fmt.Println(v) // want `fmt\.Println allocates` `boxes into an interface`
+	fmt.Println(v)                   // want `fmt\.Println allocates` `boxes into an interface`
 	f := func() float64 { return v } // want `function literal`
 	_ = f
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hotnoc/internal/geom"
 	"hotnoc/internal/power"
@@ -106,6 +107,18 @@ type Network struct {
 
 	inflight int64
 	nextID   uint64
+	// stepped counts the cycles Step has run since New; ResetStats
+	// leaves it alone, so it is monotone over the network's life.
+	stepped uint64
+
+	// The active sets, one bit per router in row-major order: bufSet
+	// holds every router with buffered flits, latSet every router with
+	// latched flits and niSet every NI with queued flits. A bit is set
+	// where its count rises and cleared when a phase's scan finds the
+	// count at zero, so a set bit may be stale but a nonzero count always
+	// has one. The phases walk set bits in ascending order, which is the
+	// row-major order the kernel is defined in.
+	bufSet, latSet, niSet []uint64
 
 	// windows are the recordings in progress, outermost first: windows
 	// nest, and every one of them watches the arbitrations of the cycles
@@ -119,16 +132,20 @@ func New(g geom.Grid, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	words := (g.N() + 63) / 64
+	sets := make([]uint64, 3*words)
 	n := &Network{
 		Grid:    g,
 		Cfg:     cfg,
 		routers: make([]router, g.N()),
 		nis:     make([]ni, g.N()),
 		Act:     power.NewActivity(g.N()),
+		bufSet:  sets[:words:words],
+		latSet:  sets[words : 2*words : 2*words],
+		niSet:   sets[2*words:],
 	}
 	for i := range n.routers {
 		r := &n.routers[i]
-		r.pos = i
 		r.coord = g.Coord(i)
 		for d := Dir(0); d < numDirs; d++ {
 			r.in[d].buf = newFifo(cfg.BufDepth)
@@ -175,6 +192,7 @@ func (n *Network) Send(pkt *Packet) error {
 	}
 	pkt.InjectCycle = n.Cycle
 	q.push(pkt)
+	setBit(n.niSet, n.Grid.Index(pkt.Src))
 	n.Stats.PacketsSent++
 	n.Stats.FlitsInjected += int64(pkt.NFlits)
 	n.inflight += int64(pkt.NFlits)
@@ -184,10 +202,16 @@ func (n *Network) Send(pkt *Packet) error {
 // Busy reports whether any flit is still queued, buffered or latched.
 func (n *Network) Busy() bool { return n.inflight > 0 }
 
+// SteppedCycles returns how many cycles Step has run since New: the
+// cycles the host simulated, leaving out those Run fast-forwarded and
+// those Replay applied. ResetStats does not clear it. Like
+// Stats.SkippedCycles it is host-side bookkeeping.
+func (n *Network) SteppedCycles() uint64 { return n.stepped }
+
 // Step advances the network by one clock cycle. Phases run in a fixed
 // order — ejection, link traversal, switch allocation/traversal,
 // injection — over routers in row-major order, so runs are deterministic.
-// Each phase skips routers with nothing to move.
+// Each phase visits only the routers or NIs in its active set.
 //
 //hotnoc:noalloc
 func (n *Network) Step() {
@@ -197,7 +221,13 @@ func (n *Network) Step() {
 	n.inject()
 	n.Cycle++
 	n.Stats.Cycles++
+	n.stepped++
 }
+
+// setBit adds element i to the bitset s.
+//
+//hotnoc:noalloc
+func setBit(s []uint64, i int) { s[i>>6] |= 1 << (i & 63) }
 
 // Run advances the network by the given number of cycles. Once the
 // fabric is idle the rest of the span is fast-forwarded: an idle cycle
@@ -237,38 +267,51 @@ func (n *Network) Drain(maxCycles int64) (int64, error) {
 //
 //hotnoc:noalloc
 func (n *Network) eject() {
-	for i := range n.routers {
-		r := &n.routers[i]
-		op := &r.out[Local]
-		if !op.valid {
-			continue
+	for k, word := range n.latSet {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := k<<6 | b
+			r := &n.routers[i]
+			if r.out[Local].valid {
+				n.ejectFlit(i, r)
+			}
+			if r.latched == 0 {
+				n.latSet[k] &^= 1 << b
+			}
 		}
-		f := op.flit
-		op.valid = false
-		r.latched--
-		n.inflight--
-		sink := &n.nis[i]
-		if f.IsHead() {
-			if sink.reassembly != nil {
-				panic("noc: interleaved worms at ejection (wormhole ownership broken)")
-			}
-			sink.reassembly = f.Pkt
-		} else if sink.reassembly != f.Pkt {
-			panic("noc: body flit of a foreign worm at ejection")
+	}
+}
+
+// ejectFlit hands the flit in router i's valid Local latch to its NI.
+//
+//hotnoc:noalloc
+func (n *Network) ejectFlit(i int, r *router) {
+	op := &r.out[Local]
+	f := op.flit
+	op.valid = false
+	r.latched--
+	n.inflight--
+	sink := &n.nis[i]
+	if f.IsHead() {
+		if sink.reassembly != nil {
+			panic("noc: interleaved worms at ejection (wormhole ownership broken)")
 		}
-		if f.IsTail() {
-			pkt := f.Pkt
-			sink.reassembly = nil
-			pkt.EjectCycle = n.Cycle
-			n.Stats.PacketsDelivered++
-			n.Stats.FlitsDelivered += int64(pkt.NFlits)
-			if lat := pkt.Latency(); lat > n.Stats.LatencyMax {
-				n.Stats.LatencyMax = lat
-			}
-			n.Stats.LatencySum += pkt.Latency()
-			if n.Deliver != nil {
-				n.Deliver(pkt) //hotnoc:allow noalloc the sink is the caller's; the decode and migration sinks only update counters
-			}
+		sink.reassembly = f.Pkt
+	} else if sink.reassembly != f.Pkt {
+		panic("noc: body flit of a foreign worm at ejection")
+	}
+	if f.IsTail() {
+		pkt := f.Pkt
+		sink.reassembly = nil
+		pkt.EjectCycle = n.Cycle
+		n.Stats.PacketsDelivered++
+		n.Stats.FlitsDelivered += int64(pkt.NFlits)
+		if lat := pkt.Latency(); lat > n.Stats.LatencyMax {
+			n.Stats.LatencyMax = lat
+		}
+		n.Stats.LatencySum += pkt.Latency()
+		if n.Deliver != nil {
+			n.Deliver(pkt) //hotnoc:allow noalloc the sink is the caller's; the decode and migration sinks only update counters
 		}
 	}
 }
@@ -278,103 +321,105 @@ func (n *Network) eject() {
 //
 //hotnoc:noalloc
 func (n *Network) linkTraversal() {
-	for i := range n.routers {
-		r := &n.routers[i]
-		if r.latched == 0 {
-			continue
-		}
-		for d := North; d < numDirs; d++ {
-			op := &r.out[d]
-			if !op.valid {
-				continue
+	for k, word := range n.latSet {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := k<<6 | b
+			r := &n.routers[i]
+			for d := North; d < numDirs && r.latched > 0; d++ {
+				op := &r.out[d]
+				if !op.valid {
+					continue
+				}
+				j := r.nb[d]
+				nb := &n.routers[j]
+				if nb.in[d.Opposite()].buf.full() {
+					continue // stall; retry next cycle
+				}
+				nb.accept(d.Opposite(), op.flit)
+				setBit(n.bufSet, j)
+				op.valid = false
+				r.latched--
+				n.Act.Link[i]++
+				n.Act.BufWrites[j]++
 			}
-			nb := &n.routers[r.nb[d]]
-			in := &nb.in[d.Opposite()]
-			if in.buf.full() {
-				continue // stall; retry next cycle
+			if r.latched == 0 {
+				n.latSet[k] &^= 1 << b
 			}
-			in.buf.push(op.flit)
-			op.valid = false
-			r.latched--
-			nb.buffered++
-			n.Act.Link[i]++
-			n.Act.BufWrites[nb.pos]++
 		}
 	}
 }
 
 // switchAllocTraversal arbitrates each free output port among requesting
-// inputs and moves the winners' front flits across the crossbar. Each
-// input's requested output is computed once per cycle and recomputed only
-// for a winner, whose new front flit may still win a later output in the
-// same cycle (a tail followed by the next worm's head).
+// inputs and moves the winners' front flits across the crossbar. The
+// router caches each input's requested output, and only a winner's
+// changes: its new front flit may still win a later output in the same
+// cycle (a tail followed by the next worm's head).
 //
 //hotnoc:noalloc
 func (n *Network) switchAllocTraversal() {
-	for i := range n.routers {
-		r := &n.routers[i]
-		if r.buffered == 0 {
-			continue
-		}
-		var req [numDirs]Dir
-		// Bit o of wanted is set when some input requests output o, and
-		// of multi when two or more do: only then does the round-robin
-		// pointer decide who wins.
-		wanted, multi := 0, 0
-		for in := Dir(0); in < numDirs; in++ {
-			req[in] = r.request(in)
-			b := requestBit(req[in])
-			multi |= wanted & b
-			wanted |= b
-		}
-		for o := Dir(0); o < numDirs; o++ {
-			op := &r.out[o]
-			if wanted&(1<<o) == 0 || op.valid {
-				continue // nobody asks, or latch occupied (downstream stalled)
+	for k, word := range n.bufSet {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := k<<6 | b
+			r := &n.routers[i]
+			if r.buffered > 0 {
+				n.allocate(i, r)
 			}
-			owned := op.owned
-			winner, ok := op.arbitrate(o, &req)
-			if !ok {
-				continue
+			if r.buffered == 0 {
+				n.bufSet[k] &^= 1 << b
 			}
-			if !owned && len(n.windows) > 0 {
-				n.markGrant(i, o, multi&(1<<o) != 0)
-			}
-			n.Act.Arb[i]++
-			ip := &r.in[winner]
-			f := ip.buf.pop()
-			r.buffered--
-			r.latched++
-			n.Act.BufReads[i]++
-			n.Act.Xbar[i]++
-			op.flit = f
-			op.valid = true
-			if f.IsHead() {
-				op.owner = winner
-				op.owned = true
-				ip.route = o
-				ip.holding = true
-			}
-			if f.IsTail() {
-				op.owned = false
-				ip.holding = false
-			}
-			// The winner's old request was for o, already allocated, so
-			// no output still to come loses a requester.
-			req[winner] = r.request(winner)
-			b := requestBit(req[winner])
-			multi |= wanted & b
-			wanted |= b
 		}
 	}
 }
 
-// requestBit is the output mask bit of a request (none for noRequest).
-func requestBit(o Dir) int {
-	if o == noRequest {
-		return 0
+// allocate runs switch allocation and traversal at router i.
+//
+//hotnoc:noalloc
+func (n *Network) allocate(i int, r *router) {
+	for o := Dir(0); o < numDirs; o++ {
+		op := &r.out[o]
+		reqs := r.reqs[o]
+		if reqs == 0 || op.valid {
+			continue // nobody asks, or latch occupied (downstream stalled)
+		}
+		owned := op.owned
+		winner, ok := op.arbitrate(reqs)
+		if !ok {
+			continue
+		}
+		if !owned && len(n.windows) > 0 {
+			// Two or more requesters make the grant read the pointer.
+			n.markGrant(i, o, reqs&(reqs-1) != 0)
+		}
+		n.Act.Arb[i]++
+		ip := &r.in[winner]
+		f := ip.buf.pop()
+		r.buffered--
+		if r.latched++; r.latched == 1 {
+			setBit(n.latSet, i)
+		}
+		n.Act.BufReads[i]++
+		n.Act.Xbar[i]++
+		op.flit = f
+		op.valid = true
+		if f.IsHead() {
+			op.owner = winner
+			op.owned = true
+			ip.route = o
+			ip.holding = true
+		}
+		if f.IsTail() {
+			op.owned = false
+			ip.holding = false
+		}
+		// The winner's old request was for o, already allocated; its new
+		// front flit may still win a later output this cycle.
+		r.reqs[o] &^= 1 << winner
+		if next := r.request(winner); next != noRequest {
+			r.reqs[next] |= 1 << winner
+		}
 	}
-	return 1 << o
 }
 
 // inject moves flits from NI queues into the Local input buffers, one
@@ -382,19 +427,24 @@ func requestBit(o Dir) int {
 //
 //hotnoc:noalloc
 func (n *Network) inject() {
-	for i := range n.nis {
-		q := &n.nis[i]
-		if q.flits == 0 {
-			continue
+	for k, word := range n.niSet {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := k<<6 | b
+			q := &n.nis[i]
+			if q.flits > 0 {
+				r := &n.routers[i]
+				if r.in[Local].buf.full() {
+					continue
+				}
+				r.accept(Local, q.next())
+				setBit(n.bufSet, i)
+				n.Act.BufWrites[i]++
+			}
+			if q.flits == 0 {
+				n.niSet[k] &^= 1 << b
+			}
 		}
-		r := &n.routers[i]
-		buf := &r.in[Local].buf
-		if buf.full() {
-			continue
-		}
-		buf.push(q.next())
-		r.buffered++
-		n.Act.BufWrites[i]++
 	}
 }
 

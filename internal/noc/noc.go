@@ -18,18 +18,29 @@
 // dependency graph acyclic, so the network is deadlock-free; ejection is
 // always accepted, preventing protocol deadlock at the NIs.
 //
-// Host cost follows activity, not mesh size: each Step phase skips routers
-// with nothing buffered or latched, and Network.Run fast-forwards spans in
-// which nothing is in flight (counted in Stats.SkippedCycles). An idle
-// cycle changes nothing but the clock, so every cycle count, statistic and
-// activity counter is identical to stepping each cycle. A span that starts
-// and ends drained can also be recorded as a Window and replayed when the
-// same traffic repeats (counted in Stats.ReplayedCycles). On a drained
-// network the round-robin pointers are the only state later cycles can
-// observe, and a span reads only those of the ports whose first
-// arbitration in the span two or more inputs contest: the window records
-// that observed set, and a repeat from pointers that agree on it adds
-// exactly what stepping it would.
+// Host cost follows activity, not mesh size. The network keeps three
+// active sets, bitsets with one bit per router: routers that may hold
+// buffered flits, routers that may hold latched flits, and NIs with
+// queued flits. A bit is set wherever its count rises and cleared when a
+// phase finds the count at zero, and each Step phase walks only the set
+// bits, in ascending (row-major) order, so an idle router costs nothing.
+// Each router also caches every input's requested output as one input
+// mask per output port, updated when a flit reaches the front of an
+// empty FIFO and when a winner pops; switch allocation arbitrates by
+// rotating a mask and taking its lowest set bit instead of asking every
+// input every cycle. Network.SteppedCycles counts the cycles stepped.
+//
+// Network.Run fast-forwards spans in which nothing is in flight (counted
+// in Stats.SkippedCycles). An idle cycle changes nothing but the clock,
+// so every cycle count, statistic and activity counter is identical to
+// stepping each cycle. A span that starts and ends drained can also be
+// recorded as a Window and replayed when the same traffic repeats
+// (counted in Stats.ReplayedCycles). On a drained network the
+// round-robin pointers are the only state later cycles can observe, and
+// a span reads only those of the ports whose first arbitration in the
+// span two or more inputs contest: the window records that observed set,
+// and a repeat from pointers that agree on it adds exactly what stepping
+// it would.
 package noc
 
 import (

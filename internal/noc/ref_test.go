@@ -344,6 +344,12 @@ func (n *Network) state() netState {
 		buffered, latched := 0, 0
 		for d := range ports {
 			ip := &r.in[d]
+			for o := Dir(0); o < numDirs; o++ {
+				if cached := r.reqs[o]&(1<<d) != 0; cached != (r.request(Dir(d)) == o) {
+					panic(fmt.Sprintf("router %d input %v: cached request for %v is %v, request says %v",
+						i, Dir(d), o, cached, r.request(Dir(d))))
+				}
+			}
 			b := ip.buf
 			for k := 0; k < b.n; k++ {
 				ports[d].Buf = append(ports[d].Buf, idOf(b.slots[(b.head+k)%len(b.slots)]))
@@ -362,6 +368,9 @@ func (n *Network) state() netState {
 			panic(fmt.Sprintf("router %d: %d buffered / %d latched, counters say %d / %d",
 				i, buffered, latched, r.buffered, r.latched))
 		}
+		if (buffered > 0 && !hasBit(n.bufSet, i)) || (latched > 0 && !hasBit(n.latSet, i)) {
+			panic(fmt.Sprintf("router %d: %d buffered / %d latched but missing from the active sets", i, buffered, latched))
+		}
 		s.Ports = append(s.Ports, ports)
 		q := &n.nis[i]
 		var flits []flitID
@@ -375,11 +384,17 @@ func (n *Network) state() netState {
 		if len(flits) != q.flits {
 			panic(fmt.Sprintf("NI %d: %d flits queued, counter says %d", i, len(flits), q.flits))
 		}
+		if q.flits > 0 && !hasBit(n.niSet, i) {
+			panic(fmt.Sprintf("NI %d: %d flits queued but missing from the active set", i, q.flits))
+		}
 		s.Queued = append(s.Queued, flits)
 		s.Reassembly = append(s.Reassembly, reassemblyID(q.reassembly))
 	}
 	return s
 }
+
+// hasBit reports whether element i is in the bitset s.
+func hasBit(s []uint64, i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
 
 // delivery records one packet handed to a Deliver callback.
 type delivery struct {
@@ -395,6 +410,11 @@ type oracleCase struct {
 	pattern  Pattern
 	rate     float64
 	maxFlits int // worm lengths are drawn from 1..maxFlits
+	// burst, when nonzero, injects only in the first burst cycles of
+	// every burst+idle: short bursts on a mesh left to drain in between,
+	// so routers leave the active sets and rejoin them. By default
+	// traffic alternates 100 cycles on and 100 off.
+	burst, idle int
 }
 
 // TestStepMatchesReference drives the activity-driven kernel and the
@@ -403,13 +423,22 @@ type oracleCase struct {
 // across Run calls that fast-forward the idle tail of a busy span.
 func TestStepMatchesReference(t *testing.T) {
 	cases := []oracleCase{
-		{"uniform-4x4-1flit-depth4", 4, 4, Config{}, UniformRandom, 0.3, 1},
-		{"uniform-5x5-worms-depth1", 5, 5, Config{BufDepth: 1}, UniformRandom, 0.12, 6},
-		{"uniform-5x5-worms-depth4", 5, 5, Config{}, UniformRandom, 0.2, 8},
-		{"transpose-5x5-worms-depth4", 5, 5, Config{}, Transpose, 0.4, 5},
-		{"transpose-4x4-1flit-depth1", 4, 4, Config{BufDepth: 1}, Transpose, 0.6, 1},
-		{"hotspot-5x5-worms-depth4", 5, 5, Config{}, HotspotPattern(geom.Coord{X: 2, Y: 2}, 0.5), 0.15, 4},
-		{"hotspot-4x4-capped-depth1", 4, 4, Config{BufDepth: 1, InjectCap: 8}, HotspotPattern(geom.Coord{X: 0, Y: 3}, 0.6), 0.25, 4},
+		{"uniform-4x4-1flit-depth4", 4, 4, Config{}, UniformRandom, 0.3, 1, 0, 0},
+		{"uniform-5x5-worms-depth1", 5, 5, Config{BufDepth: 1}, UniformRandom, 0.12, 6, 0, 0},
+		{"uniform-5x5-worms-depth4", 5, 5, Config{}, UniformRandom, 0.2, 8, 0, 0},
+		{"transpose-5x5-worms-depth4", 5, 5, Config{}, Transpose, 0.4, 5, 0, 0},
+		{"transpose-4x4-1flit-depth1", 4, 4, Config{BufDepth: 1}, Transpose, 0.6, 1, 0, 0},
+		{"hotspot-5x5-worms-depth4", 5, 5, Config{}, HotspotPattern(geom.Coord{X: 2, Y: 2}, 0.5), 0.15, 4, 0, 0},
+		{"hotspot-4x4-capped-depth1", 4, 4, Config{BufDepth: 1, InjectCap: 8}, HotspotPattern(geom.Coord{X: 0, Y: 3}, 0.6), 0.25, 4, 0, 0},
+		// Meshes over 64 routers span two bitset words, and a non-square
+		// one breaks any assumption that rows and columns agree.
+		{name: "uniform-9x9-worms-depth4", w: 9, h: 9, pattern: UniformRandom, rate: 0.15, maxFlits: 6},
+		{name: "hotspot-12x6-worms-depth2", w: 12, h: 6, cfg: Config{BufDepth: 2},
+			pattern: HotspotPattern(geom.Coord{X: 11, Y: 5}, 0.4), rate: 0.1, maxFlits: 5},
+		{name: "uniform-9x9-burst-idle-depth1", w: 9, h: 9, cfg: Config{BufDepth: 1},
+			pattern: UniformRandom, rate: 0.5, maxFlits: 4, burst: 3, idle: 40},
+		{name: "uniform-12x6-burst-idle-depth4", w: 12, h: 6, pattern: UniformRandom,
+			rate: 0.6, maxFlits: 8, burst: 2, idle: 25},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runOracle(t, tc) })
@@ -444,7 +473,11 @@ func runOracle(t *testing.T, tc oracleCase) {
 	for c := 0; c < trafficCycles; c++ {
 		// Quiet spells let the fabric drain mid-run so Run's fast-forward
 		// is exercised on both busy and idle tails.
-		if (c/100)%2 == 0 {
+		active := (c/100)%2 == 0
+		if tc.burst > 0 {
+			active = c%(tc.burst+tc.idle) < tc.burst
+		}
+		if active {
 			for _, src := range g.Coords() {
 				if rng.Float64() >= tc.rate {
 					continue

@@ -1,6 +1,10 @@
 package noc
 
-import "hotnoc/internal/geom"
+import (
+	"math/bits"
+
+	"hotnoc/internal/geom"
+)
 
 // fifo is a fixed-capacity flit FIFO implemented as a ring buffer; input
 // buffers are the only queues inside a router.
@@ -75,7 +79,6 @@ const noRequest Dir = -1
 // Network.Step in a fixed phase order, so routers need no goroutines and
 // the simulation is bit-reproducible.
 type router struct {
-	pos   int // row-major block index
 	coord geom.Coord
 	// nb[d] is the index of the neighbouring router in direction d, or -1
 	// off the mesh edge (XY routing never sends a flit there).
@@ -83,9 +86,28 @@ type router struct {
 	in  [numDirs]inPort
 	out [numDirs]outPort
 	// buffered counts flits in the input buffers and latched the valid
-	// output latches, so phases skip routers with nothing to move.
+	// output latches; a phase that finds its count at zero drops the
+	// router from the Network's active set.
 	buffered int
 	latched  int
+	// reqs caches every input's request: bit in of reqs[o] is set when
+	// input in requests output o. An input's request changes only when
+	// its front flit does: on a push into its empty FIFO (accept) and on
+	// a pop, after which switch allocation moves its bit.
+	reqs [numDirs]uint8
+}
+
+// accept pushes f into input d's FIFO. A flit that becomes the front
+// sets the port's cached request; behind a front flit it changes none.
+//
+//hotnoc:noalloc
+func (r *router) accept(d Dir, f Flit) {
+	ip := &r.in[d]
+	ip.buf.push(f)
+	r.buffered++
+	if ip.buf.n == 1 {
+		r.reqs[r.request(d)] |= 1 << d
+	}
 }
 
 // request returns the output port the front flit of input in asks for,
@@ -111,26 +133,32 @@ func (r *router) request(in Dir) Dir {
 }
 
 // arbitrate runs one round of switch allocation for output port o given
-// every input's requested output, returning the winning input port and
+// the mask of inputs requesting it, returning the winning input port and
 // whether anyone won. Round-robin starts after the previous winner,
 // giving each input fair access — the same policy for every router keeps
 // migration timing deterministic.
 //
 //hotnoc:noalloc
-func (op *outPort) arbitrate(o Dir, req *[numDirs]Dir) (Dir, bool) {
+func (op *outPort) arbitrate(reqs uint8) (Dir, bool) {
 	if op.owned {
 		// Wormhole continuity: only the owner may use the port.
-		return op.owner, req[op.owner] == o
+		return op.owner, reqs&(1<<op.owner) != 0
 	}
-	cand := op.rr
-	for k := 0; k < int(numDirs); k++ {
-		if cand++; cand == numDirs {
-			cand = 0
-		}
-		if req[cand] == o {
-			op.rr = cand
-			return cand, true
-		}
+	if reqs == 0 {
+		return 0, false
 	}
-	return 0, false
+	// Rotate the mask so that the input after the pointer is bit 0; the
+	// lowest set bit is then the first requester in round-robin order.
+	s := uint(op.rr) + 1
+	if s == uint(numDirs) {
+		s = 0
+	}
+	m := uint(reqs)
+	rot := (m>>s | m<<(uint(numDirs)-s)) & (1<<numDirs - 1)
+	w := Dir(s) + Dir(bits.TrailingZeros(rot))
+	if w >= numDirs {
+		w -= numDirs
+	}
+	op.rr = w
+	return w, true
 }

@@ -13,8 +13,8 @@ import (
 // every method is nil-receiver safe, which keeps call sites free of
 // conditionals. The decode, migration and cache-request counters are not
 // stored here: they are registered as views of the runner's own counters,
-// which Lab.Stats reads too (the migration counts appear on /metrics
-// only).
+// which Lab.Stats reads too (the migration and stepped-cycle counts
+// appear on /metrics only).
 type metrics struct {
 	buildSeconds *obs.Histogram
 	charSeconds  *obs.Histogram
@@ -63,6 +63,9 @@ func newMetrics(reg *obs.Registry, r *Runner) *metrics {
 	reg.CounterFunc("hotnoc_migrations_simulated_total",
 		"Orbit migrations stepped on the NoC; the rest of hotnoc_migrations_total replayed a build's migration memo.",
 		obs.Labels{"scale": s}, r.migrationsSimulated.Load)
+	reg.CounterFunc("hotnoc_noc_cycles_stepped_total",
+		"NoC cycles stepped for characterizations; fast-forwarded idle cycles and cycles replayed from a recorded window are not counted.",
+		obs.Labels{"scale": s}, r.steppedCycles.Load)
 	m.points = reg.Counter("hotnoc_points_evaluated_total",
 		"Grid points evaluated by the thermal stage.",
 		obs.Labels{"scale": s})

@@ -218,6 +218,10 @@ type Runner struct {
 	// them.
 	migrations          atomic.Uint64
 	migrationsSimulated atomic.Uint64
+	// steppedCycles counts the NoC cycles those characterizations
+	// stepped, leaving out fast-forwarded and replayed ones: the cycles
+	// the host simulated. /metrics reads it.
+	steppedCycles atomic.Uint64
 
 	// charHits / charMisses count characterization requests served from
 	// the cross-run cache versus simulated on the NoC.
@@ -431,6 +435,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		r.simulated.Add(sys.Engine.SimulatedDecodes)
 		r.migrations.Add(sys.Migrator.Migrations)
 		r.migrationsSimulated.Add(sys.Migrator.SimulatedMigrations)
+		r.steppedCycles.Add(sys.Engine.Net.SteppedCycles())
 		return ch, err
 	})
 	if err != nil {

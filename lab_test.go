@@ -538,3 +538,26 @@ func TestColdFigure1SimulatedMigrations(t *testing.T) {
 		}
 	}
 }
+
+// TestColdFigure1SteppedCycles pins how many NoC cycles a cold
+// paper-scale Figure 1's characterizations step, whatever the worker
+// count: the cycles the host simulates once the decode and migration
+// memos, phase replay and idle fast-forwarding have done their work.
+// A change to the cycle kernel that keeps this count makes each stepped
+// cycle cheaper rather than stepping fewer.
+func TestColdFigure1SteppedCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale Figure 1")
+	}
+	const want = 96540
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		lab := NewLab(WithScale(1), WithWorkers(workers), WithMetrics(reg))
+		if _, err := lab.Figure1(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.CounterValue("hotnoc_noc_cycles_stepped_total", obs.Labels{"scale": "1"}); got != want {
+			t.Errorf("workers %d: %d NoC cycles stepped, want %d", workers, got, want)
+		}
+	}
+}

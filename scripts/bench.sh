@@ -3,7 +3,8 @@
 # thermal-kernel (plus a warm paper-scale reactive evaluation), NoC and
 # build-path (code construction, annealing) benchmarks (with -benchmem)
 # plus a one-iteration paper-scale pass
-# (period sweep, warm and cold build, warm and cold Figure 1 sweep),
+# (period sweep, warm and cold build, warm and cold Figure 1 sweep; the
+# cold sweep's builds are made outside the timer),
 # writes BENCH_<pr>.json at the repo root (or
 # bench-trajectory.json for a run not tied to a PR) with ns/op,
 # B/op and allocs/op per benchmark, and fails if any of the hot loops
@@ -13,10 +14,12 @@
 # CounterInc) reports a nonzero allocs/op.
 #
 # The build-path benchmarks (code construction, annealing, warm and cold
-# build) run REPEAT=5 times, so a change to them can be told apart from
-# host noise: their row records the median run's ns/op, B/op and
-# allocs/op plus "runs" and the ns/op "ns_per_op_min"/"ns_per_op_max".
-# Every other benchmark runs once and its row keeps only the first three.
+# build), the NoC cycle kernel's StepIdle, the simulated DecodeOnNoC and
+# the cold Figure 1 sweep run REPEAT=5 times, so a change to them can be
+# told apart from host noise: their row records the median run's ns/op,
+# B/op and allocs/op plus "runs" and the ns/op
+# "ns_per_op_min"/"ns_per_op_max". Every other benchmark runs once and
+# its row keeps only the first three.
 #
 # Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
@@ -47,10 +50,14 @@ go test -run '^$' \
 go test -run '^$' -bench '^BenchmarkEvaluateReactive$' \
     -benchmem -benchtime "$BENCHTIME" . | tee -a "$TMP"
 
-echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME)"
-go test -run '^$' -bench '^(BenchmarkStepIdle|BenchmarkStepLoaded)$' \
+echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME; StepIdle and DecodeOnNoC $REPEAT runs)"
+go test -run '^$' -bench '^BenchmarkStepIdle$' \
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/noc | tee -a "$TMP"
+go test -run '^$' -bench '^BenchmarkStepLoaded$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/noc | tee -a "$TMP"
-go test -run '^$' -bench '^(BenchmarkDecodeOnNoC|BenchmarkDecodeMemoHit)$' \
+go test -run '^$' -bench '^BenchmarkDecodeOnNoC$' \
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/appmap | tee -a "$TMP"
+go test -run '^$' -bench '^BenchmarkDecodeMemoHit$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/appmap | tee -a "$TMP"
 
 echo "== build-path benchmarks: code construction and annealing (benchtime $BENCHTIME, $REPEAT runs)"
@@ -65,9 +72,9 @@ go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
 
 if [ "$SKIP_PAPER" != 1 ]; then
     echo "== paper-scale trajectory (1 iteration)"
-    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkLabSweepWarm|BenchmarkSweepFigure1)$' \
+    go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkLabSweepWarm)$' \
         -benchmem -benchtime=1x -timeout=30m . | tee -a "$TMP"
-    go test -run '^$' -bench '^(BenchmarkBuildWarm|BenchmarkBuildCold)$' \
+    go test -run '^$' -bench '^(BenchmarkSweepFigure1|BenchmarkBuildWarm|BenchmarkBuildCold)$' \
         -benchmem -benchtime=1x -count "$REPEAT" -timeout=30m . | tee -a "$TMP"
 fi
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# check.sh mirrors CI locally: build, vet, tests, the full-tree race
+# check.sh mirrors CI locally: gofmt, build, vet, tests, the full-tree race
 # detector, the bench module's vet and short tests, the hotnoclint
 # invariant analyzers, the hotnocd service
 # smoke, staticcheck/govulncheck when installed, and a one-iteration
@@ -8,6 +8,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt" && unformatted="$(gofmt -l .)" && test -z "$unformatted" \
+    || { echo "not gofmt-formatted:"; echo "$unformatted"; exit 1; }
 echo "== go build" && go build ./...
 echo "== go vet" && go vet ./...
 echo "== go test" && go test ./...
@@ -18,13 +20,15 @@ echo "== thermal differential (banded vs dense reference, batched, singular, row
 echo "== build-path differential (sort-based code construction, Intn-exact draws, lazy encoder under -race, coordinate-based anneal cost)" \
     && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
     && go test -race -count=1 -run 'MatchesRef|Draw|Lazy' ./internal/ldpc
-echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases, decodes and migrations, Replay vs stepping)" \
+echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases, decodes and migrations, Replay vs stepping, active-set kernel vs frozen reference on multi-word, non-square and burst-idle meshes)" \
     && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs|TestDecodeMemoMatchesSimulation|TestDecodeMemoHitAllocs' ./internal/appmap \
     && go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap \
     && go test -count=1 -run 'TestMigrationMemo|TestMigrationReplaysFromAnyArbitration' ./internal/core \
     && go test -race -count=10 -run '^TestMigrationMemoConcurrent$' ./internal/core \
     && go test -count=1 -run '^TestColdFigure1Simulated(Decodes|Migrations)$' . \
-    && go test -count=1 -run 'TestReplayMatchesStepping|TestObservedReplayMatchesStepping|TestNestedReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree' ./internal/noc
+    && go test -count=1 -run 'TestReplayMatchesStepping|TestObservedReplayMatchesStepping|TestNestedReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree|TestStepAllocationFree' ./internal/noc \
+    && go test -count=1 -run '^TestStepMatchesReference$' ./internal/noc \
+    && go test -count=1 -run '^TestColdFigure1SteppedCycles$' .
 echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)" \
     && go test -race -count=3 -run 'Cache|Lock' ./internal/sim
 echo "== shared evaluation (concurrent Evaluate on one System under -race, warm-sweep allocation guard)" \

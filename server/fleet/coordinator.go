@@ -90,9 +90,9 @@ type Coordinator struct {
 	// live mirrors len(workers) atomically so the metrics collector
 	// can report the worker-count gauge without touching mu at scrape
 	// time (the lockorder rule above).
-	live atomic.Int64
-	byURL   map[string]*Worker
-	nextID  int
+	live   atomic.Int64
+	byURL  map[string]*Worker
+	nextID int
 	// builds / chars are the coordinator-granted claims: which worker
 	// owns each calibrated build and each NoC characterization. Claims
 	// hold until the owner dies, keeping artifact keys sticky across

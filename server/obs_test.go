@@ -113,6 +113,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE hotnoc_decodes_simulated_total counter",
 		"# TYPE hotnoc_migrations_total counter",
 		"# TYPE hotnoc_migrations_simulated_total counter",
+		"# TYPE hotnoc_noc_cycles_stepped_total counter",
 		"# TYPE hotnocd_queue_wait_seconds histogram",
 		"# TYPE hotnocd_jobs_total counter",
 		`hotnocd_jobs_total{state="done",tenant="anonymous"} 1`,
@@ -140,6 +141,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	migrations := metricValue(t, body, `hotnoc_migrations_total{scale="8"}`)
 	if n := metricValue(t, body, `hotnoc_migrations_simulated_total{scale="8"}`); n != 1 || migrations < 2 {
 		t.Errorf("hotnoc_migrations_simulated_total = %v of %v migrations, want 1 of several", n, migrations)
+	}
+	// The simulated decodes and the stepped migration stepped the NoC.
+	if n := metricValue(t, body, `hotnoc_noc_cycles_stepped_total{scale="8"}`); n < 1 {
+		t.Errorf("hotnoc_noc_cycles_stepped_total = %v, want some", n)
 	}
 }
 
