@@ -281,7 +281,7 @@ func TestDecodeSteadyAllocs(t *testing.T) {
 	if _, err := eng.Decode(llr); err != nil {
 		t.Fatal(err)
 	}
-	const maxAllocs = 7
+	const maxAllocs = 1
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := eng.Decode(llr); err != nil {
 			t.Fatal(err)

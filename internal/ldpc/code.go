@@ -81,6 +81,10 @@ func (c *Code) Edges() int {
 // one scan of the permutation per degree level instead of sorting, which
 // yields the same checks in the same order from the same random draws.
 //
+// The permutations are rand.New(rand.NewSource(seed)).Perm's, drawn from
+// a stream that continues the source's own sequence (see stream), so
+// every attempt reads the values the source would have produced next.
+//
 // NewRegular only checks the rank of H; the systematic encoder is derived
 // on the first Encode, so a code that is never encoded never pays for it.
 func NewRegular(n, m, colWeight int, seed int64) (*Code, error) {
@@ -90,19 +94,81 @@ func NewRegular(n, m, colWeight int, seed int64) (*Code, error) {
 	if colWeight < 2 || colWeight > m {
 		return nil, fmt.Errorf("ldpc: invalid column weight %d", colWeight)
 	}
-	src := rand.NewSource(seed)
+	s := newStream(rand.NewSource(seed).(rand.Source64))
 	// draws[i] makes the draws of Intn(i+1), shared by every attempt.
 	draws := make([]intnDraw, m)
 	for i := range draws {
 		draws[i] = newIntnDraw(i + 1)
 	}
 	for attempt := 0; attempt < 32; attempt++ {
-		c, err := buildRegular(n, m, colWeight, src, draws)
+		c, err := buildRegular(n, m, colWeight, s, draws)
 		if err == nil {
 			return c, nil
 		}
 	}
 	return nil, fmt.Errorf("ldpc: could not derive a systematic encoder for n=%d m=%d w=%d", n, m, colWeight)
+}
+
+// The generator behind rand.NewSource keeps its last streamLag outputs in
+// a ring. Each Uint64 adds the outputs streamLag and streamTap steps back,
+// mod 2^64, and writes the sum over the older of the two. Its output
+// sequence therefore satisfies y[k] = y[k-streamLag] + y[k-streamTap]
+// for every k >= streamLag, and Int63 returns y & (1<<63 - 1).
+const (
+	streamLag = 607
+	streamTap = 273
+	// streamBlock is the number of values one refill computes, a whole
+	// number of streamTap chunks.
+	streamBlock = 8 * streamTap
+)
+
+// stream continues a rand.NewSource generator's output sequence in this
+// package, so drawing a value is a slice read rather than an interface
+// call that cannot be inlined. newStream reads streamLag consecutive
+// outputs through the source's own Uint64, so the seeding, and the
+// table it mixes in, stay math/rand's. Every later value follows from
+// those by the recurrence alone, which is exactly what the source would
+// compute, so the stream reproduces the source value for value.
+//
+// buf holds streamLag values of history followed by a block of
+// streamBlock values; pos is the next unread value. refill slides the
+// newest streamLag values to the front and computes the next block.
+type stream struct {
+	buf []uint64
+	pos int
+}
+
+// newStream takes over src: it reads streamLag outputs, and src is not
+// read again. The stream then yields the values src would have produced
+// next.
+func newStream(src rand.Source64) *stream {
+	s := &stream{buf: make([]uint64, streamLag+streamBlock)}
+	s.pos = len(s.buf) - streamLag
+	for i := s.pos; i < len(s.buf); i++ {
+		s.buf[i] = src.Uint64()
+	}
+	return s
+}
+
+// refill computes the next streamBlock values after the newest streamLag.
+// Value c+i of a chunk starting at c reads values c+i-streamLag and
+// c+i-streamTap, both before c, so within a chunk of streamTap values
+// there is no dependence between iterations; fixed-size array views
+// keep the loop free of bounds checks.
+//
+//hotnoc:noalloc
+func (s *stream) refill() {
+	b := s.buf
+	copy(b[:streamLag], b[len(b)-streamLag:])
+	for c := streamLag; c < len(b); c += streamTap {
+		dst := (*[streamTap]uint64)(b[c:])
+		old := (*[streamTap]uint64)(b[c-streamLag:])
+		tap := (*[streamTap]uint64)(b[c-streamTap:])
+		for i := range dst {
+			dst[i] = old[i] + tap[i]
+		}
+	}
+	s.pos = streamLag
 }
 
 // intnDraw holds what drawing rand.(*Rand).Intn(n) takes for one
@@ -139,26 +205,37 @@ func (d *intnDraw) rem(v uint32) int {
 }
 
 // fillPerm fills order with rand.(*Rand).Perm(len(order)) of the Rand
-// wrapping src, making the same draws; draws[i] draws Intn(i+1). The
-// draw is written out here rather than called: an interface call keeps
-// a helper from being inlined, and the call would cost more than the
-// arithmetic.
+// whose source s continues, making the same draws from the same values;
+// draws[i] draws Intn(i+1). Int31n's 31-bit draw is Int63() >> 32, bits
+// 32..62 of the raw value y, read here straight from the buffer as
+// y<<1>>33. The draw is written out rather than called, keeping the
+// stream position in a register; refill runs once per streamBlock values.
 //
 //hotnoc:noalloc
-func fillPerm(order []int, draws []intnDraw, src rand.Source) {
+func fillPerm(order []int, draws []intnDraw, s *stream) {
+	buf, pos := s.buf, s.pos
 	for i := range order {
 		d := &draws[i]
-		v := uint32(src.Int63() >> 32) //hotnoc:allow noalloc a rand.NewSource generator's Int63 is one lagged-Fibonacci step
-		for v > d.max {
-			v = uint32(src.Int63() >> 32) //hotnoc:allow noalloc a rand.NewSource generator's Int63 is one lagged-Fibonacci step
+		var v uint32
+		for {
+			if pos == len(buf) {
+				s.refill()
+				pos = s.pos
+			}
+			v = uint32(buf[pos] << 1 >> 33)
+			pos++
+			if v <= d.max {
+				break
+			}
 		}
 		j := d.rem(v)
 		order[i] = order[j]
 		order[j] = i
 	}
+	s.pos = pos
 }
 
-func buildRegular(n, m, colWeight int, src rand.Source, draws []intnDraw) (*Code, error) {
+func buildRegular(n, m, colWeight int, s *stream, draws []intnDraw) (*Code, error) {
 	c := &Code{
 		N:         n,
 		M:         m,
@@ -173,7 +250,7 @@ func buildRegular(n, m, colWeight int, src rand.Source, draws []intnDraw) (*Code
 	order := make([]int, m)
 	picks := make([]int, 0, colWeight)
 	for v := 0; v < n; v++ {
-		fillPerm(order, draws, src)
+		fillPerm(order, draws, s)
 		// Select colWeight distinct checks of minimal degree: the prefix
 		// of order stably sorted by degree. Every degree is picked before
 		// any is incremented, as the sort saw them.

@@ -2,6 +2,7 @@ package ldpc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -263,10 +264,47 @@ func TestIntnDrawMatchesRand(t *testing.T) {
 	}
 }
 
+// next returns the stream's next raw value, the one a rand.NewSource
+// generator's Uint64 would return.
+func (s *stream) next() uint64 {
+	if s.pos == len(s.buf) {
+		s.refill()
+	}
+	y := s.buf[s.pos]
+	s.pos++
+	return y
+}
+
+// TestStreamMatchesSource: a stream yields its source's Uint64 sequence
+// for over a million values, across hundreds of refills. Seed 0, the
+// negative seeds and the seeds above math.MaxInt32 take the paths where
+// Seed remaps its argument; the last case takes over a source that has
+// already produced values.
+func TestStreamMatchesSource(t *testing.T) {
+	const count = 1<<20 + streamBlock/2
+	for _, seed := range []int64{0, 1, 1003, -1, -7, math.MinInt64, math.MaxInt32, math.MaxInt32 + 5, 1 << 40, math.MaxInt64} {
+		src := rand.NewSource(seed).(rand.Source64)
+		want := rand.NewSource(seed).(rand.Source64)
+		if seed == math.MaxInt64 {
+			for i := 0; i < 1000; i++ {
+				src.Uint64()
+				want.Uint64()
+			}
+		}
+		s := newStream(src)
+		for i := 0; i < count; i++ {
+			if got, w := s.next(), want.Uint64(); got != w {
+				t.Fatalf("seed %d: value %d is %#x, source gives %#x", seed, i, got, w)
+			}
+		}
+	}
+}
+
 // TestFillPermDrawsMatchRand: fillPerm makes rand.Perm's draws for every
-// i in [0, 1<<16) and allocates nothing, the runtime complement of its
-// //hotnoc:noalloc annotation. Perm is a bijection from its draws to
-// permutations, so an equal permutation means every draw was equal.
+// i in [0, 1<<16), leaves its stream in step with the Rand, and allocates
+// nothing, the runtime complement of its //hotnoc:noalloc annotation.
+// Perm is a bijection from its draws to permutations, so an equal
+// permutation means every draw was equal.
 func TestFillPermDrawsMatchRand(t *testing.T) {
 	const m = 1 << 16
 	draws := make([]intnDraw, m)
@@ -274,13 +312,15 @@ func TestFillPermDrawsMatchRand(t *testing.T) {
 		draws[i] = newIntnDraw(i + 1)
 	}
 	order := make([]int, m)
-	src, rng := rand.NewSource(9), rand.New(rand.NewSource(9))
-	fillPerm(order, draws, src)
+	s, rng := newStream(rand.NewSource(9).(rand.Source64)), rand.New(rand.NewSource(9))
+	fillPerm(order, draws, s)
 	if !reflect.DeepEqual(order, rng.Perm(m)) {
 		t.Fatal("fillPerm differs from rand.Perm")
 	}
-	inStep(t, src, rng)
-	if a := testing.AllocsPerRun(5, func() { fillPerm(order, draws, src) }); a != 0 {
+	if a, b := s.next(), rng.Uint64(); a != b {
+		t.Fatalf("stream out of step with rand: %#x vs %#x", a, b)
+	}
+	if a := testing.AllocsPerRun(5, func() { fillPerm(order, draws, s) }); a != 0 {
 		t.Fatalf("fillPerm made %v allocations, want 0", a)
 	}
 }

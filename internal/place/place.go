@@ -106,6 +106,13 @@ func (p *Problem) Validate() error {
 			}
 		}
 	}
+	// Both hop sums are exact only while every partial sum is an integer
+	// below 2^53 (see objective.evalSwap). A hop spans at most the grid
+	// diameter, so volume times diameter below 2^53 is enough.
+	diam := int64(p.Grid.W - 1 + p.Grid.H - 1)
+	if p.Traffic != nil && exceedsExact(p.Traffic, diam) {
+		return fmt.Errorf("place: traffic volume times the grid diameter %d reaches 2^53", diam)
+	}
 	if p.CommWeight < 0 {
 		return fmt.Errorf("place: negative communication weight %g", p.CommWeight)
 	}
@@ -121,11 +128,33 @@ func (p *Problem) Validate() error {
 		if !p.Grid.Contains(p.IOCoord) {
 			return fmt.Errorf("place: I/O interface at %v outside the grid", p.IOCoord)
 		}
+		if exceedsExact([][]int64{p.IOTraffic}, diam) {
+			return fmt.Errorf("place: I/O traffic volume times the grid diameter %d reaches 2^53", diam)
+		}
 	}
 	if p.IOWeight < 0 {
 		return fmt.Errorf("place: negative I/O weight %g", p.IOWeight)
 	}
 	return nil
+}
+
+// exceedsExact reports whether the sum of the non-negative volumes in
+// rows, times diam, reaches 2^53, without overflowing on the way.
+func exceedsExact(rows [][]int64, diam int64) bool {
+	if diam <= 0 {
+		return false // one block: every distance is zero
+	}
+	limit := (1<<53 + diam - 1) / diam // sum*diam >= 2^53 iff sum >= limit
+	sum := int64(0)
+	for _, row := range rows {
+		for _, v := range row {
+			if v >= limit-sum {
+				return true
+			}
+			sum += v
+		}
+	}
+	return false
 }
 
 func infN(inf *thermal.Influence) int {
@@ -263,6 +292,7 @@ func annealOnce(p *Problem, opts Options, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	obj := newObjective(p)
 	curCost, bestPeak, bestHops := obj.eval(cur)
+	curHops := bestHops
 	best := append([]int(nil), cur...)
 	bestCost := curCost
 	accepted := 0
@@ -276,9 +306,9 @@ func annealOnce(p *Problem, opts Options, seed int64) Result {
 			continue
 		}
 		cur[i], cur[j] = cur[j], cur[i]
-		cost, peak, hops := obj.eval(cur)
+		cost, peak, hops := obj.evalSwap(cur, i, j, curHops)
 		if cost <= curCost || rng.Float64() < math.Exp((curCost-cost)/temp) {
-			curCost = cost
+			curCost, curHops = cost, hops
 			accepted++
 			if cost < bestCost {
 				bestCost, bestPeak, bestHops = cost, peak, hops
@@ -343,12 +373,9 @@ func newObjective(p *Problem) *objective {
 //
 //hotnoc:noalloc
 func (o *objective) eval(place []int) (cost, peak, hops float64) {
-	p := o.p
-	power.PermuteInto(o.placed, p.PEPower, place)
-	peak = p.Inf.PeakTemp(o.placed)
 	if o.hops != nil {
 		n := len(place)
-		for i, row := range p.Traffic {
+		for i, row := range o.p.Traffic {
 			hi := o.hops[place[i]*n:][:n]
 			for j := i + 1; j < n; j++ {
 				if t := row[j]; t != 0 {
@@ -357,6 +384,53 @@ func (o *objective) eval(place []int) (cost, peak, hops float64) {
 			}
 		}
 	}
+	cost, peak = o.withHops(place, hops)
+	return cost, peak, hops
+}
+
+// evalSwap returns what eval(place) returns, for a place that differs
+// from a placement with hop sum curHops by the exchange of entries i and
+// j (already made). Only the pairs holding logical PE i or j change
+// distance, so the hop sum moves by
+//
+//	Σ_{k≠i,j} (t_ik - t_jk) · (d(place[i], place[k]) - d(place[j], place[k]))
+//
+// and the pair (i, j) keeps its distance. This costs one pass over two
+// traffic rows instead of eval's pass over the whole upper triangle.
+//
+// The result is eval's to the bit. Every term of either sum is an
+// integer, and Problem.Validate bounds Σ t over the whole matrix times
+// the grid diameter below 2^53, which bounds every partial sum of both:
+// each is an exactly represented integer, so both produce the exact hop
+// sum whatever the order of the additions.
+//
+//hotnoc:noalloc
+func (o *objective) evalSwap(place []int, i, j int, curHops float64) (cost, peak, hops float64) {
+	if o.hops != nil {
+		n := len(place)
+		hi := o.hops[place[i]*n:][:n]
+		hj := o.hops[place[j]*n:][:n]
+		ti, tj := o.p.Traffic[i][:n], o.p.Traffic[j][:n]
+		delta := 0.0
+		for k, b := range place {
+			if t := ti[k] - tj[k]; t != 0 && k != i && k != j {
+				delta += float64(t) * (hi[b] - hj[b])
+			}
+		}
+		hops = curHops + delta
+	}
+	cost, peak = o.withHops(place, hops)
+	return cost, peak, hops
+}
+
+// withHops completes eval and evalSwap: it returns the cost and peak
+// temperature of a placement with hop sum hops.
+//
+//hotnoc:noalloc
+func (o *objective) withHops(place []int, hops float64) (cost, peak float64) {
+	p := o.p
+	power.PermuteInto(o.placed, p.PEPower, place)
+	peak = p.Inf.PeakTemp(o.placed)
 	cost = peak + p.CommWeight*hops
 	if o.ioHops != nil {
 		io := 0.0
@@ -367,5 +441,5 @@ func (o *objective) eval(place []int) (cost, peak, hops float64) {
 		}
 		cost += p.IOWeight * io
 	}
-	return cost, peak, hops
+	return cost, peak
 }

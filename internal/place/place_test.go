@@ -211,6 +211,32 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+
+	// The hop sums are exact while the volume summed over the whole
+	// matrix (or the I/O vector) times the grid diameter, 6 here, stays
+	// below 2^53: just below is accepted, reaching it is rejected.
+	const limit = (1<<53 + 5) / 6 // the least volume with volume*6 >= 2^53
+	for _, tc := range []struct {
+		volume int64
+		ok     bool
+	}{{limit - 2, true}, {limit, false}, {math.MaxInt64, false}} {
+		half := (tc.volume - 14) / 2 // the edit below adds 2*half to the 14 already there
+		comm := &Problem{Grid: g, Inf: inf, PEPower: make([]float64, 16),
+			Traffic: traffic(func(m [][]int64) { m[1][2], m[2][1] = half, half })}
+		io := &Problem{Grid: g, Inf: inf, PEPower: make([]float64, 16),
+			IOTraffic: append(make([]int64, 15), tc.volume)}
+		for name, p := range map[string]*Problem{"traffic": comm, "I/O traffic": io} {
+			if err := p.Validate(); (err == nil) != tc.ok {
+				t.Errorf("%s volume %d: Validate = %v, want ok %v", name, tc.volume, err, tc.ok)
+			}
+		}
+	}
+	// Traffic rows whose sum overflows int64 are rejected, not wrapped.
+	huge := &Problem{Grid: g, Inf: inf, PEPower: make([]float64, 16),
+		Traffic: traffic(func(m [][]int64) { m[1][2], m[2][1] = math.MaxInt64, math.MaxInt64 })}
+	if err := huge.Validate(); err == nil {
+		t.Error("traffic summing past int64 accepted")
+	}
 }
 
 // TestAnnealInitialValidation: malformed initial placements are rejected.

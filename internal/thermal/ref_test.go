@@ -492,3 +492,59 @@ func TestSolveBatchMatchesRef(t *testing.T) {
 		}
 	}
 }
+
+// refPeakTemp is Influence.PeakTemp as it stood before the rows were
+// interleaved: one row at a time, one serial add chain per row.
+func refPeakTemp(inf *Influence, blockPower []float64) float64 {
+	peak := inf.Ambient
+	n := inf.N
+	for i := 0; i < n; i++ {
+		row := inf.A.A[i*n : (i+1)*n]
+		t := inf.Ambient
+		for j, a := range row {
+			t += a * blockPower[j]
+		}
+		if t > peak {
+			peak = t
+		}
+	}
+	return peak
+}
+
+// TestPeakTempMatchesRef: the four-row PeakTemp returns the frozen
+// row-at-a-time peak to the bit on square meshes of 9, 16, 25 and 36
+// blocks and on every reference mesh, so every remainder of n mod 4
+// takes the scalar tail, for random power maps, maps with a single hot
+// block (so the peak falls in each lane and in the tail), and a map of
+// zeros.
+func TestPeakTempMatchesRef(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	meshes := append([][2]int{{3, 3}, {4, 4}, {5, 5}, {6, 6}}, refMeshes...)
+	for _, wh := range meshes {
+		inf, err := NewInfluence(refMesh(t, wh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]float64, inf.N)
+		check := func(what string) {
+			t.Helper()
+			if got, want := inf.PeakTemp(p), refPeakTemp(inf, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%dx%d %s: PeakTemp = %v, frozen row-at-a-time %v", wh[0], wh[1], what, got, want)
+			}
+		}
+		check("zero map")
+		for trial := 0; trial < 50; trial++ {
+			for i := range p {
+				p[i] = r.Float64() * 3
+			}
+			check("random map")
+		}
+		for hot := range p {
+			for i := range p {
+				p[i] = 0.1 * r.Float64()
+			}
+			p[hot] = 5
+			check(fmt.Sprintf("block %d hot", hot))
+		}
+	}
+}

@@ -17,9 +17,10 @@ echo "== bench module (vet + short tests against the library API)" \
     && go -C bench vet ./... && go -C bench test -short ./...
 echo "== thermal differential (banded vs dense reference, batched, singular, row-run kernels vs frozen band sweeps)" \
     && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree|MatchesRef' ./internal/thermal
-echo "== build-path differential (sort-based code construction, Intn-exact draws, lazy encoder under -race, coordinate-based anneal cost)" \
-    && go test -count=1 -run 'MatchesRef|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
-    && go test -race -count=1 -run 'MatchesRef|Draw|Lazy' ./internal/ldpc
+echo "== build-path differential (sort-based code construction, lagged-Fibonacci stream vs math/rand, Intn-exact draws, lazy encoder under -race, coordinate-based and full-cost annealing, row-at-a-time PeakTemp)" \
+    && go test -count=1 -run 'MatchesRef|Stream|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
+    && go test -race -count=1 -run 'MatchesRef|Stream|Draw|Lazy' ./internal/ldpc \
+    && go test -count=1 -run '^TestPeakTempMatchesRef$' ./internal/thermal
 echo "== decode differential (traffic-only vs frozen value-carrying decoder, replayed vs simulated phases, decodes and migrations, Replay vs stepping, active-set kernel vs frozen reference on multi-word, non-square and burst-idle meshes)" \
     && go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|TestDistributedMatchesReference|TestPhaseReplayMatchesSimulation|TestDecodeSteadyAllocs|TestDecodeMemoMatchesSimulation|TestDecodeMemoHitAllocs' ./internal/appmap \
     && go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap \
