@@ -345,6 +345,41 @@ func BenchmarkEvaluateReactive(b *testing.B) {
 	b.ReportMetric(float64(last.Migrations), "migrations")
 }
 
+// BenchmarkReactiveSet measures the warm reactive reference set through
+// Lab.Reactive: X-Y Shift and Rot under every trigger of {82, 83, 84, 85}
+// °C on a paper-scale configuration A, with the default horizon, on a
+// two-worker Lab. One untimed call builds, characterizes and warms the
+// Lab, so the loop times the thermal work of eight trigger runs grouped
+// into lockstep sets. It fails if the loop decodes.
+func BenchmarkReactiveSet(b *testing.B) {
+	lab := NewLab(WithScale(1), WithWorkers(2))
+	var cfgs []ReactiveConfig
+	for _, s := range []Scheme{XYShift(), Rot()} {
+		for _, trig := range []float64{82, 83, 84, 85} {
+			cfgs = append(cfgs, ReactiveConfig{Scheme: s, TriggerC: trig})
+		}
+	}
+	ctx := context.Background()
+	if _, err := lab.Reactive(ctx, "A", cfgs); err != nil {
+		b.Fatal(err)
+	}
+	decodes := lab.Decodes()
+	var last []ReactiveResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if last, err = lab.Reactive(ctx, "A", cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if d := lab.Decodes() - decodes; d != 0 {
+		b.Fatalf("the timed loop decoded %d blocks on the NoC", d)
+	}
+	b.ReportMetric(float64(last[2].Migrations), "migrations-xyshift-84")
+}
+
 // BenchmarkPhasePlanner measures the congestion-free migration planner,
 // the component that must be fast enough to run at every reconfiguration.
 func BenchmarkPhasePlanner(b *testing.B) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hotnoc/internal/thermal"
 )
@@ -125,39 +126,192 @@ func (s *System) RunReactive(cfg ReactiveConfig) (ReactiveResult, error) {
 // NoC simulation happens here — the orbit's per-leg activity comes from
 // ch, so many reactive evaluations (different triggers, quantisations,
 // horizons) amortise one Characterize. Results are bitwise identical to
-// the fused RunReactive.
+// the fused RunReactive. It is the one-run case of EvaluateReactiveSet.
 func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (ReactiveResult, error) {
-	if err := s.Validate(); err != nil {
+	var res [1]ReactiveResult
+	if err := s.evaluateReactive(ch, []ReactiveConfig{cfg}, res[:]); err != nil {
 		return ReactiveResult{}, err
 	}
-	if ch == nil || len(ch.Legs) == 0 {
-		return ReactiveResult{}, fmt.Errorf("core: empty characterization")
-	}
-	if cfg.Scheme.StepFn == nil {
-		return ReactiveResult{}, fmt.Errorf("core: no migration scheme configured")
-	}
-	if cfg.Scheme.Name != ch.SchemeName {
-		return ReactiveResult{}, fmt.Errorf("core: reactive config selects scheme %q but characterization is for %q",
-			cfg.Scheme.Name, ch.SchemeName)
-	}
-	cfg.setDefaults()
-	g := s.Grid
-	orbit := len(ch.Legs)
+	return res[0], nil
+}
 
-	// Convert each characterized leg into the controller's power-map view:
-	// average decode power over the decode window, and migration power over
-	// the migration window plus the idle-clock power the halted PEs keep
-	// burning. The arithmetic mirrors Activity.PowerMap so the result is
-	// bit-identical to measuring the leg live.
-	legs := make([]legMeasurement, orbit)
+// EvaluateReactiveSet evaluates every configuration of cfgs against ch
+// and returns the results in input order, each bitwise identical to
+// EvaluateReactive of that configuration alone. A trigger sweep is k
+// independent runs on one characterization, so they share the work that
+// does not depend on the configuration: one warm start serves the set,
+// and runs with the same Dt advance in lockstep, up to four taking each
+// backward-Euler step through one banded solve
+// (thermal.Transient.StepStates). Every run keeps its own cursor (leg,
+// steps left in its decode or migration window, recording flag,
+// statistics, timeline), so runs whose triggers fire at different
+// boundaries still share every solve, and a run that finishes hands its
+// place to the next waiting one. A configuration that fails validation
+// fails the set before any work starts.
+func (s *System) EvaluateReactiveSet(ch *Characterization, cfgs []ReactiveConfig) ([]ReactiveResult, error) {
+	out := make([]ReactiveResult, len(cfgs))
+	if err := s.evaluateReactive(ch, cfgs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// CheckFinite rejects a NaN or infinite trigger, sensor resolution or
+// step. Such a value is no setting: a NaN trigger never fires, a NaN
+// resolution turns the timeline into NaNs that JSON cannot carry, and a
+// NaN step equals no other step.
+func (c ReactiveConfig) CheckFinite() error {
+	for _, v := range [...]struct {
+		name string
+		x    float64
+	}{{"trigger", c.TriggerC}, {"sensor resolution", c.SensorQuantC}, {"step", c.Dt}} {
+		if math.IsNaN(v.x) || math.IsInf(v.x, 0) {
+			return fmt.Errorf("non-finite reactive %s %g", v.name, v.x)
+		}
+	}
+	return nil
+}
+
+// check rejects a configuration EvaluateReactive cannot run against ch.
+func (c *ReactiveConfig) check(ch *Characterization) error {
+	if c.Scheme.StepFn == nil {
+		return fmt.Errorf("core: no migration scheme configured")
+	}
+	if c.Scheme.Name != ch.SchemeName {
+		return fmt.Errorf("core: reactive config selects scheme %q but characterization is for %q",
+			c.Scheme.Name, ch.SchemeName)
+	}
+	if err := c.CheckFinite(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
+// reactiveRun is one configuration's cursor through its horizon.
+type reactiveRun struct {
+	cfg ReactiveConfig // defaults applied
+	res *ReactiveResult
+
+	blk       int  // current block
+	leg       int  // orbit position
+	migrating bool // in the migration window after blk's decode
+	recording bool // blk is past the warmup
+	left      int  // integration steps left in the current window
+
+	meanAcc                 float64
+	meanN                   int
+	decodeCycles, migCycles int64
+}
+
+// reactiveLane is one lane of the lockstep integration: the node
+// temperatures, leakage and power scratch of the run it currently
+// carries, and that run's power map for the current window.
+type reactiveLane struct {
+	run          *reactiveRun
+	T, leak, pow []float64
+	base         []float64
+}
+
+// evaluateReactive evaluates cfgs into out (same length); see
+// EvaluateReactiveSet.
+func (s *System) evaluateReactive(ch *Characterization, cfgs []ReactiveConfig, out []ReactiveResult) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if ch == nil || len(ch.Legs) == 0 {
+		return fmt.Errorf("core: empty characterization")
+	}
+	runs := make([]reactiveRun, len(cfgs))
+	for i := range cfgs {
+		r := &runs[i]
+		r.cfg = cfgs[i]
+		if err := r.cfg.check(ch); err != nil {
+			return err
+		}
+		r.cfg.setDefaults()
+		r.res = &out[i]
+	}
+	if len(runs) == 0 {
+		return nil
+	}
+	legs := s.reactiveLegs(ch)
+
+	ev, err := s.takeEvaluator()
+	if err != nil {
+		return err
+	}
+	defer s.putEvaluator(ev)
+
+	// One allocation holds the warm start's two state vectors and every
+	// lane's scratch.
+	n, nn := s.Grid.N(), s.Therm.NNodes
+	var laneBuf [thermal.MaxStates]reactiveLane
+	lanes := laneBuf[:min(len(runs), thermal.MaxStates)]
+	buf := make([]float64, 2*nn+len(lanes)*(nn+2*n))
+	take := func(k int) []float64 {
+		v := buf[:k:k]
+		buf = buf[k:]
+		return v
+	}
+	warm, next := take(nn), take(nn)
+	for c := range lanes {
+		lanes[c] = reactiveLane{T: take(nn), leak: take(n), pow: take(n)}
+	}
+
+	// Warm-start the thermal state from the static placement's
+	// leakage-closed steady state, once for the whole set: it depends on
+	// the characterization alone.
+	ss := ev.Steady()
+	leakBuf, pmBuf := lanes[0].leak, lanes[0].pow
+	ss.SolveFullInto(warm, legs[0].decodePower)
+	for it := 0; it < 50; it++ {
+		s.Leak.Into(leakBuf, warm[:n])
+		copy(pmBuf, legs[0].decodePower)
+		for i, l := range leakBuf {
+			pmBuf[i] += l
+		}
+		ss.SolveFullInto(next, pmBuf)
+		done := maxAbsDiff(next, warm) < 1e-4
+		warm, next = next, warm
+		if done {
+			break
+		}
+	}
+
+	// Runs with the same step share one integrator and advance together;
+	// each distinct step is one lockstep pass, in order of first
+	// appearance.
+	for i := range runs {
+		dt := runs[i].cfg.Dt
+		if slices.ContainsFunc(runs[:i], func(r reactiveRun) bool { return r.cfg.Dt == dt }) {
+			continue
+		}
+		tr, err := ev.Transient(dt)
+		if err != nil {
+			return err
+		}
+		s.stepReactive(tr, legs, warm, runs[i:], lanes)
+	}
+	return nil
+}
+
+// reactiveLegs converts each characterized leg into the controller's
+// power-map view: average decode power over the decode window, and
+// migration power over the migration window plus the idle-clock power the
+// halted PEs keep burning. The arithmetic mirrors Activity.PowerMap so the
+// result is bit-identical to measuring the leg live.
+func (s *System) reactiveLegs(ch *Characterization) []legMeasurement {
+	n := s.Grid.N()
+	legs := make([]legMeasurement, len(ch.Legs))
+	maps := make([]float64, 2*n*len(ch.Legs))
 	for k, la := range ch.Legs {
 		decodeDur := float64(la.DecodeCycles) / s.ClockHz
-		decodePower := make([]float64, g.N())
+		decodePower := maps[2*k*n : (2*k+1)*n : (2*k+1)*n]
 		for i, e := range la.DecodeBlockJ {
 			decodePower[i] = e / decodeDur
 		}
 		migDur := float64(la.Migration.Cycles) / s.ClockHz
-		migPower := make([]float64, g.N())
+		migPower := maps[(2*k+1)*n : (2*k+2)*n : (2*k+2)*n]
 		for i, e := range la.MigBlockJ {
 			migPower[i] = e / migDur
 		}
@@ -171,102 +325,131 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 			migPower:     migPower,
 		}
 	}
+	return legs
+}
 
-	// Warm-start the thermal state from the static placement's
-	// leakage-closed steady state.
-	ev, err := s.takeEvaluator()
-	if err != nil {
-		return ReactiveResult{}, err
-	}
-	defer s.putEvaluator(ev)
-	// Scratch for the integration hot loop: the leakage map and per-step
-	// power map are reused across every step of the horizon. The leakage
-	// model and the statistics read the die prefix of the thermal state
-	// in place.
-	n := g.N()
-	leakBuf := make([]float64, n)
-	pmBuf := make([]float64, n)
-
-	ss := ev.Steady()
-	state := make([]float64, s.Therm.NNodes)
-	next := make([]float64, s.Therm.NNodes)
-	ss.SolveFullInto(state, legs[0].decodePower)
-	for it := 0; it < 50; it++ {
-		s.Leak.Into(leakBuf, state[:n])
-		copy(pmBuf, legs[0].decodePower)
-		for i, l := range leakBuf {
-			pmBuf[i] += l
-		}
-		ss.SolveFullInto(next, pmBuf)
-		done := maxAbsDiff(next, state) < 1e-4
-		state, next = next, state
-		if done {
-			break
-		}
-	}
-
-	tr, err := ev.Transient(cfg.Dt)
-	if err != nil {
-		return ReactiveResult{}, err
-	}
-	tr.SetState(state, 0)
-	die := tr.T[:n]
-
-	res := ReactiveResult{PeakC: -math.MaxFloat64}
-	var meanAcc float64
-	var meanN int
-	recording := false
-	integrate := func(basePower []float64, durSec float64) {
-		steps := int(math.Round(durSec / cfg.Dt))
-		if steps < 1 {
-			steps = 1
-		}
-		for i := 0; i < steps; i++ {
-			s.Leak.Into(leakBuf, die)
-			copy(pmBuf, basePower)
-			for j, l := range leakBuf {
-				pmBuf[j] += l
+// stepReactive integrates every run of runs whose step is tr's, from the
+// warm state, to the end of its horizon. Live runs fill the lanes; each
+// iteration assembles every live run's leakage-coupled power map, takes
+// one step of all of them through tr.StepStates, then advances each run's
+// cursor, and a run that reaches its horizon gives its lane to the next
+// waiting run. Each run sees exactly the sequence of operations the lone
+// evaluation performs, so its result does not depend on its companions.
+func (s *System) stepReactive(tr *thermal.Transient, legs []legMeasurement, warm []float64, runs []reactiveRun, lanes []reactiveLane) {
+	n := s.Grid.N()
+	dt := runs[0].cfg.Dt
+	next := 0
+	start := func(ln *reactiveLane) bool {
+		for ; next < len(runs); next++ {
+			if r := &runs[next]; r.cfg.Dt == dt {
+				next++
+				ln.run = r
+				r.res.PeakC = -math.MaxFloat64
+				if r.cfg.PeaksEvery > 0 {
+					r.res.BlockPeaks = make([]float64, 0, (r.cfg.SimBlocks+r.cfg.PeaksEvery-1)/r.cfg.PeaksEvery)
+				}
+				copy(ln.T, warm)
+				s.beginBlock(ln, legs)
+				return true
 			}
-			tr.Step(pmBuf)
-			if !recording {
+		}
+		return false
+	}
+	live := 0
+	for live < len(lanes) && start(&lanes[live]) {
+		live++
+	}
+	var T, pow [thermal.MaxStates][]float64
+	for live > 0 {
+		for c := range live {
+			ln := &lanes[c]
+			s.Leak.Into(ln.leak, ln.T[:n])
+			copy(ln.pow, ln.base)
+			for j, l := range ln.leak {
+				ln.pow[j] += l
+			}
+			T[c], pow[c] = ln.T, ln.pow
+		}
+		tr.StepStates(T[:live], pow[:live])
+		for c := 0; c < live; {
+			ln := &lanes[c]
+			r := ln.run
+			die := ln.T[:n]
+			if r.recording {
+				p, _ := thermal.Peak(die)
+				if p > r.res.PeakC {
+					r.res.PeakC = p
+				}
+				r.meanAcc += thermal.Mean(die)
+				r.meanN++
+			}
+			if r.left--; r.left > 0 || s.endWindow(ln, legs) || start(ln) {
+				c++
 				continue
 			}
-			p, _ := thermal.Peak(die)
-			if p > res.PeakC {
-				res.PeakC = p
-			}
-			meanAcc += thermal.Mean(die)
-			meanN++
+			// Nothing waits for this lane: retire it, and step the last
+			// live lane in its place.
+			live--
+			lanes[c], lanes[live] = lanes[live], lanes[c]
 		}
 	}
+}
 
-	k := 0
-	var decodeCycles, migCycles int64
-	for blk := 0; blk < cfg.SimBlocks; blk++ {
-		recording = blk >= cfg.WarmupBlocks
-		m := &legs[k]
-		integrate(m.decodePower, float64(m.decodeCycles)/s.ClockHz)
-		if recording {
-			decodeCycles += m.decodeCycles
+// beginBlock starts the decode window of the lane's run's current block.
+func (s *System) beginBlock(ln *reactiveLane, legs []legMeasurement) {
+	r := ln.run
+	m := &legs[r.leg]
+	r.recording = r.blk >= r.cfg.WarmupBlocks
+	r.migrating = false
+	r.left = windowSteps(m.decodeCycles, s.ClockHz, r.cfg.Dt)
+	ln.base = m.decodePower
+}
+
+// endWindow closes the window the lane's run just integrated. After a
+// decode window the quantized sensor peak is read and recorded, and a
+// reading above the trigger opens the leg's migration window; otherwise,
+// or after a migration window, the run moves on to its next block.
+// It reports false when the run has reached its horizon, its result then
+// complete.
+func (s *System) endWindow(ln *reactiveLane, legs []legMeasurement) bool {
+	r := ln.run
+	cfg := &r.cfg
+	m := &legs[r.leg]
+	if !r.migrating {
+		if r.recording {
+			r.decodeCycles += m.decodeCycles
 		}
-
-		sensorPeak := quantize(maxOf(die), cfg.SensorQuantC)
-		if cfg.PeaksEvery > 0 && blk%cfg.PeaksEvery == 0 {
-			res.BlockPeaks = append(res.BlockPeaks, sensorPeak)
+		sensorPeak := quantize(maxOf(ln.T[:s.Grid.N()]), cfg.SensorQuantC)
+		if cfg.PeaksEvery > 0 && r.blk%cfg.PeaksEvery == 0 {
+			r.res.BlockPeaks = append(r.res.BlockPeaks, sensorPeak)
 		}
 		if sensorPeak > cfg.TriggerC {
-			integrate(m.migPower, float64(m.migCycles)/s.ClockHz)
-			if recording {
-				migCycles += m.migCycles
-				res.Migrations++
-			}
-			k = (k + 1) % orbit
+			r.migrating = true
+			r.left = windowSteps(m.migCycles, s.ClockHz, cfg.Dt)
+			ln.base = m.migPower
+			return true
 		}
+	} else {
+		if r.recording {
+			r.migCycles += m.migCycles
+			r.res.Migrations++
+		}
+		r.leg = (r.leg + 1) % len(legs)
 	}
+	if r.blk++; r.blk < cfg.SimBlocks {
+		s.beginBlock(ln, legs)
+		return true
+	}
+	r.res.MeanC = r.meanAcc / float64(r.meanN)
+	r.res.ThroughputPenalty = float64(r.migCycles) / float64(r.decodeCycles+r.migCycles)
+	return false
+}
 
-	res.MeanC = meanAcc / float64(meanN)
-	res.ThroughputPenalty = float64(migCycles) / float64(decodeCycles+migCycles)
-	return res, nil
+// windowSteps is the number of dt steps integrating a window of cycles
+// clock cycles: the duration rounded to the nearest step, at least one.
+func windowSteps(cycles int64, clockHz, dt float64) int {
+	steps := int(math.Round(float64(cycles) / clockHz / dt))
+	return max(steps, 1)
 }
 
 func quantize(v, lsb float64) float64 { return math.Floor(v/lsb) * lsb }

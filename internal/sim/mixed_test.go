@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -163,6 +164,12 @@ func TestReactivePointValidation(t *testing.T) {
 		{"negative horizon", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), SimBlocks: -1}), "negative reactive horizon"},
 		{"negative warmup", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), WarmupBlocks: -1}), "negative reactive warmup"},
 		{"unknown config", Reactive("Z", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80}), "Z"},
+		{"NaN trigger", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: math.NaN()}), "non-finite reactive trigger"},
+		{"infinite trigger", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: math.Inf(1)}), "non-finite reactive trigger"},
+		{"NaN sensor resolution", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SensorQuantC: math.NaN()}), "non-finite reactive sensor resolution"},
+		{"-Inf sensor resolution", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SensorQuantC: math.Inf(-1)}), "non-finite reactive sensor resolution"},
+		{"NaN step", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, Dt: math.NaN()}), "non-finite reactive step"},
+		{"infinite step", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, Dt: math.Inf(1)}), "non-finite reactive step"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,9 +188,10 @@ func TestReactivePointValidation(t *testing.T) {
 }
 
 // TestGroupPointsSplitsReactiveCells: reactive cells of one (config,
-// scheme) spread across up to workers chunk tasks — a single-scheme
-// trigger sweep must not serialize on one worker — while periodic cells
-// keep one shared task, and every cell lands in exactly one task.
+// scheme) spread across their share of the workers as chunk tasks — a
+// single-scheme trigger sweep must not serialize on one worker — while
+// periodic cells keep one shared task, and every cell lands in exactly
+// one task.
 func TestGroupPointsSplitsReactiveCells(t *testing.T) {
 	cfg := core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 80}
 	pts := []Point{
@@ -219,6 +227,18 @@ func TestGroupPointsSplitsReactiveCells(t *testing.T) {
 	// A single worker keeps one task per group — no pointless clones.
 	if got := len(groupPoints(pts, 1)); got != 2 {
 		t.Fatalf("workers=1 produced %d tasks, want 2", got)
+	}
+	// Two schemes' trigger sweeps over two workers: each scheme's share
+	// is one worker, so its four cells stay one task, one lockstep set.
+	rot := core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80}
+	two := []Point{
+		Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg),
+		Reactive("A", rot), Reactive("A", rot), Reactive("A", rot), Reactive("A", rot),
+	}
+	for _, tk := range groupPoints(two, 2) {
+		if len(tk.cells) != 4 {
+			t.Fatalf("two 4-cell schemes over 2 workers: a task of %d cells, want 4", len(tk.cells))
+		}
 	}
 }
 

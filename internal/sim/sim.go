@@ -31,6 +31,7 @@ import (
 
 	"hotnoc/internal/chipcfg"
 	"hotnoc/internal/core"
+	"hotnoc/internal/thermal"
 	"hotnoc/obs"
 )
 
@@ -96,8 +97,9 @@ func (p Point) Kind() Kind {
 }
 
 // Validate rejects a malformed point: unknown configuration, scheme
-// without a step function, negative period, or periodic-only fields set
-// on a reactive point. It is the per-point half of the runner's fail-fast
+// without a step function, negative period, periodic-only fields set on
+// a reactive point, or a NaN or infinite reactive trigger, sensor
+// resolution or step. It is the per-point half of the runner's fail-fast
 // grid validation, shared with the hotnocd daemon so a bad submission is
 // rejected with the same diagnosis it would fail with mid-sweep.
 func (p Point) Validate() error {
@@ -129,7 +131,7 @@ func (p Point) Validate() error {
 	if p.Reactive.WarmupBlocks < 0 {
 		return fmt.Errorf("negative reactive warmup %d blocks", p.Reactive.WarmupBlocks)
 	}
-	return nil
+	return p.Reactive.CheckFinite()
 }
 
 // Outcome pairs a grid point with its evaluation. Outcomes of the same
@@ -632,62 +634,97 @@ func (r *Runner) StreamWith(ctx context.Context, pts []Point, progress func(Even
 // periodic and reactive alike, on the build's shared System, marking each
 // point ready as its outcome lands. Mixed grids therefore share one orbit
 // characterization across kinds: a reactive point never re-simulates an
-// orbit a periodic point (or a cached run) already paid for.
+// orbit a periodic point (or a cached run) already paid for. The task's
+// reactive cells are evaluated in sets (System.EvaluateReactiveSet), so
+// up to four of their trigger runs share each transient solve.
 func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome, ready []chan struct{}, prog func(Event), seen *charSeen) error {
 	ch, built, err := r.charFor(t.config, t.scheme, prog, seen)
 	if err != nil {
 		return err
 	}
+	var reactive []int
 	for _, idx := range t.cells {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		p := pts[idx]
-		o := Outcome{Point: p, Built: built}
+		if p.Kind() == KindReactive {
+			reactive = append(reactive, idx)
+			continue
+		}
 		//hotnoc:allow determinism wall-clock metric timing only; does not influence the outcome
 		evalStart := time.Now()
-		switch p.Kind() {
-		case KindReactive:
-			cfg := *p.Reactive
+		res, err := built.System.Evaluate(ch, core.EvalConfig{
+			BlocksPerPeriod:        p.Blocks,
+			ExcludeMigrationEnergy: p.ExcludeMigrationEnergy,
+		})
+		if err != nil {
+			return fmt.Errorf("sim: config %s scheme %s blocks %d: %w",
+				p.Config, p.Scheme.Name, p.Blocks, err)
+		}
+		//hotnoc:allow determinism wall-clock metric timing only; the outcome itself is already computed
+		r.met.evaluateDone(time.Since(evalStart))
+		r.deliver(idx, Outcome{Point: p, Built: built, Result: res}, out, ready, prog)
+	}
+	// Reactive cells go in sets of as many runs as one lockstep step
+	// carries: each set shares every solve, and outcomes and cancellation
+	// still come a set at a time.
+	cfgs := make([]core.ReactiveConfig, 0, min(len(reactive), thermal.MaxStates))
+	for len(reactive) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		set := reactive[:min(len(reactive), thermal.MaxStates)]
+		reactive = reactive[len(set):]
+		cfgs = cfgs[:0]
+		for _, idx := range set {
+			cfg := *pts[idx].Reactive
 			// The point's Scheme is authoritative (it keyed the shared
 			// characterization); a spec that carried only parameters gets
 			// the step function filled in here.
 			cfg.Scheme = t.scheme
-			res, err := built.System.EvaluateReactive(ch, cfg)
-			if err != nil {
-				return fmt.Errorf("sim: config %s scheme %s reactive trigger %g: %w",
-					p.Config, p.Scheme.Name, cfg.TriggerC, err)
-			}
-			o.Reactive = &res
-		default:
-			res, err := built.System.Evaluate(ch, core.EvalConfig{
-				BlocksPerPeriod:        p.Blocks,
-				ExcludeMigrationEnergy: p.ExcludeMigrationEnergy,
-			})
-			if err != nil {
-				return fmt.Errorf("sim: config %s scheme %s blocks %d: %w",
-					p.Config, p.Scheme.Name, p.Blocks, err)
-			}
-			o.Result = res
+			cfgs = append(cfgs, cfg)
 		}
-		//hotnoc:allow determinism wall-clock metric timing only; the outcome itself is already computed
-		r.met.evaluateDone(time.Since(evalStart))
-		out[idx] = o
-		close(ready[idx])
-		emit(prog, Event{Stage: StageEvaluateDone, Config: p.Config, Scale: r.opts.Scale,
-			Scheme: p.Scheme.Name, Point: idx, Blocks: p.Blocks, Kind: string(p.Kind())})
+		//hotnoc:allow determinism wall-clock metric timing only; does not influence the outcome
+		evalStart := time.Now()
+		res, err := built.System.EvaluateReactiveSet(ch, cfgs)
+		if err != nil {
+			return fmt.Errorf("sim: config %s scheme %s reactive set: %w",
+				t.config, t.scheme.Name, err)
+		}
+		// The set's wall time is charged evenly to its points.
+		//hotnoc:allow determinism wall-clock metric timing only; the outcomes themselves are already computed
+		perPoint := time.Since(evalStart) / time.Duration(len(set))
+		for i, idx := range set {
+			r.met.evaluateDone(perPoint)
+			r.deliver(idx, Outcome{Point: pts[idx], Built: built, Reactive: &res[i]}, out, ready, prog)
+		}
 	}
 	return nil
+}
+
+// deliver publishes point idx's outcome: it lands in out, the point is
+// marked ready, and its evaluate-done event is emitted.
+func (r *Runner) deliver(idx int, o Outcome, out []Outcome, ready []chan struct{}, prog func(Event)) {
+	out[idx] = o
+	close(ready[idx])
+	p := o.Point
+	emit(prog, Event{Stage: StageEvaluateDone, Config: p.Config, Scale: r.opts.Scale,
+		Scheme: p.Scheme.Name, Point: idx, Blocks: p.Blocks, Kind: string(p.Kind())})
 }
 
 // groupPoints partitions the grid into tasks, in an order fixed by the
 // grid so scheduling is deterministic. Periodic cells of one
 // (configuration, scheme) form a single task: their thermal evaluations
-// are cheap. Reactive cells of one
-// (configuration, scheme) are split into up to workers contiguous chunk
-// tasks: each cell is a full transient integration — the dominant cost
+// are cheap. Reactive cells of one (configuration, scheme) are split into
+// contiguous chunk tasks, as many as the group's share of the workers
+// (workers × its cells / all reactive cells, rounded up, at most one per
+// cell): each cell is a full transient integration — the dominant cost
 // of a reactive sweep once the orbit is characterized — so a
-// single-scheme trigger sweep must be able to spread across the pool.
+// single-scheme trigger sweep must be able to spread across the pool,
+// while a sweep over several schemes keeps each scheme's cells together,
+// where runTask steps them in lockstep sets of up to four that share
+// every solve.
 // Chunk tasks request the same characterization key; the cache's
 // per-key singleflight still simulates the orbit at most once, and
 // results do not depend on the chunking (evaluation on the shared System
@@ -710,9 +747,17 @@ func groupPoints(pts []Point, workers int) []task {
 		}
 		groups[ti].cells = append(groups[ti].cells, i)
 	}
+	reactiveCells := 0
+	for _, g := range groups {
+		if pts[g.cells[0]].Kind() == KindReactive {
+			reactiveCells += len(g.cells)
+		}
+	}
 	var tasks []task
 	for _, g := range groups {
-		if n := min(workers, len(g.cells)); n > 1 && pts[g.cells[0]].Kind() == KindReactive {
+		if pts[g.cells[0]].Kind() == KindReactive {
+			// The group's share of the pool, rounded up.
+			n := min((workers*len(g.cells)+reactiveCells-1)/reactiveCells, len(g.cells))
 			for c := 0; c < n; c++ {
 				lo, hi := c*len(g.cells)/n, (c+1)*len(g.cells)/n
 				tasks = append(tasks, task{config: g.config, scheme: g.scheme, cells: g.cells[lo:hi]})

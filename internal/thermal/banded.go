@@ -73,9 +73,9 @@ type BandedLU struct {
 	y     []float64
 	schur float64
 
-	x   []float64 // single-RHS scratch, banded order
-	xm  []float64 // multi-RHS scratch, grown on demand
-	acc []float64 // per-column border accumulator scratch
+	x  []float64    // single-RHS scratch, banded order
+	x2 [][2]float64 // two-column lockstep scratch, banded order, made on first use
+	x4 [][4]float64 // four-column lockstep scratch, likewise
 }
 
 // FactorBanded factorises m, which must be symmetric, (weakly) diagonally
@@ -322,9 +322,9 @@ func checkSymmetricDominant(m *Dense, diag func(i int) float64) error {
 // non-zero runs (lrun, then urun) instead of the whole band: within a row
 // it subtracts factor·x[j] for ascending j over exactly the non-zero
 // in-band factors, then (back sweep) divides by the pivot. That is the
-// zero-skipping band sweep's operation sequence, and solveCols' per-column
-// sequence, which is what makes a batched solve bitwise identical to
-// repeated single solves.
+// zero-skipping band sweep's operation sequence, and the lockstep
+// kernels' per-column sequence, which is what makes a batched solve
+// bitwise identical to repeated single solves.
 //
 //hotnoc:noalloc
 func (f *BandedLU) solveSingle(x []float64) {
@@ -362,55 +362,170 @@ func (f *BandedLU) solveSingle(x []float64) {
 func subRun(s float64, fac, x []float64) float64 {
 	x = x[:len(fac)]
 	for j, v := range fac {
-		s -= v * x[j]
+		s -= float64(v * x[j])
 	}
 	return s
 }
 
-// solveCols performs the banded forward and back substitution in place on
-// ncols right-hand sides stored row-major (x[i*ncols+c] is row i of column
-// c). It walks the same non-zero runs as solveSingle, so the per-column
-// arithmetic is identical for every ncols and matches solveSingle: a
-// batched solve is bitwise identical to ncols sequential single solves.
+// lane is one row of the right-hand sides the lockstep kernels solve
+// side by side: in a []L, x[i][c] is row i (banded order) of column c.
+type lane interface{ [2]float64 | [4]float64 }
+
+// lanes2 and lanes4 return the lockstep scratch of each width, nb rows.
 //
 //hotnoc:noalloc
-func (f *BandedLU) solveCols(x []float64, ncols int) {
-	// Forward substitution with unit-diagonal L.
-	run := f.lrun
+func (f *BandedLU) lanes2() [][2]float64 {
+	if f.x2 == nil {
+		f.x2 = make([][2]float64, f.nb) //hotnoc:allow noalloc scratch made once per factorisation, then reused at 0 allocs/op
+	}
+	return f.x2
+}
+
+// lanes4 is lanes2 at width four.
+//
+//hotnoc:noalloc
+func (f *BandedLU) lanes4() [][4]float64 {
+	if f.x4 == nil {
+		f.x4 = make([][4]float64, f.nb) //hotnoc:allow noalloc scratch made once per factorisation, then reused at 0 allocs/op
+	}
+	return f.x4
+}
+
+// solve2 and solve4 are solveSingle on two and four right-hand sides
+// side by side (see lane). Each column's running sum stays in its own
+// register, the walk over lrun and urun is solveSingle's, and every
+// column performs exactly solveSingle's subtractions in its order and
+// then its pivot division, so column c comes out bitwise equal to
+// solveSingle of column c. The columns' chains are independent, so they
+// overlap in the pipeline that a single chain leaves idle, while the
+// factors and the run walk are shared.
+//
+//hotnoc:noalloc
+func (f *BandedLU) solve2(x [][2]float64) {
+	ab, k2 := f.ab, 2*f.k
+	run, p, base := f.lrun, 0, f.k
 	for i := 1; i < f.nb; i++ {
-		row := f.row(i)
-		xi := x[i*ncols : (i+1)*ncols]
-		n := 2 * int(run[0])
-		for r := 1; r <= n; r += 2 {
-			for j := int(run[r]); j < int(run[r+1]); j++ {
-				l, xj := row[j], x[j*ncols:(j+1)*ncols]
-				for c := range xi {
-					xi[c] -= l * xj[c]
-				}
-			}
+		base += k2
+		xi := &x[i]
+		s0, s1 := xi[0], xi[1]
+		for end := p + 1 + 2*int(run[p]); p+1 < end; p += 2 {
+			a, b := int(run[p+1]), int(run[p+2])
+			s0, s1 = subRun2(s0, s1, ab[base+a:base+b], x[a:b])
 		}
-		run = run[n+1:]
+		p++
+		xi[0], xi[1] = s0, s1
 	}
-	// Back substitution with U.
-	run = f.urun
+	run, p = f.urun, 0
 	for i := f.nb - 1; i >= 0; i-- {
-		row := f.row(i)
-		xi := x[i*ncols : (i+1)*ncols]
-		n := 2 * int(run[0])
-		for r := 1; r <= n; r += 2 {
-			for j := int(run[r]); j < int(run[r+1]); j++ {
-				u, xj := row[j], x[j*ncols:(j+1)*ncols]
-				for c := range xi {
-					xi[c] -= u * xj[c]
-				}
-			}
+		xi := &x[i]
+		s0, s1 := xi[0], xi[1]
+		for end := p + 1 + 2*int(run[p]); p+1 < end; p += 2 {
+			a, b := int(run[p+1]), int(run[p+2])
+			s0, s1 = subRun2(s0, s1, ab[base+a:base+b], x[a:b])
 		}
-		run = run[n+1:]
-		piv := row[i]
-		for c := range xi {
-			xi[c] /= piv
+		p++
+		piv := ab[base+i]
+		xi[0], xi[1] = s0/piv, s1/piv
+		base -= k2
+	}
+}
+
+// solve4 is solve2 at width four.
+//
+//hotnoc:noalloc
+func (f *BandedLU) solve4(x [][4]float64) {
+	ab, k2 := f.ab, 2*f.k
+	run, p, base := f.lrun, 0, f.k
+	for i := 1; i < f.nb; i++ {
+		base += k2
+		xi := &x[i]
+		s0, s1, s2, s3 := xi[0], xi[1], xi[2], xi[3]
+		for end := p + 1 + 2*int(run[p]); p+1 < end; p += 2 {
+			a, b := int(run[p+1]), int(run[p+2])
+			s0, s1, s2, s3 = subRun4(s0, s1, s2, s3, ab[base+a:base+b], x[a:b])
+		}
+		p++
+		xi[0], xi[1], xi[2], xi[3] = s0, s1, s2, s3
+	}
+	run, p = f.urun, 0
+	for i := f.nb - 1; i >= 0; i-- {
+		xi := &x[i]
+		s0, s1, s2, s3 := xi[0], xi[1], xi[2], xi[3]
+		for end := p + 1 + 2*int(run[p]); p+1 < end; p += 2 {
+			a, b := int(run[p+1]), int(run[p+2])
+			s0, s1, s2, s3 = subRun4(s0, s1, s2, s3, ab[base+a:base+b], x[a:b])
+		}
+		p++
+		piv := ab[base+i]
+		xi[0], xi[1], xi[2], xi[3] = s0/piv, s1/piv, s2/piv, s3/piv
+		base -= k2
+	}
+}
+
+// subRun2 is subRun on two columns: it returns s0 and s1 less fac[j]
+// times x[j][0] and x[j][1] respectively, one product at a time in
+// ascending j.
+//
+//hotnoc:noalloc
+func subRun2(s0, s1 float64, fac []float64, x [][2]float64) (float64, float64) {
+	x = x[:len(fac)]
+	for j, v := range fac {
+		xj := &x[j]
+		s0 -= float64(v * xj[0])
+		s1 -= float64(v * xj[1])
+	}
+	return s0, s1
+}
+
+// subRun4 is subRun2 on four columns.
+//
+//hotnoc:noalloc
+func subRun4(s0, s1, s2, s3 float64, fac []float64, x [][4]float64) (float64, float64, float64, float64) {
+	x = x[:len(fac)]
+	for j, v := range fac {
+		xj := &x[j]
+		s0 -= float64(v * xj[0])
+		s1 -= float64(v * xj[1])
+		s2 -= float64(v * xj[2])
+		s3 -= float64(v * xj[3])
+	}
+	return s0, s1, s2, s3
+}
+
+// border2 and border4 return the border unknowns of the columns of x,
+// already through the banded sweeps: column c's is
+// (rb[c] - bᵀ·x_c)/schur, the sum and division solveBordered performs
+// for one column, with the columns' sums carried side by side. Entries
+// past the width are unused.
+//
+//hotnoc:noalloc
+func (f *BandedLU) border2(x [][2]float64, rb [4]float64) [4]float64 {
+	var a0, a1 float64
+	for i, bc := range f.bcol {
+		if bc != 0 {
+			xi := &x[i]
+			a0 += float64(bc * xi[0])
+			a1 += float64(bc * xi[1])
 		}
 	}
+	return [4]float64{(rb[0] - a0) / f.schur, (rb[1] - a1) / f.schur}
+}
+
+// border4 is border2 at width four.
+//
+//hotnoc:noalloc
+func (f *BandedLU) border4(x [][4]float64, rb [4]float64) [4]float64 {
+	var a0, a1, a2, a3 float64
+	for i, bc := range f.bcol {
+		if bc != 0 {
+			xi := &x[i]
+			a0 += float64(bc * xi[0])
+			a1 += float64(bc * xi[1])
+			a2 += float64(bc * xi[2])
+			a3 += float64(bc * xi[3])
+		}
+	}
+	return [4]float64{(rb[0] - a0) / f.schur, (rb[1] - a1) / f.schur, (rb[2] - a2) / f.schur, (rb[3] - a3) / f.schur}
 }
 
 // Solve solves M·x = b into dst, both in node order. dst and b may alias.
@@ -442,25 +557,27 @@ func (f *BandedLU) solveBordered(dst []float64, rb float64) {
 	acc := 0.0
 	for i, bc := range f.bcol {
 		if bc != 0 {
-			acc += bc * x[i]
+			acc += float64(bc * x[i])
 		}
 	}
 	s := (rb - acc) / f.schur
 	for node, p := range f.perm {
 		if p >= 0 {
-			dst[node] = x[p] - f.y[p]*s
+			dst[node] = x[p] - float64(f.y[p]*s)
 		}
 	}
 	dst[f.border] = s
 }
 
-// SolveBatch solves M·X = B for ncols right-hand sides with one pass over
-// the factorisation. dst and rhs are row-major n×ncols blocks (row i holds
-// node i's value for every column) and may alias. One factorisation plus
-// one batched sweep serves a whole chunk of steady-state solves — the
-// influence-matrix construction feeds the identity block through it — and
-// each column's result is bitwise identical to a single Solve of that
-// column.
+// SolveBatch solves M·X = B for ncols right-hand sides. dst and rhs are
+// row-major n×ncols blocks (row i holds node i's value for every column)
+// and may alias. The columns go through the four-column lockstep kernel
+// in panels, a tail of one or two columns through the two-column one
+// (spare columns repeat the panel's last column and are discarded), so
+// one factorisation serves a whole chunk of steady-state solves — the
+// influence-matrix construction feeds the identity block through it —
+// and each column's result is bitwise identical to a single Solve of
+// that column.
 //
 //hotnoc:noalloc
 func (f *BandedLU) SolveBatch(dst, rhs []float64, ncols int) {
@@ -470,49 +587,54 @@ func (f *BandedLU) SolveBatch(dst, rhs []float64, ncols int) {
 	if len(dst) != f.n*ncols || len(rhs) != f.n*ncols {
 		panic("thermal: SolveBatch dimension mismatch")
 	}
-	if cap(f.xm) < f.nb*ncols {
-		f.xm = make([]float64, f.nb*ncols) //hotnoc:allow noalloc amortized scratch growth; steady-state batches reuse it at 0 allocs/op
-	}
-	if cap(f.acc) < 2*ncols {
-		f.acc = make([]float64, 2*ncols) //hotnoc:allow noalloc amortized scratch growth; steady-state batches reuse it at 0 allocs/op
-	}
-	x := f.xm[:f.nb*ncols]
-	acc := f.acc[:ncols]
-	s := f.acc[ncols : 2*ncols]
-	for node, p := range f.perm {
-		if p >= 0 {
-			copy(x[p*ncols:(p+1)*ncols], rhs[node*ncols:(node+1)*ncols])
+	for c0 := 0; c0 < ncols; c0 += 4 {
+		r := min(ncols-c0, 4)
+		if r > 2 {
+			x := f.lanes4()
+			rb := gatherPanel(f, x, rhs, ncols, c0, r)
+			f.solve4(x)
+			scatterPanel(f, x, dst, ncols, c0, r, f.border4(x, rb))
+		} else {
+			x := f.lanes2()
+			rb := gatherPanel(f, x, rhs, ncols, c0, r)
+			f.solve2(x)
+			scatterPanel(f, x, dst, ncols, c0, r, f.border2(x, rb))
 		}
 	}
-	rb := rhs[f.border*ncols : (f.border+1)*ncols]
-	for c := range acc {
-		acc[c] = 0
-	}
-	f.solveCols(x, ncols)
-	for i, bc := range f.bcol {
-		if bc == 0 {
-			continue
+}
+
+// gatherPanel loads columns c0..c0+r-1 of the row-major n×ncols block rhs
+// into the lanes of x in banded order, repeating the last one into any
+// spare lane, and returns their border entries.
+//
+//hotnoc:noalloc
+func gatherPanel[L lane](f *BandedLU, x []L, rhs []float64, ncols, c0, r int) (rb [4]float64) {
+	var width L
+	for c := range len(width) {
+		col := c0 + min(c, r-1)
+		for node, p := range f.perm {
+			if p >= 0 {
+				x[p][c] = rhs[node*ncols+col]
+			}
 		}
-		xi := x[i*ncols : (i+1)*ncols]
-		for c := range acc {
-			acc[c] += bc * xi[c]
-		}
+		rb[c] = rhs[f.border*ncols+col]
 	}
-	for c := range s {
-		s[c] = (rb[c] - acc[c]) / f.schur
-	}
-	for node, p := range f.perm {
-		if p < 0 {
-			continue
+	return rb
+}
+
+// scatterPanel writes the solutions of the first r lanes of x, whose
+// border unknowns are s, to columns c0..c0+r-1 of dst in node order.
+//
+//hotnoc:noalloc
+func scatterPanel[L lane](f *BandedLU, x []L, dst []float64, ncols, c0, r int, s [4]float64) {
+	for c := range r {
+		for node, p := range f.perm {
+			if p >= 0 {
+				dst[node*ncols+c0+c] = x[p][c] - float64(f.y[p]*s[c])
+			}
 		}
-		di := dst[node*ncols : (node+1)*ncols]
-		xi := x[p*ncols : (p+1)*ncols]
-		yp := f.y[p]
-		for c := range di {
-			di[c] = xi[c] - yp*s[c]
-		}
+		dst[f.border*ncols+c0+c] = s[c]
 	}
-	copy(dst[f.border*ncols:(f.border+1)*ncols], s)
 }
 
 // Bandwidth reports the detected half bandwidth of the banded block, a

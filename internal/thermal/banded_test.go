@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -234,8 +235,8 @@ func TestBandedSolveAliasing(t *testing.T) {
 }
 
 // TestHotLoopsAllocationFree pins the allocation-free contract of every
-// hot-path kernel: steady solve, transient step, and the full cycle loop
-// with the leakage closure engaged.
+// hot-path kernel: steady solve, transient step, lockstep steps of two to
+// four states, and the full cycle loop with the leakage closure engaged.
 func TestHotLoopsAllocationFree(t *testing.T) {
 	nw := testNetwork(t, 5)
 	ev, err := NewEvaluator(nw)
@@ -271,6 +272,16 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 			leak(leakBuf, tr.T[:nw.NDie])
 			tr.Step(p)
 		}},
+	}
+	for k := 2; k <= 4; k++ {
+		T, pow := make([][]float64, k), make([][]float64, k)
+		for c := range T {
+			T[c], pow[c] = make([]float64, nw.NNodes), p
+		}
+		checks = append(checks, struct {
+			name string
+			fn   func()
+		}{fmt.Sprintf("StepStates with %d states", k), func() { tr.StepStates(T, pow) }})
 	}
 	for _, c := range checks {
 		c.fn() // warm any lazy scratch before measuring

@@ -1,6 +1,8 @@
 package thermal
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -216,6 +218,92 @@ func BenchmarkEvaluateCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ev.RunCycle(entries, opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveLockstep measures the banded sweeps of the transient
+// iteration matrix at widths 1 (solveSingle), 2 and 4 (the lockstep
+// kernels) on the 4x4 and 5x5 chips. One op is one column: a width-w
+// iteration counts as w ops, so ns/op is the cost per right-hand side.
+// Each iteration reloads the right-hand sides, which keeps the values
+// from decaying towards denormals.
+func BenchmarkSolveLockstep(b *testing.B) {
+	for _, n := range []int{4, 5} {
+		nw := benchNetwork(b, n)
+		tr, err := NewTransient(nw, 5e-6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := tr.f
+		r := benchPower(4 * f.nb)
+		rhs1 := r[:f.nb]
+		rhs2, rhs4 := make([][2]float64, f.nb), make([][4]float64, f.nb)
+		for i := range rhs4 {
+			rhs2[i] = [2]float64(r[2*i:])
+			rhs4[i] = [4]float64(r[4*i:])
+		}
+		x1, x2, x4 := f.x, f.lanes2(), f.lanes4()
+		b.Run(fmt.Sprintf("%dx%d/w1", n, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(x1, rhs1)
+				f.solveSingle(x1)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/w2", n, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += 2 {
+				copy(x2, rhs2)
+				f.solve2(x2)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/w4", n, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += 4 {
+				copy(x4, rhs4)
+				f.solve4(x4)
+			}
+		})
+	}
+}
+
+// BenchmarkStepLockstep measures a leakage-coupled backward-Euler step
+// through StepStates at widths 1, 2 and 4 on the 4x4 and 5x5 chips: per
+// state, the leakage map over its die temperatures, its power assembly
+// and its share of the step. One op is one state's step.
+func BenchmarkStepLockstep(b *testing.B) {
+	for _, n := range []int{4, 5} {
+		nw := benchNetwork(b, n)
+		tr, err := NewTransient(nw, 5e-6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%dx%d/w%d", n, n, w), func(b *testing.B) {
+				base := benchPower(nw.NDie)
+				T, pow := make([][]float64, w), make([][]float64, w)
+				leak := make([]float64, nw.NDie)
+				for c := range T {
+					T[c], pow[c] = make([]float64, nw.NNodes), make([]float64, nw.NDie)
+					for i := range T[c] {
+						T[c][i] = 60 + float64(c)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += w {
+					for c := range T {
+						for j, t := range T[c][:nw.NDie] {
+							leak[j] = 0.012 * math.Exp(0.018*(t-40))
+						}
+						for j, l := range leak {
+							pow[c][j] = base[j] + l
+						}
+					}
+					tr.StepStates(T, pow)
+				}
+			})
 		}
 	}
 }

@@ -71,7 +71,18 @@ func (tr *Transient) SetState(full []float64, time float64) {
 // State returns a copy of the full node temperature vector.
 func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) }
 
-// Step advances one dt with the given per-block die power map (watts). It
+// Step advances one dt with the given per-block die power map (watts).
+//
+//hotnoc:noalloc
+func (tr *Transient) Step(blockPower []float64) {
+	if len(blockPower) != tr.nw.NDie {
+		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks", len(blockPower), tr.nw.NDie))
+	}
+	tr.stepInto(tr.T, blockPower)
+	tr.Time += tr.dt
+}
+
+// stepInto advances the node-temperature state T one dt in place. It
 // assembles the right-hand side C/dt·T + P + B straight into the
 // factorisation's banded scratch, node by node in the network's layout
 // (die nodes, then spreaders, then the sink, the border), and solves into
@@ -80,21 +91,96 @@ func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) 
 // adding a zero power entry.
 //
 //hotnoc:noalloc
-func (tr *Transient) Step(blockPower []float64) {
+func (tr *Transient) stepInto(T, blockPower []float64) {
 	nw := tr.nw
-	if len(blockPower) != nw.NDie {
-		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks", len(blockPower), nw.NDie))
-	}
-	x, perm, T, cdt, B := tr.f.x, tr.f.perm, tr.T, tr.cdt, nw.B
+	x, perm, cdt, B := tr.f.x, tr.f.perm, tr.cdt, nw.B
 	for i, p := range blockPower {
-		x[perm[i]] = cdt[i]*T[i] + p + B[i]
+		x[perm[i]] = float64(cdt[i]*T[i]) + p + B[i]
 	}
 	sink := nw.Sink()
 	for i := nw.NDie; i < sink; i++ {
-		x[perm[i]] = cdt[i]*T[i] + 0 + B[i]
+		x[perm[i]] = float64(cdt[i]*T[i]) + 0 + B[i]
 	}
-	tr.f.solveBordered(T, cdt[sink]*T[sink]+0+B[sink])
-	tr.Time += tr.dt
+	tr.f.solveBordered(T, float64(cdt[sink]*T[sink])+0+B[sink])
+}
+
+// MaxStates is the most node-temperature states StepStates advances
+// through one pass over the factorisation.
+const MaxStates = 4
+
+// StepStates advances len(T) independent node-temperature states by one
+// dt each, state c under the die power map blockPower[c]. Every state
+// ends bitwise where a Step from it would leave it, but two to four
+// states share each pass over the factorisation through the lockstep
+// kernels (three ride the four-wide kernel, the spare column repeating
+// the last state and discarded); a single state takes Step's path. The
+// integrator's own state T and Time are not touched.
+//
+//hotnoc:noalloc
+func (tr *Transient) StepStates(T, blockPower [][]float64) {
+	nw := tr.nw
+	k := len(T)
+	if k < 1 || k > MaxStates || len(blockPower) != k {
+		panic(fmt.Sprintf("thermal: StepStates with %d states and %d power maps, want 1 to %d of each", k, len(blockPower), MaxStates))
+	}
+	for c := range T {
+		if len(T[c]) != nw.NNodes || len(blockPower[c]) != nw.NDie {
+			panic(fmt.Sprintf("thermal: state %d has %d nodes and %d block powers, want %d and %d",
+				c, len(T[c]), len(blockPower[c]), nw.NNodes, nw.NDie))
+		}
+	}
+	f := tr.f
+	switch k {
+	case 1:
+		tr.stepInto(T[0], blockPower[0])
+	case 2:
+		x := f.lanes2()
+		rb := assembleLanes(tr, x, T, blockPower)
+		f.solve2(x)
+		scatterLanes(f, x, T, f.border2(x, rb))
+	default:
+		x := f.lanes4()
+		rb := assembleLanes(tr, x, T, blockPower)
+		f.solve4(x)
+		scatterLanes(f, x, T, f.border4(x, rb))
+	}
+}
+
+// assembleLanes writes stepInto's right-hand side of each state T[c]
+// under blockPower[c] into lane c of x, repeating the last state into any
+// spare lane, and returns the border entries.
+//
+//hotnoc:noalloc
+func assembleLanes[L lane](tr *Transient, x []L, T, blockPower [][]float64) (rb [4]float64) {
+	nw := tr.nw
+	perm, cdt, B, sink := tr.f.perm, tr.cdt, nw.B, nw.Sink()
+	var width L
+	for c := range len(width) {
+		Tc, Pc := T[min(c, len(T)-1)], blockPower[min(c, len(T)-1)]
+		for i, p := range Pc {
+			x[perm[i]][c] = float64(cdt[i]*Tc[i]) + p + B[i]
+		}
+		for i := nw.NDie; i < sink; i++ {
+			x[perm[i]][c] = float64(cdt[i]*Tc[i]) + 0 + B[i]
+		}
+		rb[c] = float64(cdt[sink]*Tc[sink]) + 0 + B[sink]
+	}
+	return rb
+}
+
+// scatterLanes writes the solution in lane c of x, whose border unknown
+// is s[c], to the node-order state T[c], as solveBordered does for one.
+//
+//hotnoc:noalloc
+func scatterLanes[L lane](f *BandedLU, x []L, T [][]float64, s [4]float64) {
+	for c, Tc := range T {
+		for node, p := range f.perm {
+			if p >= 0 {
+				Tc[node] = x[p][c] - float64(f.y[p]*s[c])
+			}
+		}
+		Tc[f.border] = s[c]
+	}
 }
 
 // StepFor integrates the given power map for a duration, rounding the

@@ -248,8 +248,10 @@ func (l *Lab) MigrationEnergy(ctx context.Context, config string) ([]EnergyStudy
 // same scheme share one NoC characterization (served from the Lab's
 // cross-run cache when available), exactly as periodic period sweeps do,
 // and the transient thermal evaluations run concurrently on the build's
-// shared System. Results are returned in input order and are bitwise
-// identical to the fused System.RunReactive.
+// shared System, each worker stepping its share of one scheme's
+// configurations in lockstep (System.EvaluateReactiveSet). Results are
+// returned in input order and are bitwise identical to the fused
+// System.RunReactive.
 func (l *Lab) Reactive(ctx context.Context, config string, cfgs []ReactiveConfig) ([]ReactiveResult, error) {
 	return SweepReactive(ctx, l, config, cfgs)
 }

@@ -2,6 +2,7 @@ package hotnoc
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -311,6 +312,80 @@ func TestLabReactiveParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("reactive config %d differs from fused RunReactive", i)
+		}
+	}
+}
+
+// TestLabReactiveWorkerCounts: a reactive sweep over two schemes, with
+// mixed horizons, strides and steps, gives bitwise identical results on
+// 1, 2, 4 and 8 workers, however groupPoints chunks the cells and
+// however runTask groups them into lockstep sets.
+func TestLabReactiveWorkerCounts(t *testing.T) {
+	var cfgs []ReactiveConfig
+	for i, trig := range []float64{82, 83, 84, 85, 86} {
+		for _, s := range []Scheme{XYShift(), Rot()} {
+			cfgs = append(cfgs, ReactiveConfig{
+				Scheme: s, TriggerC: trig, SimBlocks: 120 + 20*i, WarmupBlocks: 60,
+				PeaksEvery: i - 1, Dt: []float64{0, 1e-5}[i%2],
+			})
+		}
+	}
+	var want []ReactiveResult
+	for _, workers := range []int{1, 2, 4, 8} {
+		got, err := NewLab(WithScale(testScale), WithWorkers(workers)).Reactive(context.Background(), "A", cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: results differ from 1 worker", workers)
+		}
+	}
+}
+
+// TestReactiveSetPaperScale: on a paper-scale configuration A, every run
+// of the reactive reference set — X-Y Shift and Rot under each trigger
+// of {82, 83, 84, 85} °C, default horizon — evaluated as one lockstep set
+// per scheme is bitwise its lone EvaluateReactive.
+func TestReactiveSetPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale build and characterization")
+	}
+	built, err := BuildConfig("A", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := built.System
+	for _, s := range []Scheme{XYShift(), Rot()} {
+		ch, err := sys.Characterize(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfgs []ReactiveConfig
+		for _, trig := range []float64{82, 83, 84, 85} {
+			cfgs = append(cfgs, ReactiveConfig{Scheme: s, TriggerC: trig})
+		}
+		set, err := sys.EvaluateReactiveSet(ch, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			alone, err := sys.EvaluateReactive(ch, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := append([]float64{set[i].PeakC, set[i].MeanC, set[i].ThroughputPenalty}, set[i].BlockPeaks...)
+			want := append([]float64{alone.PeakC, alone.MeanC, alone.ThroughputPenalty}, alone.BlockPeaks...)
+			same := set[i].Migrations == alone.Migrations && len(got) == len(want)
+			for j := 0; same && j < len(got); j++ {
+				same = math.Float64bits(got[j]) == math.Float64bits(want[j])
+			}
+			if !same {
+				t.Fatalf("%s at %g °C: set result differs from the lone evaluation", s.Name, cfg.TriggerC)
+			}
 		}
 	}
 }

@@ -2,9 +2,10 @@
 # bench.sh records the benchmark trajectory for a PR: it runs the pinned
 # thermal-kernel (plus a warm paper-scale reactive evaluation), NoC and
 # build-path (code construction, annealing) benchmarks (with -benchmem)
-# plus a one-iteration paper-scale pass
-# (period sweep, warm and cold build, warm and cold Figure 1 sweep; the
-# cold sweep's builds are made outside the timer),
+# plus a paper-scale pass
+# (period sweep, warm Lab sweep, warm reactive reference set, warm and
+# cold build, cold Figure 1 sweep; the cold sweep's builds are made
+# outside the timer),
 # writes BENCH_<pr>.json at the repo root (or
 # bench-trajectory.json for a run not tied to a PR) with ns/op,
 # B/op and allocs/op per benchmark, and fails if any of the hot loops
@@ -13,13 +14,11 @@
 # (DecodeMemoHit), plus the obs recording paths HistogramObserve and
 # CounterInc) reports a nonzero allocs/op.
 #
-# The thermal kernels and the warm reactive evaluation, the build-path
-# benchmarks (code construction, annealing, warm and cold build), the NoC
-# cycle kernel's StepIdle, the simulated DecodeOnNoC and the cold
-# Figure 1 sweep run REPEAT=5 times, so a change to them can be told
-# apart from host noise: their row records the median run's ns/op, B/op
+# Every benchmark runs REPEAT=5 times, so a change to it can be told
+# apart from host noise: its row records the median run's ns/op, B/op
 # and allocs/op plus "runs" and the ns/op "ns_per_op_min"/"ns_per_op_max".
-# Every other benchmark runs once and its row keeps only the first three.
+# The lockstep kernels (SolveLockstep, StepLockstep) report one column,
+# one state's solve or step, per op.
 #
 # Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
@@ -45,20 +44,20 @@ trap 'rm -f "$TMP"' EXIT
 
 echo "== thermal kernel benchmarks (benchtime $BENCHTIME, $REPEAT runs)"
 go test -run '^$' \
-    -bench '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkInfluenceBuild|BenchmarkInfluencePeak|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle)$' \
+    -bench '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkInfluenceBuild|BenchmarkInfluencePeak|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle|BenchmarkSolveLockstep|BenchmarkStepLockstep)$' \
     -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/thermal | tee -a "$TMP"
 go test -run '^$' -bench '^BenchmarkEvaluateReactive$' \
     -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" . | tee -a "$TMP"
 
-echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME; StepIdle and DecodeOnNoC $REPEAT runs)"
+echo "== NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME, $REPEAT runs)"
 go test -run '^$' -bench '^BenchmarkStepIdle$' \
     -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/noc | tee -a "$TMP"
 go test -run '^$' -bench '^BenchmarkStepLoaded$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/noc | tee -a "$TMP"
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/noc | tee -a "$TMP"
 go test -run '^$' -bench '^BenchmarkDecodeOnNoC$' \
     -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/appmap | tee -a "$TMP"
 go test -run '^$' -bench '^BenchmarkDecodeMemoHit$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/appmap | tee -a "$TMP"
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/appmap | tee -a "$TMP"
 
 echo "== build-path benchmarks: code construction and annealing (benchtime $BENCHTIME, $REPEAT runs)"
 go test -run '^$' -bench '^(BenchmarkConstruction|BenchmarkConstructionPaper)$' \
@@ -66,14 +65,16 @@ go test -run '^$' -bench '^(BenchmarkConstruction|BenchmarkConstructionPaper)$' 
 go test -run '^$' -bench '^BenchmarkAnneal$' \
     -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./internal/place | tee -a "$TMP"
 
-echo "== obs recording benchmarks (benchtime $BENCHTIME)"
+echo "== obs recording benchmarks (benchtime $BENCHTIME, $REPEAT runs)"
 go test -run '^$' -bench '^(BenchmarkHistogramObserve|BenchmarkCounterInc)$' \
-    -benchmem -benchtime "$BENCHTIME" ./obs | tee -a "$TMP"
+    -benchmem -benchtime "$BENCHTIME" -count "$REPEAT" ./obs | tee -a "$TMP"
 
 if [ "$SKIP_PAPER" != 1 ]; then
-    echo "== paper-scale trajectory (1 iteration)"
+    echo "== paper-scale trajectory ($REPEAT runs; 1 iteration each, the reactive set 3)"
     go test -run '^$' -bench '^(BenchmarkPeriodSweepShared|BenchmarkLabSweepWarm)$' \
-        -benchmem -benchtime=1x -timeout=30m . | tee -a "$TMP"
+        -benchmem -benchtime=1x -count "$REPEAT" -timeout=30m . | tee -a "$TMP"
+    go test -run '^$' -bench '^BenchmarkReactiveSet$' \
+        -benchmem -benchtime=3x -count "$REPEAT" -timeout=30m . | tee -a "$TMP"
     go test -run '^$' -bench '^(BenchmarkSweepFigure1|BenchmarkBuildWarm|BenchmarkBuildCold)$' \
         -benchmem -benchtime=1x -count "$REPEAT" -timeout=30m . | tee -a "$TMP"
 fi

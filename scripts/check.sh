@@ -15,8 +15,10 @@ echo "== go vet" && go vet ./...
 echo "== go test" && go test ./...
 echo "== bench module (vet + short tests against the library API)" \
     && go -C bench vet ./... && go -C bench test -short ./...
-echo "== thermal differential (banded vs dense reference, batched, singular, row-run kernels vs frozen band sweeps)" \
-    && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree|MatchesRef' ./internal/thermal
+echo "== thermal differential (banded vs dense reference, batched, singular, row-run kernels vs frozen band sweeps, width-2/4 lockstep solves and steps vs single ones)" \
+    && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree|MatchesRef|TestLockstep|TestStepStates' ./internal/thermal
+echo "== fused multiply-add check (arm64 listing of the transient and banded-solve kernels)" \
+    && sh scripts/fmacheck.sh
 echo "== build-path differential (sort-based code construction, lagged-Fibonacci stream vs math/rand, Intn-exact draws, lazy encoder under -race, coordinate-based and full-cost annealing, row-at-a-time PeakTemp)" \
     && go test -count=1 -run 'MatchesRef|Stream|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
     && go test -race -count=1 -run 'MatchesRef|Stream|Draw|Lazy' ./internal/ldpc \
@@ -32,9 +34,10 @@ echo "== decode differential (traffic-only vs frozen value-carrying decoder, rep
     && go test -count=1 -run '^TestColdFigure1SteppedCycles$' .
 echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)" \
     && go test -race -count=3 -run 'Cache|Lock' ./internal/sim
-echo "== shared evaluation (concurrent Evaluate on one System under -race, warm-sweep allocation guard)" \
-    && go test -race -count=10 -run '^TestSharedEvaluation$' ./internal/core \
-    && go test -count=1 -run '^TestWarmSweepAllocs$' .
+echo "== shared evaluation (concurrent Evaluate and lockstep reactive sets on one System under -race, sets vs lone runs, worker counts, warm-sweep and lone-reactive allocation guards)" \
+    && go test -race -count=10 -run '^(TestSharedEvaluation|TestReactiveSetConcurrent)$' ./internal/core \
+    && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs)$' ./internal/core \
+    && go test -count=1 -run '^(TestWarmSweepAllocs|TestLabReactiveWorkerCounts|TestReactiveSetPaperScale)$' .
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
     && go run ./cmd/hotnoclint ./...
