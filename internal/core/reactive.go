@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -130,6 +131,10 @@ func (s *System) RunReactive(cfg ReactiveConfig) (ReactiveResult, error) {
 func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (ReactiveResult, error) {
 	var res [1]ReactiveResult
 	if err := s.evaluateReactive(ch, []ReactiveConfig{cfg}, res[:]); err != nil {
+		// A lone run needs no index.
+		if re := (*ReactiveRunError)(nil); errors.As(err, &re) {
+			err = re.Err
+		}
 		return ReactiveResult{}, err
 	}
 	return res[0], nil
@@ -147,7 +152,8 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 // statistics, timeline), so runs whose triggers fire at different
 // boundaries still share every solve, and a run that finishes hands its
 // place to the next waiting one. A configuration that fails validation
-// fails the set before any work starts.
+// fails the set before any work starts; a failure that belongs to one
+// configuration is a *ReactiveRunError naming it.
 func (s *System) EvaluateReactiveSet(ch *Characterization, cfgs []ReactiveConfig) ([]ReactiveResult, error) {
 	out := make([]ReactiveResult, len(cfgs))
 	if err := s.evaluateReactive(ch, cfgs, out); err != nil {
@@ -155,6 +161,17 @@ func (s *System) EvaluateReactiveSet(ch *Characterization, cfgs []ReactiveConfig
 	}
 	return out, nil
 }
+
+// ReactiveRunError is the failure of one configuration of a reactive
+// set; Run is its index in the set.
+type ReactiveRunError struct {
+	Run int
+	Err error
+}
+
+func (e *ReactiveRunError) Error() string { return fmt.Sprintf("reactive run %d: %v", e.Run, e.Err) }
+
+func (e *ReactiveRunError) Unwrap() error { return e.Err }
 
 // CheckFinite rejects a NaN or infinite trigger, sensor resolution or
 // step. Such a value is no setting: a NaN trigger never fires, a NaN
@@ -226,7 +243,7 @@ func (s *System) evaluateReactive(ch *Characterization, cfgs []ReactiveConfig, o
 		r := &runs[i]
 		r.cfg = cfgs[i]
 		if err := r.cfg.check(ch); err != nil {
-			return err
+			return &ReactiveRunError{Run: i, Err: err}
 		}
 		r.cfg.setDefaults()
 		r.res = &out[i]
@@ -288,7 +305,7 @@ func (s *System) evaluateReactive(ch *Characterization, cfgs []ReactiveConfig, o
 		}
 		tr, err := ev.Transient(dt)
 		if err != nil {
-			return err
+			return &ReactiveRunError{Run: i, Err: err}
 		}
 		s.stepReactive(tr, legs, warm, runs[i:], lanes)
 	}
@@ -346,7 +363,7 @@ func (s *System) stepReactive(tr *thermal.Transient, legs []legMeasurement, warm
 				ln.run = r
 				r.res.PeakC = -math.MaxFloat64
 				if r.cfg.PeaksEvery > 0 {
-					r.res.BlockPeaks = make([]float64, 0, (r.cfg.SimBlocks+r.cfg.PeaksEvery-1)/r.cfg.PeaksEvery)
+					r.res.BlockPeaks = make([]float64, 0, timelineCap(r.cfg))
 				}
 				copy(ln.T, warm)
 				s.beginBlock(ln, legs)
@@ -443,6 +460,19 @@ func (s *System) endWindow(ln *reactiveLane, legs []legMeasurement) bool {
 	r.res.MeanC = r.meanAcc / float64(r.meanN)
 	r.res.ThroughputPenalty = float64(r.migCycles) / float64(r.decodeCycles+r.migCycles)
 	return false
+}
+
+// maxTimelinePrealloc bounds the timeline a run allocates up front; a
+// longer one grows by append past it, so no request's horizon or stride
+// sizes an allocation by itself.
+const maxTimelinePrealloc = 1 << 14
+
+// timelineCap is the capacity a run's BlockPeaks starts with: the number
+// of boundaries it records (blocks 0, k, 2k, ... below SimBlocks, for
+// PeaksEvery k > 0 and SimBlocks > 0, as setDefaults leaves them),
+// computed without overflow and capped at maxTimelinePrealloc.
+func timelineCap(c ReactiveConfig) int {
+	return min((c.SimBlocks-1)/c.PeaksEvery+1, maxTimelinePrealloc)
 }
 
 // windowSteps is the number of dt steps integrating a window of cycles

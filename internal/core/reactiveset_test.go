@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -172,9 +173,78 @@ func TestReactiveRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestEvaluateReactiveAllocs pins a warm lone EvaluateReactive at no more
-// than 27 allocations, the count before runs were grouped: the one-run
-// set may not pay for the lockstep machinery.
+// TestReactiveSetErrorNamesRun: a set whose third configuration is bad
+// fails with a *ReactiveRunError naming index 2 and wrapping the cause,
+// while the lone EvaluateReactive of the same configuration reports the
+// cause alone.
+func TestReactiveSetErrorNamesRun(t *testing.T) {
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(Rot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ReactiveConfig{Scheme: Rot(), TriggerC: 55, SimBlocks: 20}
+	bad := good
+	bad.TriggerC = math.NaN()
+	_, err = sys.EvaluateReactiveSet(ch, []ReactiveConfig{good, good, bad, good})
+	var re *ReactiveRunError
+	if !errors.As(err, &re) || re.Run != 2 {
+		t.Fatalf("set error %v does not name run 2", err)
+	}
+	_, lone := sys.EvaluateReactive(ch, bad)
+	if lone == nil || errors.As(lone, &re) || lone.Error() != re.Err.Error() {
+		t.Fatalf("lone error %v, want the set's cause %v unwrapped", lone, re.Err)
+	}
+}
+
+// TestReactiveTimelineStrideExtremes: the preallocated timeline is sized
+// without overflow and capped, whatever horizon and stride a request
+// carries, and a stride of math.MaxInt records block 0 alone in a set as
+// alone.
+func TestReactiveTimelineStrideExtremes(t *testing.T) {
+	for _, tc := range []struct{ blocks, every, want int }{
+		{1, 1, 1},
+		{2048, 1, 2048},
+		{2048, 3, 683},
+		{2048, math.MaxInt, 1},
+		{2, math.MaxInt, 1},
+		{3, math.MaxInt - 1, 1},
+		{math.MaxInt, math.MaxInt, 1},
+		{math.MaxInt, 1, maxTimelinePrealloc},
+		{math.MaxInt, 1 << 20, maxTimelinePrealloc},
+	} {
+		if got := timelineCap(ReactiveConfig{SimBlocks: tc.blocks, PeaksEvery: tc.every}); got != tc.want {
+			t.Errorf("timelineCap(SimBlocks %d, PeaksEvery %d) = %d, want %d", tc.blocks, tc.every, got, tc.want)
+		}
+	}
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 55, SimBlocks: 2, PeaksEvery: math.MaxInt}
+	lone, err := sys.EvaluateReactive(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lone.BlockPeaks) != 1 {
+		t.Fatalf("stride MaxInt recorded %d entries, want 1", len(lone.BlockPeaks))
+	}
+	other := cfg
+	other.PeaksEvery = 1
+	set, err := sys.EvaluateReactiveSet(ch, []ReactiveConfig{other, cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sameReactive(set[1], lone); d != "" {
+		t.Fatalf("stride MaxInt in a set: %s", d)
+	}
+}
+
+// TestEvaluateReactiveAllocs pins a warm lone EvaluateReactive at the 6
+// allocations it makes (27 before runs were grouped): the one-run set
+// may not pay for the lockstep machinery, nor creep back towards the old
+// count.
 func TestEvaluateReactiveAllocs(t *testing.T) {
 	sys := buildSystem(t, 4)
 	ch, err := sys.Characterize(XYShift())
@@ -190,7 +260,7 @@ func TestEvaluateReactiveAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 27 {
-		t.Fatalf("warm EvaluateReactive allocates %g times, want ≤ 27", allocs)
+	if allocs > 6 {
+		t.Fatalf("warm EvaluateReactive allocates %g times, want ≤ 6", allocs)
 	}
 }

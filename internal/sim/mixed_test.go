@@ -187,6 +187,26 @@ func TestReactivePointValidation(t *testing.T) {
 	}
 }
 
+// TestReactiveExtremeTimelineStride: a reactive point whose timeline
+// stride is math.MaxInt passes validation and runs to an outcome with one
+// recorded boundary, alone and beside an every-block point in one task.
+// Sizing the timeline as (SimBlocks+PeaksEvery-1)/PeaksEvery overflowed
+// here to a negative capacity and panicked the worker.
+func TestReactiveExtremeTimelineStride(t *testing.T) {
+	wide := core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SimBlocks: 2, PeaksEvery: math.MaxInt}
+	every := wide
+	every.PeaksEvery = 1
+	for _, pts := range [][]Point{{Reactive("A", wide)}, {Reactive("A", every), Reactive("A", wide)}} {
+		outs, err := NewRunner(Options{Scale: testScale, Workers: 1}).Run(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(outs[len(outs)-1].Reactive.BlockPeaks); got != 1 {
+			t.Fatalf("%d points: stride MaxInt recorded %d boundaries, want 1", len(pts), got)
+		}
+	}
+}
+
 // TestGroupPointsSplitsReactiveCells: reactive cells of one (config,
 // scheme) spread across their share of the workers as chunk tasks — a
 // single-scheme trigger sweep must not serialize on one worker — while

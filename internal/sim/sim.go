@@ -21,6 +21,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"runtime"
@@ -31,7 +32,6 @@ import (
 
 	"hotnoc/internal/chipcfg"
 	"hotnoc/internal/core"
-	"hotnoc/internal/thermal"
 	"hotnoc/obs"
 )
 
@@ -635,8 +635,10 @@ func (r *Runner) StreamWith(ctx context.Context, pts []Point, progress func(Even
 // point ready as its outcome lands. Mixed grids therefore share one orbit
 // characterization across kinds: a reactive point never re-simulates an
 // orbit a periodic point (or a cached run) already paid for. The task's
-// reactive cells are evaluated in sets (System.EvaluateReactiveSet), so
-// up to four of their trigger runs share each transient solve.
+// reactive cells are evaluated last, as one set
+// (System.EvaluateReactiveSet), so up to four of their trigger runs share
+// each transient solve; their outcomes land, and cancellation is next
+// checked, when the whole set is done.
 func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome, ready []chan struct{}, prog func(Event), seen *charSeen) error {
 	ch, built, err := r.charFor(t.config, t.scheme, prog, seen)
 	if err != nil {
@@ -666,39 +668,37 @@ func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome
 		r.met.evaluateDone(time.Since(evalStart))
 		r.deliver(idx, Outcome{Point: p, Built: built, Result: res}, out, ready, prog)
 	}
-	// Reactive cells go in sets of as many runs as one lockstep step
-	// carries: each set shares every solve, and outcomes and cancellation
-	// still come a set at a time.
-	cfgs := make([]core.ReactiveConfig, 0, min(len(reactive), thermal.MaxStates))
-	for len(reactive) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+	if len(reactive) == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	cfgs := make([]core.ReactiveConfig, len(reactive))
+	for i, idx := range reactive {
+		cfgs[i] = *pts[idx].Reactive
+		// The point's Scheme is authoritative (it keyed the shared
+		// characterization); a spec that carried only parameters gets
+		// the step function filled in here.
+		cfgs[i].Scheme = t.scheme
+	}
+	//hotnoc:allow determinism wall-clock metric timing only; does not influence the outcome
+	evalStart := time.Now()
+	res, err := built.System.EvaluateReactiveSet(ch, cfgs)
+	if err != nil {
+		if re := (*core.ReactiveRunError)(nil); errors.As(err, &re) {
+			p := pts[reactive[re.Run]]
+			return fmt.Errorf("sim: config %s scheme %s reactive trigger %g: %w",
+				p.Config, p.Scheme.Name, p.Reactive.TriggerC, re.Err)
 		}
-		set := reactive[:min(len(reactive), thermal.MaxStates)]
-		reactive = reactive[len(set):]
-		cfgs = cfgs[:0]
-		for _, idx := range set {
-			cfg := *pts[idx].Reactive
-			// The point's Scheme is authoritative (it keyed the shared
-			// characterization); a spec that carried only parameters gets
-			// the step function filled in here.
-			cfg.Scheme = t.scheme
-			cfgs = append(cfgs, cfg)
-		}
-		//hotnoc:allow determinism wall-clock metric timing only; does not influence the outcome
-		evalStart := time.Now()
-		res, err := built.System.EvaluateReactiveSet(ch, cfgs)
-		if err != nil {
-			return fmt.Errorf("sim: config %s scheme %s reactive set: %w",
-				t.config, t.scheme.Name, err)
-		}
-		// The set's wall time is charged evenly to its points.
-		//hotnoc:allow determinism wall-clock metric timing only; the outcomes themselves are already computed
-		perPoint := time.Since(evalStart) / time.Duration(len(set))
-		for i, idx := range set {
-			r.met.evaluateDone(perPoint)
-			r.deliver(idx, Outcome{Point: pts[idx], Built: built, Reactive: &res[i]}, out, ready, prog)
-		}
+		return fmt.Errorf("sim: config %s scheme %s reactive: %w", t.config, t.scheme.Name, err)
+	}
+	// The set's wall time is charged evenly to its points.
+	//hotnoc:allow determinism wall-clock metric timing only; the outcomes themselves are already computed
+	perPoint := time.Since(evalStart) / time.Duration(len(reactive))
+	for i, idx := range reactive {
+		r.met.evaluateDone(perPoint)
+		r.deliver(idx, Outcome{Point: pts[idx], Built: built, Reactive: &res[i]}, out, ready, prog)
 	}
 	return nil
 }
@@ -723,8 +723,8 @@ func (r *Runner) deliver(idx int, o Outcome, out []Outcome, ready []chan struct{
 // of a reactive sweep once the orbit is characterized — so a
 // single-scheme trigger sweep must be able to spread across the pool,
 // while a sweep over several schemes keeps each scheme's cells together,
-// where runTask steps them in lockstep sets of up to four that share
-// every solve.
+// where runTask steps them as one lockstep set, up to four runs sharing
+// each solve.
 // Chunk tasks request the same characterization key; the cache's
 // per-key singleflight still simulates the orbit at most once, and
 // results do not depend on the chunking (evaluation on the shared System

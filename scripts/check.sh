@@ -36,7 +36,7 @@ echo "== cache differential (both artifact kinds through the one cache: stale, l
     && go test -race -count=3 -run 'Cache|Lock' ./internal/sim
 echo "== shared evaluation (concurrent Evaluate and lockstep reactive sets on one System under -race, sets vs lone runs, worker counts, warm-sweep and lone-reactive allocation guards)" \
     && go test -race -count=10 -run '^(TestSharedEvaluation|TestReactiveSetConcurrent)$' ./internal/core \
-    && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs)$' ./internal/core \
+    && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs|TestReactiveSetErrorNamesRun|TestReactiveTimelineStrideExtremes)$' ./internal/core \
     && go test -count=1 -run '^(TestWarmSweepAllocs|TestLabReactiveWorkerCounts|TestReactiveSetPaperScale)$' .
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
