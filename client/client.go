@@ -110,9 +110,8 @@ func WithRetry(n int) Option {
 
 // ErrInterrupted marks a sweep event stream that ended before its
 // terminal done/error event — the daemon died, or the connection to it
-// was cut mid-stream. Callers dispatching work across a fleet match it
-// with errors.Is to distinguish a lost worker (re-dispatch elsewhere)
-// from a genuine evaluation failure (give up).
+// was cut mid-stream. Callers match it with errors.Is to tell a lost
+// daemon (worth resubmitting) from a genuine evaluation failure.
 var ErrInterrupted = errors.New("event stream ended without a terminal event")
 
 // RetryableError is a rejection the caller may retry later: the daemon
@@ -541,46 +540,12 @@ func (c *Client) CancelJob(ctx context.Context, id string) (wire.JobInfo, error)
 }
 
 // Stats returns the daemon's job counts and per-Lab counters: decodes,
-// characterization cache hits/misses, worker utilization. Against a
-// coordinator the lab counters aggregate the whole fleet, while the
-// tenant rows are the coordinator's own admission accounting.
+// characterization cache hits/misses, worker utilization — and the
+// per-tenant accounting.
 func (c *Client) Stats(ctx context.Context) (wire.Stats, error) {
 	var st wire.Stats
 	err := c.getJSON(ctx, "/v1/stats", &st)
 	return st, err
-}
-
-// Workers lists a coordinator's live fleet members. A plain daemon (not
-// started with -coordinator) has no fleet and answers 404.
-func (c *Client) Workers(ctx context.Context) ([]wire.WorkerInfo, error) {
-	var list wire.WorkerList
-	if err := c.getJSON(ctx, "/v1/workers", &list); err != nil {
-		return nil, err
-	}
-	return list.Workers, nil
-}
-
-// RegisterWorker announces a worker daemon to a coordinator. The call is
-// idempotent by URL and doubles as the heartbeat: a worker re-POSTs
-// within the returned lease to stay in the fleet, and a lapsed lease
-// drops it. When the coordinator runs with a fleet secret, it must be
-// supplied via WithAPIKey.
-func (c *Client) RegisterWorker(ctx context.Context, reg wire.WorkerRegistration) (wire.WorkerLease, error) {
-	var lease wire.WorkerLease
-	err := c.postJSON(ctx, "/v1/workers", reg, &lease)
-	return lease, err
-}
-
-// DeregisterWorker removes a worker from the fleet ahead of its lease
-// expiry — the clean-shutdown path, so the coordinator re-dispatches
-// immediately instead of waiting out the lease.
-func (c *Client) DeregisterWorker(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		c.base+"/v1/workers/"+url.PathEscape(id), nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, nil)
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, v any) error {

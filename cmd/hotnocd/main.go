@@ -10,8 +10,6 @@
 //	        [-tenants FILE] [-allow-anonymous]
 //	        [-default-max-running N] [-default-max-queued N]
 //	        [-default-rate R] [-default-burst N] [-max-body BYTES]
-//	        [-coordinator] [-join URL] [-advertise URL]
-//	        [-fleet-secret SECRET] [-worker-lease 15s]
 //	        [-metrics] [-metrics-log FILE] [-metrics-flush 15s]
 //	        [-event-buffer N] [-drain-timeout 1m] [-v]
 //
@@ -43,38 +41,23 @@
 // 429 + Retry-After). Zero means unbounded. -max-body caps the POST
 // /v1/sweeps body (413 beyond it; 0 = 8 MiB).
 //
-// Daemons compose into a fleet. -coordinator runs this daemon as a
-// coordinator: it simulates nothing itself, but shards every submitted
-// sweep across the workers that joined it and merges their streams back
-// into one byte-identical, point-ordered stream — clients just point
-// -server at the coordinator. -join URL runs this daemon as a worker of
-// the coordinator at URL: it registers itself (advertising -advertise,
-// derived from -addr when omitted) and re-registers every third of the
-// coordinator's -worker-lease as a heartbeat; a worker that misses its
-// lease is expired and its unfinished shards move to survivors.
-// -fleet-secret, when set on the coordinator, must be presented by
-// joining workers — tenant API keys never leave the coordinator.
-//
 // The daemon is observable in production. GET /metrics (on by default;
 // -metrics=false leaves the route off) serves Prometheus text
 // exposition: stage-latency histograms and cache counters per scale,
-// queue-wait and per-tenant job counters, scheduler depth gauges — and,
-// on a coordinator, fleet-wide aggregates with per-worker labels that
-// stay monotonic across worker restarts. GET /v1/events streams
-// structured lifecycle diagnostics (job submitted/queued/dispatched/
-// finished, tenant throttling, worker join/leave) as tenant-scoped
-// server-sent events with Last-Event-ID resume; -event-buffer sets its
-// replay depth. -metrics-log appends a JSON snapshot of every
+// queue-wait and per-tenant job counters, scheduler depth gauges.
+// GET /v1/events streams structured lifecycle diagnostics (job
+// submitted/queued/dispatched/finished, tenant throttling) as
+// tenant-scoped server-sent events with Last-Event-ID resume;
+// -event-buffer sets its replay depth. -metrics-log appends a JSON snapshot of every
 // instrument to a file each -metrics-flush interval — flight-recorder
 // observability with no scraper in sight.
 //
 // On SIGHUP the daemon reloads its -tenants file in place: new keys,
 // weights and limits apply immediately, running jobs are untouched, and
 // a file that fails to parse keeps the current registry. On
-// SIGINT/SIGTERM the daemon stops accepting sweeps (a worker also
-// deregisters from its coordinator), drains in-flight jobs for up to
-// -drain-timeout, then cancels whatever remains and exits. -v logs
-// requests.
+// SIGINT/SIGTERM the daemon stops accepting sweeps, drains in-flight
+// jobs for up to -drain-timeout, then cancels whatever remains and
+// exits. -v logs requests.
 //
 // Endpoints (see the server package for details):
 //
@@ -98,18 +81,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"hotnoc/client"
 	"hotnoc/obs"
 	"hotnoc/server"
-	"hotnoc/server/fleet"
 	"hotnoc/server/tenant"
-	"hotnoc/server/wire"
 )
 
 func main() {
@@ -127,11 +104,6 @@ func main() {
 	defRate := flag.Float64("default-rate", 0, "default per-tenant submit rate in jobs/sec; excess is 429 (0 = unbounded)")
 	defBurst := flag.Int("default-burst", 0, "default per-tenant submit-rate burst (values below 1 act as 1)")
 	maxBody := flag.Int64("max-body", 0, "maximum POST /v1/sweeps body in bytes; excess is 413 (0 = 8 MiB)")
-	coordinator := flag.Bool("coordinator", false, "run as a fleet coordinator: shard sweeps across joined workers instead of simulating locally")
-	join := flag.String("join", "", "coordinator URL to join as a worker (e.g. http://coord:7077)")
-	advertise := flag.String("advertise", "", "base URL the coordinator reaches this worker at (default derives from -addr)")
-	fleetSecret := flag.String("fleet-secret", "", "shared secret gating worker registration; set on the coordinator, presented by joining workers")
-	workerLease := flag.Duration("worker-lease", 15*time.Second, "coordinator: how long a worker registration lives without a heartbeat")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long to drain in-flight jobs on shutdown")
 	metrics := flag.Bool("metrics", true, "serve Prometheus metrics on GET /metrics")
 	metricsLog := flag.String("metrics-log", "", "append periodic JSON metric snapshots to this file (requires -metrics)")
@@ -142,10 +114,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "hotnocd: ", log.LstdFlags)
-
-	if *coordinator && *join != "" {
-		logger.Fatalf("-coordinator and -join are mutually exclusive: a daemon is either the coordinator or a worker")
-	}
 
 	defaults := tenant.Limits{
 		MaxRunning: *defMaxRunning,
@@ -185,12 +153,8 @@ func main() {
 		EventBuffer:    *eventBuffer,
 		KeepAlive:      *sseKeepAlive,
 	}
-	if *coordinator {
-		cfg.Fleet = fleet.NewCoordinator(fleet.Config{Lease: *workerLease, Secret: *fleetSecret})
-		logger.Printf("coordinator mode: sweeps shard across joined workers (lease %s)", *workerLease)
-	}
 	// The daemon's registry is created here so sinks can attach to it;
-	// server.New records its scheduler, pipeline and fleet instruments
+	// server.New records its scheduler and pipeline instruments
 	// into it and serves it on GET /metrics.
 	obsReg := obs.NewRegistry()
 	cfg.Metrics = obsReg
@@ -247,11 +211,6 @@ func main() {
 		}
 	}()
 
-	var leaveFleet func()
-	if *join != "" {
-		leaveFleet = joinFleet(ctx, logger, *join, *fleetSecret, advertiseURL(*advertise, *addr), *workers)
-	}
-
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Printf("listening on %s (cache-dir %q, workers %d)", *addr, *cacheDir, *workers)
@@ -264,11 +223,6 @@ func main() {
 		logger.Fatalf("serve: %v", err)
 	}
 
-	if leaveFleet != nil {
-		// Deregister before draining so the coordinator re-dispatches
-		// this worker's shards instead of waiting out the lease.
-		leaveFleet()
-	}
 	logger.Printf("shutting down: draining jobs (up to %s)", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -286,76 +240,6 @@ func main() {
 		}
 	}
 	logger.Printf("bye")
-}
-
-// advertiseURL derives the base URL a worker advertises to its
-// coordinator when -advertise is not given: the listen address, with a
-// loopback host filled in when -addr leaves the host empty.
-func advertiseURL(advertise, addr string) string {
-	if advertise != "" {
-		return strings.TrimRight(advertise, "/")
-	}
-	if strings.HasPrefix(addr, ":") {
-		return "http://127.0.0.1" + addr
-	}
-	return "http://" + addr
-}
-
-// joinFleet registers this daemon with the coordinator at coordURL and
-// keeps the lease alive: registration is idempotent by URL, so re-POSTing
-// every third of the lease is the heartbeat, and a coordinator restart
-// just re-adds us under a fresh id. The returned function deregisters
-// cleanly — call it on shutdown before draining, so the coordinator
-// moves this worker's shards to survivors immediately.
-func joinFleet(ctx context.Context, logger *log.Logger, coordURL, secret, selfURL string, capacity int) func() {
-	if capacity <= 0 {
-		capacity = runtime.NumCPU()
-	}
-	cl := client.New(coordURL, client.WithAPIKey(secret))
-	reg := wire.WorkerRegistration{URL: selfURL, Capacity: capacity}
-	var (
-		mu sync.Mutex
-		id string
-	)
-	go func() {
-		interval := 5 * time.Second
-		for {
-			lease, err := cl.RegisterWorker(ctx, reg)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				logger.Printf("fleet: registering with %s failed (will retry): %v", coordURL, err)
-			} else {
-				mu.Lock()
-				if id != lease.ID {
-					logger.Printf("fleet: joined %s as %s, advertising %s (lease %.0fs)", coordURL, lease.ID, selfURL, lease.LeaseSec)
-				}
-				id = lease.ID
-				mu.Unlock()
-				if lease.LeaseSec > 0 {
-					interval = time.Duration(lease.LeaseSec*float64(time.Second)) / 3
-				}
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(interval):
-			}
-		}
-	}()
-	return func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if id == "" {
-			return
-		}
-		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := cl.DeregisterWorker(dctx, id); err != nil {
-			logger.Printf("fleet: deregister: %v", err)
-		}
-	}
 }
 
 // logRequests is a minimal request logger for -v.

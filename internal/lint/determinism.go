@@ -7,7 +7,7 @@ import (
 
 // Determinism guards the bitwise-stable scopes: files or functions
 // annotated //hotnoc:deterministic promise that their output is a pure
-// function of their inputs, so a warm rerun or a remote fleet merge is
+// function of their inputs, so a warm rerun or a remote run is
 // byte-identical. Inside the scope the analyzer reports:
 //
 //   - ranging over a map, unless the body is exactly the

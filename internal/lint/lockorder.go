@@ -7,25 +7,23 @@ import (
 )
 
 // LockOrder machine-enforces the PR 9 lock-ordering rule that until now
-// lived only in server/metrics.go's doc comment: the server and
-// coordinator mutexes are held around instrument registration and hook
-// invocation (they take the obs registry lock, and hooks run with
-// coordinator state locked), so code running at scrape or hook time —
-// obs collectors, GaugeFunc and CounterFunc callbacks, SetEventHook
-// closures — must never acquire them back. A violation is a scrape-time
-// deadlock or a hook self-deadlock waiting to be scheduled.
+// lived only in server/metrics.go's doc comment: the server mutex is
+// held around instrument registration (which takes the obs registry
+// lock), so code running at scrape time — obs collectors, GaugeFunc and
+// CounterFunc callbacks — must never acquire it back. A violation is a
+// scrape-time deadlock waiting to be scheduled.
 //
 // Mutex fields annotated //hotnoc:scrapelocked are the protected set.
 // Roots are found syntactically: function literals or named functions
-// passed to Registry.Collect / GaugeFunc / CounterFunc (package obs) or
-// to any SetEventHook method, plus function literals returned from a
-// function whose result type is obs.Collector. From each root the
+// passed to Registry.Collect / GaugeFunc / CounterFunc (package obs),
+// plus function literals returned from a function whose result type is
+// obs.Collector. From each root the
 // analyzer walks statically resolved calls across the whole module and
 // reports any path that calls Lock, RLock, or TryLock on an annotated
 // mutex.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "forbid obs collectors and fleet hooks from acquiring //hotnoc:scrapelocked mutexes, transitively",
+	Doc:  "forbid obs collectors from acquiring //hotnoc:scrapelocked mutexes, transitively",
 	Run:  runLockOrder,
 }
 
@@ -145,11 +143,11 @@ func runLockOrder(pass *Pass) error {
 
 	reportRoot := func(kind string, sum *lockSummary) {
 		for _, a := range sum.acquires {
-			pass.Reportf(a.pos, "%s acquires %s (//hotnoc:scrapelocked): scrape/hook code must never take it", kind, a.mutex)
+			pass.Reportf(a.pos, "%s acquires %s (//hotnoc:scrapelocked): scrape-time code must never take it", kind, a.mutex)
 		}
 		for _, c := range sum.calls {
 			if reason := acquired(c.fn); reason != "" {
-				pass.Reportf(c.pos, "%s calls %s, which %s (//hotnoc:scrapelocked): scrape/hook code must never take it", kind, c.fn.FullName(), reason)
+				pass.Reportf(c.pos, "%s calls %s, which %s (//hotnoc:scrapelocked): scrape-time code must never take it", kind, c.fn.FullName(), reason)
 			}
 		}
 	}
@@ -192,7 +190,7 @@ func runLockOrder(pass *Pass) error {
 				return true
 			})
 		}
-		// Arguments to Collect / GaugeFunc / CounterFunc / SetEventHook.
+		// Arguments to Collect / GaugeFunc / CounterFunc.
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -202,13 +200,7 @@ func runLockOrder(pass *Pass) error {
 			if fn == nil {
 				return true
 			}
-			var kind string
-			switch {
-			case fn.Pkg() != nil && fn.Pkg().Name() == "obs" && (fn.Name() == "Collect" || fn.Name() == "GaugeFunc" || fn.Name() == "CounterFunc"):
-				kind = "obs collector"
-			case fn.Name() == "SetEventHook":
-				kind = "event hook"
-			default:
+			if fn.Pkg() == nil || fn.Pkg().Name() != "obs" || (fn.Name() != "Collect" && fn.Name() != "GaugeFunc" && fn.Name() != "CounterFunc") {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -217,7 +209,7 @@ func runLockOrder(pass *Pass) error {
 						continue // labels, names, bounds — only function args are roots
 					}
 				}
-				reportRootExpr(kind, arg)
+				reportRootExpr("obs collector", arg)
 			}
 			return true
 		})

@@ -1,5 +1,5 @@
 // Package lockorder exercises the scrape-time lock-ordering analyzer:
-// collectors and hooks must never acquire a //hotnoc:scrapelocked
+// collectors must never acquire a //hotnoc:scrapelocked
 // mutex, directly or through any chain of calls.
 package lockorder
 
@@ -41,9 +41,6 @@ func (s *server) snapshot() int {
 	defer s.statsMu.Unlock()
 	return s.jobs
 }
-
-// SetEventHook registers a hook that runs with s.mu held.
-func (s *server) SetEventHook(fn func(event string)) {}
 
 func register(reg *obs.Registry, s *server) {
 	// A collector acquiring the scrape-locked mutex directly.
@@ -93,17 +90,4 @@ func cleanCollector(s *server) obs.Collector {
 	return func(emit func(obs.Sample)) {
 		emit(obs.Sample{Name: "jobs", Value: float64(s.snapshot())})
 	}
-}
-
-func hooks(s *server) {
-	// The hook runs with s.mu already held: re-acquiring it is a
-	// self-deadlock.
-	s.SetEventHook(func(event string) {
-		_ = s.countJobs() // want `calls \(\*lockorder\.server\)\.countJobs, which acquires server\.mu`
-	})
-
-	// Permitted: a hook that stays off the scrape-locked mutex.
-	s.SetEventHook(func(event string) {
-		_ = s.snapshot()
-	})
 }

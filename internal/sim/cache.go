@@ -66,7 +66,7 @@ func (c *cache[K, V, P]) Get(key K, compute func() (V, error)) (V, bool, error) 
 		func() (V, bool) { return c.load(key, path) },
 		func() (V, error) {
 			// Serialize with other processes sharing the directory via an
-			// advisory per-key lock file, so two coordinator-less daemons
+			// advisory per-key lock file, so two daemons
 			// compute a key once. After acquiring (after any concurrent
 			// holder finished), re-check the disk: the holder's file
 			// usually makes the compute unnecessary. No lock (unwritable

@@ -126,7 +126,7 @@ func (c *diskCache) evict() {
 	}
 }
 
-// Advisory cross-process locking. Two coordinator-less daemons pointed
+// Advisory cross-process locking. Two daemons pointed
 // at one cache directory race to compute the same cold key; an advisory
 // lock file per entry serializes them so the expensive compute (an
 // annealing build, a NoC characterization) runs once and the loser

@@ -16,7 +16,7 @@ func pinLockTiming(t *testing.T, poll, stale, wait time.Duration) {
 	t.Cleanup(func() { lockPollEvery, lockStaleAfter, lockWaitMax = prevPoll, prevStale, prevWait })
 }
 
-// TestBuildLockDedupsAcrossCaches is the coordinator-less shared
+// TestBuildLockDedupsAcrossCaches is the shared
 // cache-dir scenario: two independent build caches (standing in for two
 // daemon processes — each has its own in-memory singleflight, so only
 // the advisory lock file can coordinate them) resolve the same cold key
@@ -28,7 +28,7 @@ func TestBuildLockDedupsAcrossCaches(t *testing.T) {
 }
 
 // TestCharLockDedupsAcrossCaches: characterizations take the same
-// advisory lock, so two coordinator-less daemons sharing a directory
+// advisory lock, so two daemons sharing a directory
 // simulate each orbit once.
 func TestCharLockDedupsAcrossCaches(t *testing.T) {
 	dir := t.TempDir()

@@ -6,9 +6,9 @@
 // Instruments are registered once by (name, label set) and looked up
 // idempotently, so independent subsystems can share a registry without
 // coordinating: asking for an existing series returns the existing
-// instrument. Dynamic label sets that only exist at scrape time (one
-// series per live tenant or fleet worker) are contributed by Collector
-// callbacks instead of pre-registered instruments.
+// instrument. Dynamic label sets that only exist at scrape time are
+// contributed by Collector callbacks instead of pre-registered
+// instruments.
 //
 // The package deliberately has no dependencies beyond the standard
 // library; the server, the simulation pipeline, and the CLIs all report
@@ -202,7 +202,7 @@ type Sample struct {
 }
 
 // Collector contributes samples whose label sets are only known at
-// scrape time (per-tenant queue depth, per-worker fleet counters).
+// scrape time.
 // Collectors run under the registry lock; they must not call back into
 // the registry.
 type Collector func(emit func(Sample))

@@ -190,7 +190,7 @@ func TestPrometheusText(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(30)
 	reg.Collect(func(emit func(Sample)) {
-		emit(Sample{Name: "fleet_decodes_total", Type: TypeCounter, Help: "Fleet decodes.", Labels: Labels{"worker": "w1"}, Value: 7})
+		emit(Sample{Name: "worker_decodes_total", Type: TypeCounter, Help: "Worker decodes.", Labels: Labels{"worker": "w1"}, Value: 7})
 	})
 
 	var buf bytes.Buffer
@@ -211,9 +211,9 @@ wait_seconds_bucket{le="1"} 3
 wait_seconds_bucket{le="+Inf"} 4
 wait_seconds_sum 30.6
 wait_seconds_count 4
-# HELP fleet_decodes_total Fleet decodes.
-# TYPE fleet_decodes_total counter
-fleet_decodes_total{worker="w1"} 7
+# HELP worker_decodes_total Worker decodes.
+# TYPE worker_decodes_total counter
+worker_decodes_total{worker="w1"} 7
 `
 	if got := buf.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

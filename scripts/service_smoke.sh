@@ -19,26 +19,16 @@
 # expose the stage-latency histograms, per-tenant job counters and the
 # throttled tenant's exact rejection count, and a background 5-point
 # sweep polled through GET /v1/jobs/{id} must report points_done
-# advancing through intermediate values to completion. Finally it
-# rebuilds the service as a fleet — a coordinator with two joined
-# workers on cold, separate cache dirs — and requires the sharded
-# figure1 run to stay byte-identical to the in-process run while the
-# aggregated /v1/stats show every characterization and build computed
-# exactly once fleet-wide and count the run as one job of 10 points on
-# the coordinator's anonymous tenant row — and its /metrics carries the
-# same exactly-once counters as monotonic fleet series plus a non-empty
-# queue-wait histogram. CI runs this as the service-smoke job;
-# check.sh mirrors it locally.
+# advancing through intermediate values to completion. CI runs this as
+# the service-smoke job; check.sh mirrors it locally.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
 daemon_pid=""
-worker_pids=""
 cleanup() {
     [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true
-    for p in $worker_pids; do kill "$p" 2>/dev/null || true; done
     rm -rf "$workdir"
 }
 trap cleanup EXIT INT TERM
@@ -391,116 +381,4 @@ if [ "$advances" -lt 2 ]; then
     exit 1
 fi
 
-echo "== restarting as a fleet: coordinator + 2 workers"
-kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-
-fleet_secret="smoke-fleet-secret-$$"
-"$workdir/hotnocd" -addr "$addr" -coordinator -fleet-secret "$fleet_secret" \
-    >"$workdir/coord.log" 2>&1 &
-daemon_pid=$!
-i=0
-while [ "$i" -lt 50 ]; do
-    if fetch "http://$addr/healthz" >/dev/null 2>&1; then
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-
-# Two workers with cold, separate cache dirs: any characterization or
-# build either worker performs is its own, so the fleet-wide counters
-# below prove the coordinator never computed an artifact twice.
-w=1
-while [ "$w" -le 2 ]; do
-    waddr="127.0.0.1:$((port + w))"
-    "$workdir/hotnocd" -addr "$waddr" -cache-dir "$workdir/wcache$w" \
-        -join "http://$addr" -fleet-secret "$fleet_secret" \
-        >"$workdir/worker$w.log" 2>&1 &
-    worker_pids="$worker_pids $!"
-    w=$((w + 1))
-done
-
-i=0
-while [ "$i" -lt 50 ]; do
-    n=$(fetch "http://$addr/v1/workers" 2>/dev/null | grep -o '"id":"w-' | wc -l)
-    [ "$n" -ge 2 ] && break
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ "$n" -lt 2 ]; then
-    echo "service smoke: fleet never reached 2 registered workers" >&2
-    cat "$workdir/coord.log" "$workdir/worker1.log" "$workdir/worker2.log" >&2
-    exit 1
-fi
-
-echo "== figure1 -server http://$addr (sharded across the fleet)"
-"$workdir/figure1" -server "http://$addr" -scale 8 -configs A,E -json >"$workdir/fleet.json"
-if ! cmp -s "$workdir/local.json" "$workdir/fleet.json"; then
-    echo "service smoke: fleet JSON differs from in-process run" >&2
-    diff "$workdir/local.json" "$workdir/fleet.json" >&2 || true
-    exit 1
-fi
-
-# Aggregated /v1/stats: A,E x 5 schemes = 10 characterizations and 2
-# builds fleet-wide, each computed on exactly one worker — more would
-# mean duplicated work, fewer a short-circuited sweep.
-stats=$(fetch "http://$addr/v1/stats")
-echo "$stats" >"$workdir/fleet_stats.json"
-case "$stats" in
-*'"cache_misses":10'*) ;;
-*)
-    echo "service smoke: fleet-wide characterizations not exactly-once: $stats" >&2
-    exit 1
-    ;;
-esac
-case "$stats" in
-*'"build_misses":2'*) ;;
-*)
-    echo "service smoke: fleet-wide builds not exactly-once: $stats" >&2
-    exit 1
-    ;;
-esac
-n=$(printf '%s' "$stats" | grep -o '"id":"w-' | wc -l)
-if [ "$n" -ne 2 ]; then
-    echo "service smoke: coordinator stats list $n workers, want 2: $stats" >&2
-    exit 1
-fi
-# The coordinator's tenant rows are its own admission accounting: the
-# one figure1 job and its 10 points, not the workers' shard sub-jobs.
-anon=$(printf '%s' "$stats" | sed -n 's/.*\({"id":"anonymous"[^}]*}\).*/\1/p')
-case "$anon" in
-*'"done":1,'*'"points":10}') ;;
-*)
-    echo "service smoke: coordinator's anonymous row is not 1 job / 10 points: $stats" >&2
-    exit 1
-    ;;
-esac
-
-echo "== coordinator /metrics: monotonic fleet counters + queue-wait histogram"
-# The scrape triggers the coordinator's worker-stats aggregation, so the
-# fleet series must show the same exactly-once totals as /v1/stats.
-fmetrics=$(fetch "http://$addr/metrics")
-echo "$fmetrics" >"$workdir/fleet_metrics.txt"
-for want in \
-    'hotnocd_fleet_cache_misses_total 10' \
-    'hotnocd_fleet_build_misses_total 2' \
-    'hotnocd_fleet_workers 2' \
-    'hotnocd_fleet_worker_cache_misses_total{worker="'; do
-    case "$fmetrics" in
-    *"$want"*) ;;
-    *)
-        echo "service smoke: coordinator /metrics is missing '$want'" >&2
-        echo "$fmetrics" >&2
-        exit 1
-        ;;
-    esac
-done
-qwait=$(printf '%s\n' "$fmetrics" |
-    awk '/^hotnocd_queue_wait_seconds_count /{print $2}')
-if [ -z "$qwait" ] || [ "$qwait" -lt 1 ]; then
-    echo "service smoke: coordinator queue-wait histogram is empty (count='$qwait')" >&2
-    exit 1
-fi
-
-echo "service smoke ok (byte-identical local/remote figure1 + reactive hotsim + warm daemon restart: 0 builds, 0 decodes + tenants: 401/429/per-tenant stats + observability: /metrics histograms, exact per-tenant counters, advancing points_done + fleet: byte-identical shard merge, exactly-once artifacts, monotonic fleet metrics)"
+echo "service smoke ok (byte-identical local/remote figure1 + reactive hotsim + warm daemon restart: 0 builds, 0 decodes + tenants: 401/429/per-tenant stats + observability: /metrics histograms, exact per-tenant counters, advancing points_done)"

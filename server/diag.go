@@ -22,17 +22,17 @@ const defaultEventBuffer = 512
 // event exactly once (the same economy as the job event log).
 type diagMsg struct {
 	seq    int64
-	tenant string // owning tenant; "" marks an infra event visible to all
+	tenant string // owning tenant; only it sees the event
 	typ    string
 	data   []byte
 }
 
 // diagLog is the daemon-wide structured diagnostics stream backing
 // GET /v1/events: a bounded ring of lifecycle events (job admission and
-// completion, dispatches, tenant throttling, fleet membership) with
-// monotonic sequence numbers. Subscribers replay the retained suffix —
-// optionally from a client-remembered sequence number, enabling SSE
-// Last-Event-ID resume — then follow live appends. The ring bounds
+// completion, dispatches, tenant throttling) with monotonic sequence
+// numbers. Subscribers replay the retained suffix — optionally from a
+// client-remembered sequence number, enabling SSE Last-Event-ID resume
+// — then follow live appends. The ring bounds
 // memory: a subscriber slower than the event rate misses events rather
 // than wedging the daemon, and can detect the gap from the sequence
 // numbers.
@@ -112,8 +112,8 @@ func (d *diagLog) close() {
 // as the SSE id, so a reconnecting client resumes with Last-Event-ID
 // (or the ?since= query parameter) and receives only what it missed —
 // within the ring's retention. Events are tenant-scoped: a tenant sees
-// its own job lifecycle plus infrastructure events (fleet membership);
-// other tenants' jobs are invisible, the same isolation as /v1/jobs.
+// its own job lifecycle and throttling; other tenants' events are
+// invisible, the same isolation as /v1/jobs.
 func (s *Server) handleDiagEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -148,7 +148,7 @@ func (s *Server) handleDiagEvents(w http.ResponseWriter, r *http.Request) {
 		wrote := false
 		for _, m := range batch {
 			cursor = m.seq
-			if m.tenant != "" && tn != nil && m.tenant != tn.ID {
+			if m.tenant != tn.ID {
 				continue
 			}
 			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", m.seq, m.typ, m.data); err != nil {

@@ -121,13 +121,8 @@ func (m *serverMetrics) readTenant(row *wire.TenantStats) {
 // handleMetrics serves GET /metrics in Prometheus text exposition
 // format. The route lives outside /v1 and carries no tenant auth — like
 // /healthz it is infrastructure surface, expected to be reachable by a
-// scraper, not by tenants. On a coordinator the scrape first refreshes
-// the fleet ledger, so fleet-wide counters are at most one scrape
-// interval stale.
+// scraper, not by tenants.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if fl := s.cfg.Fleet; fl != nil {
-		fl.RefreshStats(r.Context())
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }

@@ -35,13 +35,19 @@ func keyed(id string, weight int, limits tenant.Limits) *tenant.Tenant {
 // asserts. The caller closes the body.
 func postSweep(t *testing.T, url, authorization string) *http.Response {
 	t.Helper()
+	return sweepRequest(t, http.MethodPost, url+"/v1/sweeps", authorization)
+}
+
+// sweepRequest sends a one-point sweep body to target with method.
+func sweepRequest(t *testing.T, method, target, authorization string) *http.Response {
+	t.Helper()
 	body, err := json.Marshal(wire.SweepRequest{Scale: testScale, Points: []wire.PointSpec{
 		{Config: "A", Scheme: "Rot", Blocks: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/sweeps", strings.NewReader(string(body)))
+	req, err := http.NewRequest(method, target, strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +65,8 @@ func postSweep(t *testing.T, url, authorization string) *http.Response {
 // TestAuthRequired: with a tenants registry and no anonymous tenant,
 // every /v1 request must present a known key — missing and wrong keys
 // are 401 with a WWW-Authenticate challenge, a disabled tenant's key is
-// 403 — while /healthz stays open for liveness probes.
+// 403 — while /healthz stays open for liveness probes. No /v1 path
+// bypasses tenant auth, not even one without a route.
 func TestAuthRequired(t *testing.T) {
 	alice := keyed("alice", 1, tenant.Limits{})
 	off := keyed("mallory", 1, tenant.Limits{})
@@ -67,20 +74,22 @@ func TestAuthRequired(t *testing.T) {
 	_, url := testServer(t, Config{Tenants: testRegistry(t, []*tenant.Tenant{alice, off}, nil)})
 
 	cases := []struct {
-		name, authorization string
-		want                int
+		name, method, path, authorization string
+		want                              int
 	}{
-		{"missing key", "", http.StatusUnauthorized},
-		{"wrong key", "Bearer nonsense", http.StatusUnauthorized},
-		{"wrong scheme", "Basic a2V5LWFsaWNl", http.StatusUnauthorized},
-		{"disabled tenant", "Bearer key-mallory", http.StatusForbidden},
-		{"valid key", "Bearer key-alice", http.StatusCreated},
+		{"missing key", http.MethodPost, "/v1/sweeps", "", http.StatusUnauthorized},
+		{"wrong key", http.MethodPost, "/v1/sweeps", "Bearer nonsense", http.StatusUnauthorized},
+		{"wrong scheme", http.MethodPost, "/v1/sweeps", "Basic a2V5LWFsaWNl", http.StatusUnauthorized},
+		{"disabled tenant", http.MethodPost, "/v1/sweeps", "Bearer key-mallory", http.StatusForbidden},
+		{"valid key", http.MethodPost, "/v1/sweeps", "Bearer key-alice", http.StatusCreated},
+		{"missing key, POST /v1/workers", http.MethodPost, "/v1/workers", "", http.StatusUnauthorized},
+		{"missing key, DELETE /v1/workers/x", http.MethodDelete, "/v1/workers/x", "", http.StatusUnauthorized},
 	}
 	for _, tc := range cases {
-		resp := postSweep(t, url, tc.authorization)
+		resp := sweepRequest(t, tc.method, url+tc.path, tc.authorization)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Fatalf("%s: POST /v1/sweeps answered %d, want %d", tc.name, resp.StatusCode, tc.want)
+			t.Fatalf("%s: %s %s answered %d, want %d", tc.name, tc.method, tc.path, resp.StatusCode, tc.want)
 		}
 		if tc.want == http.StatusUnauthorized || tc.want == http.StatusForbidden {
 			if got := resp.Header.Get("WWW-Authenticate"); !strings.Contains(got, "Bearer") {
@@ -503,5 +512,71 @@ func readAllString(t *testing.T, resp *http.Response) string {
 		if err != nil {
 			return sb.String()
 		}
+	}
+}
+
+// anonymousRow returns the anonymous tenant's /v1/stats row.
+func anonymousRow(t *testing.T, st wire.Stats) wire.TenantStats {
+	t.Helper()
+	for _, ts := range st.Tenants {
+		if ts.ID == tenant.AnonymousID {
+			return ts
+		}
+	}
+	t.Fatalf("no anonymous row in /v1/stats tenants %+v", st.Tenants)
+	return wire.TenantStats{}
+}
+
+// TestSetTenantsHotReload: swapping the registry at runtime changes who
+// authenticates immediately and carries new weights into live scheduler
+// state — the SIGHUP path.
+func TestSetTenantsHotReload(t *testing.T) {
+	srv, url := testServer(t, Config{
+		Tenants: testRegistry(t, []*tenant.Tenant{keyed("alice", 1, tenant.Limits{})}, nil),
+	})
+	ctx := context.Background()
+	alice := client.New(url, client.WithScale(testScale), client.WithAPIKey("key-alice"))
+	bob := client.New(url, client.WithScale(testScale), client.WithAPIKey("key-bob"))
+
+	if _, err := alice.Jobs(ctx); err != nil {
+		t.Fatalf("alice before reload: %v", err)
+	}
+	if _, err := bob.Jobs(ctx); err == nil {
+		t.Fatal("bob authenticated before the reload that defines him")
+	}
+	// One sweep so the scheduler holds live state for alice at weight 1.
+	if _, err := alice.SweepAll(ctx, []hotnoc.SweepPoint{hotnoc.PeriodicPoint("A", hotnoc.Rot(), 1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.SetTenants(testRegistry(t, []*tenant.Tenant{
+		keyed("alice", 3, tenant.Limits{MaxQueued: 7}),
+		keyed("bob", 1, tenant.Limits{}),
+	}, nil))
+
+	if _, err := bob.Jobs(ctx); err != nil {
+		t.Fatalf("bob after reload: %v", err)
+	}
+	st, err := alice.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, ts := range st.Tenants {
+		if ts.ID == "alice" {
+			found = true
+			if ts.Weight != 3 {
+				t.Fatalf("alice's live scheduler weight = %d after reload, want 3", ts.Weight)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("alice missing from stats after reload")
+	}
+
+	// A registry that drops alice locks her out at once.
+	srv.SetTenants(testRegistry(t, []*tenant.Tenant{keyed("bob", 1, tenant.Limits{})}, nil))
+	if _, err := alice.Jobs(ctx); err == nil {
+		t.Fatal("removed tenant still authenticates")
 	}
 }

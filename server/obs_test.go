@@ -516,58 +516,3 @@ func TestDiagEventsTenantIsolation(t *testing.T) {
 		t.Errorf("tenant a saw %d events for its own job, want the full lifecycle (4)", own)
 	}
 }
-
-// TestFleetMetricsAggregation: a coordinator's /metrics carries
-// per-worker-labeled counters whose sum matches the fleet-wide series,
-// worker lifecycle shows up on its diagnostics stream, and killing a
-// worker never makes the fleet totals regress — departed workers' work
-// stays counted by the stats ledger.
-func TestFleetMetricsAggregation(t *testing.T) {
-	_, coordURL, workers := startFleet(t, 2)
-
-	// Registration has already happened; both joins are in the replay.
-	joins := 0
-	readDiagEvents(t, coordURL+"/v1/events?since=0", "", func(ev wire.DiagEvent) bool {
-		if ev.Type == wire.DiagWorkerJoined {
-			joins++
-		}
-		return joins == 2
-	})
-
-	runToCompletion(t, coordURL, testGrid()[:2])
-
-	body := scrapeMetrics(t, coordURL)
-	if n := metricValue(t, body, "hotnocd_fleet_workers"); n != 2 {
-		t.Errorf("hotnocd_fleet_workers = %v, want 2", n)
-	}
-	if n := metricValue(t, body, "hotnocd_queue_wait_seconds_count"); n < 1 {
-		t.Errorf("coordinator queue-wait histogram empty (count %v)", n)
-	}
-	var sum float64
-	for _, ws := range workers {
-		series := fmt.Sprintf(`hotnocd_fleet_worker_decodes_total{worker=%q}`, ws.URL)
-		sum += metricValue(t, body, series)
-	}
-	total := metricValue(t, body, "hotnocd_fleet_decodes_total")
-	if total != sum || total <= 0 {
-		t.Errorf("fleet decode total %v != per-worker sum %v (or no work recorded)", total, sum)
-	}
-
-	// Kill a worker and sweep again: the coordinator drops it on the
-	// failed dispatch and reroutes, its counters stay banked, and the
-	// departure is announced on the diagnostics stream.
-	workers[0].Close()
-	runToCompletion(t, coordURL, testGrid()[2:4])
-
-	body2 := scrapeMetrics(t, coordURL)
-	if after := metricValue(t, body2, "hotnocd_fleet_decodes_total"); after < total {
-		t.Errorf("fleet decode total regressed after worker loss: %v -> %v", total, after)
-	}
-	series := fmt.Sprintf(`hotnocd_fleet_worker_decodes_total{worker=%q}`, workers[0].URL)
-	if !strings.Contains(body2, series) {
-		t.Errorf("dead worker's series %s vanished from the scrape", series)
-	}
-	readDiagEvents(t, coordURL+"/v1/events?since=0", "", func(ev wire.DiagEvent) bool {
-		return ev.Type == wire.DiagWorkerLeft && ev.URL == workers[0].URL
-	})
-}

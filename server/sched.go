@@ -65,10 +65,9 @@ type tenantState struct {
 }
 
 // sweepFn is the execution backend a dispatched job runs its grid on:
-// Lab.SweepWithProgress on a plain daemon, Coordinator.Sweep on a fleet
-// coordinator. Both stream outcomes in point order, so the job
-// machinery — event log, SSE replay, accounting — is identical either
-// way.
+// the scale's Lab.SweepWithProgress, or a test's fake sweep. It streams
+// outcomes in point order, which the job machinery — event log, SSE
+// replay, accounting — relies on.
 type sweepFn func(ctx context.Context, pts []hotnoc.SweepPoint, progress func(hotnoc.Event)) iter.Seq2[hotnoc.SweepOutcome, error]
 
 // queuedJob is one admitted job waiting for dispatch, carrying

@@ -13,9 +13,6 @@
 //	DELETE /v1/jobs/{id}          cancel a running job / forget a finished one
 //	GET    /v1/builds/{config}    placement report (query: scale)
 //	GET    /v1/stats              decode counter, cache hits, worker utilization
-//	POST   /v1/workers            (coordinator) worker registration + heartbeat
-//	DELETE /v1/workers/{id}       (coordinator) worker deregistration
-//	GET    /v1/workers            (coordinator) live fleet membership
 //	GET    /healthz               liveness
 //
 // Grids may mix periodic and reactive points (wire.PointSpec's kind
@@ -59,7 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"iter"
 	"net/http"
 	"slices"
 	"sort"
@@ -70,7 +66,6 @@ import (
 
 	"hotnoc"
 	"hotnoc/obs"
-	"hotnoc/server/fleet"
 	"hotnoc/server/tenant"
 	"hotnoc/server/wire"
 )
@@ -113,16 +108,6 @@ type Config struct {
 	// listing. Zero keeps finished jobs until DELETEd (or evicted by
 	// RetainJobs).
 	RetainFor time.Duration
-	// Fleet, when non-nil, runs the daemon as a fleet coordinator:
-	// sweeps are not evaluated locally but sharded across the fleet's
-	// registered workers and merged back into one byte-identical stream
-	// (see hotnoc/server/fleet). The /v1/workers routes come alive,
-	// GET /v1/builds proxies to the worker owning the build, and
-	// /v1/stats reports the fleet's lab counters from the coordinator's
-	// monotonic ledger. Tenancy, admission and weighted-fair scheduling
-	// stay coordinator-side, so its tenant rows are its own admission
-	// accounting.
-	Fleet *fleet.Coordinator
 	// Metrics, when non-nil, is the obs registry the daemon records into
 	// and serves on GET /metrics — share one to co-host the daemon with
 	// other instrumented subsystems in one process. Nil creates a
@@ -233,16 +218,6 @@ func New(cfg Config) *Server {
 	if !cfg.DisableMetrics {
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
-	if fl := cfg.Fleet; fl != nil {
-		// Fleet membership changes join the diagnostics stream, and the
-		// coordinator's ledger contributes its per-worker aggregates to
-		// every scrape. The hook runs under the coordinator's lock and
-		// diag is a leaf, so the lock order stays acyclic.
-		fl.SetEventHook(func(typ, workerID, url, reason string) {
-			s.diag.emit(wire.DiagEvent{Type: typ, Worker: workerID, URL: url, Reason: reason})
-		})
-		obsReg.Collect(fl.MetricsCollector())
-	}
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleCreateSweep)
 	s.mux.HandleFunc("GET /v1/events", s.handleDiagEvents)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleEvents)
@@ -251,9 +226,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /v1/builds/{config}", s.handleBuild)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/workers", s.handleWorkerRegister)
-	s.mux.HandleFunc("DELETE /v1/workers/{id}", s.handleWorkerDeregister)
-	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -265,11 +237,9 @@ func New(cfg Config) *Server {
 type tenantKey struct{}
 
 // ServeHTTP authenticates every /v1 request against the tenant
-// registry before routing; /healthz stays open for liveness probes, and
-// worker fleet-membership mutations carry the fleet secret instead of a
-// tenant key (see workerAuthExempt).
+// registry before routing; /healthz stays open for liveness probes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/v1/") && !workerAuthExempt(r) {
+	if strings.HasPrefix(r.URL.Path, "/v1/") {
 		tn, err := s.registry().Authenticate(r.Header.Get("Authorization"))
 		if err != nil {
 			status := http.StatusUnauthorized
@@ -289,19 +259,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func requestTenant(r *http.Request) *tenant.Tenant {
 	tn, _ := r.Context().Value(tenantKey{}).(*tenant.Tenant)
 	return tn
-}
-
-// workerAuthExempt reports whether r is a worker fleet-membership
-// mutation (registration heartbeat or deregistration). Workers are
-// infrastructure, not tenants: those requests authenticate with the
-// coordinator's fleet secret inside the fleet handlers, so tenant auth
-// skips them. Reads of /v1/workers stay tenant-authenticated like every
-// other introspection route.
-func workerAuthExempt(r *http.Request) bool {
-	if r.Method == http.MethodGet {
-		return false
-	}
-	return r.URL.Path == "/v1/workers" || strings.HasPrefix(r.URL.Path, "/v1/workers/")
 }
 
 // registry returns the current tenant registry — always through here,
@@ -402,18 +359,10 @@ func (s *Server) labFor(scale int) *hotnoc.Lab {
 }
 
 // sweepFor returns the execution backend jobs at one scale run on: the
-// shared local Lab, or — on a coordinator — the fleet, which shards the
-// grid across workers and merges the streams back byte-identically. A
-// coordinator instantiates no local Labs; all simulation happens on
-// workers.
+// shared local Lab (or a test's fake sweep).
 func (s *Server) sweepFor(scale int) sweepFn {
 	if s.sweepHook != nil {
 		return s.sweepHook(scale)
-	}
-	if fl := s.cfg.Fleet; fl != nil {
-		return func(ctx context.Context, pts []hotnoc.SweepPoint, progress func(hotnoc.Event)) iter.Seq2[hotnoc.SweepOutcome, error] {
-			return fl.Sweep(ctx, scale, pts, progress)
-		}
 	}
 	return s.labFor(scale).SweepWithProgress
 }
@@ -892,57 +841,12 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		}
 		scale = n
 	}
-	if fl := s.cfg.Fleet; fl != nil {
-		// A coordinator holds no builds itself: proxy to the worker
-		// owning the configuration's build claim, so the report comes
-		// from the caches that actually annealed it.
-		rep, err := fl.Placement(r.Context(), config, scale)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, fleet.ErrNoWorkers) {
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, "%v", err)
-			return
-		}
-		writeJSON(w, rep)
-		return
-	}
 	rep, err := s.labFor(scale).Placement(r.Context(), config)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, rep)
-}
-
-// fleet returns the coordinator behind this daemon, answering 404 on a
-// plain daemon — the /v1/workers surface only exists in coordinator
-// mode.
-func (s *Server) fleet(w http.ResponseWriter) *fleet.Coordinator {
-	if s.cfg.Fleet == nil {
-		writeError(w, http.StatusNotFound, "this daemon is not a fleet coordinator")
-		return nil
-	}
-	return s.cfg.Fleet
-}
-
-func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
-	if fl := s.fleet(w); fl != nil {
-		fl.HandleRegister(w, r)
-	}
-}
-
-func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
-	if fl := s.fleet(w); fl != nil {
-		fl.HandleDeregister(w, r)
-	}
-}
-
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if fl := s.fleet(w); fl != nil {
-		fl.HandleWorkers(w, r)
-	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -995,12 +899,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RetainForSec: s.cfg.RetainFor.Seconds(),
 		AuthRequired: reg.AuthRequired(),
 	}}
-	if fl := s.cfg.Fleet; fl != nil {
-		// A coordinator runs no Labs: the simulation counters live on
-		// the workers and come from the coordinator's monotonic ledger.
-		st.Labs = fl.FleetStats(r.Context())
-		st.Workers = fl.Workers()
-	}
 	writeJSON(w, st)
 }
 

@@ -379,64 +379,16 @@ type Limits struct {
 // utilization) per Lab the daemon has instantiated, ordered by scale,
 // per-tenant accounting ordered by tenant id, plus the daemon's
 // admission/retention limits.
-// On a fleet coordinator, Labs holds the per-scale counters summed
-// across every reachable worker, Tenants additionally folds in the
-// workers' own tables (summed by tenant id), and Workers lists the live
-// fleet membership.
 type Stats struct {
 	Jobs    JobCounts         `json:"jobs"`
 	Labs    []hotnoc.LabStats `json:"labs"`
 	Tenants []TenantStats     `json:"tenants,omitempty"`
-	Workers []WorkerInfo      `json:"workers,omitempty"`
 	Limits  Limits            `json:"limits,omitzero"`
 }
 
-// WorkerRegistration is the body of POST /v1/workers: a worker daemon
-// joining a coordinator's fleet, or heartbeating its lease (the call is
-// idempotent by URL, so workers simply re-POST it periodically).
-type WorkerRegistration struct {
-	// URL is the worker's advertised base URL — how the coordinator
-	// dispatches shards to it. Must be absolute.
-	URL string `json:"url"`
-	// Capacity is the worker's sweep-pool size, the weight the
-	// coordinator's placement balances load against. Zero means 1.
-	Capacity int `json:"capacity,omitempty"`
-}
-
-// WorkerLease is the coordinator's answer to a registration: the
-// worker's fleet id and how long the registration stays live without
-// another heartbeat. Workers should re-register every LeaseSec/3.
-type WorkerLease struct {
-	ID       string  `json:"id"`
-	LeaseSec float64 `json:"lease_sec"`
-}
-
-// WorkerInfo describes one live fleet worker, on GET /v1/workers and on
-// the coordinator's /v1/stats.
-type WorkerInfo struct {
-	ID       string `json:"id"`
-	URL      string `json:"url"`
-	Capacity int    `json:"capacity"`
-	// ActiveShards counts shard dispatches currently streaming from the
-	// worker.
-	ActiveShards int `json:"active_shards"`
-	// Claims counts the (config, scheme, scale) characterization claims
-	// the worker holds — the artifact keys the coordinator will keep
-	// routing to it.
-	Claims int `json:"claims"`
-	// LastSeenSec is how long ago the worker last heartbeat.
-	LastSeenSec float64 `json:"last_seen_sec"`
-}
-
-// WorkerList is the response of GET /v1/workers.
-type WorkerList struct {
-	Workers []WorkerInfo `json:"workers"`
-}
-
 // Diagnostics event types on GET /v1/events, the daemon-wide lifecycle
-// stream. Job events carry the owning tenant and are delivered only to
-// that tenant's subscribers; infrastructure events (workers, leases)
-// are delivered to every subscriber.
+// stream. Every event carries the owning tenant and is delivered only
+// to that tenant's subscribers.
 const (
 	// DiagJobSubmitted: a sweep was accepted (it may start running
 	// immediately or queue).
@@ -451,11 +403,6 @@ const (
 	// DiagTenantThrottled: a submission was refused with 429 (rate or
 	// queue bound).
 	DiagTenantThrottled = "tenant-throttled"
-	// DiagWorkerJoined / DiagWorkerLeft: fleet membership changes on a
-	// coordinator. Reason distinguishes a deregistration from a lease
-	// expiry or a dispatch failure.
-	DiagWorkerJoined = "worker-joined"
-	DiagWorkerLeft   = "worker-left"
 )
 
 // DiagEvent is one structured lifecycle event on the GET /v1/events SSE
@@ -466,18 +413,15 @@ type DiagEvent struct {
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
 	Type string    `json:"type"`
-	// Tenant scopes job events to their owner; empty on infrastructure
-	// events, which every subscriber sees.
+	// Tenant scopes the event to its owner (tenant.AnonymousID for
+	// unauthenticated requests); only that tenant's subscribers see it.
 	Tenant string `json:"tenant,omitempty"`
 	// Job fields, on job-* and tenant-throttled events.
 	Job    string `json:"job,omitempty"`
 	State  string `json:"state,omitempty"`
 	Points int    `json:"points,omitempty"`
-	// Worker fields, on worker-* events from a coordinator.
-	Worker string `json:"worker,omitempty"`
-	URL    string `json:"url,omitempty"`
-	// Reason carries detail: why a tenant was throttled, why a worker
-	// left, how a job ended.
+	// Reason carries detail: why a tenant was throttled or how a job
+	// ended.
 	Reason string `json:"reason,omitempty"`
 }
 
