@@ -19,21 +19,21 @@ import (
 
 var (
 	buildMu    sync.Mutex
-	buildCache = map[string]*Built{}
+	fullBuilds = map[string]*Built{}
 )
 
 func fullBuild(b *testing.B, name string) *Built {
 	b.Helper()
 	buildMu.Lock()
 	defer buildMu.Unlock()
-	if bl, ok := buildCache[name]; ok {
+	if bl, ok := fullBuilds[name]; ok {
 		return bl
 	}
 	bl, err := BuildConfig(name, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	buildCache[name] = bl
+	fullBuilds[name] = bl
 	return bl
 }
 

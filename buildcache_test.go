@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"encoding/gob"
@@ -42,10 +42,10 @@ func bcBuilt(t *testing.T) *chipcfg.Built {
 }
 
 // bcKey is the key every build-cache test resolves.
-var bcKey = BuildKey{Config: "A", Scale: bcScale}
+var bcKey = buildKey{Config: "A", Scale: bcScale}
 
 // coldBuild runs a real cold build of bcKey.
-func coldBuild() (*chipcfg.Built, error) { return buildConfig(bcKey.Config, bcKey.Scale) }
+func coldBuild() (*chipcfg.Built, error) { return BuildConfig(bcKey.Config, bcKey.Scale) }
 
 // countingBuild returns a compute serving the shared real build while
 // counting invocations.
@@ -142,14 +142,14 @@ func TestBuildCacheRetriesAfterError(t *testing.T) {
 	}
 }
 
-// TestRunnerBuildRetryAccounting: a failed build releases the runner's
+// TestRunnerBuildRetryAccounting: a failed build releases the Lab's
 // build-start claim so the retry brackets again, and the retry's cold
 // build is classified as a miss — a fail-then-retry sequence must never
 // surface as build_hits with zero misses, because that is exactly the
 // signal the warm-start acceptance checks trust.
 func TestRunnerBuildRetryAccounting(t *testing.T) {
 	real := bcBuilt(t)
-	r := NewRunner(Options{Scale: bcScale, Workers: 1})
+	r := NewLab(WithScale(bcScale), WithWorkers(1))
 	fail := true
 	r.build = func(config string, scale int) (*chipcfg.Built, error) {
 		if fail {
@@ -167,17 +167,17 @@ func TestRunnerBuildRetryAccounting(t *testing.T) {
 	if _, err := r.builtFor("A", prog); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := r.BuildStats(); hits != 0 || misses != 1 {
-		t.Fatalf("fail-then-retry counted %d hits / %d misses, want 0 / 1", hits, misses)
+	if st := r.Stats(); st.BuildHits != 0 || st.BuildMisses != 1 {
+		t.Fatalf("fail-then-retry counted %d hits / %d misses, want 0 / 1", st.BuildHits, st.BuildMisses)
 	}
-	var stages []Stage
+	var stages []SweepStage
 	for _, ev := range events {
 		stages = append(stages, ev.Stage)
 		if ev.Stage == StageBuildDone && ev.CacheHit {
 			t.Fatal("retry's cold build reported CacheHit")
 		}
 	}
-	want := []Stage{StageBuildStart, StageBuildStart, StageBuildDone}
+	want := []SweepStage{StageBuildStart, StageBuildStart, StageBuildDone}
 	if len(stages) != len(want) {
 		t.Fatalf("events %v, want %v", stages, want)
 	}
@@ -191,8 +191,8 @@ func TestRunnerBuildRetryAccounting(t *testing.T) {
 	if _, err := r.builtFor("A", prog); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := r.BuildStats(); hits != 0 || misses != 1 {
-		t.Fatalf("memory hit re-counted: %d hits / %d misses, want 0 / 1", hits, misses)
+	if st := r.Stats(); st.BuildHits != 0 || st.BuildMisses != 1 {
+		t.Fatalf("memory hit re-counted: %d hits / %d misses, want 0 / 1", st.BuildHits, st.BuildMisses)
 	}
 	if len(events) != len(want) {
 		t.Fatalf("memory hit emitted extra events: %v", events)
@@ -243,7 +243,7 @@ func writeEntry(t *testing.T, path string, env any) {
 // version, key, grid or a payload failing spec revalidation are treated
 // as absent — the sweep silently falls back to a fresh build.
 func TestBuildCacheIgnoresStaleEntries(t *testing.T) {
-	type env = diskEntry[BuildKey, chipcfg.BuildData]
+	type env = diskEntry[buildKey, chipcfg.BuildData]
 	good := *bcBuilt(t).Data()
 	otherGrid := good
 	otherGrid.GridN = 5
@@ -254,7 +254,7 @@ func TestBuildCacheIgnoresStaleEntries(t *testing.T) {
 		env  env
 	}{
 		{"version", env{Version: buildFormatVersion + 1, Key: bcKey, Data: good}},
-		{"key", env{Version: buildFormatVersion, Key: BuildKey{Config: "B", Scale: bcScale}, Data: good}},
+		{"key", env{Version: buildFormatVersion, Key: buildKey{Config: "B", Scale: bcScale}, Data: good}},
 		{"gridn", env{Version: buildFormatVersion, Key: bcKey, Data: otherGrid}},
 		{"payload", env{Version: buildFormatVersion, Key: bcKey, Data: badPayload}},
 	}
@@ -278,7 +278,7 @@ func TestBuildCacheIgnoresStaleEntries(t *testing.T) {
 func TestBuildCacheServesLegacyEnvelope(t *testing.T) {
 	type legacyBuild struct {
 		Version int
-		Key     BuildKey
+		Key     buildKey
 		GridN   int
 		Data    chipcfg.BuildData
 	}
@@ -322,7 +322,7 @@ func TestBuildCacheLRUEvictionIndependentOfCharFiles(t *testing.T) {
 
 	// Two characterization files that must survive build eviction.
 	cc := newCharCache(dir, 0)
-	for _, k := range []CharKey{
+	for _, k := range []charKey{
 		{Config: "A", Scheme: "Rot", Scale: 8},
 		{Config: "B", Scheme: "Rot", Scale: 8},
 	} {
@@ -334,7 +334,7 @@ func TestBuildCacheLRUEvictionIndependentOfCharFiles(t *testing.T) {
 	real := bcBuilt(t)
 	bc := newBuildCache(dir, 2)
 	for _, cfg := range []string{"A", "B", "C"} {
-		key := BuildKey{Config: cfg, Scale: bcScale}
+		key := buildKey{Config: cfg, Scale: bcScale}
 		if _, _, err := bc.Get(key, func() (*chipcfg.Built, error) { return real, nil }); err != nil {
 			t.Fatal(err)
 		}

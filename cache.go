@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"fmt"
@@ -124,26 +124,26 @@ const buildFormatVersion = 1
 // under a new gob type name.
 const charFormatVersion = 2
 
-// BuildKey identifies one calibrated build: a (configuration, scale)
+// buildKey identifies one calibrated build: a (configuration, scale)
 // pair. Placement annealing and energy calibration are pure functions of
 // this key, which is what makes persisting their outcome sound.
-type BuildKey struct {
+type buildKey struct {
 	Config string
 	Scale  int
 }
 
-// CharKey identifies one NoC characterization: a (configuration, scheme,
+// charKey identifies one NoC characterization: a (configuration, scheme,
 // scale) triple. Everything the NoC stage measures is a pure function of
 // this key, which is what makes the cache sound.
-type CharKey struct {
+type charKey struct {
 	Config string
 	Scheme string
 	Scale  int
 }
 
 type (
-	buildCache = cache[BuildKey, *chipcfg.Built, chipcfg.BuildData]
-	charCache  = cache[CharKey, *core.Characterization, core.Characterization]
+	buildCache = cache[buildKey, *chipcfg.Built, chipcfg.BuildData]
+	charCache  = cache[charKey, *core.Characterization, core.Characterization]
 )
 
 // newBuildCache caches calibrated builds. A file holds the build's
@@ -155,11 +155,11 @@ func newBuildCache(dir string, limit int) *buildCache {
 	return &buildCache{
 		disk:    diskCache{dir: dir, limit: limit, prefix: "build"},
 		version: buildFormatVersion,
-		name: func(k BuildKey) string {
+		name: func(k buildKey) string {
 			return fmt.Sprintf("%s_s%d_%s", slug(k.Config), k.Scale, nameHash(k.Config))
 		},
 		persist: func(b *chipcfg.Built) chipcfg.BuildData { return *b.Data() },
-		restore: func(k BuildKey, d *chipcfg.BuildData) (*chipcfg.Built, bool) {
+		restore: func(k buildKey, d *chipcfg.BuildData) (*chipcfg.Built, bool) {
 			spec, err := chipcfg.ByName(k.Config)
 			if err != nil {
 				return nil, false
@@ -176,12 +176,12 @@ func newCharCache(dir string, limit int) *charCache {
 	return &charCache{
 		disk:    diskCache{dir: dir, limit: limit, prefix: "char"},
 		version: charFormatVersion,
-		name: func(k CharKey) string {
+		name: func(k charKey) string {
 			return fmt.Sprintf("%s_%s_s%d_%s", slug(k.Config), slug(k.Scheme), k.Scale,
 				nameHash(k.Config, k.Scheme))
 		},
 		persist: func(ch *core.Characterization) core.Characterization { return *ch },
-		restore: func(k CharKey, ch *core.Characterization) (*core.Characterization, bool) {
+		restore: func(k charKey, ch *core.Characterization) (*core.Characterization, bool) {
 			spec, err := chipcfg.ByName(k.Config)
 			ok := err == nil && ch.SchemeName == k.Scheme && ch.Validate(spec.GridN*spec.GridN) == nil
 			return ch, ok

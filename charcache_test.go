@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"errors"
@@ -16,7 +16,7 @@ import (
 
 // fakeCharFor is fakeChar sized to key's configuration and naming key's
 // scheme: a payload the cache restores for key.
-func fakeCharFor(key CharKey) *core.Characterization {
+func fakeCharFor(key charKey) *core.Characterization {
 	spec, err := chipcfg.ByName(key.Config)
 	if err != nil {
 		panic(err)
@@ -57,7 +57,7 @@ func fakeChar(n int) *core.Characterization {
 // by a fresh cache over the same directory, without invoking compute.
 func TestCharCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "A", Scheme: "Rot", Scale: 8}
 	want := fakeCharFor(key)
 
 	c1 := newCharCache(dir, 0)
@@ -86,7 +86,7 @@ func TestCharCacheRoundTrip(t *testing.T) {
 // does not recompute.
 func TestCharCacheMemoryHit(t *testing.T) {
 	c := newCharCache("", 0) // memory-only
-	key := CharKey{Config: "B", Scheme: "X-Y Shift", Scale: 1}
+	key := charKey{Config: "B", Scheme: "X-Y Shift", Scale: 1}
 	computes := 0
 	get := func() (*core.Characterization, bool, error) {
 		return c.Get(key, func() (*core.Characterization, error) {
@@ -109,7 +109,7 @@ func TestCharCacheMemoryHit(t *testing.T) {
 // and overwrite", never an error.
 func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
-	key := CharKey{Config: "C", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "C", Scheme: "Rot", Scale: 8}
 	c := newCharCache(dir, 0)
 	if err := os.WriteFile(c.path(key), []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestCharCacheIgnoresCorruptEntry(t *testing.T) {
 // failed every later job touching the key for the life of the service.
 func TestCharCacheRetriesAfterError(t *testing.T) {
 	c := newCharCache("", 0)
-	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "A", Scheme: "Rot", Scale: 8}
 	const n = 4
 	transient := errors.New("transient characterize failure")
 	calls := 0
@@ -182,7 +182,7 @@ func TestCharCacheRetriesAfterError(t *testing.T) {
 // re-resolving the orphaned entry — fails every attempt, so it still
 // cannot slip through.
 func TestCharCacheFailureSharedWithWaiters(t *testing.T) {
-	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "A", Scheme: "Rot", Scale: 8}
 	const n, waiters, attempts = 4, 3, 5
 	transient := errors.New("transient characterize failure")
 
@@ -271,7 +271,7 @@ func TestCharCacheDebouncedTouch(t *testing.T) {
 	touchInterval = time.Hour
 
 	dir := t.TempDir()
-	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "A", Scheme: "Rot", Scale: 8}
 	c := newCharCache(dir, 0)
 	if _, _, err := c.Get(key, func() (*core.Characterization, error) { return fakeCharFor(key), nil }); err != nil {
 		t.Fatal(err)
@@ -316,19 +316,19 @@ func TestCharCacheDebouncedTouch(t *testing.T) {
 func TestCharCacheLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	const limit = 2
-	k1 := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
-	k2 := CharKey{Config: "B", Scheme: "Rot", Scale: 8}
-	k3 := CharKey{Config: "C", Scheme: "Rot", Scale: 8}
+	k1 := charKey{Config: "A", Scheme: "Rot", Scale: 8}
+	k2 := charKey{Config: "B", Scheme: "Rot", Scale: 8}
+	k3 := charKey{Config: "C", Scheme: "Rot", Scale: 8}
 
 	seed := newCharCache(dir, limit)
-	for _, k := range []CharKey{k1, k2} {
+	for _, k := range []charKey{k1, k2} {
 		if _, _, err := seed.Get(k, func() (*core.Characterization, error) { return fakeCharFor(k), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Backdate both entries so recency is unambiguous regardless of
 	// filesystem timestamp granularity: k1 older than k2.
-	for i, k := range []CharKey{k1, k2} {
+	for i, k := range []charKey{k1, k2} {
 		old := time.Now().Add(-time.Hour * time.Duration(2-i))
 		if err := os.Chtimes(seed.path(k), old, old); err != nil {
 			t.Fatal(err)
@@ -352,7 +352,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 	if _, err := os.Stat(warm.path(k2)); !os.IsNotExist(err) {
 		t.Fatalf("LRU entry k2 survived eviction (err %v)", err)
 	}
-	for _, k := range []CharKey{k1, k3} {
+	for _, k := range []charKey{k1, k3} {
 		if _, err := os.Stat(warm.path(k)); err != nil {
 			t.Fatalf("recently-used entry %v evicted: %v", k, err)
 		}
@@ -373,7 +373,7 @@ func TestCharCacheLRUEviction(t *testing.T) {
 func TestCharCacheUnlimitedKeepsAll(t *testing.T) {
 	dir := t.TempDir()
 	c := newCharCache(dir, 0)
-	keys := []CharKey{
+	keys := []charKey{
 		{Config: "A", Scheme: "Rot", Scale: 8},
 		{Config: "B", Scheme: "Rot", Scale: 8},
 		{Config: "C", Scheme: "Rot", Scale: 8},
@@ -394,16 +394,16 @@ func TestCharCacheUnlimitedKeepsAll(t *testing.T) {
 // version or key, or a payload for another grid or scheme or failing
 // validation, are treated as absent.
 func TestCharCacheIgnoresStaleEntries(t *testing.T) {
-	type env = diskEntry[CharKey, core.Characterization]
-	key := CharKey{Config: "D", Scheme: "Rot", Scale: 8}
+	type env = diskEntry[charKey, core.Characterization]
+	key := charKey{Config: "D", Scheme: "Rot", Scale: 8}
 	good := *fakeCharFor(key)
-	otherScheme := *fakeCharFor(CharKey{Config: "D", Scheme: "X-Y Shift", Scale: 8})
+	otherScheme := *fakeCharFor(charKey{Config: "D", Scheme: "X-Y Shift", Scale: 8})
 	cases := []struct {
 		name string
 		env  env
 	}{
 		{"version", env{Version: charFormatVersion + 1, Key: key, Data: good}},
-		{"key", env{Version: charFormatVersion, Key: CharKey{Config: "E", Scheme: "Rot", Scale: 8}, Data: good}},
+		{"key", env{Version: charFormatVersion, Key: charKey{Config: "E", Scheme: "Rot", Scale: 8}, Data: good}},
 		{"gridn", env{Version: charFormatVersion, Key: key, Data: *fakeChar(len(good.BaselineBlockJ) + 1)}},
 		{"scheme", env{Version: charFormatVersion, Key: key, Data: otherScheme}},
 		{"payload", env{Version: charFormatVersion, Key: key, Data: core.Characterization{SchemeName: "Rot"}}},
@@ -432,11 +432,11 @@ func TestCharCacheIgnoresStaleEntries(t *testing.T) {
 func TestCharCacheServesLegacyEnvelope(t *testing.T) {
 	type legacyChar struct {
 		Version int
-		Key     CharKey
+		Key     charKey
 		GridN   int
 		Data    core.Characterization
 	}
-	key := CharKey{Config: "C", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "C", Scheme: "Rot", Scale: 8}
 	want := fakeCharFor(key)
 	c := newCharCache(t.TempDir(), 0)
 	writeEntry(t, c.path(key), legacyChar{

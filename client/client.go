@@ -99,11 +99,11 @@ func WithAPIKey(key string) Option {
 // answers with a retryable rejection (429 over-rate/over-queue, 503
 // draining), sleeping the server's Retry-After hint — or an exponential
 // backoff from 100ms, capped at 30s, when the server gave none —
-// between attempts. Idempotent GETs (jobs, stats, builds, workers)
-// likewise retry transient transport failures — connection refused or
-// reset by a restarting daemon — with the same backoff. Requests with
-// side effects are never replayed on a transport error; submission
-// retries are safe only because a rejected submission registers no job.
+// between attempts. Idempotent GETs (jobs, stats, builds) likewise
+// retry transient transport failures — connection refused or reset by a
+// restarting daemon — with the same backoff. Requests with side effects
+// are never replayed on a transport error; submission retries are safe
+// only because a rejected submission registers no job.
 func WithRetry(n int) Option {
 	return func(c *Client) { c.retries = n }
 }

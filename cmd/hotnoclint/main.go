@@ -1,7 +1,7 @@
 // Command hotnoclint is hotnoc's multichecker: it runs every analyzer
 // in internal/lint over the requested packages and exits non-zero on
 // any finding. CI and scripts/check.sh run it over ./... so the
-// codebase's hard-won invariants — collector lock ordering, noalloc
+// codebase's hard-won invariants — scrape-time lock ordering, noalloc
 // hot loops, bitwise-deterministic sweep paths, never-cached errors —
 // fail the build instead of waiting for a reviewer.
 //

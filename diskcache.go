@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"encoding/gob"

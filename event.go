@@ -1,43 +1,45 @@
-package sim
+package hotnoc
 
 import "fmt"
 
-// Stage labels one pipeline event of a sweep: configuration build,
+// SweepStage labels one pipeline event of a sweep: configuration build,
 // (configuration, scheme) NoC characterization, or per-point thermal
 // evaluation.
-type Stage string
+type SweepStage string
 
+// The pipeline stages a WithProgress callback observes.
 const (
 	// StageBuildStart / StageBuildDone bracket one configuration's
 	// construction. They fire once per (configuration, scale) over a
-	// runner's lifetime — a build served from the runner's own memory
+	// Lab's lifetime — a build served from the Lab's own memory
 	// afterwards emits nothing. The done event's CacheHit reports whether
 	// the build was reconstituted from a persisted snapshot (true) or
 	// annealed and calibrated cold (false). A failed build leaves its
 	// start event unpaired and releases the once-per-key claim, so a
 	// successful retry brackets normally.
-	StageBuildStart Stage = "build-start"
-	StageBuildDone  Stage = "build-done"
+	StageBuildStart SweepStage = "build-start"
+	StageBuildDone  SweepStage = "build-done"
 	// StageCharacterizeStart fires when a (configuration, scheme) orbit
 	// starts simulating on the cycle-accurate NoC. It does not fire for
 	// characterizations served from the cross-run cache.
-	StageCharacterizeStart Stage = "characterize-start"
+	StageCharacterizeStart SweepStage = "characterize-start"
 	// StageCharacterizeDone fires when a characterization becomes
 	// available, whether computed (CacheHit false) or served from the
 	// in-memory/disk cache (CacheHit true).
-	StageCharacterizeDone Stage = "characterize-done"
+	StageCharacterizeDone SweepStage = "characterize-done"
 	// StageEvaluateDone fires after each grid point's thermal evaluation,
 	// with Point set to the point's index in the sweep grid.
-	StageEvaluateDone Stage = "evaluate-done"
+	StageEvaluateDone SweepStage = "evaluate-done"
 )
 
-// Event is one progress notification from a running sweep. Events are
-// delivered in pipeline order for any single grid point, but points
-// progress concurrently, so a consumer sees stages of different points
-// interleaved. The runner serializes delivery: the callback is never
+// Event is one progress notification from a Lab's sweep pipeline; see
+// the Stage* constants for the stages it reports. Events are delivered
+// in pipeline order for any single grid point, but points progress
+// concurrently, so a consumer sees stages of different points
+// interleaved. The Lab serializes delivery: the callback is never
 // invoked concurrently and needs no locking of its own.
 type Event struct {
-	Stage Stage
+	Stage SweepStage
 	// Config and Scale identify the build; Scheme is empty for build
 	// events.
 	Config string

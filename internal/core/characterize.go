@@ -151,9 +151,6 @@ type EvalConfig struct {
 	// ExcludeMigrationEnergy drops state-transfer and conversion energy
 	// from the thermal schedule. Migration time is always modelled.
 	ExcludeMigrationEnergy bool
-	// CycleOpts overrides the thermal integrator options; zero values get
-	// defaults.
-	CycleOpts thermal.CycleOptions
 }
 
 // Evaluate runs the cheap stage: it folds the characterization's energies
@@ -174,7 +171,6 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 	}
 	g := s.Grid
 	b := float64(cfg.BlocksPerPeriod)
-	opts := withLeak(cfg.CycleOpts, s.Leak)
 	ev, err := s.takeEvaluator()
 	if err != nil {
 		return RunResult{}, err
@@ -182,7 +178,7 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 	defer s.putEvaluator(ev)
 
 	var res RunResult
-	baseRes, err := s.baseline(ev, ch, cfg.CycleOpts)
+	baseRes, err := s.baseline(ev, ch)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("core: baseline thermal: %w", err)
 	}
@@ -230,7 +226,7 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 		res.MigrationEnergyJ += migTotalEnergy
 	}
 
-	migRes, err := ev.RunCycle(entries, opts)
+	migRes, err := ev.RunCycle(entries, s.cycleOpts())
 	if err != nil {
 		return RunResult{}, fmt.Errorf("core: migrated thermal: %w", err)
 	}
@@ -243,14 +239,6 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 	return res, nil
 }
 
-// baselineKey identifies a memoized static-baseline cycle by the scalar
-// integrator options; custom leakage hooks are never cached (their
-// identity cannot be compared).
-type baselineKey struct {
-	dt, tol float64
-	maxReps int
-}
-
 // baselineEntry is one memoized baseline cycle and the inputs it came from.
 type baselineEntry struct {
 	cycles int64
@@ -260,16 +248,15 @@ type baselineEntry struct {
 
 // baseline returns the static-placement steady cycle for ch. It depends on
 // neither the period, the energy ablation nor the scheme, so the System
-// memoizes it per option set; an entry serves only a characterization
+// memoizes the most recent one; the memo serves only a characterization
 // whose baseline inputs equal its own bit for bit.
 //
 //hotnoc:deterministic
-func (s *System) baseline(ev *thermal.Evaluator, ch *Characterization, opts thermal.CycleOptions) (thermal.CycleResult, error) {
-	key := baselineKey{dt: opts.Dt, tol: opts.TolC, maxReps: opts.MaxReps}
+func (s *System) baseline(ev *thermal.Evaluator, ch *Characterization) (thermal.CycleResult, error) {
 	s.mu.Lock()
-	e, ok := s.baselines[key]
+	e := s.baseMemo
 	s.mu.Unlock()
-	if ok && opts.Leak == nil && e.cycles == ch.BaselineCycles &&
+	if e != nil && e.cycles == ch.BaselineCycles &&
 		slices.EqualFunc(e.blockJ, ch.BaselineBlockJ, func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b)
 		}) {
@@ -282,15 +269,12 @@ func (s *System) baseline(ev *thermal.Evaluator, ch *Characterization, opts ther
 	}
 	res, err := ev.RunCycle([]thermal.ScheduleEntry{{
 		Power: basePower, Duration: dur, Label: "static",
-	}}, withLeak(opts, s.Leak))
-	if err != nil || opts.Leak != nil {
+	}}, s.cycleOpts())
+	if err != nil {
 		return res, err
 	}
 	s.mu.Lock()
-	if s.baselines == nil {
-		s.baselines = map[baselineKey]baselineEntry{}
-	}
-	s.baselines[key] = baselineEntry{cycles: ch.BaselineCycles, blockJ: slices.Clone(ch.BaselineBlockJ), res: res}
+	s.baseMemo = &baselineEntry{cycles: ch.BaselineCycles, blockJ: slices.Clone(ch.BaselineBlockJ), res: res}
 	s.mu.Unlock()
 	return res, nil
 }

@@ -44,9 +44,9 @@ type System struct {
 	// at most one per concurrent caller (not a sync.Pool, whose GC purge
 	// would drop their LU factorisations mid-sweep), and the
 	// static-baseline cycle memo.
-	mu        sync.Mutex
-	evals     []*thermal.Evaluator
-	baselines map[baselineKey]baselineEntry
+	mu       sync.Mutex
+	evals    []*thermal.Evaluator
+	baseMemo *baselineEntry
 }
 
 // takeEvaluator lends a thermal evaluator, building one when all are in
@@ -112,9 +112,6 @@ type RunConfig struct {
 	// from the thermal schedule (ablation for the paper's rotation-energy
 	// observation). Migration time is always modelled.
 	ExcludeMigrationEnergy bool
-	// CycleOpts overrides the thermal integrator options; zero values get
-	// defaults.
-	CycleOpts thermal.CycleOptions
 }
 
 // LegReport describes one leg (one placement dwell plus the following
@@ -185,13 +182,12 @@ func (s *System) Run(cfg RunConfig) (RunResult, error) {
 	return s.Evaluate(ch, EvalConfig{
 		BlocksPerPeriod:        cfg.BlocksPerPeriod,
 		ExcludeMigrationEnergy: cfg.ExcludeMigrationEnergy,
-		CycleOpts:              cfg.CycleOpts,
 	})
 }
 
-func withLeak(opts thermal.CycleOptions, leak power.Leakage) thermal.CycleOptions {
-	if opts.Leak == nil {
-		opts.Leak = leak.Into
-	}
-	return opts
+// cycleOpts is the thermal integrator setting of every periodic
+// evaluation: the integrator's defaults, with the System's leakage
+// closing the electrothermal loop.
+func (s *System) cycleOpts() thermal.CycleOptions {
+	return thermal.CycleOptions{Leak: s.Leak.Into}
 }

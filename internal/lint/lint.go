@@ -1,7 +1,7 @@
 // Package lint is hotnoc's static-analysis suite: a small go/analysis-style
 // framework plus the analyzers that machine-enforce the invariants the
 // codebase otherwise carries only in comments and runtime spot-checks —
-// the collector lock-ordering rule, the 0 allocs/op hot-loop contracts,
+// the scrape-time lock-ordering rule, the 0 allocs/op hot-loop contracts,
 // the bitwise-deterministic sweep ordering, and the never-cache-an-error
 // rule. cmd/hotnoclint runs every analyzer over ./... in CI.
 //
@@ -17,7 +17,7 @@
 //	//hotnoc:noalloc        (func doc)   function must not allocate
 //	//hotnoc:deterministic  (file or func doc) bitwise-stable scope
 //	//hotnoc:scrapelocked   (struct field comment) mutex forbidden in
-//	                        collectors and hooks
+//	                        scrape-time callbacks
 //	//hotnoc:errcache       (type doc)   value+error cache entry struct
 //	//hotnoc:allow <analyzer> [reason]   suppress findings on this line
 //	                        or the next one; the reason is the audit trail

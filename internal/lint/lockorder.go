@@ -9,21 +9,19 @@ import (
 // LockOrder machine-enforces the PR 9 lock-ordering rule that until now
 // lived only in server/metrics.go's doc comment: the server mutex is
 // held around instrument registration (which takes the obs registry
-// lock), so code running at scrape time — obs collectors, GaugeFunc and
-// CounterFunc callbacks — must never acquire it back. A violation is a
-// scrape-time deadlock waiting to be scheduled.
+// lock), so code running at scrape time — GaugeFunc and CounterFunc
+// callbacks — must never acquire it back. A violation is a scrape-time
+// deadlock waiting to be scheduled.
 //
 // Mutex fields annotated //hotnoc:scrapelocked are the protected set.
 // Roots are found syntactically: function literals or named functions
-// passed to Registry.Collect / GaugeFunc / CounterFunc (package obs),
-// plus function literals returned from a function whose result type is
-// obs.Collector. From each root the
-// analyzer walks statically resolved calls across the whole module and
-// reports any path that calls Lock, RLock, or TryLock on an annotated
-// mutex.
+// passed to Registry.GaugeFunc / CounterFunc (package obs). From each
+// root the analyzer walks statically resolved calls across the whole
+// module and reports any path that calls Lock, RLock, or TryLock on an
+// annotated mutex.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "forbid obs collectors from acquiring //hotnoc:scrapelocked mutexes, transitively",
+	Doc:  "forbid scrape-time obs callbacks from acquiring //hotnoc:scrapelocked mutexes, transitively",
 	Run:  runLockOrder,
 }
 
@@ -169,28 +167,7 @@ func runLockOrder(pass *Pass) error {
 	}
 
 	for _, f := range pass.Pkg.Files {
-		// Function literals returned as obs.Collector values.
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !returnsObsCollector(info, fd) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				for _, res := range ret.Results {
-					if lit, ok := ast.Unparen(res).(*ast.FuncLit); ok {
-						if sum := litSummaries[lit]; sum != nil {
-							reportRoot("collector returned by "+fd.Name.Name, sum)
-						}
-					}
-				}
-				return true
-			})
-		}
-		// Arguments to Collect / GaugeFunc / CounterFunc.
+		// Arguments to GaugeFunc / CounterFunc.
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -200,7 +177,7 @@ func runLockOrder(pass *Pass) error {
 			if fn == nil {
 				return true
 			}
-			if fn.Pkg() == nil || fn.Pkg().Name() != "obs" || (fn.Name() != "Collect" && fn.Name() != "GaugeFunc" && fn.Name() != "CounterFunc") {
+			if fn.Pkg() == nil || fn.Pkg().Name() != "obs" || (fn.Name() != "GaugeFunc" && fn.Name() != "CounterFunc") {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -209,7 +186,7 @@ func runLockOrder(pass *Pass) error {
 						continue // labels, names, bounds — only function args are roots
 					}
 				}
-				reportRootExpr("obs collector", arg)
+				reportRootExpr("scrape-time callback", arg)
 			}
 			return true
 		})
@@ -235,21 +212,6 @@ func exprFunc(info *types.Info, e ast.Expr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// returnsObsCollector reports whether fd's (single) result type is the
-// named type Collector from a package named obs.
-func returnsObsCollector(info *types.Info, fd *ast.FuncDecl) bool {
-	if fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
-		return false
-	}
-	t := info.TypeOf(fd.Type.Results.List[0].Type)
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Collector" && obj.Pkg() != nil && obj.Pkg().Name() == "obs"
 }
 
 // summarizeLocks scans one body for acquisitions of annotated mutexes

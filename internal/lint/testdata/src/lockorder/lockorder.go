@@ -1,5 +1,5 @@
 // Package lockorder exercises the scrape-time lock-ordering analyzer:
-// collectors must never acquire a //hotnoc:scrapelocked
+// gauge and counter callbacks must never acquire a //hotnoc:scrapelocked
 // mutex, directly or through any chain of calls.
 package lockorder
 
@@ -22,7 +22,7 @@ type server struct {
 }
 
 // countJobs takes the server mutex: fine from a request handler,
-// forbidden from a collector.
+// forbidden from a scrape-time callback.
 func (s *server) countJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -43,51 +43,53 @@ func (s *server) snapshot() int {
 }
 
 func register(reg *obs.Registry, s *server) {
-	// A collector acquiring the scrape-locked mutex directly.
-	reg.Collect(func(emit func(obs.Sample)) {
+	// A gauge callback acquiring the scrape-locked mutex directly.
+	reg.GaugeFunc("jobs", "running jobs", nil, func() float64 {
 		s.mu.Lock() // want `acquires server\.mu`
 		defer s.mu.Unlock()
-		emit(obs.Sample{Name: "jobs", Value: float64(s.jobs)})
+		return float64(s.jobs)
 	})
 
-	// A collector reaching the mutex through two calls.
-	reg.Collect(func(emit func(obs.Sample)) {
-		emit(obs.Sample{Name: "jobs", Value: float64(s.countJobsIndirect())}) // want `calls \(\*lockorder\.server\)\.countJobsIndirect, which calls \(\*lockorder\.server\)\.countJobs, which acquires server\.mu`
+	// A counter view reaching the mutex through two calls.
+	reg.CounterFunc("jobs_total", "finished jobs", nil, func() uint64 {
+		return uint64(s.countJobsIndirect()) // want `calls \(\*lockorder\.server\)\.countJobsIndirect, which calls \(\*lockorder\.server\)\.countJobs, which acquires server\.mu`
 	})
 
-	// A gauge callback is scrape-time code too.
+	// A gauge callback reaching it through one call.
 	reg.GaugeFunc("jobs", "running jobs", nil, func() float64 {
 		return float64(s.countJobs()) // want `calls \(\*lockorder\.server\)\.countJobs, which acquires server\.mu`
 	})
 
-	// So is a counter view.
+	// A counter view acquiring it directly.
 	reg.CounterFunc("jobs_total", "finished jobs", nil, func() uint64 {
 		s.mu.Lock() // want `acquires server\.mu`
 		defer s.mu.Unlock()
 		return uint64(s.jobs)
 	})
 
-	// Permitted: a collector that only touches the unannotated mutex —
-	// the rule constrains the scrape-locked one, not all locking.
-	reg.Collect(func(emit func(obs.Sample)) {
-		emit(obs.Sample{Name: "jobs", Value: float64(s.snapshot())})
+	// Permitted: callbacks that only touch the unannotated mutex — the
+	// rule constrains the scrape-locked one, not all locking.
+	reg.GaugeFunc("jobs", "running jobs", nil, func() float64 {
+		return float64(s.snapshot())
 	})
+	reg.CounterFunc("jobs_total", "finished jobs", nil, func() uint64 {
+		return uint64(s.snapshot())
+	})
+
+	// Named methods passed as callbacks are roots too.
+	reg.CounterFunc("jobs_total", "finished jobs", nil, s.lockedTotal)
+	reg.GaugeFunc("jobs", "running jobs", nil, s.cleanGauge)
 }
 
-// jobsCollector returns a collector the registry will call at scrape
-// time; returned literals are roots even though no Collect call is in
-// sight.
-func jobsCollector(s *server) obs.Collector {
-	return func(emit func(obs.Sample)) {
-		s.mu.Lock() // want `acquires server\.mu`
-		defer s.mu.Unlock()
-		emit(obs.Sample{Name: "jobs", Value: float64(s.jobs)})
-	}
+// lockedTotal is registered as a counter view by name, so it runs at
+// scrape time even though no function literal is in sight.
+func (s *server) lockedTotal() uint64 {
+	s.mu.Lock() // want `acquires server\.mu`
+	defer s.mu.Unlock()
+	return uint64(s.jobs)
 }
 
-// cleanCollector is the permitted shape of the same idea.
-func cleanCollector(s *server) obs.Collector {
-	return func(emit func(obs.Sample)) {
-		emit(obs.Sample{Name: "jobs", Value: float64(s.snapshot())})
-	}
+// cleanGauge is the permitted shape of the same idea.
+func (s *server) cleanGauge() float64 {
+	return float64(s.snapshot())
 }

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"context"
@@ -8,20 +8,21 @@ import (
 	"sync"
 	"testing"
 
+	"hotnoc"
 	"hotnoc/internal/chipcfg"
 	"hotnoc/internal/core"
 )
 
 // mixedGrid interleaves periodic and reactive points over two schemes so
 // every (config, scheme) task carries both kinds.
-func mixedGrid() []Point {
-	return []Point{
-		Periodic("A", core.XYShift(), 1),
-		Reactive("A", core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 84, SimBlocks: 200, WarmupBlocks: 100}),
-		Periodic("A", core.Rot(), 4),
-		Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 83, SimBlocks: 200, WarmupBlocks: 100}),
-		Reactive("A", core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 82, SimBlocks: 200, WarmupBlocks: 100}),
-		Periodic("A", core.XYShift(), 8),
+func mixedGrid() []hotnoc.SweepPoint {
+	return []hotnoc.SweepPoint{
+		hotnoc.PeriodicPoint("A", core.XYShift(), 1),
+		hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 84, SimBlocks: 200, WarmupBlocks: 100}),
+		hotnoc.PeriodicPoint("A", core.Rot(), 4),
+		hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 83, SimBlocks: 200, WarmupBlocks: 100}),
+		hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 82, SimBlocks: 200, WarmupBlocks: 100}),
+		hotnoc.PeriodicPoint("A", core.XYShift(), 8),
 	}
 }
 
@@ -31,8 +32,8 @@ func mixedGrid() []Point {
 // on an independently built system.
 func TestMixedGridMatchesSerial(t *testing.T) {
 	pts := mixedGrid()
-	outs, err := NewRunner(Options{Scale: testScale, Workers: 4}).
-		Run(context.Background(), pts)
+	outs, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(4)).
+		SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestMixedGridMatchesSerial(t *testing.T) {
 				o.Point.Kind(), o.Point.Scheme.Name, p.Kind(), p.Scheme.Name)
 		}
 		switch p.Kind() {
-		case KindReactive:
+		case hotnoc.KindReactive:
 			if o.Reactive == nil {
 				t.Fatalf("reactive outcome %d carries no reactive result", i)
 			}
@@ -88,20 +89,20 @@ func TestMixedGridMatchesSerial(t *testing.T) {
 // counter is the deterministic witness: hit/miss counts can vary when
 // concurrent tasks race on one key, decodes cannot.
 func TestMixedGridSharesCharacterizations(t *testing.T) {
-	r := NewRunner(Options{Scale: testScale, Workers: 4})
+	r := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(4))
 	pts := mixedGrid() // 6 points, 2 distinct (config, scheme) pairs
-	if _, err := r.Run(context.Background(), pts); err != nil {
+	if _, err := r.SweepAll(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
 	decodes := r.Decodes()
 	if decodes == 0 {
 		t.Fatal("cold mixed sweep performed no decodes")
 	}
-	// A reference runner characterizing just the two orbits (periodic
+	// A reference Lab characterizing just the two orbits (periodic
 	// points only) sets the bar: the mixed grid must not decode more.
-	ref := NewRunner(Options{Scale: testScale})
-	if _, err := ref.Run(context.Background(), []Point{
-		Periodic("A", core.XYShift(), 1), Periodic("A", core.Rot(), 1),
+	ref := hotnoc.NewLab(hotnoc.WithScale(testScale))
+	if _, err := ref.SweepAll(context.Background(), []hotnoc.SweepPoint{
+		hotnoc.PeriodicPoint("A", core.XYShift(), 1), hotnoc.PeriodicPoint("A", core.Rot(), 1),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestMixedGridSharesCharacterizations(t *testing.T) {
 		t.Fatalf("mixed grid performed %d decodes, want the two-orbit reference's %d",
 			decodes, ref.Decodes())
 	}
-	if _, err := r.Run(context.Background(), pts); err != nil {
+	if _, err := r.SweepAll(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Decodes(); got != decodes {
@@ -118,14 +119,14 @@ func TestMixedGridSharesCharacterizations(t *testing.T) {
 }
 
 // TestMixedGridDeterministicAcrossWorkerCounts: kind mixing does not
-// break the runner's determinism guarantee.
+// break the Lab's determinism guarantee.
 func TestMixedGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	pts := mixedGrid()
-	one, err := NewRunner(Options{Scale: testScale, Workers: 1}).Run(context.Background(), pts)
+	one, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(1)).SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := NewRunner(Options{Scale: testScale, Workers: 8}).Run(context.Background(), pts)
+	many, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(8)).SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,40 +143,40 @@ func TestMixedGridDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestReactivePointValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		pt   Point
+		pt   hotnoc.SweepPoint
 		want string
 	}{
-		{"no scheme", Point{Config: "A", Reactive: &core.ReactiveConfig{TriggerC: 80}}, "no step function"},
-		{"blocks on reactive", func() Point {
-			p := Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80})
+		{"no scheme", hotnoc.SweepPoint{Config: "A", Reactive: &core.ReactiveConfig{TriggerC: 80}}, "no step function"},
+		{"blocks on reactive", func() hotnoc.SweepPoint {
+			p := hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80})
 			p.Blocks = 4
 			return p
 		}(), "migration period"},
-		{"ablation on reactive", func() Point {
-			p := Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80})
+		{"ablation on reactive", func() hotnoc.SweepPoint {
+			p := hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80})
 			p.ExcludeMigrationEnergy = true
 			return p
 		}(), "migration-energy ablation"},
-		{"scheme mismatch", func() Point {
-			p := Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80})
+		{"scheme mismatch", func() hotnoc.SweepPoint {
+			p := hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80})
 			p.Scheme = core.XYShift()
 			return p
 		}(), "reactive config selects scheme"},
-		{"negative horizon", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), SimBlocks: -1}), "negative reactive horizon"},
-		{"negative warmup", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), WarmupBlocks: -1}), "negative reactive warmup"},
-		{"unknown config", Reactive("Z", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80}), "Z"},
-		{"NaN trigger", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: math.NaN()}), "non-finite reactive trigger"},
-		{"infinite trigger", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: math.Inf(1)}), "non-finite reactive trigger"},
-		{"NaN sensor resolution", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SensorQuantC: math.NaN()}), "non-finite reactive sensor resolution"},
-		{"-Inf sensor resolution", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SensorQuantC: math.Inf(-1)}), "non-finite reactive sensor resolution"},
-		{"NaN step", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, Dt: math.NaN()}), "non-finite reactive step"},
-		{"infinite step", Reactive("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, Dt: math.Inf(1)}), "non-finite reactive step"},
+		{"negative horizon", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), SimBlocks: -1}), "negative reactive horizon"},
+		{"negative warmup", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), WarmupBlocks: -1}), "negative reactive warmup"},
+		{"unknown config", hotnoc.ReactivePoint("Z", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80}), "Z"},
+		{"NaN trigger", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: math.NaN()}), "non-finite reactive trigger"},
+		{"infinite trigger", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: math.Inf(1)}), "non-finite reactive trigger"},
+		{"NaN sensor resolution", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SensorQuantC: math.NaN()}), "non-finite reactive sensor resolution"},
+		{"-Inf sensor resolution", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SensorQuantC: math.Inf(-1)}), "non-finite reactive sensor resolution"},
+		{"NaN step", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, Dt: math.NaN()}), "non-finite reactive step"},
+		{"infinite step", hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, Dt: math.Inf(1)}), "non-finite reactive step"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRunner(Options{Scale: testScale})
-			pts := []Point{Periodic("A", core.Rot(), 1), tc.pt}
-			_, err := r.Run(context.Background(), pts)
+			r := hotnoc.NewLab(hotnoc.WithScale(testScale))
+			pts := []hotnoc.SweepPoint{hotnoc.PeriodicPoint("A", core.Rot(), 1), tc.pt}
+			_, err := r.SweepAll(context.Background(), pts)
 			if err == nil || !strings.Contains(err.Error(), "point 1") ||
 				!strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("bad point not rejected with index and cause %q (err %v)", tc.want, err)
@@ -196,8 +197,8 @@ func TestReactiveExtremeTimelineStride(t *testing.T) {
 	wide := core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80, SimBlocks: 2, PeaksEvery: math.MaxInt}
 	every := wide
 	every.PeaksEvery = 1
-	for _, pts := range [][]Point{{Reactive("A", wide)}, {Reactive("A", every), Reactive("A", wide)}} {
-		outs, err := NewRunner(Options{Scale: testScale, Workers: 1}).Run(context.Background(), pts)
+	for _, pts := range [][]hotnoc.SweepPoint{{hotnoc.ReactivePoint("A", wide)}, {hotnoc.ReactivePoint("A", every), hotnoc.ReactivePoint("A", wide)}} {
+		outs, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(1)).SweepAll(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,140 +208,53 @@ func TestReactiveExtremeTimelineStride(t *testing.T) {
 	}
 }
 
-// TestGroupPointsSplitsReactiveCells: reactive cells of one (config,
-// scheme) spread across their share of the workers as chunk tasks — a
-// single-scheme trigger sweep must not serialize on one worker — while
-// periodic cells keep one shared task, and every cell lands in exactly
-// one task.
-func TestGroupPointsSplitsReactiveCells(t *testing.T) {
-	cfg := core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 80}
-	pts := []Point{
-		Periodic("A", core.XYShift(), 1),
-		Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg),
-		Periodic("A", core.XYShift(), 4),
-	}
-	tasks := groupPoints(pts, 4)
-	var periodicTasks, reactiveTasks int
-	seen := map[int]bool{}
-	for _, tk := range tasks {
-		if pts[tk.cells[0]].Kind() == KindReactive {
-			reactiveTasks++
-		} else {
-			periodicTasks++
-		}
-		for _, c := range tk.cells {
-			if seen[c] {
-				t.Fatalf("cell %d scheduled twice", c)
-			}
-			seen[c] = true
-		}
-	}
-	if len(seen) != len(pts) {
-		t.Fatalf("%d cells scheduled, want %d", len(seen), len(pts))
-	}
-	if periodicTasks != 1 {
-		t.Fatalf("%d periodic tasks, want 1 shared task", periodicTasks)
-	}
-	if reactiveTasks != 4 {
-		t.Fatalf("4 reactive cells over 4 workers scheduled as %d tasks, want 4", reactiveTasks)
-	}
-	// A single worker keeps one task per group — no pointless clones.
-	if got := len(groupPoints(pts, 1)); got != 2 {
-		t.Fatalf("workers=1 produced %d tasks, want 2", got)
-	}
-	// Two schemes' trigger sweeps over two workers: each scheme's share
-	// is one worker, so its four cells stay one task, one lockstep set.
-	rot := core.ReactiveConfig{Scheme: core.Rot(), TriggerC: 80}
-	two := []Point{
-		Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg),
-		Reactive("A", rot), Reactive("A", rot), Reactive("A", rot), Reactive("A", rot),
-	}
-	for _, tk := range groupPoints(two, 2) {
-		if len(tk.cells) != 4 {
-			t.Fatalf("two 4-cell schemes over 2 workers: a task of %d cells, want 4", len(tk.cells))
-		}
-	}
-}
-
-// TestGroupPointsInterleavesConfigs: a configuration-major grid is
-// dealt in rounds across configurations, so a second configuration's
-// build starts while the first is still running. Each round takes every
-// configuration's largest remaining task, largest first, and every cell
-// lands in exactly one task.
-func TestGroupPointsInterleavesConfigs(t *testing.T) {
-	schemes := []core.Scheme{core.XYShift(), core.Rot()}
-	pts := Grid([]string{"A", "B", "C"}, schemes, []int{1, 4})
-	// C's Rot gets a third period: it is the largest task, so it leads
-	// the first round and C's X-Y Shift waits for the second.
-	pts = append(pts, Periodic("C", core.Rot(), 8))
-	var got []string
-	seen := map[int]bool{}
-	for _, tk := range groupPoints(pts, 2) {
-		got = append(got, tk.config+"/"+tk.scheme.Name)
-		for _, c := range tk.cells {
-			if seen[c] || pts[c].Config != tk.config || pts[c].Scheme.Name != tk.scheme.Name {
-				t.Fatalf("cell %d misplaced in task %s/%s", c, tk.config, tk.scheme.Name)
-			}
-			seen[c] = true
-		}
-	}
-	if len(seen) != len(pts) {
-		t.Fatalf("%d cells scheduled, want %d", len(seen), len(pts))
-	}
-	x, r := schemes[0].Name, schemes[1].Name
-	want := []string{"C/" + r, "A/" + x, "B/" + x, "A/" + r, "B/" + r, "C/" + x}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("task order %v, want %v", got, want)
-	}
-}
-
 // TestChunkedReactiveSweepAccountsOncePerKey: however many chunk tasks a
 // reactive sweep splits into, each (config, scheme) key produces exactly
 // one StageCharacterizeDone event and one hit-or-miss count per sweep —
 // the counters measure orbits, not scheduling artifacts.
 func TestChunkedReactiveSweepAccountsOncePerKey(t *testing.T) {
 	cfg := core.ReactiveConfig{Scheme: core.XYShift(), TriggerC: 84, SimBlocks: 100, WarmupBlocks: 50}
-	pts := []Point{Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg), Reactive("A", cfg)}
+	pts := []hotnoc.SweepPoint{hotnoc.ReactivePoint("A", cfg), hotnoc.ReactivePoint("A", cfg), hotnoc.ReactivePoint("A", cfg), hotnoc.ReactivePoint("A", cfg)}
 
 	var mu sync.Mutex
 	done := 0
-	r := NewRunner(Options{Scale: testScale, Workers: 4, Progress: func(ev Event) {
-		if ev.Stage == StageCharacterizeDone {
+	r := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(4), hotnoc.WithProgress(func(ev hotnoc.Event) {
+		if ev.Stage == hotnoc.StageCharacterizeDone {
 			mu.Lock()
 			done++
 			mu.Unlock()
 		}
-	}})
-	if _, err := r.Run(context.Background(), pts); err != nil {
+	}))
+	if _, err := r.SweepAll(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
 	if done != 1 {
 		t.Fatalf("chunked reactive sweep emitted %d characterize-done events, want 1", done)
 	}
-	hits, misses := r.CacheStats()
-	if hits+misses != 1 {
-		t.Fatalf("chunked reactive sweep recorded %d characterization requests, want 1", hits+misses)
+	st := r.Stats()
+	if st.CacheHits+st.CacheMisses != 1 {
+		t.Fatalf("chunked reactive sweep recorded %d characterization requests, want 1", st.CacheHits+st.CacheMisses)
 	}
 	// A second sweep over the same grid accounts once more, as a hit.
-	if _, err := r.Run(context.Background(), pts); err != nil {
+	if _, err := r.SweepAll(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses = r.CacheStats()
-	if hits+misses != 2 || hits == 0 {
-		t.Fatalf("repeat sweep recorded %d hits / %d misses, want one more request, a hit", hits, misses)
+	st = r.Stats()
+	if st.CacheHits+st.CacheMisses != 2 || st.CacheHits == 0 {
+		t.Fatalf("repeat sweep recorded %d hits / %d misses, want one more request, a hit", st.CacheHits, st.CacheMisses)
 	}
 }
 
 // TestPointKind: the zero reactive field means periodic, preserving the
 // meaning of pre-unification literals.
 func TestPointKind(t *testing.T) {
-	if k := (Point{Config: "A", Scheme: core.Rot()}).Kind(); k != KindPeriodic {
-		t.Fatalf("bare literal has kind %q, want %q", k, KindPeriodic)
+	if k := (hotnoc.SweepPoint{Config: "A", Scheme: core.Rot()}).Kind(); k != hotnoc.KindPeriodic {
+		t.Fatalf("bare literal has kind %q, want %q", k, hotnoc.KindPeriodic)
 	}
-	if k := Reactive("A", core.ReactiveConfig{Scheme: core.Rot()}).Kind(); k != KindReactive {
-		t.Fatalf("Reactive constructor built kind %q, want %q", k, KindReactive)
+	if k := hotnoc.ReactivePoint("A", core.ReactiveConfig{Scheme: core.Rot()}).Kind(); k != hotnoc.KindReactive {
+		t.Fatalf("Reactive constructor built kind %q, want %q", k, hotnoc.KindReactive)
 	}
-	if k := Periodic("A", core.Rot(), 4).Kind(); k != KindPeriodic {
-		t.Fatalf("Periodic constructor built kind %q, want %q", k, KindPeriodic)
+	if k := hotnoc.PeriodicPoint("A", core.Rot(), 4).Kind(); k != hotnoc.KindPeriodic {
+		t.Fatalf("Periodic constructor built kind %q, want %q", k, hotnoc.KindPeriodic)
 	}
 }

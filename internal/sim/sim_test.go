@@ -1,4 +1,9 @@
-package sim
+// Package sim_test holds black-box tests of the Lab's sweep pipeline:
+// point order, determinism across worker counts, shared builds and
+// characterizations, validation and cancellation. They drive only the
+// exported hotnoc API; tests of the scheduler's internals (groupPoints)
+// and of the caches live beside that code in package hotnoc.
+package sim_test
 
 import (
 	"context"
@@ -7,24 +12,25 @@ import (
 	"strings"
 	"testing"
 
+	"hotnoc"
 	"hotnoc/internal/chipcfg"
 	"hotnoc/internal/core"
 )
 
-// testScale keeps full-pipeline builds fast while preserving every code
-// path (same convention as the façade tests).
+// Scaled-down configurations keep the full pipeline under test without
+// paper-scale runtimes.
 const testScale = 8
 
-// TestRunMatchesSerialWalk: the concurrent runner's outcomes are bitwise
+// TestRunMatchesSerialWalk: the concurrent Lab's outcomes are bitwise
 // identical to a serial walk of the same grid on an independently built
 // system, and arrive in point order.
 func TestRunMatchesSerialWalk(t *testing.T) {
-	pts := Grid([]string{"A"}, []core.Scheme{core.XYShift(), core.Rot()}, []int{1, 4})
-	pts = append(pts, Point{
+	pts := hotnoc.SweepGrid([]string{"A"}, []core.Scheme{core.XYShift(), core.Rot()}, []int{1, 4})
+	pts = append(pts, hotnoc.SweepPoint{
 		Config: "A", Scheme: core.Rot(), Blocks: 1, ExcludeMigrationEnergy: true,
 	})
-	outs, err := NewRunner(Options{Scale: testScale, Workers: 4}).
-		Run(context.Background(), pts)
+	outs, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(4)).
+		SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +70,14 @@ func TestRunMatchesSerialWalk(t *testing.T) {
 // TestRunDeterministicAcrossWorkerCounts: the same grid gives identical
 // outcomes no matter how it is scheduled.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	pts := Grid([]string{"B"}, []core.Scheme{core.XMirrorScheme(), core.RightShift()}, []int{1, 2})
-	one, err := NewRunner(Options{Scale: testScale, Workers: 1}).
-		Run(context.Background(), pts)
+	pts := hotnoc.SweepGrid([]string{"B"}, []core.Scheme{core.XMirrorScheme(), core.RightShift()}, []int{1, 2})
+	one, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(1)).
+		SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := NewRunner(Options{Scale: testScale, Workers: 8}).
-		Run(context.Background(), pts)
+	many, err := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(8)).
+		SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +91,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestRunSharesBuilds: outcomes of the same configuration share one
 // calibrated build.
 func TestRunSharesBuilds(t *testing.T) {
-	pts := Grid([]string{"C"}, []core.Scheme{core.XYShift(), core.XMirrorScheme()}, nil)
-	outs, err := NewRunner(Options{Scale: testScale}).Run(context.Background(), pts)
+	pts := hotnoc.SweepGrid([]string{"C"}, []core.Scheme{core.XYShift(), core.XMirrorScheme()}, nil)
+	outs, err := hotnoc.NewLab(hotnoc.WithScale(testScale)).SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +103,8 @@ func TestRunSharesBuilds(t *testing.T) {
 
 // TestRunUnknownConfig: build errors surface with the offending cell.
 func TestRunUnknownConfig(t *testing.T) {
-	_, err := NewRunner(Options{Scale: testScale}).Run(context.Background(),
-		[]Point{{Config: "Z", Scheme: core.Rot()}})
+	_, err := hotnoc.NewLab(hotnoc.WithScale(testScale)).SweepAll(context.Background(),
+		[]hotnoc.SweepPoint{{Config: "Z", Scheme: core.Rot()}})
 	if err == nil {
 		t.Fatal("unknown configuration accepted")
 	}
@@ -108,33 +114,33 @@ func TestRunUnknownConfig(t *testing.T) {
 // build or characterization starts, and the error names the offending
 // point index.
 func TestRunFailsFastOnBadPoints(t *testing.T) {
-	r := NewRunner(Options{Scale: testScale, Progress: func(ev Event) {
+	r := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithProgress(func(ev hotnoc.Event) {
 		t.Errorf("pipeline event %v fired for an invalid grid", ev)
-	}})
+	}))
 	cases := []struct {
 		name string
-		pts  []Point
+		pts  []hotnoc.SweepPoint
 		frag string
 	}{
 		{
 			"unknown config",
-			[]Point{{Config: "A", Scheme: core.Rot()}, {Config: "Z", Scheme: core.Rot()}},
+			[]hotnoc.SweepPoint{{Config: "A", Scheme: core.Rot()}, {Config: "Z", Scheme: core.Rot()}},
 			"point 1",
 		},
 		{
 			"negative blocks",
-			[]Point{{Config: "A", Scheme: core.Rot()}, {Config: "A", Scheme: core.XYShift(), Blocks: -3}},
+			[]hotnoc.SweepPoint{{Config: "A", Scheme: core.Rot()}, {Config: "A", Scheme: core.XYShift(), Blocks: -3}},
 			"point 1: negative migration period",
 		},
 		{
 			"nil scheme",
-			[]Point{{Config: "A", Scheme: core.Scheme{Name: "custom"}}},
+			[]hotnoc.SweepPoint{{Config: "A", Scheme: core.Scheme{Name: "custom"}}},
 			"point 0",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := r.Run(context.Background(), tc.pts)
+			_, err := r.SweepAll(context.Background(), tc.pts)
 			if err == nil {
 				t.Fatal("bad grid accepted")
 			}
@@ -151,10 +157,10 @@ func TestRunFailsFastOnBadPoints(t *testing.T) {
 // TestStreamYieldsInPointOrder: the streaming sequence delivers every
 // outcome, in grid order, while work completes concurrently.
 func TestStreamYieldsInPointOrder(t *testing.T) {
-	pts := Grid([]string{"A"}, []core.Scheme{core.XYShift(), core.Rot()}, []int{1, 4})
-	r := NewRunner(Options{Scale: testScale, Workers: 4})
+	pts := hotnoc.SweepGrid([]string{"A"}, []core.Scheme{core.XYShift(), core.Rot()}, []int{1, 4})
+	r := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(4))
 	i := 0
-	for out, err := range r.Stream(context.Background(), pts) {
+	for out, err := range r.Sweep(context.Background(), pts) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +181,10 @@ func TestStreamYieldsInPointOrder(t *testing.T) {
 // TestStreamEarlyBreak: breaking out of the sequence cancels outstanding
 // work and returns without deadlocking.
 func TestStreamEarlyBreak(t *testing.T) {
-	pts := Grid([]string{"A"}, core.AllSchemes(), []int{1, 4})
-	r := NewRunner(Options{Scale: testScale, Workers: 2})
+	pts := hotnoc.SweepGrid([]string{"A"}, core.AllSchemes(), []int{1, 4})
+	r := hotnoc.NewLab(hotnoc.WithScale(testScale), hotnoc.WithWorkers(2))
 	n := 0
-	for _, err := range r.Stream(context.Background(), pts) {
+	for _, err := range r.Sweep(context.Background(), pts) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +196,8 @@ func TestStreamEarlyBreak(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("consumed %d outcomes before break, want 2", n)
 	}
-	// The runner stays usable after an abandoned stream.
-	if _, err := r.Run(context.Background(), pts[:2]); err != nil {
+	// The Lab stays usable after an abandoned stream.
+	if _, err := r.SweepAll(context.Background(), pts[:2]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,8 +209,8 @@ func TestStreamCancelledContext(t *testing.T) {
 	cancel()
 	var last error
 	n := 0
-	for _, err := range NewRunner(Options{Scale: testScale}).
-		Stream(ctx, Grid([]string{"A"}, core.AllSchemes(), nil)) {
+	for _, err := range hotnoc.NewLab(hotnoc.WithScale(testScale)).
+		Sweep(ctx, hotnoc.SweepGrid([]string{"A"}, core.AllSchemes(), nil)) {
 		last = err
 		n++
 	}
@@ -218,8 +224,8 @@ func TestStreamCancelledContext(t *testing.T) {
 func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewRunner(Options{Scale: testScale}).Run(ctx,
-		Grid([]string{"A"}, core.AllSchemes(), nil))
+	_, err := hotnoc.NewLab(hotnoc.WithScale(testScale)).SweepAll(ctx,
+		hotnoc.SweepGrid([]string{"A"}, core.AllSchemes(), nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -227,7 +233,7 @@ func TestRunCancelledContext(t *testing.T) {
 
 // TestRunEmptyGrid: no points, no work, no error.
 func TestRunEmptyGrid(t *testing.T) {
-	outs, err := NewRunner(Options{}).Run(context.Background(), nil)
+	outs, err := hotnoc.NewLab().SweepAll(context.Background(), nil)
 	if err != nil || outs != nil {
 		t.Fatalf("empty grid gave (%v, %v)", outs, err)
 	}
@@ -236,7 +242,7 @@ func TestRunEmptyGrid(t *testing.T) {
 // TestGridOrder: the cross product is configuration-major with schemes
 // then periods minor.
 func TestGridOrder(t *testing.T) {
-	pts := Grid([]string{"A", "B"}, []core.Scheme{core.Rot(), core.XYShift()}, []int{1, 4})
+	pts := hotnoc.SweepGrid([]string{"A", "B"}, []core.Scheme{core.Rot(), core.XYShift()}, []int{1, 4})
 	want := []struct {
 		cfg    string
 		scheme string

@@ -2,26 +2,11 @@ package hotnoc
 
 import (
 	"context"
-	"iter"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
-	"hotnoc/internal/sim"
 	"hotnoc/obs"
-)
-
-// Event is one progress notification from a Lab's pipeline; see the
-// Stage* constants for the stages it reports.
-type Event = sim.Event
-
-// SweepStage labels the pipeline stage an Event reports.
-type SweepStage = sim.Stage
-
-// The pipeline stages a WithProgress callback observes.
-const (
-	StageBuildStart        = sim.StageBuildStart
-	StageBuildDone         = sim.StageBuildDone
-	StageCharacterizeStart = sim.StageCharacterizeStart
-	StageCharacterizeDone  = sim.StageCharacterizeDone
-	StageEvaluateDone      = sim.StageEvaluateDone
 )
 
 // Lab is the package's session handle: a concurrency-safe, long-lived
@@ -44,36 +29,99 @@ const (
 //		fmt.Println(out.Point.Config, out.Result.ReductionC)
 //	}
 type Lab struct {
-	runner *sim.Runner
+	// The LabOptions set these six; NewLab reads cacheDir, cacheLimit
+	// and registry only to build the caches and register the
+	// instruments.
+	scale      int
+	workers    int
+	cacheDir   string
+	cacheLimit int
+	progress   func(Event)
+	registry   *obs.Registry
+
+	builds *buildCache
+	chars  *charCache
+	met    *metrics
+
+	// build constructs a cold build; tests inject failures here.
+	build func(config string, scale int) (*Built, error)
+
+	// decodes counts engine block decodes performed on behalf of this
+	// Lab, and simulated those among them that drove the NoC rather
+	// than replaying a repeat from the build's decode memo. A fully
+	// cache-served sweep leaves both untouched. They and the four cache
+	// counters below are the only store of these counts: the registry's
+	// series are views of them.
+	decodes   atomic.Uint64
+	simulated atomic.Uint64
+	// migrations and migrationsSimulated count the orbit migrations the
+	// same characterizations executed, and those that stepped the NoC
+	// rather than replaying the build's migration memo; /metrics reads
+	// them.
+	migrations          atomic.Uint64
+	migrationsSimulated atomic.Uint64
+	// steppedCycles counts the NoC cycles those characterizations
+	// stepped, leaving out fast-forwarded and replayed ones: the cycles
+	// the host simulated. /metrics reads it.
+	steppedCycles atomic.Uint64
+
+	// charHits / charMisses count characterization requests served from
+	// the cross-run cache versus simulated on the NoC.
+	charHits   atomic.Uint64
+	charMisses atomic.Uint64
+
+	// buildHits / buildMisses count builds served from the cross-run
+	// cache (memory or reconstituted from a disk snapshot) versus
+	// constructed cold (annealed + calibrated). One count per
+	// (configuration, scale) over the Lab's lifetime.
+	buildHits   atomic.Uint64
+	buildMisses atomic.Uint64
+
+	// busy gauges workers currently executing a task, for utilization
+	// reporting.
+	busy atomic.Int64
+
+	// progressMu serializes progress callbacks. buildAccountMu guards the
+	// per-key build accounting: emittedBuilds claims the one build-start
+	// event (released on failure so a retry brackets again), and
+	// countedBuilds dedups the done event and the hit-or-miss count — the
+	// first request to resolve the key classifies it, exactly once,
+	// however failures and retries interleave.
+	progressMu     sync.Mutex
+	buildAccountMu sync.Mutex
+	emittedBuilds  map[buildKey]bool
+	countedBuilds  map[buildKey]bool
 }
 
 // LabOption configures a Lab at construction.
-type LabOption func(*sim.Options)
+type LabOption func(*Lab)
 
 // WithScale divides the workload size (1 = the full paper-scale
 // configuration, the default; 8 is a good smoke-test size).
 func WithScale(scale int) LabOption {
-	return func(o *sim.Options) { o.Scale = scale }
+	return func(l *Lab) { l.scale = scale }
 }
 
 // WithWorkers bounds the sweep worker pool (default GOMAXPROCS).
 func WithWorkers(n int) LabOption {
-	return func(o *sim.Options) { o.Workers = n }
+	return func(l *Lab) { l.workers = n }
 }
 
 // WithCacheDir persists NoC characterizations and calibrated build
 // snapshots (annealed placement + energy calibration) under dir for warm
 // restarts. The directory is created on first write; corrupt or stale
 // entries of either kind are ignored and recomputed, never fatal.
+// Processes sharing the directory take an advisory per-entry lock on
+// every cold compute, so each key is computed once.
 func WithCacheDir(dir string) LabOption {
-	return func(o *sim.Options) { o.CacheDir = dir }
+	return func(l *Lab) { l.cacheDir = dir }
 }
 
 // WithProgress registers a callback for build/characterize/evaluate
 // events. Delivery is serialized across the Lab's workers; the callback
-// must not block for long.
+// must not block for long and must not call back into the Lab.
 func WithProgress(fn func(Event)) LabOption {
-	return func(o *sim.Options) { o.Progress = fn }
+	return func(l *Lab) { l.progress = fn }
 }
 
 // WithMetrics registers the Lab's pipeline instruments on reg — stage
@@ -88,7 +136,7 @@ func WithProgress(fn func(Event)) LabOption {
 // decode and cache-request series, while the stage histograms and the
 // evaluated-point counter accumulate across both.
 func WithMetrics(reg *obs.Registry) LabOption {
-	return func(o *sim.Options) { o.Metrics = reg }
+	return func(l *Lab) { l.registry = reg }
 }
 
 // WithCacheLimit bounds the number of files of each cache artifact kind
@@ -99,51 +147,30 @@ func WithMetrics(reg *obs.Registry) LabOption {
 // with WithCacheDir — a long-lived service sweeping many scales and
 // schemes otherwise accretes files without bound.
 func WithCacheLimit(n int) LabOption {
-	return func(o *sim.Options) { o.CacheLimit = n }
+	return func(l *Lab) { l.cacheLimit = n }
 }
 
-// NewLab creates a session with the given options.
+// NewLab creates a session with the given options. A scale or worker
+// count below one takes the default.
 func NewLab(opts ...LabOption) *Lab {
-	var o sim.Options
-	for _, opt := range opts {
-		opt(&o)
+	l := &Lab{
+		build:         BuildConfig,
+		emittedBuilds: map[buildKey]bool{},
+		countedBuilds: map[buildKey]bool{},
 	}
-	return &Lab{runner: sim.NewRunner(o)}
-}
-
-// Sweep evaluates an arbitrary configuration × scheme × period grid
-// concurrently and streams outcomes in point order as they complete, as a
-// Go 1.23 range-over-func sequence. Each configuration is built once,
-// each (configuration, scheme) orbit is characterized on the
-// cycle-accurate NoC once — or served from the Lab's cross-run cache —
-// and every period/ablation variant reuses that characterization for a
-// cheap thermal evaluation. Results are bitwise identical to a serial
-// walk of the same grid. On error the sequence yields one final (zero
-// outcome, error) pair and stops; breaking early cancels in-flight work.
-func (l *Lab) Sweep(ctx context.Context, pts []SweepPoint) iter.Seq2[SweepOutcome, error] {
-	return l.runner.Stream(ctx, pts)
-}
-
-// SweepWithProgress is Sweep with a per-call progress callback: progress
-// receives exactly the events this sweep generates, alongside (not
-// instead of) any WithProgress callback. A service multiplexing
-// concurrent jobs onto one Lab uses it to attribute pipeline events to
-// the job whose sweep triggered them.
-func (l *Lab) SweepWithProgress(ctx context.Context, pts []SweepPoint, progress func(Event)) iter.Seq2[SweepOutcome, error] {
-	return l.runner.StreamWith(ctx, pts, progress)
-}
-
-// SweepAll is Sweep collected into a slice, for callers that want the
-// whole grid at once.
-func (l *Lab) SweepAll(ctx context.Context, pts []SweepPoint) ([]SweepOutcome, error) {
-	return l.runner.Run(ctx, pts)
-}
-
-// Build returns the calibrated build for one configuration at the Lab's
-// scale, constructing it on first use and serving the Lab's build cache
-// afterwards.
-func (l *Lab) Build(config string) (*Built, error) {
-	return l.runner.Built(config)
+	for _, opt := range opts {
+		opt(l)
+	}
+	if l.scale <= 0 {
+		l.scale = 1
+	}
+	if l.workers <= 0 {
+		l.workers = runtime.GOMAXPROCS(0)
+	}
+	l.builds = newBuildCache(l.cacheDir, l.cacheLimit)
+	l.chars = newCharCache(l.cacheDir, l.cacheLimit)
+	l.met = newMetrics(l.registry, l)
+	return l
 }
 
 // Decodes returns the number of engine block decodes the Lab's
@@ -153,7 +180,7 @@ func (l *Lab) Build(config string) (*Built, error) {
 // served entirely from the characterization cache leaves the counter
 // unchanged, which is how tests assert the cache short-circuits the NoC
 // stage.
-func (l *Lab) Decodes() uint64 { return l.runner.Decodes() }
+func (l *Lab) Decodes() uint64 { return l.decodes.Load() }
 
 // LabStats is a point-in-time snapshot of a Lab's counters, exported for
 // monitoring (the hotnocd daemon serves it on /v1/stats).
@@ -183,17 +210,15 @@ type LabStats struct {
 // Stats returns a snapshot of the Lab's decode counter, characterization
 // and build cache hit/miss counters, and worker-pool utilization.
 func (l *Lab) Stats() LabStats {
-	hits, misses := l.runner.CacheStats()
-	bHits, bMisses := l.runner.BuildStats()
 	return LabStats{
-		Scale:       l.runner.Scale(),
-		Workers:     l.runner.Workers(),
-		BusyWorkers: l.runner.Busy(),
-		Decodes:     l.runner.Decodes(),
-		CacheHits:   hits,
-		CacheMisses: misses,
-		BuildHits:   bHits,
-		BuildMisses: bMisses,
+		Scale:       l.scale,
+		Workers:     l.workers,
+		BusyWorkers: int(l.busy.Load()),
+		Decodes:     l.decodes.Load(),
+		CacheHits:   l.charHits.Load(),
+		CacheMisses: l.charMisses.Load(),
+		BuildHits:   l.buildHits.Load(),
+		BuildMisses: l.buildMisses.Load(),
 	}
 }
 

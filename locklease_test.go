@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"os"
@@ -32,7 +32,7 @@ func TestBuildLockDedupsAcrossCaches(t *testing.T) {
 // simulate each orbit once.
 func TestCharLockDedupsAcrossCaches(t *testing.T) {
 	dir := t.TempDir()
-	key := CharKey{Config: "A", Scheme: "Rot", Scale: 8}
+	key := charKey{Config: "A", Scheme: "Rot", Scale: 8}
 	lockDedups(t, func() *charCache { return newCharCache(dir, 0) }, key, fakeCharFor(key))
 }
 

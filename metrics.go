@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"strconv"
@@ -7,12 +7,12 @@ import (
 	"hotnoc/obs"
 )
 
-// metrics holds the runner's pre-registered instruments. All fields are
+// metrics holds the Lab's pre-registered instruments. All fields are
 // resolved once at construction so the recording paths are pure atomic
 // operations: a *metrics is nil when no registry was configured, and
 // every method is nil-receiver safe, which keeps call sites free of
 // conditionals. The decode, migration and cache-request counters are not
-// stored here: they are registered as views of the runner's own counters,
+// stored here: they are registered as views of the Lab's own counters,
 // which Lab.Stats reads too (the migration and stepped-cycle counts
 // appear on /metrics only).
 type metrics struct {
@@ -23,15 +23,15 @@ type metrics struct {
 	points *obs.Counter
 }
 
-// newMetrics registers r's pipeline instruments on reg, labeled with
-// the runner's scale so Labs of different scales can share one registry.
-// A later runner of the same scale on the same registry takes over the
+// newMetrics registers l's pipeline instruments on reg, labeled with
+// the Lab's scale so Labs of different scales can share one registry.
+// A later Lab of the same scale on the same registry takes over the
 // counter views. A nil registry returns nil, which disables recording.
-func newMetrics(reg *obs.Registry, r *Runner) *metrics {
+func newMetrics(reg *obs.Registry, l *Lab) *metrics {
 	if reg == nil {
 		return nil
 	}
-	s := strconv.Itoa(r.opts.Scale)
+	s := strconv.Itoa(l.scale)
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("hotnoc_stage_seconds",
 			"Pipeline stage latency in seconds; build and characterize observe cold computes only.",
@@ -47,25 +47,25 @@ func newMetrics(reg *obs.Registry, r *Runner) *metrics {
 			"Cross-run cache requests by artifact kind and result.",
 			obs.Labels{"scale": s, "kind": kind, "result": result}, n)
 	}
-	cache("characterization", "hit", r.charHits.Load)
-	cache("characterization", "miss", r.charMisses.Load)
-	cache("build", "hit", r.buildHits.Load)
-	cache("build", "miss", r.buildMisses.Load)
+	cache("characterization", "hit", l.charHits.Load)
+	cache("characterization", "miss", l.charMisses.Load)
+	cache("build", "hit", l.buildHits.Load)
+	cache("build", "miss", l.buildMisses.Load)
 	reg.CounterFunc("hotnoc_decodes_total",
 		"Engine block decodes performed for NoC characterizations.",
-		obs.Labels{"scale": s}, r.decodes.Load)
+		obs.Labels{"scale": s}, l.decodes.Load)
 	reg.CounterFunc("hotnoc_decodes_simulated_total",
 		"Engine block decodes simulated on the NoC; the rest of hotnoc_decodes_total replayed a build's decode memo.",
-		obs.Labels{"scale": s}, r.simulated.Load)
+		obs.Labels{"scale": s}, l.simulated.Load)
 	reg.CounterFunc("hotnoc_migrations_total",
 		"Orbit migrations executed for NoC characterizations.",
-		obs.Labels{"scale": s}, r.migrations.Load)
+		obs.Labels{"scale": s}, l.migrations.Load)
 	reg.CounterFunc("hotnoc_migrations_simulated_total",
 		"Orbit migrations stepped on the NoC; the rest of hotnoc_migrations_total replayed a build's migration memo.",
-		obs.Labels{"scale": s}, r.migrationsSimulated.Load)
+		obs.Labels{"scale": s}, l.migrationsSimulated.Load)
 	reg.CounterFunc("hotnoc_noc_cycles_stepped_total",
 		"NoC cycles stepped for characterizations; fast-forwarded idle cycles and cycles replayed from a recorded window are not counted.",
-		obs.Labels{"scale": s}, r.steppedCycles.Load)
+		obs.Labels{"scale": s}, l.steppedCycles.Load)
 	m.points = reg.Counter("hotnoc_points_evaluated_total",
 		"Grid points evaluated by the thermal stage.",
 		obs.Labels{"scale": s})

@@ -6,9 +6,7 @@
 // Instruments are registered once by (name, label set) and looked up
 // idempotently, so independent subsystems can share a registry without
 // coordinating: asking for an existing series returns the existing
-// instrument. Dynamic label sets that only exist at scrape time are
-// contributed by Collector callbacks instead of pre-registered
-// instruments.
+// instrument.
 //
 // The package deliberately has no dependencies beyond the standard
 // library; the server, the simulation pipeline, and the CLIs all report
@@ -189,10 +187,9 @@ func LatencyBuckets() []float64 {
 	return []float64{1e-4, 1e-3, 1e-2, 0.1, 0.25, 1, 5, 15, 60, 300}
 }
 
-// Sample is one scrape-time data point contributed by a Collector or
-// exported to a Sink. Histogram instruments expand into one Sample per
-// series (_bucket, _sum, _count) when gathered for sinks; Collectors
-// emit plain counter/gauge samples.
+// Sample is one data point exported to a Sink. Histogram instruments
+// expand into one Sample per series (_bucket, _sum, _count) when
+// gathered for sinks.
 type Sample struct {
 	Name   string     `json:"name"`
 	Type   MetricType `json:"type"`
@@ -200,12 +197,6 @@ type Sample struct {
 	Labels Labels     `json:"labels,omitempty"`
 	Value  float64    `json:"value"`
 }
-
-// Collector contributes samples whose label sets are only known at
-// scrape time.
-// Collectors run under the registry lock; they must not call back into
-// the registry.
-type Collector func(emit func(Sample))
 
 // instrument is one registered series.
 type instrument struct {
@@ -239,10 +230,9 @@ type family struct {
 // Registry owns instrument identity and rendering. The zero value is
 // not usable; call NewRegistry.
 type Registry struct {
-	mu         sync.Mutex
-	families   map[string]*family
-	order      []string
-	collectors []Collector
+	mu       sync.Mutex
+	families map[string]*family
+	order    []string
 }
 
 // NewRegistry returns an empty registry.
@@ -374,14 +364,7 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 	return inst.hist
 }
 
-// Collect adds a scrape-time sample contributor.
-func (r *Registry) Collect(c Collector) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, c)
-}
-
-// Gather flattens every instrument and collector into sink samples.
+// Gather flattens every instrument into sink samples.
 // Histograms expand into per-bucket samples with an "le" label plus
 // _sum and _count, mirroring the Prometheus exposition shape so a sink
 // line can be joined against a scrape.
@@ -418,9 +401,6 @@ func (r *Registry) Gather() []Sample {
 				out = append(out, Sample{Name: name + "_count", Type: TypeHistogram, Help: fam.help, Labels: inst.labels, Value: float64(s.Count)})
 			}
 		}
-	}
-	for _, c := range r.collectors {
-		c(func(s Sample) { out = append(out, s) })
 	}
 	return out
 }

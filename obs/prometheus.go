@@ -8,12 +8,12 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders every family and collector sample in the
-// Prometheus text exposition format (version 0.0.4): families grouped
-// under one # HELP / # TYPE pair, histogram buckets cumulative with an
-// "le" label, label values escaped. Families render in registration
-// order; series within a family sort by canonical label key, so the
-// output is deterministic and golden-testable.
+// WritePrometheus renders every family in the Prometheus text
+// exposition format (version 0.0.4): families grouped under one # HELP /
+// # TYPE pair, histogram buckets cumulative with an "le" label, label
+// values escaped. Families render in registration order; series within a
+// family sort by canonical label key, so the output is deterministic and
+// golden-testable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -25,45 +25,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		for _, inst := range fam.series {
 			if err := writeInstrument(w, fam, inst); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Collector samples arrive in emission order but may interleave
-	// families; regroup them so each collector-only family still gets
-	// a single HELP/TYPE header and sorted series.
-	var collected []Sample
-	for _, c := range r.collectors {
-		c(func(s Sample) { collected = append(collected, s) })
-	}
-	return writeSamples(w, collected)
-}
-
-// writeSamples renders loose samples grouped by name. Within a name,
-// series sort by their rendered label text.
-func writeSamples(w io.Writer, samples []Sample) error {
-	byName := make(map[string][]Sample)
-	var order []string
-	for _, s := range samples {
-		if _, ok := byName[s.Name]; !ok {
-			order = append(order, s.Name)
-		}
-		byName[s.Name] = append(byName[s.Name], s)
-	}
-	sort.Strings(order)
-	for _, name := range order {
-		group := byName[name]
-		if err := writeHeader(w, name, group[0].Help, group[0].Type); err != nil {
-			return err
-		}
-		lines := make([]string, len(group))
-		for i, s := range group {
-			lines[i] = renderLabels(s.Labels) + " " + formatFloat(s.Value)
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			if _, err := fmt.Fprintf(w, "%s%s\n", name, l); err != nil {
 				return err
 			}
 		}

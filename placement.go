@@ -49,7 +49,7 @@ func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	built, err := l.runner.Built(config)
+	built, err := l.Build(config)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, e
 	g := sys.Grid
 	return &PlacementReport{
 		Config:       config,
-		Scale:        l.runner.Scale(),
+		Scale:        l.scale,
 		GridW:        g.W,
 		GridH:        g.H,
 		PeakC:        built.PlaceResult.PeakC,

@@ -33,7 +33,7 @@ echo "== decode differential (traffic-only vs frozen value-carrying decoder, rep
     && go test -count=1 -run '^TestStepMatchesReference$' ./internal/noc \
     && go test -count=1 -run '^TestColdFigure1SteppedCycles$' .
 echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)" \
-    && go test -race -count=3 -run 'Cache|Lock' ./internal/sim
+    && go test -race -count=3 -run 'Cache|Lock' .
 echo "== shared evaluation (concurrent Evaluate and lockstep reactive sets on one System under -race, sets vs lone runs, worker counts, warm-sweep and lone-reactive allocation guards)" \
     && go test -race -count=10 -run '^(TestSharedEvaluation|TestReactiveSetConcurrent)$' ./internal/core \
     && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs|TestReactiveSetErrorNamesRun|TestReactiveTimelineStrideExtremes)$' ./internal/core \

@@ -17,10 +17,10 @@ import (
 //
 // Gauges are updated explicitly at the scheduler's mutation points
 // (enqueue, dispatch, terminal) rather than through scrape-time
-// collectors: a collector reading scheduler state would need s.mu,
-// and s.mu is held around Lab creation, which registers instruments —
-// taking the registry lock. Explicit updates keep the two locks
-// strictly ordered (server → registry, never back).
+// GaugeFunc callbacks: a callback reading scheduler state would need
+// s.mu, and s.mu is held around Lab creation, which registers
+// instruments — taking the registry lock. Explicit updates keep the two
+// locks strictly ordered (server → registry, never back).
 type serverMetrics struct {
 	reg *obs.Registry
 

@@ -20,7 +20,7 @@
 // through the Lab, so the daemon serves the paper's entire experiment
 // space from one cache. Malformed grids are rejected at submission with
 // a 400 naming the offending point — the same fail-fast validation the
-// in-process runner applies.
+// in-process Lab applies.
 //
 // The daemon is multi-tenant. Config.Tenants (a tenant.Registry) maps
 // Authorization: Bearer keys to identities on every /v1 route: missing
@@ -141,8 +141,8 @@ type Server struct {
 	jobsWG sync.WaitGroup
 
 	// mu is held around Lab creation, which registers instruments —
-	// taking the obs registry lock. Scrape-time code (collectors,
-	// GaugeFunc callbacks) must therefore never acquire it; the
+	// taking the obs registry lock. Scrape-time code (GaugeFunc and
+	// CounterFunc callbacks) must therefore never acquire it; the
 	// lockorder analyzer enforces the ordering.
 	mu       sync.Mutex //hotnoc:scrapelocked
 	draining bool
@@ -405,7 +405,7 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		pts[i] = p
 	}
-	// The same fail-fast grid validation the sweep runner applies, run at
+	// The same fail-fast grid validation a Lab applies, run at
 	// submission so a malformed grid — of either kind — is a 400 naming
 	// the offending point, not a job failing mid-stream.
 	if err := hotnoc.ValidateSweep(pts); err != nil {

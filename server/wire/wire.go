@@ -17,7 +17,6 @@ import (
 	"hotnoc"
 	"hotnoc/internal/chipcfg"
 	"hotnoc/internal/core"
-	"hotnoc/internal/sim"
 )
 
 // SSE event names on GET /v1/sweeps/{id}/events. A stream is a replayed
@@ -91,8 +90,8 @@ type SweepCreated struct {
 // Point kinds on the wire; an absent kind means periodic, so grids from
 // pre-unification clients keep their meaning.
 const (
-	KindPeriodic = string(sim.KindPeriodic)
-	KindReactive = string(sim.KindReactive)
+	KindPeriodic = string(hotnoc.KindPeriodic)
+	KindReactive = string(hotnoc.KindReactive)
 )
 
 // PointSpec is one grid cell in wire form: schemes travel by name and are
@@ -129,7 +128,7 @@ type ReactiveSpec struct {
 }
 
 // FromPoint converts a grid point to wire form.
-func FromPoint(p sim.Point) PointSpec {
+func FromPoint(p hotnoc.SweepPoint) PointSpec {
 	ps := PointSpec{
 		Config:                 p.Config,
 		Scheme:                 p.Scheme.Name,
@@ -154,12 +153,12 @@ func FromPoint(p sim.Point) PointSpec {
 // scheme name is not one of the paper's five — a remote daemon cannot run
 // a custom scheme whose step function only exists in the client process —
 // or when the kind is unknown or inconsistent with the reactive payload.
-func (ps PointSpec) Point() (sim.Point, error) {
+func (ps PointSpec) Point() (hotnoc.SweepPoint, error) {
 	scheme, err := core.SchemeByName(ps.Scheme)
 	if err != nil {
-		return sim.Point{}, err
+		return hotnoc.SweepPoint{}, err
 	}
-	p := sim.Point{
+	p := hotnoc.SweepPoint{
 		Config:                 ps.Config,
 		Scheme:                 scheme,
 		Blocks:                 ps.Blocks,
@@ -168,11 +167,11 @@ func (ps PointSpec) Point() (sim.Point, error) {
 	switch ps.Kind {
 	case "", KindPeriodic:
 		if ps.Reactive != nil {
-			return sim.Point{}, fmt.Errorf("periodic point carries reactive parameters")
+			return hotnoc.SweepPoint{}, fmt.Errorf("periodic point carries reactive parameters")
 		}
 	case KindReactive:
 		if ps.Reactive == nil {
-			return sim.Point{}, fmt.Errorf("reactive point carries no reactive parameters")
+			return hotnoc.SweepPoint{}, fmt.Errorf("reactive point carries no reactive parameters")
 		}
 		p.Reactive = &core.ReactiveConfig{
 			Scheme:       scheme,
@@ -184,7 +183,7 @@ func (ps PointSpec) Point() (sim.Point, error) {
 			PeaksEvery:   ps.Reactive.PeaksEvery,
 		}
 	default:
-		return sim.Point{}, fmt.Errorf("unknown point kind %q", ps.Kind)
+		return hotnoc.SweepPoint{}, fmt.Errorf("unknown point kind %q", ps.Kind)
 	}
 	return p, nil
 }
@@ -232,7 +231,7 @@ type OutcomeMsg struct {
 }
 
 // FromOutcome converts one sweep outcome to wire form.
-func FromOutcome(index int, o sim.Outcome) OutcomeMsg {
+func FromOutcome(index int, o hotnoc.SweepOutcome) OutcomeMsg {
 	return OutcomeMsg{
 		Index:    index,
 		Point:    FromPoint(o.Point),
@@ -243,7 +242,7 @@ func FromOutcome(index int, o sim.Outcome) OutcomeMsg {
 }
 
 // EventMsg is one pipeline progress notification, streamed as an
-// EventProgress. It mirrors sim.Event field for field.
+// EventProgress. It mirrors hotnoc.Event field for field.
 type EventMsg struct {
 	Stage    string `json:"stage"`
 	Config   string `json:"config,omitempty"`
@@ -256,7 +255,7 @@ type EventMsg struct {
 }
 
 // FromEvent converts a pipeline event to wire form.
-func FromEvent(ev sim.Event) EventMsg {
+func FromEvent(ev hotnoc.Event) EventMsg {
 	return EventMsg{
 		Stage:    string(ev.Stage),
 		Config:   ev.Config,
@@ -270,9 +269,9 @@ func FromEvent(ev sim.Event) EventMsg {
 }
 
 // Event converts the wire form back to a pipeline event.
-func (m EventMsg) Event() sim.Event {
-	return sim.Event{
-		Stage:    sim.Stage(m.Stage),
+func (m EventMsg) Event() hotnoc.Event {
+	return hotnoc.Event{
+		Stage:    hotnoc.SweepStage(m.Stage),
 		Config:   m.Config,
 		Scale:    m.Scale,
 		Scheme:   m.Scheme,

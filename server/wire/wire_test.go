@@ -5,23 +5,23 @@ import (
 	"strings"
 	"testing"
 
+	"hotnoc"
 	"hotnoc/internal/core"
-	"hotnoc/internal/sim"
 )
 
 // TestPointSpecRoundTrip: both point kinds survive wire form and JSON
 // intact — kind, scheme name, and every policy parameter.
 func TestPointSpecRoundTrip(t *testing.T) {
-	pts := []sim.Point{
-		sim.Periodic("A", core.XYShift(), 4),
+	pts := []hotnoc.SweepPoint{
+		hotnoc.PeriodicPoint("A", core.XYShift(), 4),
 		{Config: "E", Scheme: core.Rot(), Blocks: 1, ExcludeMigrationEnergy: true},
-		sim.Reactive("B", core.ReactiveConfig{
+		hotnoc.ReactivePoint("B", core.ReactiveConfig{
 			Scheme: core.Rot(), TriggerC: 83.5, SimBlocks: 300, WarmupBlocks: 150,
 			SensorQuantC: 0.5, Dt: 1e-5, PeaksEvery: 16,
 		}),
 		// Negative PeaksEvery (timeline opt-out) is a meaningful non-zero
 		// value and must survive omitempty.
-		sim.Reactive("C", core.ReactiveConfig{
+		hotnoc.ReactivePoint("C", core.ReactiveConfig{
 			Scheme: core.XYShift(), TriggerC: 80, PeaksEvery: -1,
 		}),
 	}
@@ -44,7 +44,7 @@ func TestPointSpecRoundTrip(t *testing.T) {
 			got.Kind() != p.Kind() {
 			t.Fatalf("point %d did not round-trip: got %+v, want %+v", i, got, p)
 		}
-		if p.Kind() == sim.KindReactive {
+		if p.Kind() == hotnoc.KindReactive {
 			w, g := *p.Reactive, *got.Reactive
 			if g.TriggerC != w.TriggerC || g.SimBlocks != w.SimBlocks ||
 				g.WarmupBlocks != w.WarmupBlocks || g.SensorQuantC != w.SensorQuantC ||

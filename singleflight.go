@@ -1,4 +1,4 @@
-package sim
+package hotnoc
 
 import (
 	"sync"
@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// singleflight is the in-memory half shared by the sweep layer's caches:
+// singleflight is the in-memory half shared by the Lab's caches:
 // a per-key resolve-once map. The first goroutine in for a key resolves
 // it — from a disk snapshot when one validates, by computing otherwise —
 // while concurrent requests for the same key block on that one
