@@ -92,6 +92,10 @@ func (c *cache[K, V, P]) Get(key K, compute func() (V, error)) (V, bool, error) 
 		})
 }
 
+// inMemory reports whether key's value is resolved in memory, so Get
+// would return it without loading or computing anything.
+func (c *cache[K, V, P]) inMemory(key K) bool { return c.flight.resolved(key) }
+
 // path maps a key to its file under the cache directory.
 func (c *cache[K, V, P]) path(key K) string {
 	return filepath.Join(c.disk.dir, c.disk.prefix+"_"+c.name(key)+".gob")

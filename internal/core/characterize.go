@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -158,46 +159,129 @@ type EvalConfig struct {
 // model to its quasi-steady cycle, reusing the system's cached thermal
 // factorisations. Many Evaluate calls — different periods, the
 // migration-energy ablation — amortise one Characterize, and they may run
-// concurrently on one System.
+// concurrently on one System. It is the one-point case of EvaluateSet.
 func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, error) {
-	if ch == nil || len(ch.Legs) == 0 {
-		return RunResult{}, fmt.Errorf("core: empty characterization")
+	var res [1]RunResult
+	if err := s.evaluate([]*Characterization{ch}, []EvalConfig{cfg}, res[:]); err != nil {
+		// A lone point needs no index.
+		if pe := (*EvalPointError)(nil); errors.As(err, &pe) {
+			err = pe.Err
+		}
+		return RunResult{}, err
 	}
-	if cfg.BlocksPerPeriod == 0 {
-		cfg.BlocksPerPeriod = 1
+	return res[0], nil
+}
+
+// EvaluateSet evaluates point i, cfgs[i] against chs[i], for every i and
+// returns the results in input order, each bitwise identical to Evaluate
+// of that point alone and each with slices of its own. The points'
+// thermal cycles run as one thermal.Evaluator.RunCycleSet, so up to four
+// of them take each backward-Euler step through one banded solve: the
+// schemes and periods of one configuration share the network, the step
+// and the leakage model. A point that fails validation fails the set
+// before any work starts; a failure that belongs to one point is an
+// *EvalPointError naming it.
+func (s *System) EvaluateSet(chs []*Characterization, cfgs []EvalConfig) ([]RunResult, error) {
+	if len(chs) != len(cfgs) {
+		return nil, fmt.Errorf("core: %d characterizations for %d evaluation configs", len(chs), len(cfgs))
 	}
-	if cfg.BlocksPerPeriod < 1 {
-		return RunResult{}, fmt.Errorf("core: BlocksPerPeriod %d < 1", cfg.BlocksPerPeriod)
+	out := make([]RunResult, len(cfgs))
+	if err := s.evaluate(chs, cfgs, out); err != nil {
+		return nil, err
 	}
-	g := s.Grid
-	b := float64(cfg.BlocksPerPeriod)
+	return out, nil
+}
+
+// EvalPointError is the failure of one point of an evaluation set; Point
+// is its index in the set.
+type EvalPointError struct {
+	Point int
+	Err   error
+}
+
+func (e *EvalPointError) Error() string {
+	return fmt.Sprintf("evaluation point %d: %v", e.Point, e.Err)
+}
+
+func (e *EvalPointError) Unwrap() error { return e.Err }
+
+// evaluate evaluates the points (chs[i], cfgs[i]) into out (all three the
+// same length); see EvaluateSet.
+func (s *System) evaluate(chs []*Characterization, cfgs []EvalConfig, out []RunResult) error {
+	for i, ch := range chs {
+		if ch == nil || len(ch.Legs) == 0 {
+			return &EvalPointError{Point: i, Err: fmt.Errorf("core: empty characterization")}
+		}
+		if b := cfgs[i].BlocksPerPeriod; b < 0 {
+			return &EvalPointError{Point: i, Err: fmt.Errorf("core: BlocksPerPeriod %d < 1", b)}
+		}
+	}
+	if len(chs) == 0 {
+		return nil
+	}
 	ev, err := s.takeEvaluator()
 	if err != nil {
-		return RunResult{}, err
+		return err
 	}
 	defer s.putEvaluator(ev)
 
-	var res RunResult
-	baseRes, err := s.baseline(ev, ch)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("core: baseline thermal: %w", err)
+	// One allocation holds every point's leg power maps: the schedules
+	// are internal to the set, so they need not outlive it separately.
+	n, legs := s.Grid.N(), 0
+	for _, ch := range chs {
+		legs += len(ch.Legs)
 	}
-	// Copy the per-block maxima so callers mutating the result cannot
-	// corrupt the memo (or each other).
-	baseRes.MaxPerBlock = append([]float64(nil), baseRes.MaxPerBlock...)
-	res.BaselinePeakC, res.BaselinePeakAt = baseRes.PeakC, baseRes.PeakBlock
-	res.BaselineMeanC = baseRes.MeanC
-	res.BaselineMaxTemps = baseRes.MaxPerBlock
+	maps := make([]float64, legs*n)
+	scheds := make([][]thermal.ScheduleEntry, len(chs))
+	for i, ch := range chs {
+		baseRes, err := s.baseline(ev, ch)
+		if err != nil {
+			return &EvalPointError{Point: i, Err: fmt.Errorf("core: baseline thermal: %w", err)}
+		}
+		res := &out[i]
+		// Copy the per-block maxima so callers mutating the result cannot
+		// corrupt the memo (or each other).
+		res.BaselinePeakC, res.BaselinePeakAt = baseRes.PeakC, baseRes.PeakBlock
+		res.BaselineMeanC = baseRes.MeanC
+		res.BaselineMaxTemps = slices.Clone(baseRes.MaxPerBlock)
+		scheds[i] = s.schedule(ch, cfgs[i], res, maps[:len(ch.Legs)*n])
+		maps = maps[len(ch.Legs)*n:]
+	}
 
-	// One thermal entry per leg: B blocks of decode plus the migration
-	// window, energy-folded into the leg's average power map. The migration
-	// window (hundreds of cycles) is far below the die thermal time
-	// constants, so folding loses nothing the RC model could resolve.
+	cycles := make([]thermal.CycleResult, len(chs))
+	if err := ev.RunCycleSet(scheds, s.cycleOpts(), cycles); err != nil {
+		if se := (*thermal.CycleSetError)(nil); errors.As(err, &se) {
+			return &EvalPointError{Point: se.Schedule, Err: fmt.Errorf("core: migrated thermal: %w", se.Err)}
+		}
+		return fmt.Errorf("core: migrated thermal: %w", err)
+	}
+	for i, migRes := range cycles {
+		res := &out[i]
+		res.MigratedPeakC, res.MigratedPeakAt = migRes.PeakC, migRes.PeakBlock
+		res.MigratedMeanC = migRes.MeanC
+		res.MigratedMaxTemps = migRes.MaxPerBlock
+		res.ReductionC = res.BaselinePeakC - res.MigratedPeakC
+	}
+	return nil
+}
+
+// schedule builds the thermal schedule of one point — one entry per leg,
+// its power map carved from maps — and fills the point's leg reports,
+// migration energy, throughput penalty and period into res.
+//
+// Each entry is B blocks of decode plus the migration window,
+// energy-folded into the leg's average power map. The migration window
+// (hundreds of cycles) is far below the die thermal time constants, so
+// folding loses nothing the RC model could resolve.
+func (s *System) schedule(ch *Characterization, cfg EvalConfig, res *RunResult, maps []float64) []thermal.ScheduleEntry {
+	n := s.Grid.N()
+	b := float64(max(cfg.BlocksPerPeriod, 1))
 	entries := make([]thermal.ScheduleEntry, 0, len(ch.Legs))
+	res.Legs = make([]LegReport, 0, len(ch.Legs))
 	var totalDecode, totalMig int64
 	for leg, la := range ch.Legs {
 		legDur := (b*float64(la.DecodeCycles) + float64(la.Migration.Cycles)) / s.ClockHz
-		legPower := make([]float64, g.N())
+		legPower := maps[leg*n : (leg+1)*n : (leg+1)*n]
 		for i := range legPower {
 			e := b * la.DecodeBlockJ[i]
 			if !cfg.ExcludeMigrationEnergy {
@@ -225,18 +309,9 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 		})
 		res.MigrationEnergyJ += migTotalEnergy
 	}
-
-	migRes, err := ev.RunCycle(entries, s.cycleOpts())
-	if err != nil {
-		return RunResult{}, fmt.Errorf("core: migrated thermal: %w", err)
-	}
-	res.MigratedPeakC, res.MigratedPeakAt = migRes.PeakC, migRes.PeakBlock
-	res.MigratedMeanC = migRes.MeanC
-	res.MigratedMaxTemps = migRes.MaxPerBlock
-	res.ReductionC = res.BaselinePeakC - res.MigratedPeakC
 	res.ThroughputPenalty = float64(totalMig) / float64(totalDecode+totalMig)
 	res.PeriodSec = float64(totalDecode+totalMig) / float64(len(ch.Legs)) / s.ClockHz
-	return res, nil
+	return entries
 }
 
 // baselineEntry is one memoized baseline cycle and the inputs it came from.

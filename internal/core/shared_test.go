@@ -24,7 +24,8 @@ func TestSharedEvaluation(t *testing.T) {
 	}
 
 	// One job per (scheme, variant): six periodic variants and one
-	// reactive run per scheme.
+	// reactive run per scheme, plus one evaluation set of every scheme's
+	// one-block point.
 	type job struct {
 		ch  *Characterization
 		cfg *EvalConfig
@@ -41,9 +42,13 @@ func TestSharedEvaluation(t *testing.T) {
 			Scheme: s, TriggerC: 55, SimBlocks: 120, WarmupBlocks: 60,
 		}})
 	}
+	jobs = append(jobs, job{}) // the set
 	run := func(s *System, j job) (any, error) {
-		if j.rc != nil {
+		switch {
+		case j.rc != nil:
 			return s.EvaluateReactive(j.ch, *j.rc)
+		case j.ch == nil:
+			return s.EvaluateSet(chars, make([]EvalConfig, len(chars)))
 		}
 		return s.Evaluate(j.ch, *j.cfg)
 	}

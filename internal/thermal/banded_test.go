@@ -236,7 +236,8 @@ func TestBandedSolveAliasing(t *testing.T) {
 
 // TestHotLoopsAllocationFree pins the allocation-free contract of every
 // hot-path kernel: steady solve, transient step, lockstep steps of two to
-// four states, and the full cycle loop with the leakage closure engaged.
+// four states, and the full cycle loop with the leakage closure engaged,
+// alone and as a lockstep set.
 func TestHotLoopsAllocationFree(t *testing.T) {
 	nw := testNetwork(t, 5)
 	ev, err := NewEvaluator(nw)
@@ -304,6 +305,24 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Errorf("RunCycle allocates %g times per evaluation, want ≤3 (result only)", allocs)
+	}
+
+	// A lockstep set of six schedules (four lanes, two refills) may
+	// allocate only its results' MaxPerBlock maps and its start order,
+	// independent of steps, repetitions and refills.
+	scheds := make([][]ScheduleEntry, 6)
+	for k := range scheds {
+		scheds[k] = []ScheduleEntry{{Power: p, Duration: float64(k+1) * 50e-6}, {Power: die, Duration: 30e-6}}
+	}
+	out := make([]CycleResult, len(scheds))
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := ev.RunCycleSet(scheds, opts, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(len(scheds)+1) {
+		t.Errorf("RunCycleSet of %d schedules allocates %g times per evaluation, want ≤%d (results and start order only)",
+			len(scheds), allocs, len(scheds)+1)
 	}
 }
 

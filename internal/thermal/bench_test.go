@@ -307,3 +307,58 @@ func BenchmarkStepLockstep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCycleSet measures RunCycleSet on a warm Evaluator with 1, 2,
+// 4 and 5 four-entry schedules, leakage-coupled, on the 4x4 and 5x5
+// chips: five schedules refill a lane. ns/lane-step is the cost of one
+// schedule's step — its leakage map, power assembly, share of the
+// lockstep solve and cursor — over every step the set takes.
+func BenchmarkCycleSet(b *testing.B) {
+	leak := func(dst, die []float64) {
+		for i, t := range die {
+			dst[i] = 0.012 * math.Exp(0.018*(t-40))
+		}
+	}
+	opts := CycleOptions{Leak: leak}
+	for _, n := range []int{4, 5} {
+		nw := benchNetwork(b, n)
+		r := rand.New(rand.NewSource(29))
+		for _, k := range []int{1, 2, 4, 5} {
+			b.Run(fmt.Sprintf("%dx%d/lanes%d", n, n, k), func(b *testing.B) {
+				ev, err := NewEvaluator(nw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scheds := make([][]ScheduleEntry, k)
+				for s := range scheds {
+					scheds[s] = make([]ScheduleEntry, 4)
+					for e := range scheds[s] {
+						p := make([]float64, nw.NDie)
+						for i := range p {
+							p[i] = 2 * r.Float64()
+						}
+						scheds[s][e] = ScheduleEntry{Power: p, Duration: 120e-6}
+					}
+				}
+				out := make([]CycleResult, k)
+				if err := ev.RunCycleSet(scheds, opts, out); err != nil {
+					b.Fatal(err)
+				}
+				steps := 0
+				for s, res := range out {
+					for _, e := range scheds[s] {
+						steps += (res.Repetitions + 1) * entrySteps(e, 5e-6)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := ev.RunCycleSet(scheds, opts, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/lane-step")
+			})
+		}
+	}
+}

@@ -18,23 +18,25 @@ type Evaluator struct {
 	// tr is the integrator of the most recently requested step size; a
 	// different step replaces it. Keeping one bounds the evaluator's
 	// memory when callers choose the step (a long-lived daemon serves any
-	// dt a client sends). RunCycle overwrites the integrator state before
-	// use, so reuse is exact.
+	// dt a client sends). Cycle evaluations step their own lane states
+	// through it and never read its state, so reuse is exact.
 	tr *Transient
 	sc *cycleScratch
 }
 
-// cycleScratch holds the per-evaluator buffers that make RunCycle
-// allocation-free: die-sized power/leak/average maps and node-sized
-// ping-pong state vectors. Lazily built on the first cycle evaluation.
+// cycleScratch holds the per-evaluator buffers that make RunCycleSet
+// allocation-free apart from its results: the warm start's die-sized
+// average and leakage-folded power maps and node-sized ping-pong state
+// vectors, and up to MaxStates lanes of stepping state. Lazily built on
+// the first cycle evaluation; lanes beyond the first get their buffers
+// the first time a set needs them.
 type cycleScratch struct {
 	avg       []float64 // time-averaged power map, NDie
 	withLeak  []float64 // warm-start power map with leakage folded in, NDie
-	leak      []float64 // leakage power map, NDie
-	power     []float64 // per-step power map, NDie
 	state     []float64 // warm-start fixed-point state, NNodes
 	stateNext []float64
-	prev      []float64 // repetition-start state for convergence checks, NNodes
+	lanes     [MaxStates]cycleLane
+	ready     int // lanes with buffers
 }
 
 // NewEvaluator factorises the network's steady-state system once and
@@ -47,20 +49,37 @@ func NewEvaluator(nw *Network) (*Evaluator, error) {
 	return &Evaluator{nw: nw, ss: ss}, nil
 }
 
-func (ev *Evaluator) scratch() *cycleScratch {
+// scratch returns the evaluator's cycle scratch with buffers for at
+// least k lanes, in one allocation per growth: the warm start's buffers
+// and one lane on first use, the other lanes when a set first needs
+// them, so an evaluator that runs only lone cycles carries one lane.
+func (ev *Evaluator) scratch(k int) *cycleScratch {
+	n, nn := ev.nw.NDie, ev.nw.NNodes
 	if ev.sc == nil {
-		n, nn := ev.nw.NDie, ev.nw.NNodes
-		ev.sc = &cycleScratch{
-			avg:       make([]float64, n),
-			withLeak:  make([]float64, n),
-			leak:      make([]float64, n),
-			power:     make([]float64, n),
-			state:     make([]float64, nn),
-			stateNext: make([]float64, nn),
-			prev:      make([]float64, nn),
-		}
+		ev.sc = &cycleScratch{}
 	}
-	return ev.sc
+	sc := ev.sc
+	if sc.ready >= k {
+		return sc
+	}
+	size := (k - sc.ready) * (2*nn + 2*n)
+	if sc.avg == nil {
+		size += 2*n + 2*nn
+	}
+	buf := make([]float64, size)
+	take := func(m int) []float64 {
+		v := buf[:m:m]
+		buf = buf[m:]
+		return v
+	}
+	if sc.avg == nil {
+		sc.avg, sc.withLeak, sc.state, sc.stateNext = take(n), take(n), take(nn), take(nn)
+	}
+	for ; sc.ready < k; sc.ready++ {
+		ln := &sc.lanes[sc.ready]
+		ln.T, ln.prev, ln.leak, ln.power = take(nn), take(nn), take(n), take(n)
+	}
+	return sc
 }
 
 // Steady returns the cached steady-state solver.
@@ -70,7 +89,7 @@ func (ev *Evaluator) Steady() *SteadySolver { return ev.ss }
 // previous request used the same step, otherwise a new one whose
 // iteration matrix is factorised here and which replaces the cache. The
 // integrator's state persists between calls; callers that need a defined
-// starting point must Reset or SetState it (RunCycle always does).
+// starting point must Reset or SetState it.
 func (ev *Evaluator) Transient(dt float64) (*Transient, error) {
 	if ev.tr != nil && ev.tr.dt == dt {
 		return ev.tr, nil

@@ -259,141 +259,6 @@ func (o *CycleOptions) setDefaults() {
 	}
 }
 
-// RunCycle integrates the repeating schedule until the temperature state at
-// the start of consecutive repetitions converges (the quasi-steady thermal
-// cycle of a periodic migration), then records peak and mean statistics
-// over one further repetition. It reuses the evaluator's cached
-// factorisations and scratch, so repeated evaluations on one network
-// factorise nothing.
-func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
-	nw := ev.nw
-	opts.setDefaults()
-	if len(entries) == 0 {
-		return CycleResult{}, fmt.Errorf("thermal: empty power schedule")
-	}
-	cycleTime := 0.0
-	for i, e := range entries {
-		if len(e.Power) != nw.NDie {
-			return CycleResult{}, fmt.Errorf("thermal: entry %d power map has %d blocks, want %d",
-				i, len(e.Power), nw.NDie)
-		}
-		if e.Duration <= 0 {
-			return CycleResult{}, fmt.Errorf("thermal: entry %d has non-positive duration", i)
-		}
-		cycleTime += e.Duration
-	}
-
-	tr, err := ev.Transient(opts.Dt)
-	if err != nil {
-		return CycleResult{}, err
-	}
-	sc := ev.scratch()
-
-	// Warm start: the heat-sink time constant (~RConvection·CSink, minutes)
-	// dwarfs the schedule period, so integrating from ambient would take
-	// millions of repetitions to warm the package. Instead start from the
-	// steady state of the time-averaged power map (iterating the leakage
-	// feedback to a fixed point), which the quasi-steady cycle orbits
-	// around; convergence then takes only a handful of repetitions.
-	avg := sc.avg
-	for i := range avg {
-		avg[i] = 0
-	}
-	for _, e := range entries {
-		w := e.Duration / cycleTime
-		for i, p := range e.Power {
-			avg[i] += w * p
-		}
-	}
-	ss := ev.ss
-	withLeak := sc.withLeak
-	copy(withLeak, avg)
-	state, next := sc.state, sc.stateNext
-	ss.SolveFullInto(state, withLeak)
-	if opts.Leak != nil {
-		for it := 0; it < 50; it++ {
-			opts.Leak(sc.leak, state[:nw.NDie])
-			copy(withLeak, avg)
-			for i, l := range sc.leak {
-				withLeak[i] += l
-			}
-			ss.SolveFullInto(next, withLeak)
-			done := vecMaxAbsDiff(next, state) < opts.TolC/10
-			state, next = next, state
-			if err := checkFinite(state); err != nil {
-				return CycleResult{}, fmt.Errorf("thermal: electrothermal runaway during warm start (leakage diverges at this power level): %w", err)
-			}
-			if done {
-				break
-			}
-		}
-	}
-	tr.SetState(state, 0)
-
-	power := sc.power
-	runEntry := func(e ScheduleEntry, record *CycleResult, meanAcc *float64, samples *int) {
-		steps := int(math.Round(e.Duration / opts.Dt))
-		if steps < 1 {
-			steps = 1
-		}
-		for s := 0; s < steps; s++ {
-			copy(power, e.Power)
-			if opts.Leak != nil {
-				opts.Leak(sc.leak, tr.T[:nw.NDie])
-				for i, l := range sc.leak {
-					power[i] += l
-				}
-			}
-			tr.Step(power)
-			if record != nil {
-				for i := 0; i < nw.NDie; i++ {
-					t := tr.T[i]
-					if t > record.MaxPerBlock[i] {
-						record.MaxPerBlock[i] = t
-					}
-					*meanAcc += t
-				}
-				*samples += nw.NDie
-			}
-		}
-	}
-
-	// Convergence check against a ping-pong copy of the repetition-start
-	// state instead of a tr.State() clone per repetition.
-	prev := sc.prev
-	copy(prev, tr.T)
-	reps := 0
-	for ; reps < opts.MaxReps; reps++ {
-		for _, e := range entries {
-			runEntry(e, nil, nil, nil)
-		}
-		if vecMaxAbsDiff(tr.T, prev) < opts.TolC {
-			reps++
-			break
-		}
-		copy(prev, tr.T)
-	}
-
-	res := CycleResult{
-		MaxPerBlock: make([]float64, nw.NDie),
-		Repetitions: reps,
-		CycleTime:   cycleTime,
-	}
-	for i := range res.MaxPerBlock {
-		res.MaxPerBlock[i] = -math.MaxFloat64
-	}
-	meanAcc, samples := 0.0, 0
-	for _, e := range entries {
-		runEntry(e, &res, &meanAcc, &samples)
-	}
-	res.PeakC, res.PeakBlock = Peak(res.MaxPerBlock)
-	res.MeanC = meanAcc / float64(samples)
-	if err := checkFinite([]float64{res.PeakC, res.MeanC}); err != nil {
-		return CycleResult{}, fmt.Errorf("thermal: cycle integration diverged: %w", err)
-	}
-	return res, nil
-}
-
 // checkFinite returns an error naming the first non-finite entry.
 func checkFinite(v []float64) error {
 	for i, x := range v {

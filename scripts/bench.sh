@@ -20,7 +20,12 @@
 # B/op and allocs/op plus "runs" and the ns/op
 # "ns_per_op_min"/"ns_per_op_max".
 # The lockstep kernels (SolveLockstep, StepLockstep) report one column,
-# one state's solve or step, per op.
+# one state's solve or step, per op; CycleSet reports ns/lane-step, one
+# schedule's step of a lockstep cycle set, beside its ns per set.
+# The warm thermal path's speed depends on where the hot kernels sit
+# relative to 64-byte lines, so the output also records, under "layout",
+# the address mod 64 of solveSingle, solve4 and the cycle-set loop
+# (stepCycles) in each benchmark binary that links them.
 #
 # Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
@@ -42,8 +47,9 @@ SKIP_PAPER="${SKIP_PAPER:-0}"
 REPEAT=5
 
 TMP="$(mktemp)"
+LAYOUT="$(mktemp)"
 BIN="$(mktemp -d)"
-trap 'rm -rf "$TMP" "$BIN"' EXIT
+trap 'rm -rf "$TMP" "$LAYOUT" "$BIN"' EXIT
 
 # bench PKG REGEX BENCHTIME [flag...] runs one benchmark set once. Each
 # package's test binary is built on first use and reused by every pass,
@@ -63,7 +69,7 @@ bench() {
 pass=1
 while [ "$pass" -le "$REPEAT" ]; do
     echo "== pass $pass/$REPEAT: thermal kernel benchmarks (benchtime $BENCHTIME)"
-    bench ./internal/thermal '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkInfluenceBuild|BenchmarkInfluencePeak|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle|BenchmarkSolveLockstep|BenchmarkStepLockstep)$' "$BENCHTIME"
+    bench ./internal/thermal '^(BenchmarkFactor|BenchmarkFactorBanded|BenchmarkSteadySolve|BenchmarkSteadySolveDense|BenchmarkInfluenceBuild|BenchmarkInfluencePeak|BenchmarkTransientStep|BenchmarkCycleLoopStep|BenchmarkRunCycle|BenchmarkEvaluateCycle|BenchmarkSolveLockstep|BenchmarkStepLockstep|BenchmarkCycleSet)$' "$BENCHTIME"
     bench . '^BenchmarkEvaluateReactive$' "$BENCHTIME"
 
     echo "== pass $pass/$REPEAT: NoC kernel and decode-on-NoC benchmarks (benchtime $BENCHTIME)"
@@ -88,19 +94,33 @@ while [ "$pass" -le "$REPEAT" ]; do
     pass=$((pass + 1))
 done
 
-awk -v pr="$PR" -v gover="$(go version | awk '{print $3}')" '
+# Code layout of the hot thermal kernels in every binary that links them.
+for bin in "$BIN"/*.test; do
+    go tool nm "$bin" | awk -v bin="$(basename "$bin")" '
+    $3 == "hotnoc/internal/thermal.(*BandedLU).solveSingle" ||
+    $3 == "hotnoc/internal/thermal.(*BandedLU).solve4" ||
+    $3 == "hotnoc/internal/thermal.(*Evaluator).stepCycles" {
+        addr = 0
+        for (i = 1; i <= length($1); i++) addr = (addr * 16 + index("0123456789abcdef", substr($1, i, 1)) - 1) % 64
+        sub(/^hotnoc\/internal\/thermal\./, "", $3)
+        print bin, $3, addr
+    }'
+done | tee "$LAYOUT"
+
+awk -v pr="$PR" -v gover="$(go version | awk '{print $3}')" -v layout="$LAYOUT" '
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bop = "null"; allocs = "null"
+    ns = ""; bop = "null"; allocs = "null"; lane = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i-1)
         else if ($i == "B/op") bop = $(i-1)
         else if ($i == "allocs/op") allocs = $(i-1)
+        else if ($i == "ns/lane-step") lane = $(i-1)
     }
     if (ns == "") next
     if (!(name in runs)) order[++names] = name
     k = ++runs[name]
-    nsv[name, k] = ns; bopv[name, k] = bop; allocv[name, k] = allocs
+    nsv[name, k] = ns; bopv[name, k] = bop; allocv[name, k] = allocs; lanev[name, k] = lane
 }
 END {
     printf "{\n  \"pr\": %s,\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", pr, gover
@@ -116,9 +136,16 @@ END {
         if (b > 1) printf ",\n"
         printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s", \
             name, nsv[name, m], bopv[name, m], allocv[name, m]
+        if (lanev[name, m] != "") printf ", \"ns_per_lane_step\": %s", lanev[name, m]
         if (n > 1)
             printf ", \"runs\": %d, \"ns_per_op_min\": %s, \"ns_per_op_max\": %s", n, nsv[name, idx[1]], nsv[name, idx[n]]
         printf "}"
+    }
+    printf "\n  ],\n  \"layout\": ["
+    n = 0
+    while ((getline line < layout) > 0) {
+        split(line, f, " ")
+        printf "%s\n    {\"binary\": \"%s\", \"symbol\": \"%s\", \"addr_mod_64\": %s}", (n++ ? "," : ""), f[1], f[2], f[3]
     }
     printf "\n  ]\n}\n"
 }

@@ -1,20 +1,22 @@
 #!/usr/bin/env sh
 # fmacheck.sh fails if the arm64 build of internal/thermal fuses a
 # multiply with an add or subtract (FMADDD, FMSUBD, FNMADDD, FNMSUBD) in
-# a transient-step or banded-solve kernel. Those kernels write every
-# product as float64(a*b), which forbids fusion, so the single-column and
-# the lockstep paths round the same operations on every GOARCH and a
-# lockstep run stays bitwise equal to its lone run. The check compiles
-# for arm64 (no arm64 machine needed) and reads the compiler's assembly
-# listing; it also fails if a listed kernel is missing from the listing,
-# so a rename cannot retire the check. Run from anywhere:
+# a transient-step, banded-solve or cycle-set kernel (RunCycle,
+# RunCycleSet and the lane functions they step through). Those kernels
+# write every product as float64(a*b), which forbids fusion, so the
+# single-column and the lockstep paths round the same operations on
+# every GOARCH and a lockstep run stays bitwise equal to its lone run.
+# The check compiles for arm64 (no arm64 machine needed) and reads the
+# compiler's assembly listing; it also fails if a listed kernel is
+# missing from the listing, so a rename cannot retire the check. Run
+# from anywhere:
 #
 #   sh scripts/fmacheck.sh
 set -eu
 
 cd "$(dirname "$0")/.."
 
-KERNELS='(*BandedLU).solveSingle subRun (*BandedLU).solve2 subRun2 (*BandedLU).solve4 subRun4 (*BandedLU).border2 (*BandedLU).border4 (*BandedLU).solveBordered (*BandedLU).Solve (*BandedLU).SolveBatch gatherPanel scatterPanel (*Transient).Step (*Transient).stepInto (*Transient).StepStates assembleLanes scatterLanes'
+KERNELS='(*BandedLU).solveSingle subRun (*BandedLU).solve2 subRun2 (*BandedLU).solve4 subRun4 (*BandedLU).border2 (*BandedLU).border4 (*BandedLU).solveBordered (*BandedLU).Solve (*BandedLU).SolveBatch gatherPanel scatterPanel (*Transient).Step (*Transient).stepInto (*Transient).StepStates assembleLanes scatterLanes (*Evaluator).RunCycle (*Evaluator).RunCycleSet (*Evaluator).stepCycles (*Evaluator).warmStart (*cycleLane).assemble (*cycleLane).record (*cycleLane).advance (*cycleLane).finish'
 
 ASM="$(mktemp)"
 trap 'rm -f "$ASM"' EXIT

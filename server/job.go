@@ -10,11 +10,24 @@ import (
 )
 
 // message is one SSE frame of a job's event log: the event name plus its
-// already-marshaled JSON payload. Marshaling once at append time means a
-// job with many subscribers serializes each event exactly once.
+// JSON payload. Lifecycle and progress payloads are small and marshaled
+// once, at append time. An outcome is kept as its wire value instead
+// and marshaled each time it is sent: a finished job retains all of its
+// outcomes for late subscribers, and the value is about half the size of
+// its JSON. Marshaling is deterministic, so every subscriber receives
+// the same bytes.
 type message struct {
-	event string
-	data  []byte
+	event   string
+	data    []byte
+	outcome *wire.OutcomeMsg // set on outcome events instead of data
+}
+
+// payload returns the frame's JSON payload.
+func (m message) payload() ([]byte, error) {
+	if m.outcome != nil {
+		return json.Marshal(m.outcome)
+	}
+	return m.data, nil
 }
 
 // job is one sweep accepted by the daemon. A job is admitted in the
@@ -103,9 +116,21 @@ func (j *job) append(event string, v any) {
 	j.appendLocked(event, data)
 }
 
+// appendOutcome adds one outcome to the event log, waking subscribers.
+// The log keeps the value; subscribers marshal it as they send it.
+func (j *job) appendOutcome(o wire.OutcomeMsg) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.appendMsgLocked(message{event: wire.EventOutcome, outcome: &o})
+}
+
 func (j *job) appendLocked(event string, data []byte) {
-	j.msgs = append(j.msgs, message{event: event, data: data})
-	if event == wire.EventOutcome {
+	j.appendMsgLocked(message{event: event, data: data})
+}
+
+func (j *job) appendMsgLocked(m message) {
+	j.msgs = append(j.msgs, m)
+	if m.event == wire.EventOutcome {
 		j.done++
 	}
 	close(j.notify)

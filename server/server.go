@@ -585,7 +585,7 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 			return
 		}
 		points.Inc()
-		j.append(wire.EventOutcome, wire.FromOutcome(idx, out))
+		j.appendOutcome(wire.FromOutcome(idx, out))
 		idx++
 	}
 	s.met.jobFinished(ts.id, wire.JobDone)
@@ -730,7 +730,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		batch, complete, more := j.next(i)
 		for _, m := range batch {
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", m.event, m.data); err != nil {
+			data, err := m.payload()
+			if err != nil {
+				// Wire payloads are plain data; a marshal failure is a
+				// programming error, and skipping the frame beats
+				// wedging the stream.
+				continue
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", m.event, data); err != nil {
 				return
 			}
 		}

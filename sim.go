@@ -207,7 +207,7 @@ func (l *Lab) builtFor(config string, prog func(Event)) (*Built, error) {
 			delete(l.emittedBuilds, key)
 		}
 		l.buildAccountMu.Unlock()
-		return nil, fmt.Errorf("sim: config %s: %w", config, err)
+		return nil, fmt.Errorf("hotnoc: config %s: %w", config, err)
 	}
 	l.buildAccountMu.Lock()
 	count := !l.countedBuilds[key]
@@ -288,7 +288,7 @@ func (l *Lab) charFor(config string, scheme Scheme, prog func(Event), seen *char
 		return ch, err
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("sim: config %s scheme %s: %w", config, scheme.Name, err)
+		return nil, nil, fmt.Errorf("hotnoc: config %s scheme %s: %w", config, scheme.Name, err)
 	}
 	if account {
 		if hit {
@@ -320,17 +320,21 @@ func (l *Lab) Build(config string) (*Built, error) {
 func ValidateSweep(pts []SweepPoint) error {
 	for i, p := range pts {
 		if err := p.Validate(); err != nil {
-			return fmt.Errorf("sim: point %d: %w", i, err)
+			return fmt.Errorf("hotnoc: point %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// task is the unit of worker scheduling: all grid points sharing one
-// (configuration, scheme), which therefore share one characterization.
+// task is the unit of worker scheduling: grid points of one
+// configuration evaluated together. Most tasks share one (configuration,
+// scheme) and therefore one characterization; a configuration set holds
+// periodic points of several schemes whose characterizations were in
+// memory when the sweep was grouped, and its scheme is zero.
 type task struct {
 	config string
 	scheme Scheme
+	set    bool // a configuration set
 	// cells are the indices into the original point slice, in order.
 	cells []int
 }
@@ -383,7 +387,9 @@ func (l *Lab) SweepWithProgress(ctx context.Context, pts []SweepPoint, progress 
 			yield(SweepOutcome{}, err)
 			return
 		}
-		tasks := groupPoints(pts, l.workers)
+		tasks := groupPoints(pts, l.workers, func(config, scheme string) bool {
+			return l.chars.inMemory(charKey{Config: config, Scheme: scheme, Scale: l.scale})
+		})
 		seen := &charSeen{keys: map[charKey]bool{}}
 
 		ctx, cancel := context.WithCancel(ctx)
@@ -470,44 +476,44 @@ func (l *Lab) SweepWithProgress(ctx context.Context, pts []SweepPoint, progress 
 	}
 }
 
-// runTask resolves one (configuration, scheme) characterization — cache
-// or cycle-accurate NoC — and evaluates every variant of the group,
-// periodic and reactive alike, on the build's shared System, marking each
-// point ready as its outcome lands. Mixed grids therefore share one orbit
+// runTask resolves the task's characterizations — cache or
+// cycle-accurate NoC — and evaluates every variant of the task, periodic
+// and reactive alike, on the build's shared System, marking each point
+// ready as its outcome lands. Mixed grids therefore share one orbit
 // characterization across kinds: a reactive point never re-simulates an
 // orbit a periodic point (or a cached run) already paid for. The task's
-// reactive cells are evaluated last, as one set
-// (System.EvaluateReactiveSet), so up to four of their trigger runs share
-// each transient solve; their outcomes land, and cancellation is next
-// checked, when the whole set is done.
+// periodic cells are evaluated first, as one set (System.EvaluateSet),
+// and its reactive cells last, as another (System.EvaluateReactiveSet),
+// so up to four thermal runs of each set share each transient solve; a
+// set's outcomes land, and cancellation is next checked, when the whole
+// set is done, and the set's wall time is charged evenly to its points.
 func (l *Lab) runTask(ctx context.Context, t task, pts []SweepPoint, out []SweepOutcome, ready []chan struct{}, prog func(Event), seen *charSeen) error {
-	ch, built, err := l.charFor(t.config, t.scheme, prog, seen)
-	if err != nil {
-		return err
-	}
-	var reactive []int
+	var periodic, reactive []int
+	var chs []*Characterization // per periodic cell
+	var built *Built
+	var ch *Characterization // of the cell's scheme, resolved again (a memory hit) when it changes
 	for _, idx := range t.cells {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		p := pts[idx]
+		if ch == nil || ch.SchemeName != p.Scheme.Name {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			var err error
+			if ch, built, err = l.charFor(t.config, p.Scheme, prog, seen); err != nil {
+				return err
+			}
+		}
 		if p.Kind() == KindReactive {
 			reactive = append(reactive, idx)
 			continue
 		}
-		//hotnoc:allow determinism wall-clock metric timing only; does not influence the outcome
-		evalStart := time.Now()
-		res, err := built.System.Evaluate(ch, core.EvalConfig{
-			BlocksPerPeriod:        p.Blocks,
-			ExcludeMigrationEnergy: p.ExcludeMigrationEnergy,
-		})
-		if err != nil {
-			return fmt.Errorf("sim: config %s scheme %s blocks %d: %w",
-				p.Config, p.Scheme.Name, p.Blocks, err)
+		periodic = append(periodic, idx)
+		chs = append(chs, ch)
+	}
+	if len(periodic) > 0 {
+		if err := l.evaluatePeriodic(ctx, t, built, chs, periodic, pts, out, ready, prog); err != nil {
+			return err
 		}
-		//hotnoc:allow determinism wall-clock metric timing only; the outcome itself is already computed
-		l.met.evaluateDone(time.Since(evalStart))
-		l.deliver(idx, SweepOutcome{Point: p, Built: built, Result: res}, out, ready, prog)
 	}
 	if len(reactive) == 0 {
 		return nil
@@ -529,17 +535,49 @@ func (l *Lab) runTask(ctx context.Context, t task, pts []SweepPoint, out []Sweep
 	if err != nil {
 		if re := (*core.ReactiveRunError)(nil); errors.As(err, &re) {
 			p := pts[reactive[re.Run]]
-			return fmt.Errorf("sim: config %s scheme %s reactive trigger %g: %w",
+			return fmt.Errorf("hotnoc: config %s scheme %s reactive trigger %g: %w",
 				p.Config, p.Scheme.Name, p.Reactive.TriggerC, re.Err)
 		}
-		return fmt.Errorf("sim: config %s scheme %s reactive: %w", t.config, t.scheme.Name, err)
+		return fmt.Errorf("hotnoc: config %s scheme %s reactive: %w", t.config, t.scheme.Name, err)
 	}
-	// The set's wall time is charged evenly to its points.
 	//hotnoc:allow determinism wall-clock metric timing only; the outcomes themselves are already computed
 	perPoint := time.Since(evalStart) / time.Duration(len(reactive))
 	for i, idx := range reactive {
 		l.met.evaluateDone(perPoint)
 		l.deliver(idx, SweepOutcome{Point: pts[idx], Built: built, Reactive: &res[i]}, out, ready, prog)
+	}
+	return nil
+}
+
+// evaluatePeriodic evaluates the task's periodic cells, point cells[i]
+// against chs[i], as one set and delivers their outcomes.
+func (l *Lab) evaluatePeriodic(ctx context.Context, t task, built *Built, chs []*Characterization, cells []int, pts []SweepPoint, out []SweepOutcome, ready []chan struct{}, prog func(Event)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	cfgs := make([]core.EvalConfig, len(cells))
+	for i, idx := range cells {
+		cfgs[i] = core.EvalConfig{
+			BlocksPerPeriod:        pts[idx].Blocks,
+			ExcludeMigrationEnergy: pts[idx].ExcludeMigrationEnergy,
+		}
+	}
+	//hotnoc:allow determinism wall-clock metric timing only; does not influence the outcome
+	evalStart := time.Now()
+	res, err := built.System.EvaluateSet(chs, cfgs)
+	if err != nil {
+		if pe := (*core.EvalPointError)(nil); errors.As(err, &pe) {
+			p := pts[cells[pe.Point]]
+			return fmt.Errorf("hotnoc: config %s scheme %s blocks %d: %w",
+				p.Config, p.Scheme.Name, p.Blocks, pe.Err)
+		}
+		return fmt.Errorf("hotnoc: config %s periodic: %w", t.config, err)
+	}
+	//hotnoc:allow determinism wall-clock metric timing only; the outcomes themselves are already computed
+	perPoint := time.Since(evalStart) / time.Duration(len(cells))
+	for i, idx := range cells {
+		l.met.evaluateDone(perPoint)
+		l.deliver(idx, SweepOutcome{Point: pts[idx], Built: built, Result: res[i]}, out, ready, prog)
 	}
 	return nil
 }
@@ -555,23 +593,30 @@ func (l *Lab) deliver(idx int, o SweepOutcome, out []SweepOutcome, ready []chan 
 }
 
 // groupPoints partitions the grid into tasks, in an order fixed by the
-// grid so scheduling is deterministic. Periodic cells of one
-// (configuration, scheme) form a single task: their thermal evaluations
-// are cheap. Reactive cells of one (configuration, scheme) are split into
-// contiguous chunk tasks, as many as the group's share of the workers
-// (workers × its cells / all reactive cells, rounded up, at most one per
-// cell): each cell is a full transient integration — the dominant cost
-// of a reactive sweep once the orbit is characterized — so a
-// single-scheme trigger sweep must be able to spread across the pool,
-// while a sweep over several schemes keeps each scheme's cells together,
-// where runTask steps them as one lockstep set, up to four runs sharing
-// each solve.
+// grid and by which characterizations cached reports in memory, so
+// scheduling is deterministic. Periodic cells of one (configuration,
+// scheme) form a single task: their thermal evaluations are cheap, and
+// runTask evaluates them as one lockstep set. Periodic cells whose
+// characterization is already in memory form one set per configuration
+// instead, across schemes, so up to four of its schemes share each
+// solve; a cold characterization keeps its own task, so the orbits of a
+// cold grid still spread across the pool. Reactive cells of one
+// (configuration, scheme) are split into contiguous chunk tasks, as many
+// as the group's share of the workers (workers × its cells / all
+// reactive cells, rounded up, at most one per cell): each cell is a full
+// transient integration — the dominant cost of a reactive sweep once the
+// orbit is characterized — so a single-scheme trigger sweep must be able
+// to spread across the pool, while a sweep over several schemes keeps
+// each scheme's cells together, where runTask steps them as one lockstep
+// set, up to four runs sharing each solve. A configuration set is split
+// the same way, by its share of the workers over all configuration-set
+// cells, so a one-configuration sweep does not leave workers idle.
 // Chunk tasks request the same characterization key; the cache's
 // per-key singleflight still simulates the orbit at most once, and
 // results do not depend on the chunking (evaluation on the shared System
 // is a pure function of its inputs), so outcomes stay bitwise identical
-// across worker counts.
-func groupPoints(pts []SweepPoint, workers int) []task {
+// across worker counts. A nil cached reports nothing in memory.
+func groupPoints(pts []SweepPoint, workers int, cached func(config, scheme string) bool) []task {
 	type gkey struct {
 		config, scheme string
 		kind           PointKind
@@ -580,32 +625,49 @@ func groupPoints(pts []SweepPoint, workers int) []task {
 	var groups []task
 	for i, p := range pts {
 		k := gkey{config: p.Config, scheme: p.Scheme.Name, kind: p.Kind()}
+		set := k.kind == KindPeriodic && cached != nil && cached(p.Config, p.Scheme.Name)
+		if set {
+			k.scheme = "" // one set per configuration
+		}
 		ti, ok := order[k]
 		if !ok {
 			ti = len(groups)
 			order[k] = ti
-			groups = append(groups, task{config: p.Config, scheme: p.Scheme})
+			g := task{config: p.Config, set: set}
+			if !set {
+				g.scheme = p.Scheme
+			}
+			groups = append(groups, g)
 		}
 		groups[ti].cells = append(groups[ti].cells, i)
 	}
-	reactiveCells := 0
+	// Reactive groups and configuration sets each share the pool
+	// among their own kind.
+	var reactiveCells, setCells int
 	for _, g := range groups {
-		if pts[g.cells[0]].Kind() == KindReactive {
+		switch {
+		case g.set:
+			setCells += len(g.cells)
+		case pts[g.cells[0]].Kind() == KindReactive:
 			reactiveCells += len(g.cells)
 		}
 	}
 	var tasks []task
 	for _, g := range groups {
-		if pts[g.cells[0]].Kind() == KindReactive {
-			// The group's share of the pool, rounded up.
-			n := min((workers*len(g.cells)+reactiveCells-1)/reactiveCells, len(g.cells))
-			for c := 0; c < n; c++ {
-				lo, hi := c*len(g.cells)/n, (c+1)*len(g.cells)/n
-				tasks = append(tasks, task{config: g.config, scheme: g.scheme, cells: g.cells[lo:hi]})
-			}
+		of := reactiveCells
+		switch {
+		case g.set:
+			of = setCells
+		case pts[g.cells[0]].Kind() != KindReactive:
+			tasks = append(tasks, g)
 			continue
 		}
-		tasks = append(tasks, g)
+		// The group's share of the pool, rounded up.
+		n := min((workers*len(g.cells)+of-1)/of, len(g.cells))
+		for c := 0; c < n; c++ {
+			lo, hi := c*len(g.cells)/n, (c+1)*len(g.cells)/n
+			tasks = append(tasks, task{config: g.config, scheme: g.scheme, set: g.set, cells: g.cells[lo:hi]})
+		}
 	}
 	// Largest tasks first: with more tasks than workers this packs the
 	// pool better. Then deal them in rounds, each taking the largest

@@ -118,3 +118,12 @@ func (s *singleflight[K, V]) do(
 	e.mu.Unlock()
 	return val, false, nil
 }
+
+// resolved reports whether key's value is in memory: a request for it
+// now would be a memory hit.
+func (s *singleflight[K, V]) resolved(key K) bool {
+	s.mu.Lock()
+	e := s.entries[key]
+	s.mu.Unlock()
+	return e != nil && e.resolved.Load()
+}
