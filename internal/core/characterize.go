@@ -178,8 +178,9 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 // thermal cycles run as one thermal.Evaluator.RunCycleSet, so up to four
 // of them take each backward-Euler step through one banded solve: the
 // schemes and periods of one configuration share the network, the step
-// and the leakage model. A point that fails validation fails the set
-// before any work starts; a failure that belongs to one point is an
+// and the leakage model. A point that fails validation (including a
+// period whose cycle count does not fit an int64) fails the set before
+// any work starts; a failure that belongs to one point is an
 // *EvalPointError naming it.
 func (s *System) EvaluateSet(chs []*Characterization, cfgs []EvalConfig) ([]RunResult, error) {
 	if len(chs) != len(cfgs) {
@@ -219,11 +220,6 @@ func (s *System) evaluate(chs []*Characterization, cfgs []EvalConfig, out []RunR
 	if len(chs) == 0 {
 		return nil
 	}
-	ev, err := s.takeEvaluator()
-	if err != nil {
-		return err
-	}
-	defer s.putEvaluator(ev)
 
 	// One allocation holds every point's leg power maps: the schedules
 	// are internal to the set, so they need not outlive it separately.
@@ -233,6 +229,19 @@ func (s *System) evaluate(chs []*Characterization, cfgs []EvalConfig, out []RunR
 	}
 	maps := make([]float64, legs*n)
 	scheds := make([][]thermal.ScheduleEntry, len(chs))
+	for i, ch := range chs {
+		var err error
+		if scheds[i], err = s.schedule(ch, cfgs[i], &out[i], maps[:len(ch.Legs)*n]); err != nil {
+			return &EvalPointError{Point: i, Err: err}
+		}
+		maps = maps[len(ch.Legs)*n:]
+	}
+
+	ev, err := s.takeEvaluator()
+	if err != nil {
+		return err
+	}
+	defer s.putEvaluator(ev)
 	for i, ch := range chs {
 		baseRes, err := s.baseline(ev, ch)
 		if err != nil {
@@ -244,8 +253,6 @@ func (s *System) evaluate(chs []*Characterization, cfgs []EvalConfig, out []RunR
 		res.BaselinePeakC, res.BaselinePeakAt = baseRes.PeakC, baseRes.PeakBlock
 		res.BaselineMeanC = baseRes.MeanC
 		res.BaselineMaxTemps = slices.Clone(baseRes.MaxPerBlock)
-		scheds[i] = s.schedule(ch, cfgs[i], res, maps[:len(ch.Legs)*n])
-		maps = maps[len(ch.Legs)*n:]
 	}
 
 	cycles := make([]thermal.CycleResult, len(chs))
@@ -267,28 +274,37 @@ func (s *System) evaluate(chs []*Characterization, cfgs []EvalConfig, out []RunR
 
 // schedule builds the thermal schedule of one point — one entry per leg,
 // its power map carved from maps — and fills the point's leg reports,
-// migration energy, throughput penalty and period into res.
+// migration energy, throughput penalty and period into res. A period
+// whose cycle count does not fit an int64 is an error.
 //
 // Each entry is B blocks of decode plus the migration window,
 // energy-folded into the leg's average power map. The migration window
 // (hundreds of cycles) is far below the die thermal time constants, so
 // folding loses nothing the RC model could resolve.
-func (s *System) schedule(ch *Characterization, cfg EvalConfig, res *RunResult, maps []float64) []thermal.ScheduleEntry {
+func (s *System) schedule(ch *Characterization, cfg EvalConfig, res *RunResult, maps []float64) ([]thermal.ScheduleEntry, error) {
 	n := s.Grid.N()
-	b := float64(max(cfg.BlocksPerPeriod, 1))
+	blocks := int64(max(cfg.BlocksPerPeriod, 1))
+	b := float64(blocks)
 	entries := make([]thermal.ScheduleEntry, 0, len(ch.Legs))
 	res.Legs = make([]LegReport, 0, len(ch.Legs))
 	var totalDecode, totalMig int64
 	for leg, la := range ch.Legs {
-		legDur := (b*float64(la.DecodeCycles) + float64(la.Migration.Cycles)) / s.ClockHz
+		// The orbit's cycle count, totalDecode+totalMig, must fit: the
+		// period and the throughput penalty are read from it.
+		room := math.MaxInt64 - totalDecode - totalMig
+		if la.DecodeCycles > 0 && blocks > room/la.DecodeCycles || la.Migration.Cycles > room-blocks*la.DecodeCycles {
+			return nil, fmt.Errorf("core: a period of %d blocks overflows the cycle count at leg %d (%d decode cycles per block)",
+				blocks, leg, la.DecodeCycles)
+		}
+		legDur := (float64(b*float64(la.DecodeCycles)) + float64(la.Migration.Cycles)) / s.ClockHz
 		legPower := maps[leg*n : (leg+1)*n : (leg+1)*n]
 		for i := range legPower {
-			e := b * la.DecodeBlockJ[i]
+			e := float64(b * la.DecodeBlockJ[i])
 			if !cfg.ExcludeMigrationEnergy {
 				// State transfer plus the idle-clock power the halted PEs
 				// keep burning for the whole migration window.
 				e += la.MigBlockJ[i] +
-					s.IdleFrac*la.DecodeBlockJ[i]/float64(la.DecodeCycles)*float64(la.Migration.Cycles)
+					float64(s.IdleFrac*la.DecodeBlockJ[i]/float64(la.DecodeCycles)*float64(la.Migration.Cycles))
 			}
 			legPower[i] = e / legDur
 		}
@@ -298,8 +314,8 @@ func (s *System) schedule(ch *Characterization, cfg EvalConfig, res *RunResult, 
 		})
 
 		migTotalEnergy := la.MigJ +
-			s.IdleFrac*la.DecodeJ/float64(la.DecodeCycles)*float64(la.Migration.Cycles)
-		totalDecode += int64(b) * la.DecodeCycles
+			float64(s.IdleFrac*la.DecodeJ/float64(la.DecodeCycles)*float64(la.Migration.Cycles))
+		totalDecode += blocks * la.DecodeCycles
 		totalMig += la.Migration.Cycles
 		res.Legs = append(res.Legs, LegReport{
 			DecodeCycles:     la.DecodeCycles,
@@ -311,7 +327,7 @@ func (s *System) schedule(ch *Characterization, cfg EvalConfig, res *RunResult, 
 	}
 	res.ThroughputPenalty = float64(totalMig) / float64(totalDecode+totalMig)
 	res.PeriodSec = float64(totalDecode+totalMig) / float64(len(ch.Legs)) / s.ClockHz
-	return entries
+	return entries, nil
 }
 
 // baselineEntry is one memoized baseline cycle and the inputs it came from.

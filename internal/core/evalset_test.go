@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hotnoc/internal/chipcfg"
@@ -134,5 +135,29 @@ func TestEvaluateSetErrorNamesPoint(t *testing.T) {
 	}
 	if _, err := sys.Evaluate(ch, core.EvalConfig{BlocksPerPeriod: -2}); err == nil || errors.As(err, &pe) {
 		t.Fatalf("lone error %v, want an unindexed failure", err)
+	}
+}
+
+// TestEvaluateSetRejectsOverflowingPeriod: a period whose cycle count
+// does not fit an int64 fails its point instead of wrapping into a
+// shorter period.
+func TestEvaluateSetRejectsOverflowingPeriod(t *testing.T) {
+	spec, err := chipcfg.ByName("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := spec.Scaled(8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := built.System
+	ch, err := sys.Characterize(core.XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.EvaluateSet([]*core.Characterization{ch, ch}, []core.EvalConfig{{}, {BlocksPerPeriod: math.MaxInt}})
+	var pe *core.EvalPointError
+	if !errors.As(err, &pe) || pe.Point != 1 || !strings.Contains(err.Error(), "overflows the cycle count") {
+		t.Fatalf("set error %v, want point 1's overflowing cycle count", err)
 	}
 }

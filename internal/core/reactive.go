@@ -145,15 +145,16 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 // EvaluateReactive of that configuration alone. A trigger sweep is k
 // independent runs on one characterization, so they share the work that
 // does not depend on the configuration: one warm start serves the set,
-// and runs with the same Dt advance in lockstep, up to four taking each
-// backward-Euler step through one banded solve
-// (thermal.Transient.StepStates). Every run keeps its own cursor (leg,
-// steps left in its decode or migration window, recording flag,
-// statistics, timeline), so runs whose triggers fire at different
+// and runs with the same Dt advance in lockstep on the thermal lane
+// driver (thermal.Evaluator.StepLanes), up to four taking each
+// backward-Euler step through one banded solve. Every run keeps its own
+// cursor (leg, steps left in its decode or migration window, recording
+// flag, statistics, timeline), so runs whose triggers fire at different
 // boundaries still share every solve, and a run that finishes hands its
-// place to the next waiting one. A configuration that fails validation
-// fails the set before any work starts; a failure that belongs to one
-// configuration is a *ReactiveRunError naming it.
+// lane to the next waiting one. A configuration that fails validation
+// (including a step that splits a window into more steps than an int
+// holds) fails the set before any work starts; a failure that belongs to
+// one configuration is a *ReactiveRunError naming it.
 func (s *System) EvaluateReactiveSet(ch *Characterization, cfgs []ReactiveConfig) ([]ReactiveResult, error) {
 	out := make([]ReactiveResult, len(cfgs))
 	if err := s.evaluateReactive(ch, cfgs, out); err != nil {
@@ -204,10 +205,12 @@ func (c *ReactiveConfig) check(ch *Characterization) error {
 	return nil
 }
 
-// reactiveRun is one configuration's cursor through its horizon.
+// reactiveRun is the cursor of the run on one lane of a reactive set. It
+// ignores thermal.Steps' error: checkWindows checked every window.
 type reactiveRun struct {
-	cfg ReactiveConfig // defaults applied
-	res *ReactiveResult
+	cfg  ReactiveConfig // defaults applied
+	res  *ReactiveResult
+	base []float64 // power map of the current window
 
 	blk       int  // current block
 	leg       int  // orbit position
@@ -220,15 +223,6 @@ type reactiveRun struct {
 	decodeCycles, migCycles int64
 }
 
-// reactiveLane is one lane of the lockstep integration: the node
-// temperatures, leakage and power scratch of the run it currently
-// carries, and that run's power map for the current window.
-type reactiveLane struct {
-	run          *reactiveRun
-	T, leak, pow []float64
-	base         []float64
-}
-
 // evaluateReactive evaluates cfgs into out (same length); see
 // EvaluateReactiveSet.
 func (s *System) evaluateReactive(ch *Characterization, cfgs []ReactiveConfig, out []ReactiveResult) error {
@@ -238,17 +232,15 @@ func (s *System) evaluateReactive(ch *Characterization, cfgs []ReactiveConfig, o
 	if ch == nil || len(ch.Legs) == 0 {
 		return fmt.Errorf("core: empty characterization")
 	}
-	runs := make([]reactiveRun, len(cfgs))
-	for i := range cfgs {
-		r := &runs[i]
-		r.cfg = cfgs[i]
-		if err := r.cfg.check(ch); err != nil {
+	for i, cfg := range cfgs {
+		if err := cfg.check(ch); err != nil {
 			return &ReactiveRunError{Run: i, Err: err}
 		}
-		r.cfg.setDefaults()
-		r.res = &out[i]
+		if err := s.checkWindows(ch, cfg.Normalized().Dt); err != nil {
+			return &ReactiveRunError{Run: i, Err: err}
+		}
 	}
-	if len(runs) == 0 {
+	if len(cfgs) == 0 {
 		return nil
 	}
 	legs := s.reactiveLegs(ch)
@@ -259,57 +251,90 @@ func (s *System) evaluateReactive(ch *Characterization, cfgs []ReactiveConfig, o
 	}
 	defer s.putEvaluator(ev)
 
-	// One allocation holds the warm start's two state vectors and every
-	// lane's scratch.
-	n, nn := s.Grid.N(), s.Therm.NNodes
-	var laneBuf [thermal.MaxStates]reactiveLane
-	lanes := laneBuf[:min(len(runs), thermal.MaxStates)]
-	buf := make([]float64, 2*nn+len(lanes)*(nn+2*n))
-	take := func(k int) []float64 {
-		v := buf[:k:k]
-		buf = buf[k:]
-		return v
-	}
-	warm, next := take(nn), take(nn)
-	for c := range lanes {
-		lanes[c] = reactiveLane{T: take(nn), leak: take(n), pow: take(n)}
-	}
-
 	// Warm-start the thermal state from the static placement's
 	// leakage-closed steady state, once for the whole set: it depends on
 	// the characterization alone.
-	ss := ev.Steady()
-	leakBuf, pmBuf := lanes[0].leak, lanes[0].pow
-	ss.SolveFullInto(warm, legs[0].decodePower)
-	for it := 0; it < 50; it++ {
-		s.Leak.Into(leakBuf, warm[:n])
-		copy(pmBuf, legs[0].decodePower)
-		for i, l := range leakBuf {
-			pmBuf[i] += l
-		}
-		ss.SolveFullInto(next, pmBuf)
-		done := maxAbsDiff(next, warm) < 1e-4
-		warm, next = next, warm
-		if done {
-			break
-		}
+	warm, err := ev.WarmStart(legs[0].decodePower, s.Leak.Into, 1e-4)
+	if err != nil {
+		return fmt.Errorf("core: reactive warm start: %w", err)
 	}
 
 	// Runs with the same step share one integrator and advance together;
 	// each distinct step is one lockstep pass, in order of first
 	// appearance.
-	for i := range runs {
-		dt := runs[i].cfg.Dt
-		if slices.ContainsFunc(runs[:i], func(r reactiveRun) bool { return r.cfg.Dt == dt }) {
+	for i := range cfgs {
+		dt := cfgs[i].Normalized().Dt
+		sameDt := func(c ReactiveConfig) bool { return c.Normalized().Dt == dt }
+		if slices.ContainsFunc(cfgs[:i], sameDt) {
 			continue
 		}
 		tr, err := ev.Transient(dt)
 		if err != nil {
 			return &ReactiveRunError{Run: i, Err: err}
 		}
-		s.stepReactive(tr, legs, warm, runs[i:], lanes)
+		if err := s.stepRuns(ev, tr, legs, warm, cfgs[i:], out[i:]); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// checkWindows rejects a step dt that splits a decode or migration
+// window of ch into more steps than an int holds.
+func (s *System) checkWindows(ch *Characterization, dt float64) error {
+	for k, la := range ch.Legs {
+		for _, cycles := range [...]int64{la.DecodeCycles, la.Migration.Cycles} {
+			if _, err := thermal.Steps(float64(cycles)/s.ClockHz, dt); err != nil {
+				return fmt.Errorf("core: leg %d: %w", k, err)
+			}
+		}
+	}
+	return nil
+}
+
+// stepRuns integrates every configuration of cfgs whose step is the
+// first one's, into its result in out, from the warm state to the end of
+// its horizon, through tr on the evaluator's lane driver. A run's cursor
+// lives on its lane.
+func (s *System) stepRuns(ev *thermal.Evaluator, tr *thermal.Transient, legs []legMeasurement, warm []float64, cfgs []ReactiveConfig, out []ReactiveResult) error {
+	n, dt := s.Grid.N(), cfgs[0].Normalized().Dt
+	var lanes [thermal.MaxStates]reactiveRun
+	next := 0
+	return ev.StepLanes(tr, s.Leak.Into, len(cfgs), thermal.LaneRuns{
+		Start: func(c int, T []float64) ([]float64, error) {
+			for ; next < len(cfgs); next++ {
+				if cfg := cfgs[next].Normalized(); cfg.Dt == dt {
+					r := &lanes[c]
+					*r = reactiveRun{cfg: cfg, res: &out[next]}
+					next++
+					r.res.PeakC = -math.MaxFloat64
+					if cfg.PeaksEvery > 0 {
+						r.res.BlockPeaks = make([]float64, 0, timelineCap(cfg))
+					}
+					copy(T, warm)
+					s.beginBlock(r, legs)
+					return r.base, nil
+				}
+			}
+			return nil, nil
+		},
+		Stepped: func(c int, T []float64) ([]float64, error) {
+			r := &lanes[c]
+			die := T[:n]
+			if r.recording {
+				p, _ := thermal.Peak(die)
+				if p > r.res.PeakC {
+					r.res.PeakC = p
+				}
+				r.meanAcc += thermal.Mean(die)
+				r.meanN++
+			}
+			if r.left--; r.left > 0 || s.endWindow(r, legs, die) {
+				return r.base, nil
+			}
+			return nil, nil
+		},
+	})
 }
 
 // reactiveLegs converts each characterized leg into the controller's
@@ -333,7 +358,7 @@ func (s *System) reactiveLegs(ch *Characterization) []legMeasurement {
 			migPower[i] = e / migDur
 		}
 		for i := range migPower {
-			migPower[i] += s.IdleFrac * decodePower[i]
+			migPower[i] += float64(s.IdleFrac * decodePower[i])
 		}
 		legs[k] = legMeasurement{
 			decodeCycles: la.DecodeCycles,
@@ -345,105 +370,37 @@ func (s *System) reactiveLegs(ch *Characterization) []legMeasurement {
 	return legs
 }
 
-// stepReactive integrates every run of runs whose step is tr's, from the
-// warm state, to the end of its horizon. Live runs fill the lanes; each
-// iteration assembles every live run's leakage-coupled power map, takes
-// one step of all of them through tr.StepStates, then advances each run's
-// cursor, and a run that reaches its horizon gives its lane to the next
-// waiting run. Each run sees exactly the sequence of operations the lone
-// evaluation performs, so its result does not depend on its companions.
-func (s *System) stepReactive(tr *thermal.Transient, legs []legMeasurement, warm []float64, runs []reactiveRun, lanes []reactiveLane) {
-	n := s.Grid.N()
-	dt := runs[0].cfg.Dt
-	next := 0
-	start := func(ln *reactiveLane) bool {
-		for ; next < len(runs); next++ {
-			if r := &runs[next]; r.cfg.Dt == dt {
-				next++
-				ln.run = r
-				r.res.PeakC = -math.MaxFloat64
-				if r.cfg.PeaksEvery > 0 {
-					r.res.BlockPeaks = make([]float64, 0, timelineCap(r.cfg))
-				}
-				copy(ln.T, warm)
-				s.beginBlock(ln, legs)
-				return true
-			}
-		}
-		return false
-	}
-	live := 0
-	for live < len(lanes) && start(&lanes[live]) {
-		live++
-	}
-	var T, pow [thermal.MaxStates][]float64
-	for live > 0 {
-		for c := range live {
-			ln := &lanes[c]
-			s.Leak.Into(ln.leak, ln.T[:n])
-			copy(ln.pow, ln.base)
-			for j, l := range ln.leak {
-				ln.pow[j] += l
-			}
-			T[c], pow[c] = ln.T, ln.pow
-		}
-		tr.StepStates(T[:live], pow[:live])
-		for c := 0; c < live; {
-			ln := &lanes[c]
-			r := ln.run
-			die := ln.T[:n]
-			if r.recording {
-				p, _ := thermal.Peak(die)
-				if p > r.res.PeakC {
-					r.res.PeakC = p
-				}
-				r.meanAcc += thermal.Mean(die)
-				r.meanN++
-			}
-			if r.left--; r.left > 0 || s.endWindow(ln, legs) || start(ln) {
-				c++
-				continue
-			}
-			// Nothing waits for this lane: retire it, and step the last
-			// live lane in its place.
-			live--
-			lanes[c], lanes[live] = lanes[live], lanes[c]
-		}
-	}
-}
-
-// beginBlock starts the decode window of the lane's run's current block.
-func (s *System) beginBlock(ln *reactiveLane, legs []legMeasurement) {
-	r := ln.run
+// beginBlock starts the decode window of the run's current block.
+func (s *System) beginBlock(r *reactiveRun, legs []legMeasurement) {
 	m := &legs[r.leg]
 	r.recording = r.blk >= r.cfg.WarmupBlocks
 	r.migrating = false
-	r.left = windowSteps(m.decodeCycles, s.ClockHz, r.cfg.Dt)
-	ln.base = m.decodePower
+	r.left, _ = thermal.Steps(float64(m.decodeCycles)/s.ClockHz, r.cfg.Dt)
+	r.base = m.decodePower
 }
 
-// endWindow closes the window the lane's run just integrated. After a
-// decode window the quantized sensor peak is read and recorded, and a
-// reading above the trigger opens the leg's migration window; otherwise,
-// or after a migration window, the run moves on to its next block.
-// It reports false when the run has reached its horizon, its result then
-// complete.
-func (s *System) endWindow(ln *reactiveLane, legs []legMeasurement) bool {
-	r := ln.run
+// endWindow closes the window the run just integrated; die holds the die
+// temperatures its last step reached. After a decode window the
+// quantized sensor peak is read and recorded, and a reading above the
+// trigger opens the leg's migration window; otherwise, or after a
+// migration window, the run moves on to its next block. It reports false
+// when the run has reached its horizon, its result then complete.
+func (s *System) endWindow(r *reactiveRun, legs []legMeasurement, die []float64) bool {
 	cfg := &r.cfg
 	m := &legs[r.leg]
 	if !r.migrating {
 		if r.recording {
 			r.decodeCycles += m.decodeCycles
 		}
-		sensorPeak := quantize(maxOf(ln.T[:s.Grid.N()]), cfg.SensorQuantC)
+		peak, _ := thermal.Peak(die)
+		sensorPeak := quantize(peak, cfg.SensorQuantC)
 		if cfg.PeaksEvery > 0 && r.blk%cfg.PeaksEvery == 0 {
 			r.res.BlockPeaks = append(r.res.BlockPeaks, sensorPeak)
 		}
 		if sensorPeak > cfg.TriggerC {
 			r.migrating = true
-			r.left = windowSteps(m.migCycles, s.ClockHz, cfg.Dt)
-			ln.base = m.migPower
+			r.left, _ = thermal.Steps(float64(m.migCycles)/s.ClockHz, cfg.Dt)
+			r.base = m.migPower
 			return true
 		}
 	} else {
@@ -454,7 +411,7 @@ func (s *System) endWindow(ln *reactiveLane, legs []legMeasurement) bool {
 		r.leg = (r.leg + 1) % len(legs)
 	}
 	if r.blk++; r.blk < cfg.SimBlocks {
-		s.beginBlock(ln, legs)
+		s.beginBlock(r, legs)
 		return true
 	}
 	r.res.MeanC = r.meanAcc / float64(r.meanN)
@@ -475,31 +432,4 @@ func timelineCap(c ReactiveConfig) int {
 	return min((c.SimBlocks-1)/c.PeaksEvery+1, maxTimelinePrealloc)
 }
 
-// windowSteps is the number of dt steps integrating a window of cycles
-// clock cycles: the duration rounded to the nearest step, at least one.
-func windowSteps(cycles int64, clockHz, dt float64) int {
-	steps := int(math.Round(float64(cycles) / clockHz / dt))
-	return max(steps, 1)
-}
-
 func quantize(v, lsb float64) float64 { return math.Floor(v/lsb) * lsb }
-
-func maxOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -241,26 +242,59 @@ func TestReactiveTimelineStrideExtremes(t *testing.T) {
 	}
 }
 
-// TestEvaluateReactiveAllocs pins a warm lone EvaluateReactive at the 6
-// allocations it makes (27 before runs were grouped): the one-run set
-// may not pay for the lockstep machinery, nor creep back towards the old
-// count.
+// TestEvaluateReactiveAllocs pins warm reactive sets of k runs at the
+// 3+k allocations they make: the legs' power maps (two), the set's
+// results (a lone EvaluateReactive's one-element array) and each run's
+// timeline. Lanes and the warm start live in the evaluator's scratch, so
+// neither a set's width nor its lane refills (k = 5 and 8) may allocate.
 func TestEvaluateReactiveAllocs(t *testing.T) {
 	sys := buildSystem(t, 4)
 	ch, err := sys.Characterize(XYShift())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 55}
-	if _, err := sys.EvaluateReactive(ch, cfg); err != nil {
+	for _, tc := range []struct{ k, want int }{{1, 4}, {4, 7}, {5, 8}, {8, 11}} {
+		cfgs := make([]ReactiveConfig, tc.k)
+		for i := range cfgs {
+			cfgs[i] = ReactiveConfig{Scheme: XYShift(), TriggerC: 55 + float64(i)/4}
+		}
+		run := func() {
+			if tc.k == 1 {
+				_, err = sys.EvaluateReactive(ch, cfgs[0])
+			} else {
+				_, err = sys.EvaluateReactiveSet(ch, cfgs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(5, run); allocs > float64(tc.want) {
+			t.Errorf("warm reactive set of %d runs allocates %g times, want ≤ %d", tc.k, allocs, tc.want)
+		}
+	}
+}
+
+// TestReactiveRejectsOverflowingStepCount: a step so short that a
+// decode or migration window holds more steps than an int fails its run
+// before any run starts, instead of wrapping to one step per window.
+func TestReactiveRejectsOverflowingStepCount(t *testing.T) {
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := sys.EvaluateReactive(ch, cfg); err != nil {
-			t.Fatal(err)
+	good := ReactiveConfig{Scheme: XYShift(), TriggerC: 55, SimBlocks: 20}
+	for _, dt := range []float64{1e-30, 1e-100} {
+		bad := good
+		bad.Dt = dt
+		res, err := sys.EvaluateReactiveSet(ch, []ReactiveConfig{good, bad})
+		var re *ReactiveRunError
+		if !errors.As(err, &re) || re.Run != 1 || res != nil || !strings.Contains(err.Error(), "more steps than an int holds") {
+			t.Errorf("dt %g: results %v, error %v, want run 1's overflowing step count", dt, res, err)
 		}
-	})
-	if allocs > 6 {
-		t.Fatalf("warm EvaluateReactive allocates %g times, want ≤ 6", allocs)
+		if _, err := sys.EvaluateReactive(ch, bad); err == nil {
+			t.Errorf("dt %g accepted by EvaluateReactive", dt)
+		}
 	}
 }

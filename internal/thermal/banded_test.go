@@ -244,7 +244,7 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := ev.Steady()
+	ss := ev.ss
 	tr, err := ev.Transient(5e-6)
 	if err != nil {
 		t.Fatal(err)

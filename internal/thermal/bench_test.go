@@ -347,7 +347,11 @@ func BenchmarkCycleSet(b *testing.B) {
 				steps := 0
 				for s, res := range out {
 					for _, e := range scheds[s] {
-						steps += (res.Repetitions + 1) * entrySteps(e, 5e-6)
+						n, err := Steps(e.Duration, 5e-6)
+						if err != nil {
+							b.Fatal(err)
+						}
+						steps += (res.Repetitions + 1) * n
 					}
 				}
 				b.ReportAllocs()

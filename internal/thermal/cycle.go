@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -39,15 +40,16 @@ func (e *CycleSetError) Unwrap() error { return e.Err }
 // RunCycleSet runs RunCycle for every schedule of scheds under the one
 // opts and writes the results to out (same length, input order), each
 // bitwise identical to RunCycle of that schedule alone. The schedules
-// share the network, the step and the leakage model, so up to MaxStates
-// of them advance in lockstep, taking each backward-Euler step through one
-// banded solve (Transient.StepStates). Every schedule keeps its own cursor
-// (entry, steps left in it, repetition, repetition-start state, recording
-// flag, statistics), so schedules of different lengths that converge after
-// different repetitions still share every solve; a schedule whose
-// recorded repetition ends hands its lane to the next waiting one. A
+// share the network, the step and the leakage model, so StepLanes
+// advances up to MaxStates of them in lockstep, taking each
+// backward-Euler step through one banded solve. Every schedule keeps its
+// own cursor (entry, steps left in it, repetition, repetition-start
+// state, recording flag, statistics), so schedules of different lengths
+// that converge after different repetitions still share every solve. A
 // schedule that fails validation fails the set before any work starts; a
-// failure that belongs to one schedule is a *CycleSetError naming it.
+// failure that belongs to one schedule is a *CycleSetError naming it. It
+// allocates only the results' MaxPerBlock maps and, for more schedules
+// than lanes, their start order (TestHotLoopsAllocationFree).
 func (ev *Evaluator) RunCycleSet(scheds [][]ScheduleEntry, opts CycleOptions, out []CycleResult) error {
 	if len(out) != len(scheds) {
 		panic(fmt.Sprintf("thermal: RunCycleSet with %d schedules and %d results", len(scheds), len(out)))
@@ -66,6 +68,9 @@ func (ev *Evaluator) RunCycleSet(scheds [][]ScheduleEntry, opts CycleOptions, ou
 			if e.Duration <= 0 {
 				return &CycleSetError{Schedule: k, Err: fmt.Errorf("thermal: entry %d has non-positive duration", i)}
 			}
+			if _, err := Steps(e.Duration, opts.Dt); err != nil {
+				return &CycleSetError{Schedule: k, Err: fmt.Errorf("thermal: entry %d: %w", i, err)}
+			}
 			cycleTime += e.Duration
 		}
 		out[k] = CycleResult{CycleTime: cycleTime}
@@ -77,18 +82,56 @@ func (ev *Evaluator) RunCycleSet(scheds [][]ScheduleEntry, opts CycleOptions, ou
 	if err != nil {
 		return err
 	}
-	return ev.stepCycles(tr, scheds, &opts, out)
+	n := ev.nw.NDie
+	sc := ev.scratch(min(len(scheds), MaxStates))
+	order := startOrder(scheds, opts.Dt)
+	next := 0
+	return ev.StepLanes(tr, opts.Leak, len(scheds), LaneRuns{
+		Start: func(c int, T []float64) ([]float64, error) {
+			if next == len(scheds) {
+				return nil, nil
+			}
+			k := next
+			if order != nil {
+				k = order[next]
+			}
+			next++
+			run := &sc.cycles[c]
+			*run = cycleRun{sched: k, entries: scheds[k], res: out[k], prev: run.prev}
+			warm, err := ev.WarmStart(run.average(sc.avg), opts.Leak, opts.TolC/10)
+			if err != nil {
+				return nil, &CycleSetError{Schedule: k, Err: err}
+			}
+			copy(T, warm)
+			copy(run.prev, T)
+			run.left, _ = Steps(run.entries[0].Duration, opts.Dt)
+			return run.entries[0].Power, nil
+		},
+		Stepped: func(c int, T []float64) ([]float64, error) {
+			run := &sc.cycles[c]
+			if run.recording {
+				run.record(T[:n])
+			}
+			if run.advance(T, &opts) {
+				return run.entries[run.entry].Power, nil
+			}
+			if err := run.finish(); err != nil {
+				return nil, &CycleSetError{Schedule: run.sched, Err: err}
+			}
+			out[run.sched] = run.res
+			*run = cycleRun{prev: run.prev}
+			return nil, nil
+		},
+	})
 }
 
-// cycleLane is one lane of a lockstep cycle set: the cursor of the
-// schedule it carries, that schedule's node-temperature state and
-// repetition-start state, and its leakage and power scratch.
-type cycleLane struct {
+// cycleRun is the cursor of the schedule on one lane of a cycle set. It
+// ignores Steps' error: RunCycleSet checked every entry's count.
+type cycleRun struct {
 	sched   int // index of the schedule in the set
 	entries []ScheduleEntry
-	// res is the schedule's result in the making; it is copied out when
-	// the recorded repetition ends, so the lane keeps no pointer into
-	// the caller's results.
+	// res is the schedule's result in the making, copied out when the
+	// recorded repetition ends.
 	res CycleResult
 
 	entry     int  // current entry
@@ -96,91 +139,7 @@ type cycleLane struct {
 	recording bool // in the recorded repetition after convergence
 	meanAcc   float64
 	samples   int
-
-	T, prev     []float64 // NNodes
-	leak, power []float64 // NDie
-}
-
-// stepCycles integrates every schedule from its warm start to the end of
-// its recorded repetition. Live schedules fill the lanes; each iteration
-// assembles every live lane's leakage-coupled power map, takes one step of
-// all of them through tr.StepStates, then advances each lane's cursor,
-// and a lane whose schedule is done takes the next waiting one. Each
-// schedule sees exactly the sequence of operations its lone evaluation
-// performs, so its result does not depend on its companions. It
-// allocates only the results' MaxPerBlock maps and, for more schedules
-// than lanes, their start order (TestHotLoopsAllocationFree).
-func (ev *Evaluator) stepCycles(tr *Transient, scheds [][]ScheduleEntry, opts *CycleOptions, out []CycleResult) error {
-	n := ev.nw.NDie
-	width := min(len(scheds), MaxStates)
-	lanes := ev.scratch(width).lanes[:width]
-	order := startOrder(scheds, opts.Dt)
-	next := 0
-	// start puts the next waiting schedule on ln, warm-started; it
-	// reports false when none waits.
-	start := func(ln *cycleLane) (bool, error) {
-		if next == len(scheds) {
-			return false, nil
-		}
-		k := next
-		if order != nil {
-			k = order[next]
-		}
-		next++
-		ln.sched, ln.entries, ln.res = k, scheds[k], CycleResult{CycleTime: out[k].CycleTime}
-		if err := ev.warmStart(ln, opts); err != nil {
-			return false, &CycleSetError{Schedule: k, Err: err}
-		}
-		return true, nil
-	}
-	live := 0
-	for live < len(lanes) {
-		ok, err := start(&lanes[live])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		live++
-	}
-	var T, pow [MaxStates][]float64
-	for live > 0 {
-		for c := range live {
-			ln := &lanes[c]
-			ln.assemble(opts.Leak, n)
-			T[c], pow[c] = ln.T, ln.power
-		}
-		tr.StepStates(T[:live], pow[:live])
-		for c := 0; c < live; {
-			ln := &lanes[c]
-			if ln.recording {
-				ln.record(n)
-			}
-			if ln.advance(opts) {
-				c++
-				continue
-			}
-			if err := ln.finish(); err != nil {
-				return &CycleSetError{Schedule: ln.sched, Err: err}
-			}
-			out[ln.sched], ln.res = ln.res, CycleResult{}
-			ok, err := start(ln)
-			if err != nil {
-				return err
-			}
-			if ok {
-				c++
-				continue
-			}
-			// Nothing waits for this lane: retire it, and step the last
-			// live lane in its place.
-			ln.entries = nil
-			live--
-			lanes[c], lanes[live] = lanes[live], lanes[c]
-		}
-	}
-	return nil
+	prev      []float64 // repetition-start state, NNodes
 }
 
 // startOrder returns the order in which a set of more schedules than
@@ -194,10 +153,11 @@ func startOrder(scheds [][]ScheduleEntry, dt float64) []int {
 	if len(scheds) <= MaxStates {
 		return nil
 	}
-	repSteps := func(k int) int {
-		steps := 0
+	repSteps := func(k int) float64 { // a float: the sum of counts that fit an int need not
+		steps := 0.0
 		for _, e := range scheds[k] {
-			steps += entrySteps(e, dt)
+			s, _ := Steps(e.Duration, dt)
+			steps += float64(s)
 		}
 		return steps
 	}
@@ -205,139 +165,82 @@ func startOrder(scheds [][]ScheduleEntry, dt float64) []int {
 	for k := range order {
 		order[k] = k
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return repSteps(b) - repSteps(a) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(repSteps(b), repSteps(a)) })
 	return order
 }
 
-// warmStart sets the lane's state to its schedule's warm start and its
-// cursor to the first step of the first repetition.
+// average writes the schedule's time-averaged power map to avg and
+// returns it: the quasi-steady cycle orbits around its warm start, so
+// convergence takes only a handful of repetitions.
 //
-// The heat-sink time constant (~RConvection·CSink, minutes) dwarfs the
-// schedule period, so integrating from ambient would take millions of
-// repetitions to warm the package. Instead the state starts from the
-// steady state of the time-averaged power map (iterating the leakage
-// feedback to a fixed point), which the quasi-steady cycle orbits
-// around; convergence then takes only a handful of repetitions.
-func (ev *Evaluator) warmStart(ln *cycleLane, opts *CycleOptions) error {
-	nw, sc := ev.nw, ev.sc
-	avg := sc.avg
-	for i := range avg {
-		avg[i] = 0
-	}
-	cycleTime := ln.res.CycleTime
-	for _, e := range ln.entries {
-		w := e.Duration / cycleTime
+//hotnoc:noalloc
+func (run *cycleRun) average(avg []float64) []float64 {
+	clear(avg)
+	for _, e := range run.entries {
+		w := e.Duration / run.res.CycleTime
 		for i, p := range e.Power {
 			avg[i] += float64(w * p)
 		}
 	}
-	ss := ev.ss
-	withLeak := sc.withLeak
-	copy(withLeak, avg)
-	state, next := sc.state, sc.stateNext
-	ss.SolveFullInto(state, withLeak)
-	if opts.Leak != nil {
-		for it := 0; it < 50; it++ {
-			opts.Leak(ln.leak, state[:nw.NDie])
-			copy(withLeak, avg)
-			for i, l := range ln.leak {
-				withLeak[i] += l
-			}
-			ss.SolveFullInto(next, withLeak)
-			done := vecMaxAbsDiff(next, state) < opts.TolC/10
-			state, next = next, state
-			if err := checkFinite(state); err != nil {
-				return fmt.Errorf("thermal: electrothermal runaway during warm start (leakage diverges at this power level): %w", err)
-			}
-			if done {
-				break
-			}
-		}
-	}
-	copy(ln.T, state)
-	// The convergence check compares against a copy of the
-	// repetition-start state.
-	copy(ln.prev, ln.T)
-	ln.entry, ln.left = 0, entrySteps(ln.entries[0], opts.Dt)
-	ln.recording = false
-	return nil
+	return avg
 }
 
-// entrySteps is the number of dt steps integrating entry e: its duration
-// rounded to the nearest step, at least one.
-func entrySteps(e ScheduleEntry, dt float64) int {
-	return max(int(math.Round(e.Duration/dt)), 1)
-}
-
-// assemble writes the lane's power map for its next step: the current
-// entry's power plus, with leak set, the leakage of its die temperatures.
-func (ln *cycleLane) assemble(leak func(dst, dieTemps []float64), n int) {
-	copy(ln.power, ln.entries[ln.entry].Power)
-	if leak != nil {
-		leak(ln.leak, ln.T[:n])
-		for i, l := range ln.leak {
-			ln.power[i] += l
-		}
-	}
-}
-
-// record folds the die temperatures the lane's last step reached into
-// its recorded repetition's statistics.
+// record folds the die temperatures die the cursor's last step reached
+// into its recorded repetition's statistics.
 //
 //hotnoc:noalloc
-func (ln *cycleLane) record(n int) {
-	maxPer := ln.res.MaxPerBlock
-	for i := 0; i < n; i++ {
-		t := ln.T[i]
+func (run *cycleRun) record(die []float64) {
+	maxPer := run.res.MaxPerBlock
+	for i, t := range die {
 		if t > maxPer[i] {
 			maxPer[i] = t
 		}
-		ln.meanAcc += t
+		run.meanAcc += t
 	}
-	ln.samples += n
+	run.samples += len(die)
 }
 
-// advance moves the lane's cursor past the step just taken. At the end of
-// a repetition before convergence, the state is compared with the
+// advance moves the cursor past the step that reached state T. At the
+// end of a repetition before convergence, T is compared with the
 // repetition's start: a change below TolC, or the MaxReps-th repetition,
 // starts the recorded repetition. It reports false when the recorded
 // repetition has ended.
-func (ln *cycleLane) advance(opts *CycleOptions) bool {
-	if ln.left--; ln.left > 0 {
+func (run *cycleRun) advance(T []float64, opts *CycleOptions) bool {
+	if run.left--; run.left > 0 {
 		return true
 	}
-	if ln.entry++; ln.entry == len(ln.entries) {
-		if ln.recording {
+	if run.entry++; run.entry == len(run.entries) {
+		if run.recording {
 			return false
 		}
-		ln.entry = 0
-		ln.res.Repetitions++
-		if ln.res.Repetitions >= opts.MaxReps || vecMaxAbsDiff(ln.T, ln.prev) < opts.TolC {
-			ln.startRecording()
+		run.entry = 0
+		run.res.Repetitions++
+		if run.res.Repetitions >= opts.MaxReps || vecMaxAbsDiff(T, run.prev) < opts.TolC {
+			run.startRecording(len(run.entries[0].Power))
 		} else {
-			copy(ln.prev, ln.T)
+			copy(run.prev, T)
 		}
 	}
-	ln.left = entrySteps(ln.entries[ln.entry], opts.Dt)
+	run.left, _ = Steps(run.entries[run.entry].Duration, opts.Dt)
 	return true
 }
 
-// startRecording begins the repetition whose statistics the result
-// reports.
-func (ln *cycleLane) startRecording() {
-	ln.recording = true
-	ln.meanAcc, ln.samples = 0, 0
-	ln.res.MaxPerBlock = make([]float64, len(ln.leak))
-	for i := range ln.res.MaxPerBlock {
-		ln.res.MaxPerBlock[i] = -math.MaxFloat64
+// startRecording begins the repetition of n blocks whose statistics the
+// result reports.
+func (run *cycleRun) startRecording(n int) {
+	run.recording = true
+	run.meanAcc, run.samples = 0, 0
+	run.res.MaxPerBlock = make([]float64, n)
+	for i := range run.res.MaxPerBlock {
+		run.res.MaxPerBlock[i] = -math.MaxFloat64
 	}
 }
 
-// finish completes the lane's result from its recorded repetition.
-func (ln *cycleLane) finish() error {
-	res := &ln.res
+// finish completes the cursor's result from its recorded repetition.
+func (run *cycleRun) finish() error {
+	res := &run.res
 	res.PeakC, res.PeakBlock = Peak(res.MaxPerBlock)
-	res.MeanC = ln.meanAcc / float64(ln.samples)
+	res.MeanC = run.meanAcc / float64(run.samples)
 	if err := checkFinite([]float64{res.PeakC, res.MeanC}); err != nil {
 		return fmt.Errorf("thermal: cycle integration diverged: %w", err)
 	}

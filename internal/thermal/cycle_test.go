@@ -220,3 +220,45 @@ func TestCycleSetErrorNamesSchedule(t *testing.T) {
 		t.Fatalf("lone error %v, want an unindexed failure", err)
 	}
 }
+
+// TestSteps: a duration rounds to the nearest step, at least one, and a
+// count that does not fit an int is an error rather than a wrapped count.
+func TestSteps(t *testing.T) {
+	for _, tc := range []struct {
+		duration, dt float64
+		want         int
+	}{
+		{100e-6, 5e-6, 20},
+		{102.4e-6, 5e-6, 20},
+		{102.6e-6, 5e-6, 21},
+		{1e-9, 5e-6, 1},
+		{1 << 40, 1, 1 << 40},
+	} {
+		if got, err := Steps(tc.duration, tc.dt); err != nil || got != tc.want {
+			t.Errorf("Steps(%g, %g) = %d, %v, want %d", tc.duration, tc.dt, got, err, tc.want)
+		}
+	}
+	for _, tc := range [][2]float64{{1e-4, 1e-30}, {1e-4, 1e-100}, {1 << 63, 1}, {math.MaxFloat64, 5e-6}, {1, 0}, {math.NaN(), 1}} {
+		if got, err := Steps(tc[0], tc[1]); err == nil {
+			t.Errorf("Steps(%g, %g) = %d, want an error", tc[0], tc[1], got)
+		}
+	}
+}
+
+// TestCycleSetRejectsOverflowingStepCount: an entry whose step count does
+// not fit an int fails its schedule before any work starts.
+func TestCycleSetRejectsOverflowingStepCount(t *testing.T) {
+	nw := refMesh(t, [2]int{4, 4})
+	ev, err := NewEvaluator(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []ScheduleEntry{{Power: make([]float64, nw.NDie), Duration: 1e-4}}
+	long := []ScheduleEntry{good[0], {Power: make([]float64, nw.NDie), Duration: 1e15}}
+	err = ev.RunCycleSet([][]ScheduleEntry{good, long}, CycleOptions{}, make([]CycleResult, 2))
+	var se *CycleSetError
+	if !errors.As(err, &se) || se.Schedule != 1 || !strings.Contains(err.Error(), "entry 1") ||
+		!strings.Contains(err.Error(), "more steps than an int holds") {
+		t.Fatalf("set error %v, want schedule 1's entry 1 step count", err)
+	}
+}

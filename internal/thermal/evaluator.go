@@ -18,24 +18,25 @@ type Evaluator struct {
 	// tr is the integrator of the most recently requested step size; a
 	// different step replaces it. Keeping one bounds the evaluator's
 	// memory when callers choose the step (a long-lived daemon serves any
-	// dt a client sends). Cycle evaluations step their own lane states
+	// dt a client sends). Lockstep runs step their own lane states
 	// through it and never read its state, so reuse is exact.
 	tr *Transient
-	sc *cycleScratch
+	sc *laneScratch
 }
 
-// cycleScratch holds the per-evaluator buffers that make RunCycleSet
-// allocation-free apart from its results: the warm start's die-sized
-// average and leakage-folded power maps and node-sized ping-pong state
-// vectors, and up to MaxStates lanes of stepping state. Lazily built on
-// the first cycle evaluation; lanes beyond the first get their buffers
-// the first time a set needs them.
-type cycleScratch struct {
-	avg       []float64 // time-averaged power map, NDie
-	withLeak  []float64 // warm-start power map with leakage folded in, NDie
-	state     []float64 // warm-start fixed-point state, NNodes
+// laneScratch holds the per-evaluator buffers that keep lockstep runs
+// allocation-free apart from their results: WarmStart's and
+// RunCycleSet's power maps and states, and up to MaxStates lanes, each
+// with StepLanes' buffers and the cursor RunCycleSet keeps on it. Lazily
+// built; lanes get their buffers the first time a set needs them.
+type laneScratch struct {
+	avg       []float64 // RunCycleSet's time-averaged power map, NDie
+	leak      []float64 // WarmStart's leakage, NDie
+	withLeak  []float64 // WarmStart's power map with leakage folded in, NDie
+	state     []float64 // WarmStart's fixed-point state, NNodes
 	stateNext []float64
-	lanes     [MaxStates]cycleLane
+	lanes     [MaxStates]runLane
+	cycles    [MaxStates]cycleRun
 	ready     int // lanes with buffers
 }
 
@@ -49,22 +50,22 @@ func NewEvaluator(nw *Network) (*Evaluator, error) {
 	return &Evaluator{nw: nw, ss: ss}, nil
 }
 
-// scratch returns the evaluator's cycle scratch with buffers for at
+// scratch returns the evaluator's lane scratch with buffers for at
 // least k lanes, in one allocation per growth: the warm start's buffers
-// and one lane on first use, the other lanes when a set first needs
-// them, so an evaluator that runs only lone cycles carries one lane.
-func (ev *Evaluator) scratch(k int) *cycleScratch {
+// and the lanes asked for on first use, further lanes when a set first
+// needs them, so an evaluator that runs only lone runs carries one lane.
+func (ev *Evaluator) scratch(k int) *laneScratch {
 	n, nn := ev.nw.NDie, ev.nw.NNodes
 	if ev.sc == nil {
-		ev.sc = &cycleScratch{}
+		ev.sc = &laneScratch{}
 	}
 	sc := ev.sc
-	if sc.ready >= k {
+	if sc.avg != nil && sc.ready >= k {
 		return sc
 	}
 	size := (k - sc.ready) * (2*nn + 2*n)
 	if sc.avg == nil {
-		size += 2*n + 2*nn
+		size += 3*n + 2*nn
 	}
 	buf := make([]float64, size)
 	take := func(m int) []float64 {
@@ -73,23 +74,23 @@ func (ev *Evaluator) scratch(k int) *cycleScratch {
 		return v
 	}
 	if sc.avg == nil {
-		sc.avg, sc.withLeak, sc.state, sc.stateNext = take(n), take(n), take(nn), take(nn)
+		sc.avg, sc.leak, sc.withLeak = take(n), take(n), take(n)
+		sc.state, sc.stateNext = take(nn), take(nn)
 	}
 	for ; sc.ready < k; sc.ready++ {
 		ln := &sc.lanes[sc.ready]
-		ln.T, ln.prev, ln.leak, ln.power = take(nn), take(nn), take(n), take(n)
+		ln.T, ln.leak, ln.power = take(nn), take(n), take(n)
+		sc.cycles[sc.ready].prev = take(nn)
 	}
 	return sc
 }
 
-// Steady returns the cached steady-state solver.
-func (ev *Evaluator) Steady() *SteadySolver { return ev.ss }
-
 // Transient returns the integrator for step dt: the cached one when the
 // previous request used the same step, otherwise a new one whose
-// iteration matrix is factorised here and which replaces the cache. The
-// integrator's state persists between calls; callers that need a defined
-// starting point must Reset or SetState it.
+// iteration matrix is factorised here and which replaces the cache.
+// No evaluation reads the integrator's own state (T and Time): they step
+// lane states of their own through StepLanes. A caller that steps it
+// with Step shares that state with every other caller.
 func (ev *Evaluator) Transient(dt float64) (*Transient, error) {
 	if ev.tr != nil && ev.tr.dt == dt {
 		return ev.tr, nil

@@ -106,7 +106,7 @@ func TestEvaluatorCachesFactorizations(t *testing.T) {
 	if ev.tr != d {
 		t.Error("a rejected dt replaced the cached integrator")
 	}
-	if ev.Steady() == nil {
+	if ev.ss == nil {
 		t.Error("no steady solver")
 	}
 }

@@ -406,6 +406,31 @@ func TestLabReactiveValidation(t *testing.T) {
 	}
 }
 
+// TestLabRejectsOverflowingCounts: a period or reactive step whose cycle
+// or step count does not fit fails its sweep with an error naming the
+// point, instead of a result computed from a wrapped count.
+func TestLabRejectsOverflowingCounts(t *testing.T) {
+	lab := NewLab(WithScale(testScale))
+	for _, tc := range []struct {
+		pt   SweepPoint
+		want []string
+	}{
+		{PeriodicPoint("A", XYShift(), math.MaxInt),
+			[]string{"config A scheme X-Y Shift blocks 9223372036854775807", "overflows the cycle count"}},
+		{ReactivePoint("A", ReactiveConfig{Scheme: XYShift(), TriggerC: 84, Dt: 1e-30}),
+			[]string{"config A scheme X-Y Shift reactive trigger 84", "more steps than an int holds"}},
+		{ReactivePoint("A", ReactiveConfig{Scheme: XYShift(), TriggerC: 83, Dt: 1e-100}),
+			[]string{"config A scheme X-Y Shift reactive trigger 83", "more steps than an int holds"}},
+	} {
+		_, err := lab.SweepAll(context.Background(), []SweepPoint{tc.pt})
+		for _, w := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%+v: error %v, want it to contain %q", tc.pt, err, w)
+			}
+		}
+	}
+}
+
 // TestLabMixedSweep: periodic and reactive points mix freely in one
 // Lab.Sweep, stream in point order with the result arm matching each
 // kind, and share one NoC characterization per (config, scheme) across

@@ -24,8 +24,9 @@
 # schedule's step of a lockstep cycle set, beside its ns per set.
 # The warm thermal path's speed depends on where the hot kernels sit
 # relative to 64-byte lines, so the output also records, under "layout",
-# the address mod 64 of solveSingle, solve4 and the cycle-set loop
-# (stepCycles) in each benchmark binary that links them.
+# the address mod 64 of solveSingle, solve4 and the lockstep lane driver
+# (StepLanes) in each benchmark binary that links them; a symbol that no
+# binary links gets a "missing" row (null binary and address) instead.
 #
 # Usage: bench.sh [pr-number]        (default: none, recorded as null)
 # Env:   BENCHTIME=100x|1s|...       kernel benchtime (default 1s)
@@ -94,18 +95,23 @@ while [ "$pass" -le "$REPEAT" ]; do
     pass=$((pass + 1))
 done
 
-# Code layout of the hot thermal kernels in every binary that links them.
+# Code layout of the hot thermal kernels in every binary that links them,
+# and a "missing" row for a kernel that none links (a rename, say).
+KERNELS='(*BandedLU).solveSingle (*BandedLU).solve4 (*Evaluator).StepLanes'
 for bin in "$BIN"/*.test; do
-    go tool nm "$bin" | awk -v bin="$(basename "$bin")" '
-    $3 == "hotnoc/internal/thermal.(*BandedLU).solveSingle" ||
-    $3 == "hotnoc/internal/thermal.(*BandedLU).solve4" ||
-    $3 == "hotnoc/internal/thermal.(*Evaluator).stepCycles" {
+    go tool nm "$bin" | awk -v bin="$(basename "$bin")" -v kernels="$KERNELS" '
+    BEGIN { n = split(kernels, k, " "); for (i = 1; i <= n; i++) want["hotnoc/internal/thermal." k[i]] = 1 }
+    $3 in want {
         addr = 0
         for (i = 1; i <= length($1); i++) addr = (addr * 16 + index("0123456789abcdef", substr($1, i, 1)) - 1) % 64
         sub(/^hotnoc\/internal\/thermal\./, "", $3)
         print bin, $3, addr
     }'
-done | tee "$LAYOUT"
+done > "$LAYOUT"
+MISSING="$(awk -v kernels="$KERNELS" '{ seen[$2] = 1 }
+    END { n = split(kernels, k, " "); for (i = 1; i <= n; i++) if (!(k[i] in seen)) print "missing", k[i] }' "$LAYOUT")"
+[ -z "$MISSING" ] || echo "$MISSING" >> "$LAYOUT"
+cat "$LAYOUT"
 
 awk -v pr="$PR" -v gover="$(go version | awk '{print $3}')" -v layout="$LAYOUT" '
 /^Benchmark/ {
@@ -145,7 +151,10 @@ END {
     n = 0
     while ((getline line < layout) > 0) {
         split(line, f, " ")
-        printf "%s\n    {\"binary\": \"%s\", \"symbol\": \"%s\", \"addr_mod_64\": %s}", (n++ ? "," : ""), f[1], f[2], f[3]
+        if (f[1] == "missing")
+            printf "%s\n    {\"binary\": null, \"symbol\": \"%s\", \"addr_mod_64\": null, \"missing\": true}", (n++ ? "," : ""), f[2]
+        else
+            printf "%s\n    {\"binary\": \"%s\", \"symbol\": \"%s\", \"addr_mod_64\": %s}", (n++ ? "," : ""), f[1], f[2], f[3]
     }
     printf "\n  ]\n}\n"
 }

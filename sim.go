@@ -41,7 +41,7 @@ type PointKind string
 // The two experiment kinds a SweepPoint can run.
 const (
 	// KindPeriodic is the paper's fixed-period migration policy
-	// (System.Evaluate).
+	// (System.EvaluateSet).
 	KindPeriodic PointKind = "periodic"
 	// KindReactive is the threshold-triggered (sensor-driven) policy
 	// (System.EvaluateReactiveSet).
