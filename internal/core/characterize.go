@@ -308,10 +308,7 @@ func (s *System) schedule(ch *Characterization, cfg EvalConfig, res *RunResult, 
 			}
 			legPower[i] = e / legDur
 		}
-		entries = append(entries, thermal.ScheduleEntry{
-			Power: legPower, Duration: legDur,
-			Label: fmt.Sprintf("leg %d (%s)", leg, la.Step.Name),
-		})
+		entries = append(entries, thermal.ScheduleEntry{Power: legPower, Duration: legDur})
 
 		migTotalEnergy := la.MigJ +
 			float64(s.IdleFrac*la.DecodeJ/float64(la.DecodeCycles)*float64(la.Migration.Cycles))
@@ -358,9 +355,7 @@ func (s *System) baseline(ev *thermal.Evaluator, ch *Characterization) (thermal.
 	for i, j := range ch.BaselineBlockJ {
 		basePower[i] = j / dur
 	}
-	res, err := ev.RunCycle([]thermal.ScheduleEntry{{
-		Power: basePower, Duration: dur, Label: "static",
-	}}, s.cycleOpts())
+	res, err := ev.RunCycle([]thermal.ScheduleEntry{{Power: basePower, Duration: dur}}, s.cycleOpts())
 	if err != nil {
 		return res, err
 	}
@@ -380,8 +375,8 @@ func blockEnergies(act *power.Activity, e power.Energy, n int) []float64 {
 	return out
 }
 
-// sum adds a slice in index order (the same order Activity.TotalEnergyJ
-// uses, keeping evaluation bitwise identical to the fused path).
+// sum adds a slice in index order: a leg's total energies are the serial
+// sums of its per-block energies, an order the goldens fix.
 func sum(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {

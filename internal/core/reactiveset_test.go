@@ -275,6 +275,40 @@ func TestEvaluateReactiveAllocs(t *testing.T) {
 	}
 }
 
+// TestEvaluateSetAllocs pins a warm lone Evaluate and a warm five-point
+// EvaluateSet (the five schemes) at the 7 and 25 allocations they make:
+// the points' schedules, leg reports and per-block maxima and the set's
+// shared buffers.
+func TestEvaluateSetAllocs(t *testing.T) {
+	sys := buildSystem(t, 4)
+	var chs []*Characterization
+	for _, s := range AllSchemes() {
+		ch, err := sys.Characterize(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chs = append(chs, ch)
+	}
+	for _, tc := range []struct{ k, want int }{{1, 7}, {5, 25}} {
+		cfgs := make([]EvalConfig, tc.k)
+		run := func() {
+			var err error
+			if tc.k == 1 {
+				_, err = sys.Evaluate(chs[0], cfgs[0])
+			} else {
+				_, err = sys.EvaluateSet(chs[:tc.k], cfgs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(5, run); allocs > float64(tc.want) {
+			t.Errorf("warm evaluation set of %d points allocates %g times, want ≤ %d", tc.k, allocs, tc.want)
+		}
+	}
+}
+
 // TestReactiveRejectsOverflowingStepCount: a step so short that a
 // decode or migration window holds more steps than an int fails its run
 // before any run starts, instead of wrapping to one step per window.

@@ -36,11 +36,6 @@ type Block struct {
 // Area returns the block area in m².
 func (b Block) Area() float64 { return b.W * b.H }
 
-// CenterX and CenterY return the block centroid, used for distance-based
-// diagnostics and report rendering.
-func (b Block) CenterX() float64 { return b.X + b.W/2 }
-func (b Block) CenterY() float64 { return b.Y + b.H/2 }
-
 // Floorplan is a complete die layout: a grid of blocks in row-major order.
 type Floorplan struct {
 	Grid   geom.Grid
@@ -88,11 +83,6 @@ func (f *Floorplan) DieArea() float64 {
 		a += b.Area()
 	}
 	return a
-}
-
-// Block returns the block at grid coordinate c.
-func (f *Floorplan) Block(c geom.Coord) Block {
-	return f.Blocks[f.Grid.Index(c)]
 }
 
 // Adjacency describes one shared edge between two blocks; SharedLen is the

@@ -36,13 +36,13 @@ func TestBlockLookup(t *testing.T) {
 	g := geom.NewGrid(5, 5)
 	fp := NewMesh(g)
 	for _, c := range g.Coords() {
-		b := fp.Block(c)
+		b := fp.Blocks[g.Index(c)]
 		if b.Cell != c {
-			t.Fatalf("Block(%v) has cell %v", c, b.Cell)
+			t.Fatalf("block at %v has cell %v", c, b.Cell)
 		}
 		if math.Abs(b.X-float64(c.X)*UnitSideM) > 1e-15 ||
 			math.Abs(b.Y-float64(c.Y)*UnitSideM) > 1e-15 {
-			t.Fatalf("Block(%v) at (%g,%g)", c, b.X, b.Y)
+			t.Fatalf("block at %v sits at (%g,%g)", c, b.X, b.Y)
 		}
 	}
 }

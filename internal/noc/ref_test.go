@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hotnoc/internal/geom"
@@ -299,6 +300,15 @@ func latchState(ps *portState, valid bool, f Flit, owned bool, owner, rr Dir) {
 	ps.RR = rr
 }
 
+// copyActivity snapshots an activity record's counters.
+func copyActivity(a *power.Activity) power.Activity {
+	return power.Activity{
+		BufWrites: slices.Clone(a.BufWrites), BufReads: slices.Clone(a.BufReads),
+		Xbar: slices.Clone(a.Xbar), Arb: slices.Clone(a.Arb), Link: slices.Clone(a.Link),
+		PEOps: slices.Clone(a.PEOps), ConvWords: slices.Clone(a.ConvWords),
+	}
+}
+
 func reassemblyID(p *Packet) uint64 {
 	if p == nil {
 		return 0
@@ -307,7 +317,7 @@ func reassemblyID(p *Packet) uint64 {
 }
 
 func (n *refNet) state() netState {
-	s := netState{Cycle: n.cycle, Inflight: n.inflight, Stats: n.stats, Act: *n.act.Clone()}
+	s := netState{Cycle: n.cycle, Inflight: n.inflight, Stats: n.stats, Act: copyActivity(n.act)}
 	for i := range n.routers {
 		r := &n.routers[i]
 		var ports [numDirs]portState
@@ -337,7 +347,7 @@ func (n *refNet) state() netState {
 func (n *Network) state() netState {
 	st := n.Stats
 	st.SkippedCycles = 0 // the oracle never fast-forwards
-	s := netState{Cycle: n.Cycle, Inflight: n.inflight, Stats: st, Act: *n.Act.Clone()}
+	s := netState{Cycle: n.Cycle, Inflight: n.inflight, Stats: st, Act: copyActivity(n.Act)}
 	for i := range n.routers {
 		r := &n.routers[i]
 		var ports [numDirs]portState

@@ -332,11 +332,11 @@ func TestReplayRefusals(t *testing.T) {
 
 	refuse := func(t *testing.T, n *Network, w *Window) {
 		t.Helper()
-		cycle, stats, act, rr := n.Cycle, n.Stats, n.Act.Clone(), rrOf(n)
+		cycle, stats, act, rr := n.Cycle, n.Stats, copyActivity(n.Act), rrOf(n)
 		if n.Replay(w) {
 			t.Fatal("Replay applied")
 		}
-		if n.Cycle != cycle || n.Stats != stats || !reflect.DeepEqual(n.Act, act) || !reflect.DeepEqual(rrOf(n), rr) {
+		if n.Cycle != cycle || n.Stats != stats || !reflect.DeepEqual(*n.Act, act) || !reflect.DeepEqual(rrOf(n), rr) {
 			t.Fatal("a refused Replay changed the network")
 		}
 	}

@@ -121,48 +121,21 @@ func (a *Activity) Reset() {
 	}
 }
 
-// AddFrom accumulates another activity record (e.g. migration traffic on
-// top of workload traffic). The two records must cover the same blocks.
-func (a *Activity) AddFrom(b *Activity) {
-	if a.N() != b.N() {
-		panic(fmt.Sprintf("power: adding activity over %d blocks to %d", b.N(), a.N()))
-	}
-	for k, s := range a.slices() {
-		for i, v := range b.slices()[k] {
-			s[i] += v
-		}
-	}
-}
-
-// Clone returns a deep copy.
-func (a *Activity) Clone() *Activity {
-	c := NewActivity(a.N())
-	c.AddFrom(a)
-	return c
-}
-
 func (a *Activity) slices() [][]uint64 {
 	return [][]uint64{a.BufWrites, a.BufReads, a.Xbar, a.Arb, a.Link, a.PEOps, a.ConvWords}
 }
 
-// BlockEnergyJ returns the dynamic energy dissipated in block i.
+// BlockEnergyJ returns the dynamic energy dissipated in block i. Each
+// product is written float64(a*b), which forbids fusing it into the sum,
+// so the energy rounds the same on every GOARCH.
 func (a *Activity) BlockEnergyJ(e Energy, i int) float64 {
-	return float64(a.BufWrites[i])*e.BufWriteJ +
-		float64(a.BufReads[i])*e.BufReadJ +
-		float64(a.Xbar[i])*e.XbarJ +
-		float64(a.Arb[i])*e.ArbJ +
-		float64(a.Link[i])*e.LinkJ +
-		float64(a.PEOps[i])*e.PEOpJ +
-		float64(a.ConvWords[i])*e.ConvJ
-}
-
-// TotalEnergyJ returns the chip-wide dynamic energy of the window.
-func (a *Activity) TotalEnergyJ(e Energy) float64 {
-	s := 0.0
-	for i := 0; i < a.N(); i++ {
-		s += a.BlockEnergyJ(e, i)
-	}
-	return s
+	return float64(float64(a.BufWrites[i])*e.BufWriteJ) +
+		float64(float64(a.BufReads[i])*e.BufReadJ) +
+		float64(float64(a.Xbar[i])*e.XbarJ) +
+		float64(float64(a.Arb[i])*e.ArbJ) +
+		float64(float64(a.Link[i])*e.LinkJ) +
+		float64(float64(a.PEOps[i])*e.PEOpJ) +
+		float64(float64(a.ConvWords[i])*e.ConvJ)
 }
 
 // PowerMap converts the window's activity into per-block average power

@@ -207,7 +207,7 @@ func factorBanded(m *Dense, shift []float64, border int, perm []int) (*BandedLU,
 				continue
 			}
 			for cc := 1; cc <= rmax-col; cc++ {
-				rRow[d+cc] -= l * pivRow[k+cc]
+				rRow[d+cc] -= float64(l * pivRow[k+cc])
 			}
 		}
 	}
@@ -222,7 +222,7 @@ func factorBanded(m *Dense, shift []float64, border int, perm []int) (*BandedLU,
 	acc := 0.0
 	for i, b := range f.bcol {
 		if b != 0 {
-			acc += b * f.y[i]
+			acc += float64(b * f.y[i])
 		}
 	}
 	f.schur = d - acc
@@ -636,7 +636,3 @@ func scatterPanel[L lane](f *BandedLU, x []L, dst []float64, ncols, c0, r int, s
 		dst[f.border*ncols+c0+c] = s[c]
 	}
 }
-
-// Bandwidth reports the detected half bandwidth of the banded block, a
-// diagnostic for ordering regressions (≈2·gridwidth for a mesh).
-func (f *BandedLU) Bandwidth() int { return f.k }

@@ -52,7 +52,8 @@ func TestBandedDifferentialRandomGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := ss.SolveFull(p)
+		got := make([]float64, nw.NNodes)
+		ss.SolveFullInto(got, p)
 		if d := vecMaxAbsDiff(got, want); d > 1e-8 {
 			t.Fatalf("%dx%d grid: banded steady solve differs from dense by %g °C", w, h, d)
 		}
@@ -77,9 +78,10 @@ func TestBandedDifferentialRandomGrids(t *testing.T) {
 			ref[i] = nw.Par.AmbientC
 		}
 		refRHS := make([]float64, nw.NNodes)
+		T := ambientState(nw)
 		steps := 5 + r.Intn(20)
 		for s := 0; s < steps; s++ {
-			tr.Step(p)
+			tr.StepStates([][]float64{T}, [][]float64{p})
 			for i := range refRHS {
 				pv := 0.0
 				if i < nw.NDie {
@@ -89,7 +91,7 @@ func TestBandedDifferentialRandomGrids(t *testing.T) {
 			}
 			lu.Solve(ref, refRHS)
 		}
-		if d := vecMaxAbsDiff(tr.T, ref); d > 1e-8 {
+		if d := vecMaxAbsDiff(T, ref); d > 1e-8 {
 			t.Fatalf("%dx%d grid dt=%g: banded transient differs from dense by %g °C after %d steps",
 				w, h, dt, d, steps)
 		}
@@ -110,8 +112,8 @@ func TestBandedBandwidth(t *testing.T) {
 		}
 		// Horizontal neighbours are 2 apart in the interleaved order,
 		// vertical neighbours 2·W apart.
-		if want := 2 * wh[0]; f.Bandwidth() > want {
-			t.Errorf("%dx%d grid: half bandwidth %d exceeds 2·W = %d", wh[0], wh[1], f.Bandwidth(), want)
+		if want := 2 * wh[0]; f.k > want {
+			t.Errorf("%dx%d grid: half bandwidth %d exceeds 2·W = %d", wh[0], wh[1], f.k, want)
 		}
 	}
 }
@@ -255,6 +257,7 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 	}
 	die := make([]float64, nw.NDie)
 	full := make([]float64, nw.NNodes)
+	one, onePow := [][]float64{ambientState(nw)}, [][]float64{p}
 	leakBuf := make([]float64, nw.NDie)
 	leak := func(dst, temps []float64) {
 		for i, d := range temps {
@@ -268,10 +271,10 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 	}{
 		{"SolveInto", func() { ss.SolveInto(die, p) }},
 		{"SolveFullInto", func() { ss.SolveFullInto(full, p) }},
-		{"Step", func() { tr.Step(p) }},
+		{"StepStates with 1 state", func() { tr.StepStates(one, onePow) }},
 		{"cycle step with leak", func() {
-			leak(leakBuf, tr.T[:nw.NDie])
-			tr.Step(p)
+			leak(leakBuf, one[0][:nw.NDie])
+			tr.StepStates(one, onePow)
 		}},
 	}
 	for k := 2; k <= 4; k++ {

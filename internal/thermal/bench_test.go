@@ -125,18 +125,19 @@ func BenchmarkInfluencePeak(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientStep measures one backward-Euler step of the 5x5 model.
+// BenchmarkTransientStep measures one backward-Euler step of the 5x5
+// model: StepStates of a single state.
 func BenchmarkTransientStep(b *testing.B) {
 	nw := benchNetwork(b, 5)
 	tr, err := NewTransient(nw, 5e-6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := benchPower(nw.NDie)
+	T, p := [][]float64{ambientState(nw)}, [][]float64{benchPower(nw.NDie)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Step(p)
+		tr.StepStates(T, p)
 	}
 }
 
@@ -153,17 +154,18 @@ func BenchmarkCycleLoopStep(b *testing.B) {
 	base := benchPower(nw.NDie)
 	leak := make([]float64, nw.NDie)
 	pm := make([]float64, nw.NDie)
+	T, P := [][]float64{ambientState(nw)}, [][]float64{pm}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, t := range tr.T[:nw.NDie] {
+		for j, t := range T[0][:nw.NDie] {
 			leak[j] = 0.012 * (1 + 0.018*(t-40))
 		}
 		copy(pm, base)
 		for j, l := range leak {
 			pm[j] += l
 		}
-		tr.Step(pm)
+		tr.StepStates(T, P)
 	}
 }
 

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // refRunCycle freezes RunCycle as it stood before cycle sets: one
-// schedule integrated on the evaluator's own Transient with Step, entry by
-// entry, through the convergence loop and one recorded repetition. It
+// schedule integrated on one state stepped alone through StepStates, entry
+// by entry, through the convergence loop and one recorded repetition. It
 // exists only as a differential oracle: never edit it to make a test pass.
 func refRunCycle(t *testing.T, nw *Network, entries []ScheduleEntry, opts CycleOptions) CycleResult {
 	t.Helper()
@@ -54,8 +55,9 @@ func refRunCycle(t *testing.T, nw *Network, entries []ScheduleEntry, opts CycleO
 			}
 		}
 	}
-	tr.SetState(state, 0)
+	T := state
 	power := make([]float64, nw.NDie)
+	Ts, Ps := [][]float64{T}, [][]float64{power}
 	runEntry := func(e ScheduleEntry, record *CycleResult, meanAcc *float64, samples *int) {
 		steps := int(math.Round(e.Duration / opts.Dt))
 		if steps < 1 {
@@ -64,15 +66,15 @@ func refRunCycle(t *testing.T, nw *Network, entries []ScheduleEntry, opts CycleO
 		for s := 0; s < steps; s++ {
 			copy(power, e.Power)
 			if opts.Leak != nil {
-				opts.Leak(leak, tr.T[:nw.NDie])
+				opts.Leak(leak, T[:nw.NDie])
 				for i, l := range leak {
 					power[i] += l
 				}
 			}
-			tr.Step(power)
+			tr.StepStates(Ts, Ps)
 			if record != nil {
 				for i := 0; i < nw.NDie; i++ {
-					t := tr.T[i]
+					t := T[i]
 					if t > record.MaxPerBlock[i] {
 						record.MaxPerBlock[i] = t
 					}
@@ -82,17 +84,17 @@ func refRunCycle(t *testing.T, nw *Network, entries []ScheduleEntry, opts CycleO
 			}
 		}
 	}
-	prev := tr.State()
+	prev := slices.Clone(T)
 	reps := 0
 	for ; reps < opts.MaxReps; reps++ {
 		for _, e := range entries {
 			runEntry(e, nil, nil, nil)
 		}
-		if vecMaxAbsDiff(tr.T, prev) < opts.TolC {
+		if vecMaxAbsDiff(T, prev) < opts.TolC {
 			reps++
 			break
 		}
-		copy(prev, tr.T)
+		copy(prev, T)
 	}
 	res := CycleResult{MaxPerBlock: make([]float64, nw.NDie), Repetitions: reps, CycleTime: cycleTime}
 	for i := range res.MaxPerBlock {

@@ -18,8 +18,8 @@ type Evaluator struct {
 	// tr is the integrator of the most recently requested step size; a
 	// different step replaces it. Keeping one bounds the evaluator's
 	// memory when callers choose the step (a long-lived daemon serves any
-	// dt a client sends). Lockstep runs step their own lane states
-	// through it and never read its state, so reuse is exact.
+	// dt a client sends). The integrator holds no temperature state, so
+	// reuse is exact.
 	tr *Transient
 	sc *laneScratch
 }
@@ -88,9 +88,8 @@ func (ev *Evaluator) scratch(k int) *laneScratch {
 // Transient returns the integrator for step dt: the cached one when the
 // previous request used the same step, otherwise a new one whose
 // iteration matrix is factorised here and which replaces the cache.
-// No evaluation reads the integrator's own state (T and Time): they step
-// lane states of their own through StepLanes. A caller that steps it
-// with Step shares that state with every other caller.
+// The integrator holds no temperature state, so callers sharing it step
+// states of their own.
 func (ev *Evaluator) Transient(dt float64) (*Transient, error) {
 	if ev.tr != nil && ev.tr.dt == dt {
 		return ev.tr, nil

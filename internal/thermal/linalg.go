@@ -47,21 +47,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// MulVec computes dst = M · x. dst and x must not alias.
-func (m *Dense) MulVec(dst, x []float64) {
-	if len(dst) != m.N || len(x) != m.N {
-		panic("thermal: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.N; i++ {
-		s := 0.0
-		row := m.A[i*m.N : (i+1)*m.N]
-		for j, a := range row {
-			s += a * x[j]
-		}
-		dst[i] = s
-	}
-}
-
 // vecMaxAbsDiff returns max_i |a[i]-b[i]|, the convergence metric for the
 // transient solver's quasi-steady detection.
 func vecMaxAbsDiff(a, b []float64) float64 {

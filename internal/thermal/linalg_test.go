@@ -98,6 +98,17 @@ func (f *LU) Solve(dst, b []float64) {
 	copy(dst, x)
 }
 
+// mulVec returns M · x.
+func mulVec(m *Dense, x []float64) []float64 {
+	out := make([]float64, m.N)
+	for i := range out {
+		for j, a := range m.A[i*m.N : (i+1)*m.N] {
+			out[i] += a * x[j]
+		}
+	}
+	return out
+}
+
 func TestLUSolvesKnownSystem(t *testing.T) {
 	// 3x3 system with known solution x = (1, -2, 3).
 	m := NewDense(3)
@@ -112,8 +123,7 @@ func TestLUSolvesKnownSystem(t *testing.T) {
 		}
 	}
 	want := []float64{1, -2, 3}
-	b := make([]float64, 3)
-	m.MulVec(b, want)
+	b := mulVec(m, want)
 	lu, err := Factor(m)
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +166,7 @@ func TestLUResidualProperty(t *testing.T) {
 		}
 		x := make([]float64, n)
 		lu.Solve(x, b)
-		back := make([]float64, n)
-		m.MulVec(back, x)
+		back := mulVec(m, x)
 		return vecMaxAbsDiff(back, b) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -207,13 +216,4 @@ func TestPivotingHandlesZeroDiagonal(t *testing.T) {
 	if math.Abs(x[0]-7) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Fatalf("got %v, want [7 3]", x)
 	}
-}
-
-func TestMulVecDimensionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected dimension panic")
-		}
-	}()
-	NewDense(3).MulVec(make([]float64, 2), make([]float64, 3))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -72,8 +73,8 @@ func checkLanes[L lane](t *testing.T, name string, f *BandedLU, x []L, solve fun
 // leakage-coupled states for 300 steps through StepStates — widths 1, 2,
 // 4 and the padded three — each from its own random start under its own
 // power maps, switching maps every 50 steps as a migration orbit does,
-// and asserts after every step that each state is bitwise where its own
-// Transient's Step puts it.
+// and asserts after every step that each state is bitwise where stepping
+// it alone, as StepStates of one state, puts it.
 func TestStepStatesMatchesStep(t *testing.T) {
 	const steps = 300
 	r := rand.New(rand.NewSource(27))
@@ -86,17 +87,14 @@ func TestStepStatesMatchesStep(t *testing.T) {
 		for k := 1; k <= 4; k++ {
 			name := fmt.Sprintf("%dx%d %d states", wh[0], wh[1], k)
 			T, pow := make([][]float64, k), make([][]float64, k)
-			solo := make([]*Transient, k)
+			solo := make([][]float64, k)
 			maps := make([][][]float64, k)
 			for c := range T {
 				T[c], pow[c] = make([]float64, nw.NNodes), make([]float64, nw.NDie)
 				for i := range T[c] {
 					T[c][i] = 40 + 30*r.Float64()
 				}
-				if solo[c], err = NewTransient(nw, 5e-6); err != nil {
-					t.Fatal(err)
-				}
-				solo[c].SetState(T[c], 0)
+				solo[c] = slices.Clone(T[c])
 				maps[c] = make([][]float64, 3)
 				for m := range maps[c] {
 					maps[c][m] = make([]float64, nw.NDie)
@@ -117,17 +115,17 @@ func TestStepStatesMatchesStep(t *testing.T) {
 					for i, p := range maps[c][(s/50+c)%3] {
 						pow[c][i] += p
 					}
-					leak(soloPow, solo[c].T[:nw.NDie])
+					leak(soloPow, solo[c][:nw.NDie])
 					for i, p := range maps[c][(s/50+c)%3] {
 						soloPow[i] += p
 					}
-					solo[c].Step(soloPow)
+					tr.StepStates([][]float64{solo[c]}, [][]float64{soloPow})
 				}
 				tr.StepStates(T, pow)
 				for c := range T {
-					if i := firstBitDiff(T[c], solo[c].T); i >= 0 {
-						t.Fatalf("%s step %d state %d: node %d = %v, Step %v",
-							name, s, c, i, T[c][i], solo[c].T[i])
+					if i := firstBitDiff(T[c], solo[c]); i >= 0 {
+						t.Fatalf("%s step %d state %d: node %d = %v, alone %v",
+							name, s, c, i, T[c][i], solo[c][i])
 					}
 				}
 			}

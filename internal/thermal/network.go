@@ -237,12 +237,6 @@ func (nw *Network) stamp(i, j int, g float64) {
 	nw.G.Add(j, i, -g)
 }
 
-// DieTemps returns a copy of the die-layer slice of a full node
-// temperature vector. Hot loops read full[:NDie] in place instead.
-func (nw *Network) DieTemps(full []float64) []float64 {
-	return append([]float64(nil), full[:nw.NDie]...)
-}
-
 // Peak returns the hottest die temperature and its block index.
 func Peak(dieTemps []float64) (float64, int) {
 	maxT, maxI := dieTemps[0], 0

@@ -47,14 +47,6 @@ func (s *SteadySolver) SolveInto(dst, blockPower []float64) {
 	copy(dst, s.t[:s.nw.NDie])
 }
 
-// SolveFull returns the full node temperature vector, including spreader
-// and sink nodes, for diagnostics.
-func (s *SteadySolver) SolveFull(blockPower []float64) []float64 {
-	out := make([]float64, s.nw.NNodes)
-	s.SolveFullInto(out, blockPower)
-	return out
-}
-
 // SolveFullInto writes the full node temperature vector into dst (NNodes
 // entries) without allocating.
 //
@@ -68,7 +60,7 @@ func (s *SteadySolver) SolveFullInto(dst, blockPower []float64) {
 
 // solveNodes solves G·T = P + B into dst (NNodes entries), assembling the
 // right-hand side straight into the factorisation's banded scratch in the
-// network's node layout, as Transient.Step does: die nodes carry their
+// network's node layout, as Transient.stepInto does: die nodes carry their
 // block power, the other nodes the literal 0 power term of the node-order
 // vector this replaces.
 //
@@ -137,28 +129,16 @@ func NewInfluence(nw *Network) (*Influence, error) {
 	return inf, nil
 }
 
-// Temps returns die temperatures for a power map via the influence matrix.
-func (inf *Influence) Temps(blockPower []float64) []float64 {
-	if len(blockPower) != inf.N {
-		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks",
-			len(blockPower), inf.N))
-	}
-	out := make([]float64, inf.N)
-	inf.A.MulVec(out, blockPower)
-	for i := range out {
-		out[i] += inf.Ambient
-	}
-	return out
-}
-
 // PeakTemp returns only the hottest block's temperature for a power map;
 // this is the placement objective, kept allocation-free.
 //
 // Each row's sum is a serial chain of dependent additions, so the rows
 // are taken four at a time with one accumulator each: the four chains
 // overlap, while every row still adds Ambient and then a*p for j = 0..n-1
-// in order, as a row at a time would. The peak is then taken in row order,
-// so the result is the same to the bit. A scalar tail takes n mod 4 rows.
+// in order, as a row at a time would. The peak is then taken in row
+// order, so the result is the same to the bit. A scalar tail takes n mod
+// 4 rows. Each product is written float64(a*p), so no GOARCH fuses it
+// into the sum.
 //
 //hotnoc:noalloc
 func (inf *Influence) PeakTemp(blockPower []float64) float64 {
@@ -173,10 +153,10 @@ func (inf *Influence) PeakTemp(blockPower []float64) float64 {
 		r3 := inf.A.A[(i+3)*n:][:n]
 		t0, t1, t2, t3 := inf.Ambient, inf.Ambient, inf.Ambient, inf.Ambient
 		for j, pj := range p {
-			t0 += r0[j] * pj
-			t1 += r1[j] * pj
-			t2 += r2[j] * pj
-			t3 += r3[j] * pj
+			t0 += float64(r0[j] * pj)
+			t1 += float64(r1[j] * pj)
+			t2 += float64(r2[j] * pj)
+			t3 += float64(r3[j] * pj)
 		}
 		if t0 > peak {
 			peak = t0
@@ -195,7 +175,7 @@ func (inf *Influence) PeakTemp(blockPower []float64) float64 {
 		row := inf.A.A[i*n:][:n]
 		t := inf.Ambient
 		for j, a := range row {
-			t += a * p[j]
+			t += float64(a * p[j])
 		}
 		if t > peak {
 			peak = t

@@ -21,18 +21,14 @@ type Transient struct {
 	// cdt holds C[i]/dt per node: the diagonal the iteration matrix adds
 	// to G, and the weight of the current state in every right-hand side.
 	cdt []float64
-
-	// T is the current full node temperature vector.
-	T []float64
-	// Time is the elapsed simulated time in seconds.
-	Time float64
 }
 
-// NewTransient creates an integrator with step dt (seconds), starting from
-// a uniform ambient-temperature state. It factorises the iteration matrix
-// C/dt + G: adding C/dt to the diagonal preserves symmetry, diagonal
-// dominance, and the band pattern, so the banded factorisation applies
-// unchanged, and it shifts G's diagonal by C/dt without copying G.
+// NewTransient creates an integrator with step dt (seconds). It holds no
+// temperature state: StepStates advances caller-held node-temperature
+// states. It factorises the iteration matrix C/dt + G: adding C/dt to the
+// diagonal preserves symmetry, diagonal dominance, and the band pattern,
+// so the banded factorisation applies unchanged, and it shifts G's
+// diagonal by C/dt without copying G.
 func NewTransient(nw *Network, dt float64) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive step %g", dt)
@@ -45,41 +41,7 @@ func NewTransient(nw *Network, dt float64) (*Transient, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &Transient{nw: nw, dt: dt, f: f, cdt: cdt, T: make([]float64, nw.NNodes)}
-	tr.Reset()
-	return tr, nil
-}
-
-// Reset returns the state to uniform ambient temperature at time zero.
-func (tr *Transient) Reset() {
-	for i := range tr.T {
-		tr.T[i] = tr.nw.Par.AmbientC
-	}
-	tr.Time = 0
-}
-
-// SetState overwrites the die and package state with a previously captured
-// full node vector (e.g. to branch a what-if simulation).
-func (tr *Transient) SetState(full []float64, time float64) {
-	if len(full) != len(tr.T) {
-		panic("thermal: SetState dimension mismatch")
-	}
-	copy(tr.T, full)
-	tr.Time = time
-}
-
-// State returns a copy of the full node temperature vector.
-func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) }
-
-// Step advances one dt with the given per-block die power map (watts).
-//
-//hotnoc:noalloc
-func (tr *Transient) Step(blockPower []float64) {
-	if len(blockPower) != tr.nw.NDie {
-		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks", len(blockPower), tr.nw.NDie))
-	}
-	tr.stepInto(tr.T, blockPower)
-	tr.Time += tr.dt
+	return &Transient{nw: nw, dt: dt, f: f, cdt: cdt}, nil
 }
 
 // stepInto advances the node-temperature state T one dt in place. It
@@ -109,12 +71,11 @@ func (tr *Transient) stepInto(T, blockPower []float64) {
 const MaxStates = 4
 
 // StepStates advances len(T) independent node-temperature states by one
-// dt each, state c under the die power map blockPower[c]. Every state
-// ends bitwise where a Step from it would leave it, but two to four
-// states share each pass over the factorisation through the lockstep
-// kernels (three ride the four-wide kernel, the spare column repeating
-// the last state and discarded); a single state takes Step's path. The
-// integrator's own state T and Time are not touched.
+// dt each, state c under the die power map blockPower[c]. A single state
+// takes stepInto's path; two to four states share each pass over the
+// factorisation through the lockstep kernels (three ride the four-wide
+// kernel, the spare column repeating the last state and discarded), and
+// every state ends bitwise where stepInto from it would leave it.
 //
 //hotnoc:noalloc
 func (tr *Transient) StepStates(T, blockPower [][]float64) {
@@ -183,30 +144,13 @@ func scatterLanes[L lane](f *BandedLU, x []L, T [][]float64, s [4]float64) {
 	}
 }
 
-// StepFor integrates the given power map for a duration, rounding the
-// number of steps to the nearest whole step (minimum one).
-func (tr *Transient) StepFor(blockPower []float64, duration float64) {
-	steps := int(math.Round(duration / tr.dt))
-	if steps < 1 {
-		steps = 1
-	}
-	for s := 0; s < steps; s++ {
-		tr.Step(blockPower)
-	}
-}
-
-// Die returns a copy of the current die-layer temperatures.
-func (tr *Transient) Die() []float64 { return tr.nw.DieTemps(tr.T) }
-
 // ScheduleEntry is one segment of a piecewise-constant power schedule: the
 // chip dissipates Power (per-block watts) for Duration seconds. A migration
-// scheme's orbit becomes one entry per distinct placement, plus entries for
-// the migration windows themselves.
+// scheme's orbit becomes one entry per leg, its migration window's energy
+// folded into the entry's power.
 type ScheduleEntry struct {
 	Power    []float64
 	Duration float64
-	// Label annotates the entry in traces ("placement 2", "migration").
-	Label string
 }
 
 // CycleResult summarises the quasi-steady thermal cycle reached by

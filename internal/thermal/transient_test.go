@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// ambientState returns a node-temperature state at the uniform ambient
+// temperature, the rest state an integration starts from.
+func ambientState(nw *Network) []float64 {
+	T := make([]float64, nw.NNodes)
+	for i := range T {
+		T[i] = nw.Par.AmbientC
+	}
+	return T
+}
+
 // TestTransientConvergesToSteady: integrating a constant power map long
 // enough must land on the steady-state solution.
 func TestTransientConvergesToSteady(t *testing.T) {
@@ -25,11 +35,15 @@ func TestTransientConvergesToSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Integrate 2000 s of simulated time: an order of magnitude beyond the
-	// sink time constant (CSink * RConvection ≈ 170 s dominates). Backward
-	// Euler lets the step be 20 ms without stability concerns.
-	tr.StepFor(power, 2000)
-	got := tr.Die()
+	// Integrate 2000 s of simulated time (100 000 steps): an order of
+	// magnitude beyond the sink time constant (CSink * RConvection ≈ 170 s
+	// dominates). Backward Euler lets the step be 20 ms without stability
+	// concerns.
+	T := ambientState(nw)
+	for range 100000 {
+		tr.StepStates([][]float64{T}, [][]float64{power})
+	}
+	got := T[:nw.NDie]
 	if d := vecMaxAbsDiff(got, want); d > 0.01 {
 		t.Fatalf("transient end-state differs from steady state by %g °C", d)
 	}
@@ -51,9 +65,10 @@ func TestTransientMonotonicHeating(t *testing.T) {
 		t.Fatal(err)
 	}
 	prevPeak := nw.Par.AmbientC - 1e-12
+	T := ambientState(nw)
 	for step := 0; step < 5000; step++ {
-		tr.Step(power)
-		peak, _ := Peak(tr.Die())
+		tr.StepStates([][]float64{T}, [][]float64{power})
+		peak, _ := Peak(T[:nw.NDie])
 		if peak < prevPeak-1e-9 {
 			t.Fatalf("peak fell from %g to %g at step %d", prevPeak, peak, step)
 		}
@@ -77,8 +92,11 @@ func TestBackwardEulerStableAtLargeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.StepFor(power, 2000)
-	got := tr.Die()
+	T := ambientState(nw)
+	for range 2000 {
+		tr.StepStates([][]float64{T}, [][]float64{power})
+	}
+	got := T[:nw.NDie]
 	for i := range got {
 		if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
 			t.Fatalf("block %d diverged: %g", i, got[i])
@@ -248,27 +266,5 @@ func TestRunCycleErrorPaths(t *testing.T) {
 	if _, err := ev.RunCycle([]ScheduleEntry{{Power: make([]float64, nw.NDie), Duration: 0}},
 		CycleOptions{}); err == nil {
 		t.Fatal("accepted zero duration")
-	}
-}
-
-// TestStateRoundTrip covers SetState/State.
-func TestStateRoundTrip(t *testing.T) {
-	nw := testNetwork(t, 2)
-	tr, err := NewTransient(nw, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	power := make([]float64, nw.NDie)
-	power[0] = 1
-	tr.StepFor(power, 1e-3)
-	snap := tr.State()
-	when := tr.Time
-
-	tr2, _ := NewTransient(nw, 1e-5)
-	tr2.SetState(snap, when)
-	tr.StepFor(power, 1e-3)
-	tr2.StepFor(power, 1e-3)
-	if d := vecMaxAbsDiff(tr.State(), tr2.State()); d > 1e-12 {
-		t.Fatalf("branched integration diverged by %g", d)
 	}
 }

@@ -17,7 +17,7 @@ echo "== bench module (vet + short tests against the library API)" \
     && go -C bench vet ./... && go -C bench test -short ./...
 echo "== thermal differential (banded vs dense reference, batched, singular, row-run kernels vs frozen band sweeps, width-2/4 lockstep solves and steps vs single ones, cycle sets vs lone and frozen cycles)" \
     && go test -count=1 -run 'TestBanded|TestHotLoopsAllocationFree|MatchesRef|TestLockstep|TestStepStates|TestCycleSet' ./internal/thermal
-echo "== fused multiply-add check (arm64 listing of the transient, banded-solve and cycle-set kernels)" \
+echo "== fused multiply-add check (arm64 listing of internal/thermal, internal/power and core's power maps)" \
     && sh scripts/fmacheck.sh
 echo "== build-path differential (sort-based code construction, lagged-Fibonacci stream vs math/rand, Intn-exact draws, lazy encoder under -race, coordinate-based and full-cost annealing, row-at-a-time PeakTemp)" \
     && go test -count=1 -run 'MatchesRef|Stream|TestAnnealCostAllocationFree' ./internal/ldpc ./internal/place \
@@ -34,9 +34,9 @@ echo "== decode differential (traffic-only vs frozen value-carrying decoder, rep
     && go test -count=1 -run '^TestColdFigure1SteppedCycles$' .
 echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)" \
     && go test -race -count=3 -run 'Cache|Lock' .
-echo "== shared evaluation (concurrent Evaluate, evaluation sets and lockstep reactive sets on one System under -race, sets vs lone runs, cached configuration sets over worker counts under -race, warm-sweep and lone-reactive allocation guards)" \
+echo "== shared evaluation (concurrent Evaluate, evaluation sets and lockstep reactive sets on one System under -race, sets vs lone runs, cached configuration sets over worker counts under -race, warm-sweep, evaluation-set and reactive allocation guards)" \
     && go test -race -count=10 -run '^(TestSharedEvaluation|TestReactiveSetConcurrent)$' ./internal/core \
-    && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs|TestReactiveSetErrorNamesRun|TestReactiveTimelineStrideExtremes|TestEvaluateSetMatchesEvaluate|TestEvaluateSetErrorNamesPoint)$' ./internal/core \
+    && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs|TestReactiveSetErrorNamesRun|TestReactiveTimelineStrideExtremes|TestEvaluateSetMatchesEvaluate|TestEvaluateSetErrorNamesPoint|TestEvaluateSetAllocs)$' ./internal/core \
     && go test -race -count=10 -run '^TestGroupPointsCachedConfigSets$' . \
     && go test -count=1 -run '^(TestWarmSweepAllocs|TestLabReactiveWorkerCounts|TestReactiveSetPaperScale)$' .
 echo "== go test -race (full tree)" && go test -race ./...
