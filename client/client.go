@@ -254,29 +254,26 @@ func (c *Client) streamJob(ctx context.Context, id string, pts []hotnoc.SweepPoi
 		return false, decodeError(resp)
 	}
 
-	// Remote outcomes of one configuration share one metadata-only Built,
-	// mirroring how Lab outcomes share one calibrated build.
-	builts := map[string]*chipcfg.Built{}
-	next := 0 // expected outcome index, to verify SSE point order
-
+	st := stream{builts: map[string]*chipcfg.Built{}}
 	rd := bufio.NewReader(resp.Body)
+	var line []byte
 	var event string
 	var data bytes.Buffer
 	for {
-		line, err := rd.ReadString('\n')
+		line, err = readLine(rd, line[:0])
 		if err != nil {
 			if err == io.EOF {
 				return false, fmt.Errorf("client: job %s: %w", id, ErrInterrupted)
 			}
 			return false, fmt.Errorf("client: job %s: %w", id, err)
 		}
-		line = strings.TrimRight(line, "\r\n")
+		text := bytes.TrimRight(line, "\r\n")
 		switch {
-		case line == "":
+		case len(text) == 0:
 			if event == "" && data.Len() == 0 {
 				continue
 			}
-			done, err := c.dispatch(event, data.Bytes(), pts, builts, &next, yield)
+			done, err := c.dispatch(event, data.Bytes(), pts, &st, yield)
 			if err != nil {
 				return false, err
 			}
@@ -285,8 +282,8 @@ func (c *Client) streamJob(ctx context.Context, id string, pts []hotnoc.SweepPoi
 				// A done event with outcomes missing means the daemon's
 				// log was truncated (or a version-skewed server); a short
 				// result must be an error, not a silently partial grid.
-				if next != want {
-					return false, fmt.Errorf("client: job %s: done after %d of %d outcomes", id, next, want)
+				if st.next != want {
+					return false, fmt.Errorf("client: job %s: done after %d of %d outcomes", id, st.next, want)
 				}
 				return true, nil
 			case streamStopped:
@@ -294,12 +291,53 @@ func (c *Client) streamJob(ctx context.Context, id string, pts []hotnoc.SweepPoi
 			}
 			event = ""
 			data.Reset()
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
+		case bytes.HasPrefix(text, []byte("event:")):
+			event = eventName(bytes.TrimSpace(text[len("event:"):]))
+		case bytes.HasPrefix(text, []byte("data:")):
+			data.Write(bytes.TrimSpace(text[len("data:"):]))
 		}
 	}
+}
+
+// readLine appends the next line of rd, terminator included, to buf and
+// returns it. Reading through buf, which the caller passes back, keeps
+// a stream's lines from allocating once buf has grown to its longest.
+func readLine(rd *bufio.Reader, buf []byte) ([]byte, error) {
+	for {
+		frag, err := rd.ReadSlice('\n')
+		buf = append(buf, frag...)
+		if err != bufio.ErrBufferFull {
+			return buf, err
+		}
+	}
+}
+
+// eventName returns the SSE event name as a string, without allocating
+// for the names the protocol defines.
+func eventName(b []byte) string {
+	for _, name := range [...]string{wire.EventOutcome, wire.EventProgress, wire.EventDone, wire.EventError, wire.EventState} {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
+}
+
+// stream is the decoding state of one job's event stream.
+type stream struct {
+	// builts holds the metadata-only Built of each configuration: remote
+	// outcomes of one configuration share one, mirroring how Lab
+	// outcomes share one calibrated build.
+	builts map[string]*chipcfg.Built
+	// next is the expected outcome index, to verify SSE point order.
+	next int
+	// msg is the outcome being decoded, reused across events.
+	msg wire.OutcomeMsg
+	// legs and temps are the longest Legs and per-block temperature
+	// slices decoded so far: each periodic result is given that much
+	// capacity up front, so decoding fills it without growing it one
+	// element at a time.
+	legs, temps int
 }
 
 type streamState int
@@ -311,7 +349,7 @@ const (
 )
 
 // dispatch handles one complete SSE frame.
-func (c *Client) dispatch(event string, data []byte, pts []hotnoc.SweepPoint, builts map[string]*chipcfg.Built, next *int, yield func(hotnoc.SweepOutcome, error) bool) (streamState, error) {
+func (c *Client) dispatch(event string, data []byte, pts []hotnoc.SweepPoint, st *stream, yield func(hotnoc.SweepOutcome, error) bool) (streamState, error) {
 	switch event {
 	case wire.EventProgress:
 		if c.progress == nil {
@@ -323,12 +361,13 @@ func (c *Client) dispatch(event string, data []byte, pts []hotnoc.SweepPoint, bu
 		}
 		c.progress(m.Event())
 	case wire.EventOutcome:
-		var m wire.OutcomeMsg
-		if err := json.Unmarshal(data, &m); err != nil {
+		periodic := st.next < len(pts) && pts[st.next].Kind() != hotnoc.KindReactive
+		m, err := st.decode(data, periodic)
+		if err != nil {
 			return streamLive, fmt.Errorf("client: bad outcome event: %w", err)
 		}
-		if m.Index != *next {
-			return streamLive, fmt.Errorf("client: outcome %d arrived out of order (want %d)", m.Index, *next)
+		if m.Index != st.next {
+			return streamLive, fmt.Errorf("client: outcome %d arrived out of order (want %d)", m.Index, st.next)
 		}
 		// A daemon predating the unified point model silently drops the
 		// reactive fields and evaluates the point as periodic; the kind it
@@ -346,8 +385,8 @@ func (c *Client) dispatch(event string, data []byte, pts []hotnoc.SweepPoint, bu
 					m.Index, echoed, pts[m.Index].Kind())
 			}
 		}
-		*next++
-		if !yield(outcomeFromMsg(m, builts), nil) {
+		st.next++
+		if !yield(outcomeFromMsg(m, st.builts), nil) {
 			return streamStopped, nil
 		}
 	case wire.EventError:
@@ -362,9 +401,47 @@ func (c *Client) dispatch(event string, data []byte, pts []hotnoc.SweepPoint, bu
 	return streamLive, nil
 }
 
+// decode unmarshals one outcome payload, presizing the result slices
+// when the point is expected to be periodic. The result it returns is
+// the same json.Unmarshal gives into a zero OutcomeMsg: the presized
+// slices differ only in capacity, and one the payload never reached is
+// set back to nil.
+func (st *stream) decode(data []byte, periodic bool) (*wire.OutcomeMsg, error) {
+	m := &st.msg
+	*m = wire.OutcomeMsg{}
+	r := &m.Result
+	if periodic && st.legs > 0 {
+		r.Legs = make([]core.LegReport, 0, st.legs)
+	}
+	if n := st.temps; periodic && n > 0 {
+		slab := make([]float64, 2*n)
+		r.BaselineMaxTemps, r.MigratedMaxTemps = slab[:0:n], slab[n:n:2*n]
+	}
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, err
+	}
+	// Decoding writes an empty JSON array as a zero-capacity slice, so
+	// an empty slice that kept its capacity was absent from the payload,
+	// as the whole result is on a reactive outcome.
+	r.Legs = unreached(r.Legs)
+	r.BaselineMaxTemps = unreached(r.BaselineMaxTemps)
+	r.MigratedMaxTemps = unreached(r.MigratedMaxTemps)
+	st.legs = max(st.legs, len(r.Legs))
+	st.temps = max(st.temps, len(r.BaselineMaxTemps), len(r.MigratedMaxTemps))
+	return m, nil
+}
+
+// unreached returns nil for a presized slice decoding never wrote to.
+func unreached[T any](s []T) []T {
+	if len(s) == 0 && cap(s) > 0 {
+		return nil
+	}
+	return s
+}
+
 // outcomeFromMsg rebuilds a SweepOutcome from the wire, fabricating (and
 // sharing per configuration) the metadata-only Built.
-func outcomeFromMsg(m wire.OutcomeMsg, builts map[string]*chipcfg.Built) hotnoc.SweepOutcome {
+func outcomeFromMsg(m *wire.OutcomeMsg, builts map[string]*chipcfg.Built) hotnoc.SweepOutcome {
 	b, ok := builts[m.Built.Config]
 	if !ok {
 		b = &chipcfg.Built{

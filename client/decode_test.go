@@ -1,0 +1,53 @@
+package client
+
+import (
+	"encoding/json"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hotnoc/server/wire"
+)
+
+// TestStreamDecodeMatchesUnmarshal: a stream's presized outcome decoding
+// yields what json.Unmarshal gives into a zero OutcomeMsg, payload by
+// payload, nil and empty slices kept apart, and an outcome already
+// handed out is not changed by decoding the next. The payloads are the
+// 25 outcomes of a scale-8 Figure 1 job followed by reactive, empty,
+// null and absent result arms and arrays longer than any before.
+func TestStreamDecodeMatchesUnmarshal(t *testing.T) {
+	golden, err := os.ReadFile("../server/testdata/fig1_outcomes_scale8.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	payloads = append(payloads,
+		`{"index":25,"point":{"config":"A","scheme":"Rot","kind":"reactive","reactive":{"trigger_c":80}},"built":{},"reactive":{"PeakC":81,"BlockPeaks":[80.5,81]}}`,
+		`{"index":26,"point":{"config":"A","scheme":"Rot"},"built":{},"result":{"Legs":[],"BaselineMaxTemps":null}}`,
+		`{"index":27,"point":{"config":"A","scheme":"Rot"},"built":{},"result":null}`,
+		`{"index":28,"point":{"config":"A","scheme":"Rot"},"built":{},"result":{"ReductionC":1}}`,
+		`{"index":29,"point":{"config":"A","scheme":"Rot"},"built":{},"result":{"Legs":[{},{},{},{},{},{},{},{}],`+
+			`"BaselineMaxTemps":[`+strings.Repeat("1,", 39)+`1],"MigratedMaxTemps":[2]}}`,
+	)
+	for _, periodic := range []bool{true, false} {
+		var st stream
+		got := make([]wire.OutcomeMsg, len(payloads))
+		for i, p := range payloads {
+			m, err := st.decode([]byte(p), periodic)
+			if err != nil {
+				t.Fatalf("payload %d: %v", i, err)
+			}
+			got[i] = *m
+		}
+		for i, p := range payloads {
+			var want wire.OutcomeMsg
+			if err := json.Unmarshal([]byte(p), &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("periodic %v: payload %d decoded to\n%+v\nwant\n%+v", periodic, i, got[i], want)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ package chipcfg
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hotnoc/internal/appmap"
 	"hotnoc/internal/core"
@@ -80,52 +81,53 @@ type Spec struct {
 
 // Specs returns the five paper configurations, scaled so one block decode
 // lands near the paper's 109.3 µs base migration period at the 250 MHz
-// NoC clock.
-func Specs() []Spec {
-	return []Spec{
-		{
-			Name: "A", GridN: 4, BasePeakC: 85.44,
-			CodeN: 2560, CodeM: 1280, ColWeight: 3, CodeSeed: 1001,
-			HeavyPEs: 4, HeavyShare: 0.55, VarShare: 0.50, PartSeed: 2001,
-			CommWeight: 1.2e-3, IOWeight: 3.0e-3, IOAtCorner: true, PlaceSeed: 3001, PlaceIters: 20000,
-			MaxIter: 16, StateFlits: 128,
-		},
-		{
-			Name: "B", GridN: 4, BasePeakC: 84.05,
-			CodeN: 2560, CodeM: 1280, ColWeight: 3, CodeSeed: 1002,
-			HeavyPEs: 3, HeavyShare: 0.45, VarShare: 0.40, PartSeed: 2002,
-			CommWeight: 0.8e-3, IOWeight: 2.5e-3, IOAtCorner: true, PlaceSeed: 3002, PlaceIters: 20000,
-			MaxIter: 16, StateFlits: 128,
-		},
-		{
-			Name: "C", GridN: 5, BasePeakC: 75.17,
-			CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1003,
-			HeavyPEs: 5, HeavyShare: 0.40, VarShare: 0.35, PartSeed: 2003,
-			CommWeight: 0.8e-3, IOWeight: 3.0e-3, PlaceSeed: 3003, PlaceIters: 25000,
-			MaxIter: 16, StateFlits: 128,
-		},
-		{
-			Name: "D", GridN: 5, BasePeakC: 72.80,
-			CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1004,
-			HeavyPEs: 6, HeavyShare: 0.45, VarShare: 0.35, PartSeed: 2004,
-			CommWeight: 0.8e-3, IOWeight: 2.5e-3, PlaceSeed: 3004, PlaceIters: 25000,
-			MaxIter: 16, StateFlits: 128,
-		},
-		{
-			Name: "E", GridN: 5, BasePeakC: 75.98,
-			CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1005,
-			HeavyPEs: 4, HeavyShare: 0.50, VarShare: 0.40, PartSeed: 2005,
-			CommWeight: 8e-3, IOWeight: 0, PlaceSeed: 3005, PlaceIters: 25000,
-			MaxIter: 16, StateFlits: 128,
-		},
-	}
+// NoC clock. The slice is the caller's own copy.
+func Specs() []Spec { return slices.Clone(specs[:]) }
+
+// specs is the one table Specs and ByName read.
+var specs = [...]Spec{
+	{
+		Name: "A", GridN: 4, BasePeakC: 85.44,
+		CodeN: 2560, CodeM: 1280, ColWeight: 3, CodeSeed: 1001,
+		HeavyPEs: 4, HeavyShare: 0.55, VarShare: 0.50, PartSeed: 2001,
+		CommWeight: 1.2e-3, IOWeight: 3.0e-3, IOAtCorner: true, PlaceSeed: 3001, PlaceIters: 20000,
+		MaxIter: 16, StateFlits: 128,
+	},
+	{
+		Name: "B", GridN: 4, BasePeakC: 84.05,
+		CodeN: 2560, CodeM: 1280, ColWeight: 3, CodeSeed: 1002,
+		HeavyPEs: 3, HeavyShare: 0.45, VarShare: 0.40, PartSeed: 2002,
+		CommWeight: 0.8e-3, IOWeight: 2.5e-3, IOAtCorner: true, PlaceSeed: 3002, PlaceIters: 20000,
+		MaxIter: 16, StateFlits: 128,
+	},
+	{
+		Name: "C", GridN: 5, BasePeakC: 75.17,
+		CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1003,
+		HeavyPEs: 5, HeavyShare: 0.40, VarShare: 0.35, PartSeed: 2003,
+		CommWeight: 0.8e-3, IOWeight: 3.0e-3, PlaceSeed: 3003, PlaceIters: 25000,
+		MaxIter: 16, StateFlits: 128,
+	},
+	{
+		Name: "D", GridN: 5, BasePeakC: 72.80,
+		CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1004,
+		HeavyPEs: 6, HeavyShare: 0.45, VarShare: 0.35, PartSeed: 2004,
+		CommWeight: 0.8e-3, IOWeight: 2.5e-3, PlaceSeed: 3004, PlaceIters: 25000,
+		MaxIter: 16, StateFlits: 128,
+	},
+	{
+		Name: "E", GridN: 5, BasePeakC: 75.98,
+		CodeN: 4000, CodeM: 2000, ColWeight: 3, CodeSeed: 1005,
+		HeavyPEs: 4, HeavyShare: 0.50, VarShare: 0.40, PartSeed: 2005,
+		CommWeight: 8e-3, IOWeight: 0, PlaceSeed: 3005, PlaceIters: 25000,
+		MaxIter: 16, StateFlits: 128,
+	},
 }
 
 // ByName returns the configuration with the given letter.
 func ByName(name string) (Spec, error) {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s, nil
+	for i := range specs {
+		if specs[i].Name == name {
+			return specs[i], nil
 		}
 	}
 	return Spec{}, fmt.Errorf("chipcfg: unknown configuration %q (want A..E)", name)

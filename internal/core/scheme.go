@@ -12,7 +12,8 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"hotnoc/internal/geom"
 )
@@ -120,16 +121,54 @@ func AllSchemes() []Scheme {
 	return []Scheme{Rot(), XMirrorScheme(), XYMirrorScheme(), RightShift(), XYShift()}
 }
 
+// schemeKeys maps each scheme's name, lower-cased with its spaces,
+// hyphens and underscores dropped, to its constructor, in Figure 1 order.
+var schemeKeys = [...]struct {
+	key  string
+	make func() Scheme
+}{
+	{"rot", Rot},
+	{"xmirror", XMirrorScheme},
+	{"xymirror", XYMirrorScheme},
+	{"rightshift", RightShift},
+	{"xyshift", XYShift},
+}
+
 // SchemeByName resolves a scheme from a CLI-style name (case-insensitive,
-// ignoring spaces and hyphens): "rot", "xmirror", "xymirror",
-// "rightshift", "xyshift".
+// ignoring spaces, hyphens and underscores): "rot", "xmirror",
+// "xymirror", "rightshift", "xyshift". It allocates nothing on success.
 func SchemeByName(name string) (Scheme, error) {
-	norm := strings.ToLower(strings.NewReplacer(" ", "", "-", "", "_", "").Replace(name))
-	for _, s := range AllSchemes() {
-		cand := strings.ToLower(strings.NewReplacer(" ", "", "-", "", "_", "").Replace(s.Name))
-		if cand == norm {
-			return s, nil
+	for _, s := range schemeKeys {
+		if foldedEqual(name, s.key) {
+			return s.make(), nil
 		}
 	}
 	return Scheme{}, fmt.Errorf("core: unknown migration scheme %q", name)
+}
+
+// foldedEqual reports whether name, with every ' ', '-' and '_' removed
+// and then lower-cased by Unicode rules, equals key, which is lower-case
+// ASCII. Lower-casing is unicode.ToLower per rune, as strings.ToLower
+// does, so the two runes whose lower case is ASCII match too: U+0130
+// (İ) reads as 'i' and U+212A (Kelvin sign) as 'k'. A byte that is not
+// valid UTF-8 decodes as U+FFFD and matches nothing.
+func foldedEqual(name, key string) bool {
+	j := 0
+	for i := 0; i < len(name); {
+		r, size := rune(name[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(name[i:])
+		}
+		i += size
+		switch r {
+		case ' ', '-', '_':
+			continue
+		}
+		r = unicode.ToLower(r)
+		if r >= utf8.RuneSelf || j == len(key) || byte(r) != key[j] {
+			return false
+		}
+		j++
+	}
+	return j == len(key)
 }

@@ -336,6 +336,7 @@ func (b *safeBuffer) String() string {
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := newHistogram(LatencyBuckets())
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.004)
 	}
@@ -344,6 +345,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 func BenchmarkCounterInc(b *testing.B) {
 	var c Counter
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}

@@ -39,6 +39,11 @@ echo "== shared evaluation (concurrent Evaluate, evaluation sets and lockstep re
     && go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs|TestReactiveSetErrorNamesRun|TestReactiveTimelineStrideExtremes|TestEvaluateSetMatchesEvaluate|TestEvaluateSetErrorNamesPoint|TestEvaluateSetAllocs)$' ./internal/core \
     && go test -race -count=10 -run '^TestGroupPointsCachedConfigSets$' . \
     && go test -count=1 -run '^(TestWarmSweepAllocs|TestLabReactiveWorkerCounts|TestReactiveSetPaperScale)$' .
+# One command a line: under set -e a failing command that is not the last
+# of an && list does not stop the script.
+echo "== served path (a scale-8 Figure 1 job's outcome bytes vs their golden, served-sweep allocation guard, name lookups vs the replacer reference)"
+go test -count=1 -run '^(TestOutcomeWireGolden|TestServedSweepAllocs)$' ./server
+go test -count=1 -run '^TestNameResolutionMatchesReplacer$' .
 echo "== go test -race (full tree)" && go test -race ./...
 echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
     && go run ./cmd/hotnoclint ./...

@@ -1,34 +1,35 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sync"
 	"time"
 
+	"hotnoc"
 	"hotnoc/server/wire"
 )
 
 // message is one SSE frame of a job's event log: the event name plus its
-// JSON payload. Lifecycle and progress payloads are small and marshaled
+// JSON payload. Lifecycle and progress payloads are small and encoded
 // once, at append time. An outcome is kept as its wire value instead
-// and marshaled each time it is sent: a finished job retains all of its
+// and encoded each time it is sent: a finished job retains all of its
 // outcomes for late subscribers, and the value is about half the size of
-// its JSON. Marshaling is deterministic, so every subscriber receives
-// the same bytes.
+// its JSON. Encoding is deterministic, so every subscriber receives the
+// same bytes.
 type message struct {
 	event   string
 	data    []byte
 	outcome *wire.OutcomeMsg // set on outcome events instead of data
 }
 
-// payload returns the frame's JSON payload.
-func (m message) payload() ([]byte, error) {
-	if m.outcome != nil {
-		return json.Marshal(m.outcome)
-	}
-	return m.data, nil
-}
+// A job's small payloads share chunks of its arena: the first is
+// minArenaChunk bytes, each next one twice the last, up to maxArenaChunk.
+const (
+	minArenaChunk = 512
+	maxArenaChunk = 4 << 10
+)
 
 // job is one sweep accepted by the daemon. A job is admitted in the
 // queued state and dispatched by the weighted-fair scheduler; from
@@ -52,11 +53,24 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	msgs   []message
-	notify chan struct{}
-	state  string
-	done   int
+	mu   sync.Mutex
+	msgs []message
+	// notify is closed on the next append; watched records that a
+	// subscriber took it since it was made, so appends nobody waits on
+	// keep it instead of replacing it.
+	notify  chan struct{}
+	watched bool
+	// enc encodes small payloads into encBuf, and arena holds their
+	// bytes: the payloads are immutable once logged, so they share
+	// chunks instead of taking an allocation each.
+	enc    *json.Encoder
+	encBuf bytes.Buffer
+	arena  []byte
+	// progress holds the event being encoded, so passing it to enc
+	// boxes nothing.
+	progress wire.EventMsg
+	state    string
+	done     int
 	// stage is the pipeline stage the job most recently entered (build,
 	// characterize, evaluate) — live introspection for GET /v1/jobs/{id},
 	// meaningful only while running.
@@ -79,19 +93,19 @@ func newJob(ctx context.Context, id, tenant string, scale, points, seq int, canc
 		notify:    make(chan struct{}),
 		state:     wire.JobQueued,
 	}
-	j.append(wire.EventState, wire.StateMsg{State: wire.JobQueued, Tenant: tenant})
+	j.enc = json.NewEncoder(&j.encBuf)
+	j.appendLocked(wire.EventState, wire.StateMsg{State: wire.JobQueued, Tenant: tenant})
 	return j
 }
 
 // start marks the job dispatched: state becomes running and the
 // transition joins the event log.
 func (j *job) start() {
-	data, _ := json.Marshal(wire.StateMsg{State: wire.JobRunning, Tenant: j.tenant})
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = wire.JobRunning
 	j.startedAt = time.Now()
-	j.appendLocked(wire.EventState, data)
+	j.appendLocked(wire.EventState, wire.StateMsg{State: wire.JobRunning, Tenant: j.tenant})
 }
 
 // setStage records the pipeline stage the job just entered. Cheaper
@@ -103,17 +117,13 @@ func (j *job) setStage(stage string) {
 	j.mu.Unlock()
 }
 
-// append marshals v and adds it to the event log, waking subscribers.
-func (j *job) append(event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Wire payloads are plain data; a marshal failure is a
-		// programming error, but dropping the event beats wedging the job.
-		return
-	}
+// appendProgress adds one pipeline progress event to the event log,
+// waking subscribers.
+func (j *job) appendProgress(ev hotnoc.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.appendLocked(event, data)
+	j.progress = wire.FromEvent(ev)
+	j.appendLocked(wire.EventProgress, &j.progress)
 }
 
 // appendOutcome adds one outcome to the event log, waking subscribers.
@@ -124,8 +134,30 @@ func (j *job) appendOutcome(o wire.OutcomeMsg) {
 	j.appendMsgLocked(message{event: wire.EventOutcome, outcome: &o})
 }
 
-func (j *job) appendLocked(event string, data []byte) {
-	j.appendMsgLocked(message{event: event, data: data})
+// appendLocked encodes v and adds it to the event log, waking
+// subscribers. Wire payloads are plain data; an encoding failure is a
+// programming error, but dropping the event beats wedging the job, so
+// appendLocked reports it and logs nothing.
+func (j *job) appendLocked(event string, v any) bool {
+	j.encBuf.Reset()
+	if err := j.enc.Encode(v); err != nil {
+		return false
+	}
+	// Encode ends the payload with a newline json.Marshal does not write.
+	j.appendDataLocked(event, bytes.TrimSuffix(j.encBuf.Bytes(), []byte("\n")))
+	return true
+}
+
+// appendDataLocked adds a copy of the payload data to the event log,
+// waking subscribers.
+func (j *job) appendDataLocked(event string, data []byte) {
+	if cap(j.arena)-len(j.arena) < len(data) {
+		size := min(max(2*cap(j.arena), minArenaChunk), maxArenaChunk)
+		j.arena = make([]byte, 0, max(size, len(data)))
+	}
+	n := len(j.arena)
+	j.arena = append(j.arena, data...)
+	j.appendMsgLocked(message{event: event, data: j.arena[n:len(j.arena):len(j.arena)]})
 }
 
 func (j *job) appendMsgLocked(m message) {
@@ -133,8 +165,11 @@ func (j *job) appendMsgLocked(m message) {
 	if m.event == wire.EventOutcome {
 		j.done++
 	}
-	close(j.notify)
-	j.notify = make(chan struct{})
+	if j.watched {
+		close(j.notify)
+		j.notify = make(chan struct{})
+		j.watched = false
+	}
 }
 
 // finish marks the job done and appends the terminal done event. State
@@ -142,27 +177,24 @@ func (j *job) appendMsgLocked(m message) {
 // can never observe a terminal state with the terminal event still
 // missing from the log (it would close its stream early).
 func (j *job) finish() {
-	data, _ := json.Marshal(struct{}{})
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = wire.JobDone
 	j.finishedAt = time.Now()
-	j.appendLocked(wire.EventDone, data)
+	j.appendDataLocked(wire.EventDone, []byte("{}"))
 }
 
 // fail marks the job failed or canceled and appends the terminal error
 // event, atomically like finish.
 func (j *job) fail(state string, err error) {
-	data, merr := json.Marshal(wire.ErrorMsg{Error: err.Error()})
-	if merr != nil {
-		data = []byte(`{"error":"internal error"}`)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = state
 	j.errMsg = err.Error()
 	j.finishedAt = time.Now()
-	j.appendLocked(wire.EventError, data)
+	if !j.appendLocked(wire.EventError, wire.ErrorMsg{Error: j.errMsg}) {
+		j.appendDataLocked(wire.EventError, []byte(`{"error":"internal error"}`))
+	}
 }
 
 // terminalState reports whether state is one a job never leaves.
@@ -238,5 +270,6 @@ func (j *job) next(i int) (batch []message, complete bool, more <-chan struct{})
 	defer j.mu.Unlock()
 	batch = j.msgs[i:]
 	complete = terminalState(j.state) && i+len(batch) == len(j.msgs)
+	j.watched = true
 	return batch, complete, j.notify
 }

@@ -52,6 +52,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -569,7 +570,7 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 		case hotnoc.StageEvaluateDone:
 			j.setStage("evaluate")
 		}
-		j.append(wire.EventProgress, wire.FromEvent(ev))
+		j.appendProgress(ev)
 	}
 	// Resolve the tenant's served-points counter once; the per-outcome
 	// cost is then a single atomic increment.
@@ -726,18 +727,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	ka := time.NewTicker(s.keepAlive())
 	defer ka.Stop()
+	// Each frame is assembled in one buffer the stream reuses; outcomes
+	// are encoded straight into it.
+	var frame bytes.Buffer
+	enc := json.NewEncoder(&frame)
 	i := 0
 	for {
 		batch, complete, more := j.next(i)
 		for _, m := range batch {
-			data, err := m.payload()
-			if err != nil {
-				// Wire payloads are plain data; a marshal failure is a
+			frame.Reset()
+			frame.WriteString("event: ")
+			frame.WriteString(m.event)
+			frame.WriteString("\ndata: ")
+			if m.outcome == nil {
+				frame.Write(m.data)
+				frame.WriteByte('\n')
+			} else if err := enc.Encode(m.outcome); err != nil {
+				// Encode writes json.Marshal's bytes and a newline. Wire
+				// payloads are plain data; an encoding failure is a
 				// programming error, and skipping the frame beats
 				// wedging the stream.
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", m.event, data); err != nil {
+			frame.WriteByte('\n')
+			if _, err := w.Write(frame.Bytes()); err != nil {
 				return
 			}
 		}
