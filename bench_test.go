@@ -239,6 +239,23 @@ func BenchmarkBuildCold(b *testing.B) {
 	b.ReportMetric(float64(place.AnnealCount()-start)/float64(b.N), "anneals/op")
 }
 
+// BenchmarkBuildColdFigure1 measures the five cold paper-scale builds of
+// Figure 1, configurations A to E in a row on a fresh Lab without a cache
+// directory: the set-up a cold Figure 1 run pays before its first sweep.
+// The anneals/op metric must be 5.
+func BenchmarkBuildColdFigure1(b *testing.B) {
+	start := place.AnnealCount()
+	for i := 0; i < b.N; i++ {
+		lab := NewLab()
+		for _, c := range []string{"A", "B", "C", "D", "E"} {
+			if _, err := lab.Build(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(place.AnnealCount()-start)/float64(b.N), "anneals/op")
+}
+
 // BenchmarkMigrationEnergy regenerates the §3 rotation-energy observation
 // on configuration E: migration energy raises the average chip temperature
 // (paper: +0.3 °C) and pushes rotation's peak reduction negative.

@@ -286,13 +286,44 @@ func (s Spec) FromData(d *BuildData) (*Built, error) {
 
 // build is the shared assembly path: with a nil snapshot it anneals and
 // calibrates (the cold path); with a snapshot it restores those products.
+// It assembles on the spec's code, ldpc.NewRegular's, while that code's
+// rank check runs beside it.
 func (s Spec) build(data *BuildData) (*Built, error) {
-	g := geom.NewGrid(s.GridN, s.GridN)
-
-	code, err := ldpc.NewRegular(s.CodeN, s.CodeM, s.ColWeight, s.CodeSeed)
+	d, err := ldpc.Draw(s.CodeN, s.CodeM, s.ColWeight, s.CodeSeed)
 	if err != nil {
 		return nil, fmt.Errorf("chipcfg %s: code: %w", s.Name, err)
 	}
+	return firstFullRank(s.Name, d, func(code *ldpc.Code) (*Built, error) {
+		return s.assemble(code, data)
+	})
+}
+
+// firstFullRank draws d's candidates in turn and runs work on each while
+// the candidate's rank check runs beside it, on another goroutine: work
+// only reads the code, as CheckRank does. It returns work's result for
+// the first full-rank candidate, the code ldpc.NewRegular returns, and
+// discards the work done on a rank-deficient one. The rank check has
+// ended when firstFullRank returns.
+func firstFullRank[T any](name string, d *ldpc.Drawing, work func(*ldpc.Code) (T, error)) (T, error) {
+	rank := make(chan error, 1)
+	for {
+		code, err := d.Next()
+		if err != nil {
+			var zero T
+			return zero, fmt.Errorf("chipcfg %s: code: %w", name, err)
+		}
+		go func() { rank <- code.CheckRank() }()
+		res, err := work(code)
+		if <-rank == nil {
+			return res, err
+		}
+	}
+}
+
+// assemble builds the configuration on its code.
+func (s Spec) assemble(code *ldpc.Code, data *BuildData) (*Built, error) {
+	g := geom.NewGrid(s.GridN, s.GridN)
+
 	part, err := appmap.SkewedBoth(code, g.N(), s.HeavyPEs, s.HeavyShare, s.VarShare, s.PartSeed)
 	if err != nil {
 		return nil, fmt.Errorf("chipcfg %s: partition: %w", s.Name, err)

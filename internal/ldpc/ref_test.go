@@ -300,28 +300,37 @@ func TestStreamMatchesSource(t *testing.T) {
 	}
 }
 
-// TestFillPermDrawsMatchRand: fillPerm makes rand.Perm's draws for every
-// i in [0, 1<<16), leaves its stream in step with the Rand, and allocates
-// nothing, the runtime complement of its //hotnoc:noalloc annotation.
-// Perm is a bijection from its draws to permutations, so an equal
-// permutation means every draw was equal.
+// TestFillPermDrawsMatchRand: scan and fillPerms make rand.Perm's draws
+// for every i in [0, 1<<16), leave the stream in step with the Rand, and
+// allocate nothing once the chunk has its capacity, the runtime
+// complement of fillPerms' //hotnoc:noalloc annotation. Perm is a
+// bijection from its draws to permutations, so an equal permutation
+// means every draw was equal.
 func TestFillPermDrawsMatchRand(t *testing.T) {
 	const m = 1 << 16
 	draws := make([]intnDraw, m)
+	low := uint32(1<<31 - 1)
 	for i := range draws {
 		draws[i] = newIntnDraw(i + 1)
+		low = min(low, draws[i].max)
 	}
-	order := make([]int, m)
 	s, rng := newStream(rand.NewSource(9).(rand.Source64)), rand.New(rand.NewSource(9))
-	fillPerm(order, draws, s)
-	if !reflect.DeepEqual(order, rng.Perm(m)) {
-		t.Fatal("fillPerm differs from rand.Perm")
+	vals := s.scan(nil, 1, draws, low)
+	fillPerms(vals, 1, draws)
+	want := rng.Perm(m)
+	for i, x := range want {
+		if vals[i] != uint32(x) {
+			t.Fatalf("position %d: fillPerms %d, rand.Perm %d", i, vals[i], x)
+		}
 	}
 	if a, b := s.next(), rng.Uint64(); a != b {
 		t.Fatalf("stream out of step with rand: %#x vs %#x", a, b)
 	}
-	if a := testing.AllocsPerRun(5, func() { fillPerm(order, draws, s) }); a != 0 {
-		t.Fatalf("fillPerm made %v allocations, want 0", a)
+	if a := testing.AllocsPerRun(5, func() {
+		vals = s.scan(vals[:0], 1, draws, low)
+		fillPerms(vals, 1, draws)
+	}); a != 0 {
+		t.Fatalf("scan and fillPerms made %v allocations, want 0", a)
 	}
 }
 
