@@ -333,6 +333,12 @@ type stream struct {
 	next int
 	// msg is the outcome being decoded, reused across events.
 	msg wire.OutcomeMsg
+	// dec decodes the stream's outcome payloads one after another from
+	// src, so the decoder state json.Unmarshal makes per call is made
+	// once per stream; fed counts the payload bytes given to it.
+	dec *json.Decoder
+	src bytes.Reader
+	fed int64
 	// legs and temps are the longest Legs and per-block temperature
 	// slices decoded so far: each periodic result is given that much
 	// capacity up front, so decoding fills it without growing it one
@@ -417,8 +423,20 @@ func (st *stream) decode(data []byte, periodic bool) (*wire.OutcomeMsg, error) {
 		slab := make([]float64, 2*n)
 		r.BaselineMaxTemps, r.MigratedMaxTemps = slab[:0:n], slab[n:n:2*n]
 	}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, err
+	if st.dec == nil {
+		st.dec, st.fed = json.NewDecoder(&st.src), 0
+	}
+	st.src.Reset(data)
+	st.fed += int64(len(data))
+	if err := st.dec.Decode(m); err != nil || st.dec.InputOffset() != st.fed {
+		// A payload that is not exactly one JSON value: decode it again
+		// as json.Unmarshal does, which reports the error in its words,
+		// and give the next payload a decoder of its own.
+		st.dec = nil
+		*m = wire.OutcomeMsg{}
+		if err := json.Unmarshal(data, m); err != nil {
+			return nil, err
+		}
 	}
 	// Decoding writes an empty JSON array as a zero-capacity slice, so
 	// an empty slice that kept its capacity was absent from the payload,

@@ -51,3 +51,31 @@ func TestStreamDecodeMatchesUnmarshal(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamDecodeErrorsMatchUnmarshal: a malformed outcome payload,
+// truncated or followed by more bytes, fails with json.Unmarshal's error
+// text although the stream reuses one decoder, and the payload after it
+// still decodes as json.Unmarshal decodes it.
+func TestStreamDecodeErrorsMatchUnmarshal(t *testing.T) {
+	good := `{"index":0,"point":{"config":"A","scheme":"Rot"},"built":{},"result":{"ReductionC":1}}`
+	var st stream
+	for _, bad := range []string{good[:len(good)-1], good[:9], "", good + "x", good + "}", good + good} {
+		_, err := st.decode([]byte(bad), true)
+		var m wire.OutcomeMsg
+		want := json.Unmarshal([]byte(bad), &m)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("payload %q: error %v, json.Unmarshal's %v", bad, err, want)
+		}
+		got, err := st.decode([]byte(good), true)
+		if err != nil {
+			t.Fatalf("after %q: %v", bad, err)
+		}
+		var wantMsg wire.OutcomeMsg
+		if err := json.Unmarshal([]byte(good), &wantMsg); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, wantMsg) {
+			t.Fatalf("after %q: decoded %+v, want %+v", bad, *got, wantMsg)
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Command hotnocd serves hotnoc.Lab sweeps over HTTP so many clients
-// share one characterization cache and one worker pool. Submitted grids
+// share one build and characterization cache per scale. Submitted grids
 // become jobs that stream progress and outcomes as server-sent events;
 // the six hotnoc CLIs run against a daemon via their -server flag.
 //
@@ -19,7 +19,8 @@
 // zero annealing, calibration or cycle-accurate simulation (strongly
 // recommended for a long-lived daemon); -cache-limit bounds the file
 // count of each artifact kind with LRU eviction. -workers bounds
-// each Lab's worker pool (0 = one per core). -max-jobs bounds
+// the tasks each sweep job runs at once (0 = one per core); concurrent
+// jobs each run that many. -max-jobs bounds
 // concurrently running sweep jobs: at the bound, new submissions queue
 // and a weighted-fair scheduler dispatches them as slots free up.
 // -retain-jobs caps how many finished jobs (and their replayable event
@@ -93,7 +94,7 @@ func main() {
 	addr := flag.String("addr", ":7077", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persist NoC characterizations and calibrated build snapshots under this directory")
 	cacheLimit := flag.Int("cache-limit", 0, "bound the cache file count per artifact kind (LRU eviction; 0 = unbounded)")
-	workers := flag.Int("workers", 0, "per-Lab sweep worker pool size (0 = one per core)")
+	workers := flag.Int("workers", 0, "workers per sweep job (0 = one per core)")
 	maxJobs := flag.Int("max-jobs", 0, "maximum concurrently running sweep jobs; excess queues for weighted-fair dispatch (0 = unbounded)")
 	retainJobs := flag.Int("retain-jobs", 0, "finished jobs kept in memory for late subscribers (0 = unbounded)")
 	retainFor := flag.Duration("retain-for", 0, "finished-job TTL, e.g. 1h (0 = keep until DELETEd)")

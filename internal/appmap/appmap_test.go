@@ -386,7 +386,7 @@ func TestScheduleMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wantLoad int64
-		for p, n := range eng.sched.load {
+		for p, n := range eng.sched.counts.load {
 			if n != int64(len(ref.varsOwned[p])) {
 				t.Fatalf("%s: PE %d loads %d variables, oracle %d", name, p, n, len(ref.varsOwned[p]))
 			}
@@ -398,13 +398,13 @@ func TestScheduleMatchesOracle(t *testing.T) {
 		npe := part.NPE
 		for phase := range 2 {
 			for p := 0; p < npe; p++ {
-				if got, want := eng.sched.ops[phase][p], int64(ref.ops[phase][p]); got != want {
+				if got, want := eng.sched.counts.ops[phase][p], int64(ref.ops[phase][p]); got != want {
 					t.Fatalf("%s phase %d: PE %d computes %d messages, oracle %d", name, phase, p, got, want)
 				}
 				for d := 0; d < npe; d++ {
-					got := eng.sched.cnt[p][d]
+					got := eng.sched.counts.cnt[p][d]
 					if phase == 1 {
-						got = eng.sched.cnt[d][p]
+						got = eng.sched.counts.cnt[d][p]
 					}
 					if want := int64(ref.sent[phase][p*npe+d]); got != want {
 						t.Fatalf("%s phase %d: PE %d sends %d messages to PE %d, oracle %d",

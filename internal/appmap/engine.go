@@ -66,16 +66,13 @@ type Engine struct {
 	// memo (a test seam for checking the memo against simulation).
 	bypassMemo bool
 
-	// sched is the static decode schedule and packets the per-phase
-	// scratch, both built by prepareDecode. Packets are indexed
-	// src*NPE+dst; a phase ends only after every packet it sent is
-	// delivered, so the next phase may overwrite them.
-	sched         phaseCounts
+	// sched is the static decode schedule, shared through the memo, and
+	// packets the per-phase scratch, both taken by prepareDecode. Packets
+	// are indexed by send-plan slot; a phase ends only after every packet
+	// it sent is delivered, so the next phase may overwrite them.
+	sched         *decodeSchedule
 	packets       []noc.Packet
 	pendingRemote int
-	// plans[phase] is the send order of each phase kind, built on the
-	// first simulated phase of that kind.
-	plans [2]sendPlan
 
 	// windows[:recorded] are the phases simulated so far in the current
 	// decode, which later phases replay; the rest are spare recordings
@@ -88,16 +85,27 @@ type Engine struct {
 	simulateAll bool
 }
 
+// decodeSchedule is the static schedule of a decode: the work counts of
+// a code under a partition, and the send plan of each phase kind for one
+// set of phase parameters. It is immutable once built, so the engines
+// sharing a decode memo share it.
+type decodeSchedule struct {
+	code *ldpc.Code
+	part *Partition
+	// params are the CyclesPerOp, PhaseOverhead and MsgsPerFlit the plans
+	// were built with.
+	params [3]int
+	counts phaseCounts
+	// plans[phase] is the send order of each phase kind.
+	plans [2]sendPlan
+}
+
 // sendPlan is the packets one phase kind sends, in injection order.
 type sendPlan struct {
 	slots []sendSlot
 	// maxRel is the last PE's ready cycle relative to the phase start,
 	// and at least 0: the phase runs until then even if idle.
 	maxRel int64
-	// params are the CyclesPerOp, PhaseOverhead and MsgsPerFlit the
-	// plan was built with; built is false until it is.
-	params [3]int
-	built  bool
 }
 
 // sendSlot is one packet of a sendPlan: it goes from PE p to PE d as the
@@ -161,15 +169,33 @@ func (e *Engine) Fork(net *noc.Network) (*Engine, error) {
 	return f, nil
 }
 
-// prepareDecode builds, on an engine's first simulated decode, the
-// schedule and the per-phase scratch, so engines whose decodes are all
-// served from the memo do not pay for them.
+// prepareDecode takes the decode schedule from the engine's memo, which
+// builds it for the first engine sharing the memo that simulates a
+// decode, and sizes the per-phase packet scratch; it does so on the
+// engine's first simulated decode and again only when the code, the
+// partition or a phase parameter has changed. Engines whose decodes are
+// all served from the memo pay for neither.
 func (e *Engine) prepareDecode() {
-	if e.packets != nil {
-		return
+	params := [3]int{e.CyclesPerOp, e.PhaseOverhead, e.MsgsPerFlit}
+	if s := e.sched; s == nil || s.code != e.Code || s.part != e.Part || s.params != params {
+		e.sched = e.memo.schedule(e.Code, e.Part, params)
 	}
-	e.sched = countPhases(e.Code, e.Part)
-	e.packets = make([]noc.Packet, e.Part.NPE*e.Part.NPE)
+	if n := int(e.sched.counts.pkts); len(e.packets) < n {
+		e.packets = make([]noc.Packet, n)
+	}
+}
+
+// Reset returns e to the decode state Fork leaves an engine in: the
+// identity placement and no phase recorded. Its parameters, counters,
+// memo, schedule and scratch stay. The network is reset on its own
+// (noc.Network.Reset).
+//
+//hotnoc:noalloc
+func (e *Engine) Reset() {
+	for i := range e.place {
+		e.place[i] = i
+	}
+	e.recorded, e.pendingRemote = 0, 0
 }
 
 // SetPlacement installs a new logical-to-physical mapping (a migration).
@@ -200,11 +226,19 @@ func (e *Engine) SetPlacement(place []int) error {
 //
 // The block must hold Code.N LLRs; its values are never read. The
 // argument survives only for bench/layers.go's decode probe, until a
-// change to the benchmark moves that probe.
+// change to the benchmark moves that probe: DecodeTraffic is the same
+// decode without it.
 func (e *Engine) Decode(block []ldpc.LLR) (int64, error) {
 	if len(block) != e.Code.N {
 		return 0, fmt.Errorf("appmap: block has %d LLRs, code N=%d", len(block), e.Code.N)
 	}
+	return e.DecodeTraffic()
+}
+
+// DecodeTraffic runs one block's decoder traffic through the network, as
+// Decode does, and returns the block's duration in cycles. The traffic
+// does not depend on the block's values, so it takes none.
+func (e *Engine) DecodeTraffic() (int64, error) {
 	start := e.Net.Cycle
 	ent, owner := e.lookupMemo()
 	if ent != nil && !owner {
@@ -239,7 +273,7 @@ func (e *Engine) simulate() error {
 
 	// Load phase: PEs latch channel LLRs into their variable-node units.
 	loadMax := int64(0)
-	for p, ops := range e.sched.load {
+	for p, ops := range e.sched.counts.load {
 		e.Net.Act.PEOps[e.place[p]] += uint64(ops)
 		loadMax = max(loadMax, ops*int64(e.CyclesPerOp))
 	}
@@ -260,13 +294,13 @@ func (e *Engine) simulate() error {
 // recorded earlier in the block, or is simulated and recorded. A replayed
 // phase builds no packets: it takes their IDs and adds the PE ops only.
 func (e *Engine) runPhase(phase uint8) error {
-	for p, ops := range e.sched.ops[phase] {
+	for p, ops := range e.sched.counts.ops[phase] {
 		e.Net.Act.PEOps[e.place[p]] += uint64(ops)
 	}
 	if !e.simulateAll {
 		for _, w := range e.windows[:e.recorded] {
 			if w.phase == phase && e.Net.Replay(&w.win) {
-				e.Net.TakeIDs(e.sched.pkts)
+				e.Net.TakeIDs(e.sched.counts.pkts)
 				return nil
 			}
 		}
@@ -277,7 +311,7 @@ func (e *Engine) runPhase(phase uint8) error {
 	}
 	w := e.windows[e.recorded]
 	recording := e.Net.BeginWindow(&w.win)
-	err := e.drive(e.plan(phase))
+	err := e.drive(&e.sched.plans[phase])
 	if recording && e.Net.EndWindow(&w.win) && err == nil {
 		w.phase = phase
 		e.recorded++
@@ -288,46 +322,42 @@ func (e *Engine) runPhase(phase uint8) error {
 	return nil
 }
 
-// plan returns the send plan of a phase kind, building it on first use
-// and again whenever the parameters it depends on have changed. Each PE
-// sends to its destinations in ascending PE order, and packet IDs follow
-// that order. The injection order is the one sort.Slice gives by ready
-// cycle: relative to the phase start the ready cycles, and so every
-// comparison the sort makes, are the same in every phase of a kind, so
-// sorting once per plan yields the order sorting every phase would.
-func (e *Engine) plan(phase uint8) *sendPlan {
-	pl := &e.plans[phase]
-	params := [3]int{e.CyclesPerOp, e.PhaseOverhead, e.MsgsPerFlit}
-	if pl.built && pl.params == params {
-		return pl
-	}
-	pl.params, pl.built = params, true
-	pl.maxRel = 0
-	if pl.slots == nil {
-		pl.slots = make([]sendSlot, 0, e.sched.pkts)
-	}
-	pl.slots = pl.slots[:0]
-	npe := e.Part.NPE
-	for p := 0; p < npe; p++ {
-		rel := e.sched.ops[phase][p]*int64(e.CyclesPerOp) + int64(e.PhaseOverhead)
-		pl.maxRel = max(pl.maxRel, rel)
-		for d := 0; d < npe; d++ {
-			msgs := int(e.sched.cnt[p][d])
-			if phase == 1 {
-				msgs = int(e.sched.cnt[d][p])
+// newSchedule builds the decode schedule of code under part for the
+// phase parameters params (CyclesPerOp, PhaseOverhead, MsgsPerFlit).
+// Each PE sends to its destinations in ascending PE order, and packet
+// IDs follow that order. The injection order is the one sort.Slice
+// gives by ready cycle: relative to the phase start the ready cycles,
+// and so every comparison the sort makes, are the same in every phase
+// of a kind, so sorting once per plan yields the order sorting every
+// phase would.
+func newSchedule(code *ldpc.Code, part *Partition, params [3]int) *decodeSchedule {
+	s := &decodeSchedule{code: code, part: part, params: params, counts: countPhases(code, part)}
+	cyclesPerOp, overhead, msgsPerFlit := params[0], params[1], params[2]
+	npe := part.NPE
+	for phase := range s.plans {
+		pl := &s.plans[phase]
+		pl.slots = make([]sendSlot, 0, s.counts.pkts)
+		for p := 0; p < npe; p++ {
+			rel := s.counts.ops[phase][p]*int64(cyclesPerOp) + int64(overhead)
+			pl.maxRel = max(pl.maxRel, rel)
+			for d := 0; d < npe; d++ {
+				msgs := int(s.counts.cnt[p][d])
+				if phase == 1 {
+					msgs = int(s.counts.cnt[d][p])
+				}
+				if msgs == 0 {
+					continue
+				}
+				pl.slots = append(pl.slots, sendSlot{
+					p: int32(p), d: int32(d), seq: int32(len(pl.slots)),
+					nflits: int32(1 + (msgs+msgsPerFlit-1)/msgsPerFlit),
+					rel:    rel,
+				})
 			}
-			if msgs == 0 {
-				continue
-			}
-			pl.slots = append(pl.slots, sendSlot{
-				p: int32(p), d: int32(d), seq: int32(len(pl.slots)),
-				nflits: int32(1 + (msgs+e.MsgsPerFlit-1)/e.MsgsPerFlit),
-				rel:    rel,
-			})
 		}
+		sort.Slice(pl.slots, func(i, j int) bool { return pl.slots[i].rel < pl.slots[j].rel })
 	}
-	sort.Slice(pl.slots, func(i, j int) bool { return pl.slots[i].rel < pl.slots[j].rel })
-	return pl
+	return s
 }
 
 // drive runs one bulk-synchronous step on the network: it sends each
@@ -342,7 +372,7 @@ func (e *Engine) plan(phase uint8) *sendPlan {
 // gives it: the plan takes the phase's IDs in one step. Equal-ready
 // packets are sent in plan order, so runs are deterministic.
 func (e *Engine) drive(pl *sendPlan) error {
-	net, npe := e.Net, int32(e.Part.NPE)
+	net := e.Net
 	start := net.Cycle
 	maxReady := start + pl.maxRel
 	base := net.IDs()
@@ -353,7 +383,7 @@ func (e *Engine) drive(pl *sendPlan) error {
 	for e.pendingRemote > 0 || idx < len(pl.slots) || net.Cycle < maxReady {
 		for ; idx < len(pl.slots) && start+pl.slots[idx].rel <= net.Cycle; idx++ {
 			sl := &pl.slots[idx]
-			pkt := &e.packets[sl.p*npe+sl.d]
+			pkt := &e.packets[idx]
 			*pkt = noc.Packet{
 				ID:      base + 1 + uint64(sl.seq),
 				Src:     net.Grid.Coord(e.place[sl.p]),

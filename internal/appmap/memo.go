@@ -3,6 +3,8 @@
 package appmap
 
 import (
+	"sync"
+
 	"hotnoc/internal/geom"
 	"hotnoc/internal/ldpc"
 	"hotnoc/internal/noc"
@@ -25,6 +27,12 @@ type decodeMemo struct {
 	cfg  noc.Config
 
 	spans noc.Memo[decodeEffect]
+
+	// mu guards scheds, the decode schedules of the memo's code and
+	// partition, one per set of phase parameters, each built by the
+	// first engine to need it and read-only after.
+	mu     sync.Mutex
+	scheds []*decodeSchedule
 }
 
 // decodeEffect is what a recorded decode changes outside the network: its
@@ -39,6 +47,25 @@ type memoEntry = noc.MemoEntry[decodeEffect]
 
 func newDecodeMemo(code *ldpc.Code, part *Partition, net *noc.Network) *decodeMemo {
 	return &decodeMemo{code: code, part: part, grid: net.Grid, cfg: net.Cfg}
+}
+
+// schedule returns the decode schedule of code under part for params:
+// the memo's shared one when code and part are the memo's, and one of
+// the caller's own otherwise.
+func (m *decodeMemo) schedule(code *ldpc.Code, part *Partition, params [3]int) *decodeSchedule {
+	if code != m.code || part != m.part {
+		return newSchedule(code, part, params)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range m.scheds {
+		if s.params == params {
+			return s
+		}
+	}
+	s := newSchedule(code, part, params)
+	m.scheds = append(m.scheds, s)
+	return s
 }
 
 // memoKey writes the current decode's key into the engine's scratch and

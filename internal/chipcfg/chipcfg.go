@@ -391,7 +391,7 @@ func (s Spec) assemble(code *ldpc.Code, data *BuildData) (*Built, error) {
 	if data == nil {
 		// Reference activity at the placed configuration for calibration.
 		net.ResetStats()
-		blockCycles, err = eng.Decode(make([]ldpc.LLR, code.N))
+		blockCycles, err = eng.DecodeTraffic()
 		if err != nil {
 			return nil, fmt.Errorf("chipcfg %s: calibration decode: %w", s.Name, err)
 		}

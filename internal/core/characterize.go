@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"hotnoc/internal/geom"
-	"hotnoc/internal/power"
 	"hotnoc/internal/thermal"
 )
 
@@ -88,36 +87,48 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 	}
 	g := s.Grid
 	net := s.Engine.Net
-	ch := &Characterization{SchemeName: scheme.Name}
+	orbit := scheme.OrbitLen(g)
+	ch := &Characterization{SchemeName: scheme.Name, Legs: make([]LegActivity, 0, orbit)}
+	// One allocation holds every per-block energy of the result: the
+	// baseline's, then each leg's decode and migration.
+	n := g.N()
+	energies := make([]float64, (1+2*orbit)*n)
+	blockEnergies := func() []float64 {
+		out := energies[:n:n]
+		energies = energies[n:]
+		for i := range out {
+			out[i] = net.Act.BlockEnergyJ(s.Energy, i)
+		}
+		return out
+	}
 
 	// Static baseline decode.
 	if err := s.Engine.SetPlacement(s.InitialPlace); err != nil {
 		return nil, err
 	}
 	net.ResetStats()
-	block := s.BlockSource(0) // every leg decodes the same block
-	cycles, err := s.Engine.Decode(block)
+	cycles, err := s.Engine.DecodeTraffic()
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline decode: %w", err)
 	}
 	ch.BaselineCycles = cycles
-	ch.BaselineBlockJ = blockEnergies(net.Act, s.Energy, g.N())
+	ch.BaselineBlockJ = blockEnergies()
 
 	// One decode plus one migration per orbit position.
-	orbit := scheme.OrbitLen(g)
 	place := append([]int(nil), s.InitialPlace...)
+	next := make([]int, len(place))
 	for leg := 0; leg < orbit; leg++ {
 		if err := s.Engine.SetPlacement(place); err != nil {
 			return nil, err
 		}
 		net.ResetStats()
-		cycles, err := s.Engine.Decode(block)
+		cycles, err := s.Engine.DecodeTraffic()
 		if err != nil {
 			return nil, fmt.Errorf("core: leg %d decode: %w", leg, err)
 		}
 		la := LegActivity{
 			DecodeCycles: cycles,
-			DecodeBlockJ: blockEnergies(net.Act, s.Energy, g.N()),
+			DecodeBlockJ: blockEnergies(),
 		}
 		la.DecodeJ = sum(la.DecodeBlockJ)
 
@@ -128,15 +139,14 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: leg %d migration: %w", leg, err)
 		}
-		la.MigBlockJ = blockEnergies(net.Act, s.Energy, g.N())
+		la.MigBlockJ = blockEnergies()
 		la.MigJ = sum(la.MigBlockJ)
 
 		// Workload follows the plane: the PE at block p moves to perm(p).
-		next := make([]int, len(place))
 		for l, blkIdx := range place {
 			next[l] = perm.Dst(blkIdx)
 		}
-		place = next
+		place, next = next, place
 
 		ch.Legs = append(ch.Legs, la)
 	}
@@ -363,16 +373,6 @@ func (s *System) baseline(ev *thermal.Evaluator, ch *Characterization) (thermal.
 	s.baseMemo = &baselineEntry{cycles: ch.BaselineCycles, blockJ: slices.Clone(ch.BaselineBlockJ), res: res}
 	s.mu.Unlock()
 	return res, nil
-}
-
-// blockEnergies snapshots the per-block dynamic energy of the current
-// activity window.
-func blockEnergies(act *power.Activity, e power.Energy, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = act.BlockEnergyJ(e, i)
-	}
-	return out
 }
 
 // sum adds a slice in index order: a leg's total energies are the serial

@@ -14,7 +14,8 @@ import (
 // System bundles one test chip: workload engine, network (inside the
 // engine), thermal model, energy tables and the migration machinery.
 // Characterize drives the engine and migrator and needs a System of its
-// own (see Clone); any number of goroutines may evaluate on one System.
+// own (see Clone and Borrow); any number of goroutines may evaluate on
+// one System.
 type System struct {
 	Grid geom.Grid
 	// Therm is the chip's RC thermal model.
@@ -40,12 +41,14 @@ type System struct {
 	// transfer phases, has the largest reconfiguration energy penalty.
 	IdleFrac float64
 
-	// mu guards the evaluation state: a free list of thermal evaluators,
-	// at most one per concurrent caller (not a sync.Pool, whose GC purge
-	// would drop their LU factorisations mid-sweep), and the
+	// mu guards the shared state: free lists of thermal evaluators and
+	// of characterizing simulators (see Borrow), each at most one per
+	// concurrent caller (not a sync.Pool, whose GC purge would drop
+	// their LU factorisations and simulators mid-sweep), and the
 	// static-baseline cycle memo.
-	mu       sync.Mutex
+	mu       sync.Mutex //hotnoc:scrapelocked
 	evals    []*thermal.Evaluator
+	sims     []*System
 	baseMemo *baselineEntry
 }
 

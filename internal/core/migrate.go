@@ -46,6 +46,10 @@ type Migrator struct {
 	// the scratch its keys are built in.
 	memo *migrationMemo
 	key  []byte
+	// packets is the scratch of one phase's state transfers; a phase
+	// ends only after all of them are delivered, so the next may
+	// overwrite them.
+	packets []noc.Packet
 }
 
 // NewMigrator returns a migrator with default parameters and a migration
@@ -134,13 +138,15 @@ func (m *Migrator) execute(perm geom.Perm) (MigrationStats, error) {
 
 	for pi, ph := range phases {
 		pending = 0
-		for _, tr := range ph {
-			src := m.Net.Grid.Coord(tr.Src)
-			dst := m.Net.Grid.Coord(tr.Dst)
-			pkt := &noc.Packet{
+		if len(m.packets) < len(ph) {
+			m.packets = make([]noc.Packet, len(ph))
+		}
+		for i, tr := range ph {
+			pkt := &m.packets[i]
+			*pkt = noc.Packet{
 				ID:      m.Net.NextID(),
-				Src:     src,
-				Dst:     dst,
+				Src:     m.Net.Grid.Coord(tr.Src),
+				Dst:     m.Net.Grid.Coord(tr.Dst),
 				NFlits:  m.StateFlits,
 				Payload: stateBlob{SrcBlock: tr.Src},
 			}

@@ -23,80 +23,71 @@ type Phase []Transfer
 // the earliest phase where its XY route conflicts with no already-placed
 // route. Fixed points generate no transfer.
 func PlanPhases(g geom.Grid, perm geom.Perm) []Phase {
-	type linkSet map[link]struct{}
+	// used holds one bitset over the mesh's directed links per phase.
+	words := (numLinkDirs*g.N() + 63) / 64
 	var phases []Phase
-	var used []linkSet
-
+	var used []uint64
+	var route []link
 	for src := 0; src < perm.Len(); src++ {
 		dst := perm.Dst(src)
 		if dst == src {
 			continue
 		}
-		route := xyRouteLinks(g, g.Coord(src), g.Coord(dst))
-		placed := false
-		for p := range phases {
-			if !conflicts(used[p], route) {
-				phases[p] = append(phases[p], Transfer{Src: src, Dst: dst})
-				addLinks(used[p], route)
-				placed = true
-				break
-			}
+		route = xyRouteLinks(g, g.Coord(src), g.Coord(dst), route[:0])
+		p := 0
+		for p < len(phases) && conflicts(used[p*words:(p+1)*words], route) {
+			p++
 		}
-		if !placed {
-			ls := linkSet{}
-			addLinks(ls, route)
-			phases = append(phases, Phase{{Src: src, Dst: dst}})
-			used = append(used, ls)
+		if p == len(phases) {
+			phases = append(phases, nil)
+			used = append(used, make([]uint64, words)...)
+		}
+		phases[p] = append(phases[p], Transfer{Src: src, Dst: dst})
+		set := used[p*words : (p+1)*words]
+		for _, l := range route {
+			set[l>>6] |= 1 << (l & 63)
 		}
 	}
 	return phases
 }
 
-// link is a directed mesh link between adjacent blocks.
-type link struct {
-	from, to int
-}
+// link is a directed mesh link, numbered numLinkDirs*from + the
+// direction it leaves block from in.
+type link int
 
-// xyRouteLinks returns the directed links of the XY route from src to dst.
-func xyRouteLinks(g geom.Grid, src, dst geom.Coord) []link {
-	var links []link
+const numLinkDirs = 4
+
+// xyRouteLinks appends the directed links of the XY route from src to
+// dst to links and returns the result.
+func xyRouteLinks(g geom.Grid, src, dst geom.Coord, links []link) []link {
 	cur := src
 	for cur.X != dst.X {
-		next := cur
-		if dst.X > cur.X {
-			next.X++
-		} else {
-			next.X--
+		dir, step := 0, 1
+		if dst.X < cur.X {
+			dir, step = 1, -1
 		}
-		links = append(links, link{g.Index(cur), g.Index(next)})
-		cur = next
+		links = append(links, link(numLinkDirs*g.Index(cur)+dir))
+		cur.X += step
 	}
 	for cur.Y != dst.Y {
-		next := cur
-		if dst.Y > cur.Y {
-			next.Y++
-		} else {
-			next.Y--
+		dir, step := 2, 1
+		if dst.Y < cur.Y {
+			dir, step = 3, -1
 		}
-		links = append(links, link{g.Index(cur), g.Index(next)})
-		cur = next
+		links = append(links, link(numLinkDirs*g.Index(cur)+dir))
+		cur.Y += step
 	}
 	return links
 }
 
-func conflicts(used map[link]struct{}, route []link) bool {
+// conflicts reports whether any link of route is in the bitset used.
+func conflicts(used []uint64, route []link) bool {
 	for _, l := range route {
-		if _, ok := used[l]; ok {
+		if used[l>>6]&(1<<(l&63)) != 0 {
 			return true
 		}
 	}
 	return false
-}
-
-func addLinks(used map[link]struct{}, route []link) {
-	for _, l := range route {
-		used[l] = struct{}{}
-	}
 }
 
 // PhaseCount is a convenience wrapper returning just the number of phases

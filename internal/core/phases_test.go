@@ -57,7 +57,7 @@ func TestPhasesConflictFree(t *testing.T) {
 		for pi, ph := range PlanPhases(g, perm) {
 			used := map[link]struct{}{}
 			for _, xfer := range ph {
-				for _, l := range xyRouteLinks(g, g.Coord(xfer.Src), g.Coord(xfer.Dst)) {
+				for _, l := range xyRouteLinks(g, g.Coord(xfer.Src), g.Coord(xfer.Dst), nil) {
 					if _, clash := used[l]; clash {
 						t.Fatalf("phase %d reuses link %v", pi, l)
 					}
@@ -156,7 +156,7 @@ func TestXYRouteLinksLength(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := g.Coord(r.Intn(g.N()))
 		b := g.Coord(r.Intn(g.N()))
-		if got := len(xyRouteLinks(g, a, b)); got != a.Manhattan(b) {
+		if got := len(xyRouteLinks(g, a, b, nil)); got != a.Manhattan(b) {
 			t.Fatalf("route %v->%v has %d links, want %d", a, b, got, a.Manhattan(b))
 		}
 	}

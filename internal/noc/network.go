@@ -107,8 +107,8 @@ type Network struct {
 
 	inflight int64
 	nextID   uint64
-	// stepped counts the cycles Step has run since New; ResetStats
-	// leaves it alone, so it is monotone over the network's life.
+	// stepped counts the cycles Step has run since New; ResetStats and
+	// Reset leave it alone, so it is monotone over the network's life.
 	stepped uint64
 
 	// The active sets, one bit per router in row-major order: bufSet
@@ -126,7 +126,13 @@ type Network struct {
 	windows []*Window
 }
 
-// New builds a network over grid g.
+// niQueueCap is the number of worms each NI queue has room for before
+// it first grows.
+const niQueueCap = 8
+
+// New builds a network over grid g. It makes the same few allocations
+// whatever the mesh size: every input FIFO is a window of one slot
+// array, and every NI queue starts as a window of one worm array.
 func New(g geom.Grid, cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -144,11 +150,17 @@ func New(g geom.Grid, cfg Config) (*Network, error) {
 		latSet:  sets[words : 2*words : 2*words],
 		niSet:   sets[2*words:],
 	}
+	queues := make([]*Packet, g.N()*niQueueCap)
+	for i := range n.nis {
+		n.nis[i].pkts = queues[i*niQueueCap : i*niQueueCap : (i+1)*niQueueCap]
+	}
+	depth := cfg.BufDepth
+	slots := make([]Flit, g.N()*int(numDirs)*depth)
 	for i := range n.routers {
 		r := &n.routers[i]
 		r.coord = g.Coord(i)
 		for d := Dir(0); d < numDirs; d++ {
-			r.in[d].buf = newFifo(cfg.BufDepth)
+			r.in[d].buf.slots, slots = slots[:depth:depth], slots[depth:]
 			r.nb[d] = -1
 			if c := r.coord.Add(d.offset()); g.Contains(c) {
 				r.nb[d] = g.Index(c)
@@ -451,7 +463,45 @@ func (n *Network) inject() {
 // ResetStats clears the performance counters and activity counters while
 // leaving in-flight traffic untouched; the runtime manager calls this at
 // migration-period boundaries to window the power measurement.
+//
+//hotnoc:noalloc
 func (n *Network) ResetStats() {
 	n.Stats = Stats{}
 	n.Act.Reset()
+}
+
+// Reset returns the network to the state New left it in, keeping its
+// storage and the capacity its NI queues and window stack grew to:
+// every FIFO, latch, worm and arbitration pointer, the NI queues, the
+// active sets, the clock, packet IDs, Stats, Act and Deliver. Only
+// SteppedCycles, host-side bookkeeping, keeps counting. Traffic in
+// flight is discarded, and a window still recording is forgotten.
+//
+//hotnoc:noalloc
+func (n *Network) Reset() {
+	for i := range n.routers {
+		r := &n.routers[i]
+		for d := range r.in {
+			ip := &r.in[d]
+			clear(ip.buf.slots)
+			ip.buf.head, ip.buf.n = 0, 0
+			ip.route, ip.holding = 0, false
+		}
+		r.out = [numDirs]outPort{}
+		r.reqs = [numDirs]uint8{}
+		r.buffered, r.latched = 0, 0
+	}
+	for i := range n.nis {
+		q := &n.nis[i]
+		clear(q.pkts[:cap(q.pkts)])
+		*q = ni{pkts: q.pkts[:0]}
+	}
+	clear(n.bufSet)
+	clear(n.latSet)
+	clear(n.niSet)
+	clear(n.windows)
+	n.windows = n.windows[:0]
+	n.Cycle, n.inflight, n.nextID = 0, 0, 0
+	n.Deliver = nil
+	n.ResetStats()
 }

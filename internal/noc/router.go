@@ -14,10 +14,6 @@ type fifo struct {
 	n     int
 }
 
-func newFifo(capacity int) fifo {
-	return fifo{slots: make([]Flit, capacity)}
-}
-
 func (q *fifo) full() bool  { return q.n == len(q.slots) }
 func (q *fifo) empty() bool { return q.n == 0 }
 func (q *fifo) front() Flit { return q.slots[q.head] }

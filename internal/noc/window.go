@@ -68,24 +68,24 @@ func (n *Network) BeginWindow(w *Window) bool {
 	if n.inflight != 0 {
 		return false
 	}
-	if nrr := n.ArbitrationLen(); cap(w.rr0) < nrr {
-		w.rr0 = make([]byte, nrr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
-	} else {
-		w.rr0 = w.rr0[:nrr]
-	}
-	n.SaveArbitration(w.rr0)
-	if nr := len(n.routers); cap(w.obs) < nr {
-		w.obs = make([]uint8, nr)     //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
-		w.granted = make([]uint8, nr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
-	} else {
-		w.obs, w.granted = w.obs[:nr], w.granted[:nr]
-		clear(w.obs)
-		clear(w.granted)
-	}
-	for k, s := range nocActivity(n.Act) {
-		if cap(w.act[k]) < len(s) {
-			w.act[k] = make([]uint64, len(s)) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+	nrr, nr := n.ArbitrationLen(), len(n.routers)
+	if cap(w.rr0) < nrr || cap(w.obs) < nr {
+		// One allocation holds the pointer vectors and port masks, and
+		// one the activity deltas.
+		b := make([]byte, 2*nrr+2*nr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+		w.rr0, w.rr1 = b[:nrr:nrr], b[nrr:nrr:2*nrr]
+		w.obs, w.granted = b[2*nrr:2*nrr+nr:2*nrr+nr], b[2*nrr+nr:]
+		act := make([]uint64, len(w.act)*nr) //hotnoc:allow noalloc amortized growth on a Window's first recording; reuse records at 0 allocs
+		for k := range w.act {
+			w.act[k] = act[k*nr : k*nr : (k+1)*nr]
 		}
+	}
+	w.rr0 = w.rr0[:nrr]
+	n.SaveArbitration(w.rr0)
+	w.obs, w.granted = w.obs[:nr], w.granted[:nr]
+	clear(w.obs)
+	clear(w.granted)
+	for k, s := range nocActivity(n.Act) {
 		w.act[k] = w.act[k][:len(s)]
 		copy(w.act[k], s)
 	}

@@ -425,3 +425,61 @@ func TestWindowAllocationFree(t *testing.T) {
 		t.Errorf("Replay allocates %.1f times, want 0", got)
 	}
 }
+
+// TestResetMatchesNew: a network reset mid-traffic, with a window still
+// recording, is in every observable respect the network New returns,
+// and the same traffic then runs on it cycle for cycle as on a new one.
+// Only SteppedCycles keeps counting.
+func TestResetMatchesNew(t *testing.T) {
+	reused, fresh := newNet(t, 9, 9), newNet(t, 9, 9)
+	reused.Deliver = func(*Packet) {}
+	burst(t, reused, 0.3, 5, 400, 7)
+	var w Window
+	if !reused.BeginWindow(&w) {
+		t.Fatal("BeginWindow failed on a drained network")
+	}
+	gen, err := NewGenerator(reused, UniformRandom, 0.5, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 70 {
+		gen.Tick()
+		reused.Step()
+	}
+	if !reused.Busy() {
+		t.Fatal("no traffic in flight at the reset")
+	}
+	stepped := reused.SteppedCycles()
+	reused.Reset()
+	if reused.SteppedCycles() != stepped {
+		t.Fatalf("Reset moved SteppedCycles from %d to %d", stepped, reused.SteppedCycles())
+	}
+	if reused.Deliver != nil || len(reused.windows) != 0 || reused.IDs() != 0 {
+		t.Fatalf("Reset left a sink (%v), %d windows or %d packet IDs", reused.Deliver != nil, len(reused.windows), reused.IDs())
+	}
+	for _, s := range [][]uint64{reused.bufSet, reused.latSet, reused.niSet} {
+		for _, word := range s {
+			if word != 0 {
+				t.Fatal("Reset left an active set nonempty")
+			}
+		}
+	}
+	if !reflect.DeepEqual(reused.state(), fresh.state()) {
+		t.Fatal("reset network differs from a new one")
+	}
+	var gens [2]*Generator
+	for i, n := range []*Network{reused, fresh} {
+		if gens[i], err = NewGenerator(n, UniformRandom, 0.4, 4, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := range 200 {
+		for i, n := range []*Network{reused, fresh} {
+			gens[i].Tick()
+			n.Step()
+		}
+		if !reflect.DeepEqual(reused.state(), fresh.state()) || reused.IDs() != fresh.IDs() {
+			t.Fatalf("cycle %d after the reset: state differs from a new network's", c)
+		}
+	}
+}

@@ -96,16 +96,18 @@ type Activity struct {
 	ConvWords []uint64
 }
 
-// NewActivity returns zeroed counters for n blocks.
+// NewActivity returns zeroed counters for n blocks, all seven slices
+// windows of one allocation.
 func NewActivity(n int) *Activity {
+	c := make([]uint64, 7*n)
 	return &Activity{
-		BufWrites: make([]uint64, n),
-		BufReads:  make([]uint64, n),
-		Xbar:      make([]uint64, n),
-		Arb:       make([]uint64, n),
-		Link:      make([]uint64, n),
-		PEOps:     make([]uint64, n),
-		ConvWords: make([]uint64, n),
+		BufWrites: c[0*n : 1*n : 1*n],
+		BufReads:  c[1*n : 2*n : 2*n],
+		Xbar:      c[2*n : 3*n : 3*n],
+		Arb:       c[3*n : 4*n : 4*n],
+		Link:      c[4*n : 5*n : 5*n],
+		PEOps:     c[5*n : 6*n : 6*n],
+		ConvWords: c[6*n : 7*n],
 	}
 }
 
@@ -113,16 +115,16 @@ func NewActivity(n int) *Activity {
 func (a *Activity) N() int { return len(a.BufWrites) }
 
 // Reset zeroes all counters.
+//
+//hotnoc:noalloc
 func (a *Activity) Reset() {
-	for _, s := range a.slices() {
-		for i := range s {
-			s[i] = 0
-		}
-	}
-}
-
-func (a *Activity) slices() [][]uint64 {
-	return [][]uint64{a.BufWrites, a.BufReads, a.Xbar, a.Arb, a.Link, a.PEOps, a.ConvWords}
+	clear(a.BufWrites)
+	clear(a.BufReads)
+	clear(a.Xbar)
+	clear(a.Arb)
+	clear(a.Link)
+	clear(a.PEOps)
+	clear(a.ConvWords)
 }
 
 // BlockEnergyJ returns the dynamic energy dissipated in block i. Each

@@ -77,8 +77,8 @@ type Lab struct {
 	buildHits   atomic.Uint64
 	buildMisses atomic.Uint64
 
-	// busy gauges workers currently executing a task, for utilization
-	// reporting.
+	// busy gauges workers currently executing a task, across all of the
+	// Lab's sweeps, for utilization reporting.
 	busy atomic.Int64
 
 	// progressMu serializes progress callbacks. buildAccountMu guards the
@@ -102,7 +102,9 @@ func WithScale(scale int) LabOption {
 	return func(l *Lab) { l.scale = scale }
 }
 
-// WithWorkers bounds the sweep worker pool (default GOMAXPROCS).
+// WithWorkers bounds the tasks each sweep runs at once (default
+// GOMAXPROCS). Each sweep starts up to that many workers of its own, so
+// concurrent sweeps on one Lab run up to that many tasks apiece.
 func WithWorkers(n int) LabOption {
 	return func(l *Lab) { l.workers = n }
 }
@@ -188,8 +190,10 @@ type LabStats struct {
 	// Scale and Workers echo the Lab's configuration.
 	Scale   int `json:"scale"`
 	Workers int `json:"workers"`
-	// BusyWorkers gauges workers currently executing sweep tasks — a
-	// utilization signal for services multiplexing jobs onto one Lab.
+	// BusyWorkers gauges workers currently executing sweep tasks, summed
+	// over every sweep running on the Lab: each sweep has workers of its
+	// own (see WithWorkers), so with several sweeps it can exceed
+	// Workers.
 	BusyWorkers int `json:"busy_workers"`
 	// Decodes counts engine block decodes, simulated or replayed from a
 	// build's decode memo (see Lab.Decodes).

@@ -594,6 +594,47 @@ func TestWarmSweepAllocs(t *testing.T) {
 	}
 }
 
+// TestColdSweepAllocs caps the allocations of a cold scale-8 Figure 1
+// sweep at 2 and 4 workers, averaged over fresh Labs whose five builds
+// are made outside the count. Each build lends its characterizations
+// simulators from a free list and shares one decode schedule among
+// them, so a sweep makes about one simulator per build and worker.
+func TestColdSweepAllocs(t *testing.T) {
+	ctx := context.Background()
+	configs := []string{"A", "B", "C", "D", "E"}
+	pts := SweepGrid(configs, Schemes(), nil)
+	for _, workers := range []int{2, 4} {
+		const runs = 4
+		var mallocs uint64
+		for range runs {
+			lab := NewLab(WithScale(8), WithWorkers(workers))
+			for _, c := range configs {
+				if _, err := lab.Build(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC() // the first GC's mark workers allocate; start them outside the count
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := lab.SweepAll(ctx, pts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		allocs := mallocs / runs
+		// About 2 700 allocations at 2 workers and 2 850 at 4, and as
+		// many under the race detector. A clone per characterization,
+		// each building its decode schedule, a packet per NoC node pair,
+		// a FIFO per input port and a map per migration phase, made it
+		// 13 100 at either worker count.
+		const bound = 3500
+		if allocs > bound {
+			t.Fatalf("%d workers: cold 25-point sweep made %d allocations, want at most %d", workers, allocs, bound)
+		}
+	}
+}
+
 // TestColdFigure1SimulatedDecodes pins the build-wide decode memo at
 // paper scale: a cold Figure 1 asks for 121 decodes but simulates only
 // the 71 distinct ones its builds' calibration decodes have not already

@@ -43,8 +43,9 @@ type PlacementReport struct {
 // reports its thermally-aware static placement: the annealed mapping, the
 // placed per-block power map reconstructed by decoding one block, and the
 // steady-state temperatures. The shared calibrated build is never
-// mutated — the decode runs on a private System clone — so Placement is
-// safe alongside concurrent sweeps on the same Lab.
+// mutated — the decode runs on a simulator borrowed from the build
+// (core.System.Borrow) — so Placement is safe alongside concurrent
+// sweeps on the same Lab.
 func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, e
 	if err != nil {
 		return nil, err
 	}
-	sys, err := built.System.Clone()
+	sys, err := built.System.Borrow()
 	if err != nil {
 		return nil, fmt.Errorf("hotnoc: config %s: clone: %w", config, err)
 	}
@@ -61,19 +62,20 @@ func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, e
 		return nil, fmt.Errorf("hotnoc: config %s: %w", config, err)
 	}
 	sys.Engine.Net.ResetStats()
-	cycles, err := sys.Engine.Decode(sys.BlockSource(0))
+	cycles, err := sys.Engine.DecodeTraffic()
 	if err != nil {
 		return nil, fmt.Errorf("hotnoc: config %s: decode: %w", config, err)
 	}
 	dur := float64(cycles) / sys.ClockHz
 	placedPower := sys.Engine.Net.Act.PowerMap(sys.Energy, dur)
+	built.System.Release(sys)
 
-	ss, err := thermal.NewSteadySolver(sys.Therm)
+	ss, err := thermal.NewSteadySolver(built.System.Therm)
 	if err != nil {
 		return nil, fmt.Errorf("hotnoc: config %s: %w", config, err)
 	}
 
-	g := sys.Grid
+	g := built.System.Grid
 	return &PlacementReport{
 		Config:       config,
 		Scale:        l.scale,
@@ -83,7 +85,7 @@ func (l *Lab) Placement(ctx context.Context, config string) (*PlacementReport, e
 		CommHops:     built.PlaceResult.CommHops,
 		Cost:         built.PlaceResult.Cost,
 		Accepted:     built.PlaceResult.Accepted,
-		Placement:    append([]int(nil), sys.InitialPlace...),
+		Placement:    append([]int(nil), built.System.InitialPlace...),
 		PlacedPowerW: placedPower,
 		TotalPowerW:  power.Total(placedPower),
 		SteadyTempsC: ss.Solve(placedPower),

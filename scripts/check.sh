@@ -40,17 +40,22 @@ go test -count=1 -run 'TestTrafficMatchesValueOracle|TestScheduleMatchesOracle|T
 go test -race -count=10 -run '^TestDecodeMemoConcurrent$' ./internal/appmap
 go test -count=1 -run 'TestMigrationMemo|TestMigrationReplaysFromAnyArbitration' ./internal/core
 go test -race -count=10 -run '^TestMigrationMemoConcurrent$' ./internal/core
+echo "== simulator reuse differential (a borrowed simulator vs fresh clones, sequential and on 2 and 4 goroutines under -race; Network.Reset vs New)"
+go test -count=1 -run '^(TestBorrowMatchesClone|TestReleaseDropsBusySimulator)$' ./internal/core
+go test -race -count=5 -run '^(TestBorrowMatchesClone|TestBorrowConcurrent)$' ./internal/core
+go test -count=1 -run '^TestResetMatchesNew$' ./internal/noc
 go test -count=1 -run '^TestColdFigure1Simulated(Decodes|Migrations)$' .
 go test -count=1 -run 'TestReplayMatchesStepping|TestObservedReplayMatchesStepping|TestNestedReplayMatchesStepping|TestReplayRefusals|TestWindowAllocationFree|TestStepAllocationFree' ./internal/noc
 go test -count=1 -run '^TestStepMatchesReference$' ./internal/noc
 go test -count=1 -run '^TestColdFigure1SteppedCycles$' .
 echo "== cache differential (both artifact kinds through the one cache: stale, legacy-envelope and advisory-lock paths, under -race)"
 go test -race -count=3 -run 'Cache|Lock' .
-echo "== shared evaluation (concurrent Evaluate, evaluation sets and lockstep reactive sets on one System under -race, sets vs lone runs, cached configuration sets over worker counts under -race, warm-sweep, evaluation-set and reactive allocation guards)"
+echo "== shared evaluation (concurrent Evaluate, evaluation sets and lockstep reactive sets on one System under -race, sets vs lone runs, cached configuration sets over worker counts under -race, warm- and cold-sweep, evaluation-set and reactive allocation guards)"
 go test -race -count=10 -run '^(TestSharedEvaluation|TestReactiveSetConcurrent)$' ./internal/core
 go test -count=1 -run '^(TestReactiveSetMatchesIndependent|TestReactiveRejectsNonFinite|TestEvaluateReactiveAllocs|TestReactiveSetErrorNamesRun|TestReactiveTimelineStrideExtremes|TestEvaluateSetMatchesEvaluate|TestEvaluateSetErrorNamesPoint|TestEvaluateSetAllocs)$' ./internal/core
 go test -race -count=10 -run '^TestGroupPointsCachedConfigSets$' .
-go test -count=1 -run '^(TestWarmSweepAllocs|TestLabReactiveWorkerCounts|TestReactiveSetPaperScale)$' .
+go test -count=1 -run '^(TestWarmSweepAllocs|TestColdSweepAllocs|TestLabReactiveWorkerCounts|TestReactiveSetPaperScale)$' .
+go test -race -count=1 -run '^TestColdSweepAllocs$' .
 echo "== served path (a scale-8 Figure 1 job's outcome bytes vs their golden, served-sweep allocation guard, name lookups vs the replacer reference)"
 go test -count=1 -run '^(TestOutcomeWireGolden|TestServedSweepAllocs)$' ./server
 go test -count=1 -run '^TestNameResolutionMatchesReplacer$' .

@@ -18,8 +18,8 @@
 # tenants daemon it exercises the observability surface: /metrics must
 # expose the stage-latency histograms, per-tenant job counters and the
 # throttled tenant's exact rejection count, and a background 5-point
-# sweep polled through GET /v1/jobs/{id} must report points_done
-# advancing through intermediate values to completion. CI runs this as
+# sweep's ordered event stream must advance points_done through every
+# intermediate value to completion, with GET /v1/jobs/{id} agreeing. CI runs this as
 # the service-smoke job; check.sh mirrors it locally.
 set -eu
 
@@ -307,10 +307,9 @@ done
 
 echo "== live job introspection: points_done advances on a running sweep"
 # Config B at paper scale is absent from the warm cache (every earlier
-# phase runs scale 8), so its build and five characterizations give the
-# poll loop real work to watch. Scale 8 no longer does: with repeated
-# decodes served from the build's decode memo its points land 1-3 ms
-# apart, faster than a curl poll.
+# phase runs scale 8), so its build and five characterizations keep the
+# job running while its event stream is read and the GETs below race a
+# live sweep.
 progress_body='{"scale":1,"points":[
   {"config":"B","scheme":"rot","blocks":1},
   {"config":"B","scheme":"x mirror","blocks":1},
@@ -338,47 +337,73 @@ fetch_job() {
         wget -qO- --header "Authorization: Bearer $ci_key" "http://$addr/v1/jobs/$job_id"
     fi
 }
-prev=-1
-advances=0
-final_done=0
-i=0
-while [ "$i" -lt 12000 ]; do
-    info=$(fetch_job)
-    done_n=$(printf '%s' "$info" | sed -n 's/.*"points_done":\([0-9]*\).*/\1/p')
-    [ -z "$done_n" ] && done_n=0
-    if [ "$done_n" -lt "$prev" ]; then
-        echo "service smoke: points_done regressed $prev -> $done_n: $info" >&2
-        exit 1
+stream_job() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -fsSN -H "Authorization: Bearer $ci_key" "http://$addr/v1/sweeps/$job_id/events"
+    else
+        wget -qO- --header "Authorization: Bearer $ci_key" "http://$addr/v1/sweeps/$job_id/events"
     fi
-    if [ "$prev" -ge 0 ] && [ "$done_n" -gt "$prev" ]; then
-        advances=$((advances + 1))
-    fi
-    prev=$done_n
-    case "$info" in
-    *'"state":"done"'*)
-        final_done=$done_n
-        break
-        ;;
-    *'"state":"failed"'* | *'"state":"canceled"'*)
-        echo "service smoke: progress sweep ended badly: $info" >&2
-        exit 1
-        ;;
-    esac
-    i=$((i + 1))
-    # The paper-scale sweep takes about 150 ms, with points 4-15 ms
-    # apart, so poll faster than that or intermediate values slip by.
-    sleep 0.005
-done
-if [ "$final_done" != 5 ]; then
-    echo "service smoke: progress sweep never finished with 5 points (last: $prev)" >&2
+}
+# The job's event stream is the ordered record of its progress: one
+# outcome frame per finished point, index 0 to 4, each appended under the
+# same lock that advances points_done, then a done frame. So points_done
+# passes through every value from 0 to 5 in the frames, and a
+# GET /v1/jobs/{id} made after reading outcome frame k must report at
+# least k points done, never fewer than the previous GET, never more
+# than 5. A stream replays from its start, so this holds however fast
+# the sweep runs; polling GET alone missed intermediate values whenever
+# points landed closer together than the poll interval.
+if ! seen=$(stream_job | {
+    event="" seen=0 prev=0
+    while IFS= read -r line; do
+        case "$line" in
+        'event: '*) event=${line#event: } ;;
+        'data: '*)
+            case "$event" in
+            outcome)
+                idx=$(printf '%s' "$line" | sed -n 's/^data: {"index":\([0-9]*\),.*/\1/p')
+                if [ "$idx" != "$seen" ]; then
+                    echo "service smoke: outcome frame $((seen + 1)) carries index '$idx'" >&2
+                    exit 1
+                fi
+                seen=$((seen + 1))
+                info=$(fetch_job)
+                done_n=$(printf '%s' "$info" | sed -n 's/.*"points_done":\([0-9]*\).*/\1/p')
+                [ -z "$done_n" ] && done_n=0
+                if [ "$done_n" -lt "$seen" ] || [ "$done_n" -lt "$prev" ] || [ "$done_n" -gt 5 ]; then
+                    echo "service smoke: points_done $done_n after outcome frame $seen (previous GET $prev): $info" >&2
+                    exit 1
+                fi
+                prev=$done_n
+                ;;
+            done)
+                echo "$seen"
+                exit 0
+                ;;
+            error)
+                echo "service smoke: progress sweep ended badly: $line" >&2
+                exit 1
+                ;;
+            esac
+            ;;
+        esac
+    done
+    echo "service smoke: progress stream ended after $seen outcomes without a done frame" >&2
+    exit 1
+}); then
     exit 1
 fi
-# "Advancing" means the poll caught points_done strictly increasing more
-# than once — an intermediate value between 0 and 5, not just the jump
-# to the terminal snapshot.
-if [ "$advances" -lt 2 ]; then
-    echo "service smoke: points_done never advanced through intermediate values (advances=$advances)" >&2
+if [ "$seen" != 5 ]; then
+    echo "service smoke: progress sweep finished after $seen outcome frames, want 5" >&2
     exit 1
 fi
+info=$(fetch_job)
+case "$info" in
+*'"state":"done"'*'"points_done":5'* | *'"points_done":5'*'"state":"done"'*) ;;
+*)
+    echo "service smoke: finished progress sweep reports $info, want state done with 5 points" >&2
+    exit 1
+    ;;
+esac
 
 echo "service smoke ok (byte-identical local/remote figure1 + reactive hotsim + warm daemon restart: 0 builds, 0 decodes + tenants: 401/429/per-tenant stats + observability: /metrics histograms, exact per-tenant counters, advancing points_done)"

@@ -1,8 +1,9 @@
 // Package server implements hotnocd's HTTP service: the hotnoc.Lab
 // session API exposed over HTTP/JSON with server-sent-event streaming, so
-// many clients share one long-lived Lab — one build cache, one cross-run
-// characterization cache, one worker pool — instead of each paying for
-// the cycle-accurate NoC stage themselves.
+// many clients share one long-lived Lab per scale — one build cache and
+// one cross-run characterization cache — instead of each paying for the
+// cycle-accurate NoC stage themselves. Each job runs on workers of its
+// own (Config.Workers).
 //
 // Endpoints:
 //
@@ -81,8 +82,10 @@ type Config struct {
 	// CacheLimit bounds the file count of each cache artifact kind under
 	// CacheDir with LRU eviction; zero means unbounded.
 	CacheLimit int
-	// Workers bounds each Lab's worker pool (0 = one per core). All jobs
-	// at one scale multiplex onto the same pool.
+	// Workers bounds the tasks each sweep job runs at once (0 = one per
+	// core). Every job starts workers of its own, so N jobs running at
+	// one scale run up to N×Workers tasks; they share that scale's Lab,
+	// its builds and caches. MaxJobs bounds N.
 	Workers int
 	// MaxJobs bounds concurrently running sweep jobs across all scales.
 	// At the bound, admitted submissions queue and the weighted-fair

@@ -11,9 +11,10 @@
 // migration-energy ablation — are all instances of such grids. Results
 // are bitwise identical to a serial walk of the same grid: every stage of
 // the pipeline is deterministic, each characterization simulates on a
-// System clone of its own, evaluations share the build's System
-// (evaluation is a pure function of its inputs), and outcomes stream in
-// point order regardless of completion order.
+// simulator it borrows from its build (a reset System clone),
+// evaluations share the build's System (evaluation is a pure function of
+// its inputs), and outcomes stream in point order regardless of
+// completion order.
 //
 //hotnoc:deterministic
 
@@ -270,21 +271,30 @@ func (l *Lab) charFor(config string, scheme Scheme, prog func(Event), seen *char
 	ch, hit, err := l.chars.Get(key, func() (*Characterization, error) {
 		emit(prog, Event{Stage: StageCharacterizeStart, Config: config, Scale: l.scale,
 			Scheme: scheme.Name, Point: -1})
-		// The characterizing system is a private clone: Characterize
-		// drives the engine, network and migrator a System holds. The
-		// clone's engine and migrator share the build's decode and
-		// migration memos, so decodes and migrations that repeat across
-		// schemes are simulated once.
-		sys, err := built.System.Clone()
+		// The characterizing system is a simulator of the caller's own,
+		// borrowed from the build: Characterize drives the engine,
+		// network and migrator a System holds. Its engine and migrator
+		// share the build's decode and migration memos, so decodes and
+		// migrations that repeat across schemes are simulated once. A
+		// reused simulator's counters do not start at zero, so the Lab
+		// adds this run's share.
+		sys, err := built.System.Borrow()
 		if err != nil {
 			return nil, fmt.Errorf("clone: %w", err)
 		}
+		eng, mig := sys.Engine, sys.Migrator
+		decodes, simulated := eng.Decodes, eng.SimulatedDecodes
+		migrations, migrationsSimulated := mig.Migrations, mig.SimulatedMigrations
+		stepped := eng.Net.SteppedCycles()
 		ch, err := sys.Characterize(scheme)
-		l.decodes.Add(sys.Engine.Decodes)
-		l.simulated.Add(sys.Engine.SimulatedDecodes)
-		l.migrations.Add(sys.Migrator.Migrations)
-		l.migrationsSimulated.Add(sys.Migrator.SimulatedMigrations)
-		l.steppedCycles.Add(sys.Engine.Net.SteppedCycles())
+		l.decodes.Add(eng.Decodes - decodes)
+		l.simulated.Add(eng.SimulatedDecodes - simulated)
+		l.migrations.Add(mig.Migrations - migrations)
+		l.migrationsSimulated.Add(mig.SimulatedMigrations - migrationsSimulated)
+		l.steppedCycles.Add(eng.Net.SteppedCycles() - stepped)
+		if err == nil {
+			built.System.Release(sys)
+		}
 		return ch, err
 	})
 	if err != nil {
